@@ -9,7 +9,6 @@ from .errors import (
     HypothesisViolationError,
     InadmissibleInputError,
     NonRegularChannelError,
-    UnreliableTruncationError,
 )
 from .symplectic import (
     DEFAULT_TOL,

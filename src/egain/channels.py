@@ -65,14 +65,13 @@ class GaussianChannel:
     @property
     def regular(self) -> bool:
         """True iff K is nonsingular, so the closed-form gain applies."""
-        sign, _ = np.linalg.slogdet(self.K)
+        sign, logdet = np.linalg.slogdet(self.K)
         if sign == 0.0:
             return False
-        # Guard against numerically singular K: compare |det K| against the
-        # Hadamard bound prod_j ||row_j||.
-        det = abs(float(np.linalg.det(self.K)))
-        hadamard = float(np.prod(np.linalg.norm(self.K, axis=1)))
-        return det > 1e-12 * max(hadamard, 1e-300)
+        # Guard against numerically singular K: compare log |det K| against
+        # the log of the Hadamard bound prod_j ||row_j||.
+        log_hadamard = float(np.log(np.linalg.norm(self.K, axis=1)).sum())
+        return float(logdet) > math.log(1e-12) + max(log_hadamard, math.log(1e-300))
 
 
 def make_channel(

@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -36,11 +35,7 @@ from .channels import (
     preset_channel,
 )
 from .classical import doubly_stochastic_check, heavy_tail, xor_family
-from .errors import (
-    HypothesisViolationError,
-    InadmissibleInputError,
-    UnreliableTruncationError,
-)
+from .errors import HypothesisViolationError, InadmissibleInputError
 from .fock import (
     RELIABILITY_THRESHOLD,
     build_dilation,
@@ -48,7 +43,7 @@ from .fock import (
     extremality_campaign,
 )
 from .gaussian import quadratic_hamiltonian
-from .matio import decode_array, encode_array, load_matrix, read_json, write_json
+from .matio import decode_array, encode_array, load_matrix, read_json, write_json, write_text
 from .symplectic import DEFAULT_TOL, canonical_form, check_hermitian_psd, williamson
 
 EXIT_OK = 0
@@ -74,17 +69,8 @@ def _fmt(x: float) -> str:
 def _emit_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    else:
+        write_text(out, text)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -223,7 +209,7 @@ def cmd_fock(args: argparse.Namespace) -> int:
         "records": records,
     }
     _emit_json(report, args.out)
-    if args.trials > 0 and summary["reliable_count"] < RELIABLE_FRACTION_FLOOR * args.trials:
+    if summary["reliable_count"] < RELIABLE_FRACTION_FLOOR * args.trials:
         return EXIT_UNRELIABLE
     return EXIT_OK
 
@@ -334,9 +320,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return int(args.func(args))
-    except UnreliableTruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNRELIABLE
     except HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

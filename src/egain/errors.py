@@ -11,7 +11,3 @@ class NonRegularChannelError(InadmissibleInputError):
 
 class HypothesisViolationError(ValueError):
     """A verification routine was called outside its stated hypotheses."""
-
-
-class UnreliableTruncationError(RuntimeError):
-    """Truncated-basis results degraded by cutoff effects beyond the threshold."""

@@ -2,12 +2,11 @@
 
 Everything here is deliberately independent of the exact phase-space
 machinery: states are dense d x d density matrices in the number basis,
-channels act by explicit Kraus sums obtained from two-mode unitary
-dilations (beamsplitter for the attenuator, two-mode squeezer for the
-amplifier) or from a Gauss-Hermite discretization of random displacements
-(classical noise). Comparing entropy gains computed this way against the
-closed-form and Gaussian-extremality predictions is the package's main
-numerical evidence.
+channels act by explicit Kraus sums from two-mode unitary dilations: a
+beamsplitter (attenuator), a two-mode squeezer (amplifier), or the one after
+the other (classical noise). Comparing entropy gains computed this way
+against the closed-form and Gaussian-extremality predictions is the
+package's main numerical evidence.
 
 Truncation policy: results carry a ``trace_deficit`` and states whose
 deficit or top-band population (top ceil(0.2 d) levels) exceeds 1e-6 are
@@ -40,7 +39,6 @@ __all__ = [
     "thermal_state",
     "von_neumann_entropy",
     "build_dilation",
-    "attenuator_kraus_closed_form",
     "apply_channel",
     "channel_on_identity",
     "quadrature_moments",
@@ -192,123 +190,76 @@ def _two_mode_squeezer_kraus(k: float, dim: int) -> list[np.ndarray]:
     return kraus
 
 
-def _displacement(xi_q: float, xi_p: float, dim: int) -> np.ndarray:
-    """Displacement unitary shifting <q> by xi_q and <p> by xi_p."""
-    mu_c = (xi_q + 1j * xi_p) / math.sqrt(2.0)
-    a = annihilation(dim)
-    return _unitary_from_skew(mu_c * a.conj().T - np.conj(mu_c) * a)
-
-
-def _classical_noise_kraus(nbar: float, dim: int, order: int) -> list[np.ndarray]:
-    """Gauss-Hermite discretization of Gaussian random displacements.
-
-    The channel is the isotropic Gaussian mixture of displacements with
-    per-quadrature variance nbar. A tensor Gauss-Hermite rule of the given
-    order turns it into a finite mixture of unitaries whose total weight is
-    exactly 1 and whose first and second output moments are exact for
-    order >= 2 (the moment integrands are quadratic polynomials).
-    """
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    kraus = []
-    scale = math.sqrt(2.0 * nbar)
-    for i in range(order):
-        for j in range(order):
-            w = weights[i] * weights[j] / math.pi
-            kraus.append(
-                math.sqrt(w) * _displacement(scale * nodes[i], scale * nodes[j], dim)
-            )
-    return kraus
-
-
 @dataclass(frozen=True, eq=False)
 class DilationChannel:
-    """One-mode channel given by explicit Kraus operators in the number basis."""
+    """One-mode channel given by explicit Kraus operators in the number basis.
+
+    ``first`` holds the Kraus operators of a stage applied before ``kraus``:
+    the attenuator half of classical noise, and empty for the other kinds.
+    """
 
     kind: str
     k: float
     dim: int
     kraus: tuple
     noise: float = 0.0
+    first: tuple = ()
 
     def gaussian_channel(self) -> GaussianChannel:
         """Exact phase-space counterpart (K, mu) of this dilation."""
-        if self.kind == "classical_noise":
-            return preset_channel("classical-noise", 1.0, noise=self.noise)
-        preset = "attenuator" if self.kind == "attenuator" else "amplifier"
-        return preset_channel(preset, self.k)
+        return preset_channel(self.kind.replace("_", "-"), self.k, noise=self.noise)
 
 
 def build_dilation(
-    kind: str,
-    k: float,
-    dim: int = DEFAULT_DIM,
-    noise: Optional[float] = None,
-    quad_order: int = 13,
+    kind: str, k: float, dim: int = DEFAULT_DIM, noise: Optional[float] = None
 ) -> DilationChannel:
     """Construct the Kraus form of a one-mode preset channel.
 
     attenuator (0 < k < 1) and amplifier (k > 1) come from two-mode unitary
-    dilations against the vacuum; classical_noise (k = 1) from a
-    Gauss-Hermite mixture of displacements with per-quadrature variance
-    ``noise``.
+    dilations against the vacuum. classical_noise (k = 1) adds ``noise`` to
+    each quadrature variance; it is composed from those two dilations as the
+    attenuator with k = 1/sqrt(G) followed by the amplifier with k = sqrt(G),
+    G = 1 + noise, which maps alpha to alpha + (G - 1) I.
     """
     if dim < 4:
         raise InadmissibleInputError("dim must be at least 4")
+    first, noise_val = (), 0.0
     if kind == "attenuator":
         if not 0.0 < k < 1.0:
             raise InadmissibleInputError("attenuator requires 0 < k < 1")
         kraus = _beamsplitter_kraus(k, dim)
-        noise_val = 0.0
     elif kind == "amplifier":
         if not k > 1.0:
             raise InadmissibleInputError("amplifier requires k > 1")
         kraus = _two_mode_squeezer_kraus(k, dim)
-        noise_val = 0.0
     elif kind == "classical_noise":
         if k != 1.0:
             raise InadmissibleInputError("classical_noise requires k = 1")
         if noise is None or noise <= 0.0:
             raise InadmissibleInputError("classical_noise requires noise > 0")
-        if quad_order < 2:
-            raise InadmissibleInputError("quadrature order must be >= 2")
-        kraus = _classical_noise_kraus(noise, dim, quad_order)
+        root_gain = math.sqrt(1.0 + noise)
+        first = tuple(_beamsplitter_kraus(1.0 / root_gain, dim))
+        kraus = _two_mode_squeezer_kraus(root_gain, dim)
         noise_val = float(noise)
     else:
         raise InadmissibleInputError(f"unknown kind {kind!r}; choose from {DILATION_KINDS}")
-    return DilationChannel(kind=kind, k=float(k), dim=dim, kraus=tuple(kraus), noise=noise_val)
+    return DilationChannel(kind, float(k), dim, tuple(kraus), noise_val, first)
 
 
-def attenuator_kraus_closed_form(k: float, dim: int) -> list[np.ndarray]:
-    """Closed-form attenuator Kraus operators, as a cross-check on the dilation.
-
-    V_l has entries sqrt(binom(n, l)) k^(n-l) (1 - k^2)^(l/2) at (n-l, n).
-    The dilation route agrees with these up to a phase of (-1)^l per
-    operator, which leaves the channel unchanged.
-    """
-    if not 0.0 < k < 1.0:
-        raise InadmissibleInputError("attenuator requires 0 < k < 1")
-    n = np.arange(dim)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
-    kraus = []
-    for l in range(dim):
-        V = np.zeros((dim, dim), dtype=complex)
-        ns = np.arange(l, dim)
-        log_binom = log_fact[ns] - log_fact[l] - log_fact[ns - l]
-        amp = np.exp(
-            0.5 * log_binom + (ns - l) * math.log(k) + 0.5 * l * math.log1p(-k * k)
-        )
-        V[ns - l, ns] = amp
-        kraus.append(V)
-    return kraus
+def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
+    """Each stage's sum_l V_l rho V_l† in turn, ``first`` before ``kraus``."""
+    for kraus in (channel.first, channel.kraus):
+        if kraus:
+            V = np.stack(kraus)
+            rho = np.einsum("aij,akj->ik", V @ rho, V.conj())
+    return rho
 
 
 def apply_channel(channel: DilationChannel, state: FockDensityMatrix) -> FockDensityMatrix:
     """Kraus sum sum_l V_l rho V_l†, renormalized, with deficit bookkeeping."""
     if state.dim != channel.dim:
         raise InadmissibleInputError("state and channel dimensions differ")
-    V = np.stack(channel.kraus)
-    moved = V @ state.rho
-    out = np.einsum("aij,akj->ik", moved, V.conj())
+    out = _kraus_sums(channel, state.rho)
     out = 0.5 * (out + out.conj().T)
     tr = float(np.trace(out).real)
     lost = max(0.0, 1.0 - tr)
@@ -317,8 +268,7 @@ def apply_channel(channel: DilationChannel, state: FockDensityMatrix) -> FockDen
 
 def channel_on_identity(channel: DilationChannel) -> np.ndarray:
     """The image sum_l V_l V_l† of the identity operator under the channel."""
-    V = np.stack(channel.kraus)
-    return np.einsum("aij,akj->ik", V, V.conj())
+    return _kraus_sums(channel, np.eye(channel.dim))
 
 
 def quadrature_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -396,19 +346,18 @@ def _effective_deficit(state_in: FockDensityMatrix, state_out: FockDensityMatrix
 CAMPAIGN_SUPPORT = {"attenuator": 10, "amplifier": 6, "classical_noise": 10}
 
 
-def lower_bound_campaign(
-    channel: DilationChannel,
-    trials: int,
-    rng: np.random.Generator,
-    support: Optional[int] = None,
+def _campaign(
+    verify, channel: DilationChannel, trials: int, rng: np.random.Generator, support: Optional[int]
 ) -> dict:
-    """Run verify_lower_bound over random low-support states and tally the results."""
+    """Run ``verify`` over random low-support states and tally the results."""
+    if trials < 1:
+        raise InadmissibleInputError("trials must be >= 1")
     if support is None:
         support = CAMPAIGN_SUPPORT.get(channel.kind, 10)
     records = []
     for _ in range(trials):
         state = random_low_support_state(rng, dim=channel.dim, support=support)
-        records.append(verify_lower_bound(channel, state))
+        records.append(verify(channel, state))
     return {
         "kind": channel.kind,
         "k": channel.k,
@@ -419,31 +368,20 @@ def lower_bound_campaign(
         "reliable_count": sum(r["reliable"] for r in records),
         "records": records,
     }
+
+
+def lower_bound_campaign(
+    channel: DilationChannel, trials: int, rng: np.random.Generator, support: Optional[int] = None
+) -> dict:
+    """Run verify_lower_bound over random low-support states and tally the results."""
+    return _campaign(verify_lower_bound, channel, trials, rng, support)
 
 
 def extremality_campaign(
-    channel: DilationChannel,
-    trials: int,
-    rng: np.random.Generator,
-    support: Optional[int] = None,
+    channel: DilationChannel, trials: int, rng: np.random.Generator, support: Optional[int] = None
 ) -> dict:
     """Run verify_extremality over random low-support states and tally the results."""
-    if support is None:
-        support = CAMPAIGN_SUPPORT.get(channel.kind, 10)
-    records = []
-    for _ in range(trials):
-        state = random_low_support_state(rng, dim=channel.dim, support=support)
-        records.append(verify_extremality(channel, state))
-    return {
-        "kind": channel.kind,
-        "k": channel.k,
-        "dim": channel.dim,
-        "trials": trials,
-        "support": support,
-        "holds_count": sum(r["holds"] for r in records),
-        "reliable_count": sum(r["reliable"] for r in records),
-        "records": records,
-    }
+    return _campaign(verify_extremality, channel, trials, rng, support)
 
 
 def verify_lower_bound(channel: DilationChannel, state: FockDensityMatrix) -> dict:

@@ -73,9 +73,8 @@ def decode_array(data) -> np.ndarray:
     return arr
 
 
-def write_json(path: str, obj) -> None:
-    """Serialize ``obj`` deterministically and replace ``path`` atomically."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def write_text(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` atomically; on failure it stays untouched."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -86,6 +85,11 @@ def write_json(path: str, obj) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str, obj) -> None:
+    """Serialize ``obj`` deterministically and replace ``path`` atomically."""
+    write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def read_json(path: str):

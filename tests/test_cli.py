@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -250,6 +252,16 @@ class TestFock:
         assert "degenerate" in err
 
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_2(self, capsys, trials):
+        code, out, err = run(
+            ["fock", "--preset", "attenuator", "--k", "0.7", "--trials", trials], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: trials must be >= 1\n"
+
+
 class TestClassical:
     def test_table_rows(self, capsys):
         code, out, _ = run(["classical", "--k", "5"], capsys)
@@ -324,3 +336,14 @@ class TestTolerancePlumbing:
         code, _, err = run(["gain", "--preset", "attenuator", "--k", "0.5"], capsys)
         assert code == 2
         assert "EGAIN_TOL" in err
+
+
+def test_readme_experiment_commands_parse():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Experiments", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("egain ")]
+    assert len(commands) == 8
+    for line in commands:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func)

@@ -11,9 +11,9 @@ from egain.channels import apply_to_covariance
 from egain.errors import HypothesisViolationError, InadmissibleInputError
 from egain.fock import (
     DilationChannel,
+    _unitary_from_skew,
     annihilation,
     apply_channel,
-    attenuator_kraus_closed_form,
     build_dilation,
     channel_on_identity,
     covariance_of,
@@ -34,6 +34,46 @@ from egain.fock import (
 from egain.gaussian import mode_entropy
 
 DIM = 60
+
+
+def attenuator_kraus_closed_form(k, dim):
+    """Closed-form attenuator Kraus operators, as a cross-check on the dilation.
+
+    V_l has entries sqrt(binom(n, l)) k^(n-l) (1 - k^2)^(l/2) at (n-l, n).
+    The dilation route agrees with these up to a phase of (-1)^l per
+    operator, which leaves the channel unchanged.
+    """
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+    kraus = []
+    for l in range(dim):
+        V = np.zeros((dim, dim), dtype=complex)
+        ns = np.arange(l, dim)
+        log_binom = log_fact[ns] - log_fact[l] - log_fact[ns - l]
+        amp = np.exp(
+            0.5 * log_binom + (ns - l) * math.log(k) + 0.5 * l * math.log1p(-k * k)
+        )
+        V[ns - l, ns] = amp
+        kraus.append(V)
+    return kraus
+
+
+def displacement_mixture_kraus(nbar, dim, order):
+    """Classical noise as a Gauss-Hermite mixture of displacement unitaries.
+
+    An independent reference for the composed dilation: the isotropic
+    Gaussian mixture of displacements with per-quadrature variance nbar,
+    discretized by a tensor Gauss-Hermite rule of the given order.
+    """
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    a = annihilation(dim)
+    scale = math.sqrt(nbar)
+    kraus = []
+    for i in range(order):
+        for j in range(order):
+            shift = scale * (nodes[i] + 1j * nodes[j])
+            displacement = _unitary_from_skew(shift * a.conj().T - np.conj(shift) * a)
+            kraus.append(math.sqrt(weights[i] * weights[j] / math.pi) * displacement)
+    return kraus
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +167,10 @@ class TestDilations:
     def test_kraus_completeness(self, attenuator, amplifier, classical_noise):
         # the generators are exponentiated blockwise, so completeness holds
         # on the whole truncated space, well inside the 1e-8 requirement
-        # for the reliable block
-        for channel in (attenuator, amplifier, classical_noise):
-            V = np.stack(channel.kraus)
+        # for the reliable block; classical noise is checked stage by stage
+        stages = (attenuator.kraus, amplifier.kraus, classical_noise.first, classical_noise.kraus)
+        for kraus in stages:
+            V = np.stack(kraus)
             gram = np.einsum("aji,ajk->ik", V.conj(), V)
             assert np.abs(gram - np.eye(DIM)).max() < 1e-12
 
@@ -171,6 +212,27 @@ class TestDilations:
         image = channel_on_identity(attenuator)
         target = np.eye(DIM) / 0.49
         assert np.abs(image[:10, :10] - target[:10, :10]).max() < 1e-6
+
+    def test_classical_noise_matches_displacement_mixture(self, classical_noise):
+        # high number states are where a coarse quadrature of the mixture
+        # fails; the composition must agree with a fine one far inside 1e-6
+        reference = DilationChannel(
+            kind="classical_noise",
+            k=1.0,
+            dim=DIM,
+            kraus=tuple(displacement_mixture_kraus(0.3, DIM, 25)),
+            noise=0.3,
+        )
+        for n in (8, 9):
+            state = number_state(n, DIM)
+            composed = von_neumann_entropy(apply_channel(classical_noise, state))
+            mixture = von_neumann_entropy(apply_channel(reference, state))
+            assert abs(composed - mixture) <= 1e-9
+
+    def test_classical_noise_phi_of_identity_corner(self, classical_noise):
+        # K = 1, so Phi[I] = I wherever the attenuator stage's preimages fit
+        image = channel_on_identity(classical_noise)
+        assert np.abs(image[:20, :20] - np.eye(20)).max() < 1e-12
 
     def test_classical_noise_requires_noise(self):
         with pytest.raises(InadmissibleInputError):
@@ -241,6 +303,12 @@ class TestProp1:
         assert summary["reliable_count"] == 10
         assert len(summary["records"]) == 10
         assert summary["support"] == 10
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_campaign_refuses_no_trials(self, attenuator, rng, trials):
+        for campaign in (lower_bound_campaign, extremality_campaign):
+            with pytest.raises(InadmissibleInputError, match="trials must be >= 1"):
+                campaign(attenuator, trials, rng)
 
     def test_amplifier_campaign_uses_reduced_support(self, rng):
         channel = build_dilation("amplifier", 1.5, dim=DIM)

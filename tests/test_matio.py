@@ -1,6 +1,7 @@
 """Tests for the JSON matrix interchange format."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from egain.matio import (
     read_json,
     save_matrix,
     write_json,
+    write_text,
 )
 
 
@@ -91,3 +93,16 @@ class TestFiles:
         save_matrix(path, np.eye(3))
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_failed_replace_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_text(str(path), "new\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
