@@ -48,7 +48,6 @@ from .channels import (
     general_lower_bound,
     make_channel,
     minimal_entropy_gain,
-    phi_of_identity_scale,
     preset_channel,
     tensor_channels,
 )

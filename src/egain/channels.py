@@ -40,7 +40,6 @@ __all__ = [
     "preset_channel",
     "tensor_channels",
     "apply_to_covariance",
-    "phi_of_identity_scale",
     "minimal_entropy_gain",
     "general_lower_bound",
     "gaussian_gain",
@@ -153,13 +152,6 @@ def apply_to_covariance(
     return out
 
 
-def phi_of_identity_scale(channel: GaussianChannel) -> float:
-    """Scale of Phi[I] = |det K|^-1 I; +inf marks the non-regular case."""
-    if not channel.regular:
-        return math.inf
-    return 1.0 / abs(float(np.linalg.det(channel.K)))
-
-
 def minimal_entropy_gain(channel: GaussianChannel) -> float:
     """Closed-form minimal entropy gain log |det K| of a regular channel."""
     if not channel.regular:
@@ -173,15 +165,15 @@ def minimal_entropy_gain(channel: GaussianChannel) -> float:
 def general_lower_bound(channel: GaussianChannel) -> float:
     """Lower bound -log ||Phi[I]|| on the entropy gain of any channel.
 
-    Kept separate from the closed form so oracle campaigns can compare the
-    two routes; for regular Gaussian channels both equal log |det K|.
+    Phi[I] = |det K|^-1 I for a Gaussian channel, so the bound is
+    log |det K|, taken from slogdet because det K itself overflows for
+    strongly amplifying channels on several modes.
     """
-    scale = phi_of_identity_scale(channel)
-    if not math.isfinite(scale):
+    if not channel.regular:
         raise NonRegularChannelError(
             "the lower bound -log ||Phi[I]|| requires a regular channel"
         )
-    return -math.log(scale) + 0.0
+    return float(np.linalg.slogdet(channel.K)[1])
 
 
 def gaussian_gain(

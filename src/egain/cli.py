@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -55,12 +56,6 @@ EXIT_UNRELIABLE = 4
 # the report is still written so the unreliable trials stay visible.
 RELIABLE_FRACTION_FLOOR = 0.95
 
-_PRESET_TO_KIND = {
-    "attenuator": "attenuator",
-    "amplifier": "amplifier",
-    "classical-noise": "classical_noise",
-}
-
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -80,15 +75,36 @@ def _emit_json(payload: dict, out: str | None) -> None:
         write_json(out, payload)
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float, refused before any numpy call sees it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite, positive certificate tolerance."""
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _resolve_tol(args: argparse.Namespace) -> float:
     if getattr(args, "tol", None) is not None:
-        return float(args.tol)
+        return args.tol
     env = os.environ.get("EGAIN_TOL")
     if env is not None:
         try:
-            return float(env)
-        except ValueError as exc:
-            raise InadmissibleInputError(f"EGAIN_TOL is not a number: {env!r}") from exc
+            return _tolerance(env)
+        except argparse.ArgumentTypeError as exc:
+            raise InadmissibleInputError(
+                f"EGAIN_TOL must be a finite positive number, got {env!r}"
+            ) from exc
     return DEFAULT_TOL
 
 
@@ -167,9 +183,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_fock(args: argparse.Namespace) -> int:
     if not args.preset:
         raise InadmissibleInputError("fock campaigns require --preset")
-    kind = _PRESET_TO_KIND.get(args.preset)
-    if kind is None:
-        raise InadmissibleInputError(f"unknown preset {args.preset!r}; choose from {PRESET_NAMES}")
+    kind = args.preset.replace("-", "_")
     noise = args.noise if kind == "classical_noise" else None
     channel = build_dilation(kind, args.k, dim=args.dim, noise=noise)
     rng = np.random.default_rng(args.seed)
@@ -215,7 +229,7 @@ def cmd_fock(args: argparse.Namespace) -> int:
 
 
 def cmd_classical(args: argparse.Namespace) -> int:
-    k_max = int(args.k)
+    k_max = args.k
     if not 1 <= k_max <= 24:
         raise InadmissibleInputError("prefix exponent must be between 1 and 24")
     dist = heavy_tail(max(args.n_max, 1 << k_max))
@@ -256,12 +270,12 @@ def cmd_williamson(args: argparse.Namespace) -> int:
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=PRESET_NAMES, help="named one-mode channel")
-    parser.add_argument("--k", type=float, default=0.5, help="channel parameter k")
+    parser.add_argument("--k", type=_finite, default=0.5, help="channel parameter k")
     parser.add_argument(
-        "--noise", type=float, default=0.0, help="extra classical noise per quadrature"
+        "--noise", type=_finite, default=0.0, help="extra classical noise per quadrature"
     )
     parser.add_argument("--channel-file", help="JSON file holding matrices K and mu")
-    parser.add_argument("--tol", type=float, default=None, help="certificate tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=None, help="certificate tolerance")
     parser.add_argument("--out", help="output path (stdout when omitted)")
 
 
@@ -279,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="Gibbs-state gain along a beta grid")
     _add_channel_flags(p_sweep)
     p_sweep.add_argument("--epsilon-file", help="JSON matrix file for the Hamiltonian")
-    p_sweep.add_argument("--beta-max", type=float, default=1.0)
-    p_sweep.add_argument("--beta-min", type=float, default=1e-6)
+    p_sweep.add_argument("--beta-max", type=_finite, default=1.0)
+    p_sweep.add_argument("--beta-min", type=_finite, default=1e-6)
     p_sweep.add_argument("--beta-points", type=int, default=25)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -298,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classical = sub.add_parser("classical", help="classical counterexample table")
     p_classical.add_argument(
-        "--k", type=float, default=14, help="largest prefix exponent to tabulate"
+        "--k", type=int, default=14, help="largest prefix exponent to tabulate"
     )
     p_classical.add_argument(
         "--n-max", type=int, default=10_000_000, help="distribution truncation"
@@ -308,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_will = sub.add_parser("williamson", help="normal form of a covariance file")
     p_will.add_argument("matrix_file", help="JSON matrix file")
-    p_will.add_argument("--tol", type=float, default=None)
+    p_will.add_argument("--tol", type=_tolerance, default=None)
     p_will.add_argument("--out", help="output path (stdout when omitted)")
     p_will.set_defaults(func=cmd_williamson)
 

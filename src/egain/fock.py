@@ -146,64 +146,45 @@ def _unitary_from_skew(G: np.ndarray) -> np.ndarray:
     return (V * np.exp(-1j * w)) @ V.conj().T
 
 
-def _beamsplitter_kraus(k: float, dim: int) -> list[np.ndarray]:
-    """Kraus operators of the attenuator from a beamsplitter against vacuum.
+def _ladder_amplitudes(k: float, dim: int) -> np.ndarray:
+    """Kraus amplitudes of the attenuator (k < 1) or amplifier (k > 1) dilation.
 
-    The beamsplitter generator theta (a†b - a b†), cos(theta) = k, conserves
-    total photon number, so the two-mode unitary is exponentiated block by
-    block; input blocks (system level n, environment vacuum) are complete
-    below the cutoff, making the construction exact there. Kraus operator
-    V_l collects the amplitudes for l photons leaking to the environment.
+    Each Kraus operator V_l is a weighted shift: it sends |n> to |n - l>
+    (k < 1) or |n + l> (k > 1) with amplitude amps[l, n], so row l of the
+    (dim, dim) table is its diagonal (Ivan, Sabapathy and Simon, PRA 84,
+    042311 (2011)). Each block, from (system n, environment vacuum), is
+    exponentiated alone: the beamsplitter, cos(theta) = k, runs down the
+    ladder (n-j, j), j <= n, exact below the cutoff; the two-mode squeezer,
+    cosh(r) = k, runs up the ladder (n+j, j) and is truncated at the cutoff,
+    distorting amplitudes near its top, which the top-band flag guards against.
     """
-    theta = math.acos(k)
-    kraus = [np.zeros((dim, dim), dtype=complex) for _ in range(dim)]
+    lowering = k < 1.0
+    angle = math.acos(k) if lowering else -math.acosh(k)
+    amps = np.zeros((dim, dim), dtype=complex)
     for n in range(dim):
-        # block basis j = 0..n holds (system n-j, environment j)
-        j = np.arange(n, dtype=float)
-        off = theta * np.sqrt((n - j) * (j + 1.0))
-        G = np.diag(off, k=1) - np.diag(off, k=-1)
-        col = _unitary_from_skew(G)[:, 0]
-        for level in range(n + 1):
-            kraus[level][n - level, n] = col[level]
-    return kraus
-
-
-def _two_mode_squeezer_kraus(k: float, dim: int) -> list[np.ndarray]:
-    """Kraus operators of the amplifier from a two-mode squeezer against vacuum.
-
-    The generator r (a†b† - a b), cosh(r) = k, conserves the photon-number
-    difference; each block starting from (system n, environment 0) runs up
-    the ladder (n+j, j) and is truncated at the cutoff, so amplitudes near
-    the top of the ladder are distorted. The top-band reliability flag is
-    the guard against trusting them.
-    """
-    r = math.acosh(k)
-    kraus = [np.zeros((dim, dim), dtype=complex) for _ in range(dim)]
-    for n in range(dim):
-        size = dim - n
+        size = n + 1 if lowering else dim - n
         j = np.arange(size - 1, dtype=float)
-        off = r * np.sqrt((n + j + 1.0) * (j + 1.0))
-        G = np.diag(off, k=-1) - np.diag(off, k=1)
-        col = _unitary_from_skew(G)[:, 0]
-        for level in range(size):
-            kraus[level][n + level, n] = col[level]
-    return kraus
+        off = angle * np.sqrt((n - j if lowering else n + j + 1.0) * (j + 1.0))
+        G = np.diag(off, k=1) - np.diag(off, k=-1)
+        amps[:size, n] = _unitary_from_skew(G)[:, 0]
+    return amps
 
 
 @dataclass(frozen=True, eq=False)
 class DilationChannel:
-    """One-mode channel given by explicit Kraus operators in the number basis.
+    """One-mode channel in the number basis, one Kraus amplitude table per stage.
 
-    ``first`` holds the Kraus operators of a stage applied before ``kraus``:
-    the attenuator half of classical noise, and empty for the other kinds.
+    Tables are laid out as in ``_ladder_amplitudes``. ``kraus`` lowers photon
+    number for the attenuator and raises it otherwise; ``first``, applied
+    before it, is the attenuator half of classical noise, else None.
     """
 
     kind: str
     k: float
     dim: int
-    kraus: tuple
+    kraus: np.ndarray
     noise: float = 0.0
-    first: tuple = ()
+    first: Optional[np.ndarray] = None
 
     def gaussian_channel(self) -> GaussianChannel:
         """Exact phase-space counterpart (K, mu) of this dilation."""
@@ -223,35 +204,39 @@ def build_dilation(
     """
     if dim < 4:
         raise InadmissibleInputError("dim must be at least 4")
-    first, noise_val = (), 0.0
-    if kind == "attenuator":
-        if not 0.0 < k < 1.0:
-            raise InadmissibleInputError("attenuator requires 0 < k < 1")
-        kraus = _beamsplitter_kraus(k, dim)
-    elif kind == "amplifier":
-        if not k > 1.0:
-            raise InadmissibleInputError("amplifier requires k > 1")
-        kraus = _two_mode_squeezer_kraus(k, dim)
-    elif kind == "classical_noise":
-        if k != 1.0:
-            raise InadmissibleInputError("classical_noise requires k = 1")
-        if noise is None or noise <= 0.0:
-            raise InadmissibleInputError("classical_noise requires noise > 0")
-        root_gain = math.sqrt(1.0 + noise)
-        first = tuple(_beamsplitter_kraus(1.0 / root_gain, dim))
-        kraus = _two_mode_squeezer_kraus(root_gain, dim)
-        noise_val = float(noise)
-    else:
+    if kind == "attenuator" and not 0.0 < k < 1.0:
+        raise InadmissibleInputError("attenuator requires 0 < k < 1")
+    if kind == "amplifier" and not k > 1.0:
+        raise InadmissibleInputError("amplifier requires k > 1")
+    if kind in ("attenuator", "amplifier"):
+        return DilationChannel(kind, float(k), dim, _ladder_amplitudes(k, dim))
+    if kind != "classical_noise":
         raise InadmissibleInputError(f"unknown kind {kind!r}; choose from {DILATION_KINDS}")
-    return DilationChannel(kind, float(k), dim, tuple(kraus), noise_val, first)
+    if k != 1.0:
+        raise InadmissibleInputError("classical_noise requires k = 1")
+    if noise is None or noise <= 0.0:
+        raise InadmissibleInputError("classical_noise requires noise > 0")
+    root_gain = math.sqrt(1.0 + noise)
+    first = _ladder_amplitudes(1.0 / root_gain, dim)
+    return DilationChannel(kind, 1.0, dim, _ladder_amplitudes(root_gain, dim), float(noise), first)
 
 
 def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
-    """Each stage's sum_l V_l rho V_l† in turn, ``first`` before ``kraus``."""
-    for kraus in (channel.first, channel.kraus):
-        if kraus:
-            V = np.stack(kraus)
-            rho = np.einsum("aij,akj->ik", V @ rho, V.conj())
+    """Each stage's sum_l V_l rho V_l† in turn, ``first`` before ``kraus``.
+
+    V_l rho V_l† moves a block of rho l levels down (``first``, attenuator) or
+    up (amplifier stages), weighted by the outer product of V_l's diagonal.
+    """
+    for amps, lowering in ((channel.first, True), (channel.kraus, channel.kind == "attenuator")):
+        if amps is None:
+            continue
+        out = np.zeros_like(rho, dtype=complex)
+        for l, row in enumerate(amps):
+            src, dst = slice(l, None), slice(0, len(row) - l)
+            if not lowering:
+                src, dst = dst, src
+            out[dst, dst] += np.outer(row[src], row[src].conj()) * rho[src, src]
+        rho = out
     return rho
 
 

@@ -133,15 +133,14 @@ class GibbsState:
 
 
 def _stable_cot(z: np.ndarray) -> np.ndarray:
-    """cot(z) for complex z, stable for large |Im z| in either half plane."""
+    """cot(z) = i (1 + 2 / expm1(2iz)) for complex z, stable in either half plane.
+
+    The sign is chosen so that |exp(+-2iz)| <= 1, and expm1 keeps the
+    denominator accurate at small |z|, where exp(2iz) - 1 would cancel.
+    """
     z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    upper = z.imag >= 0
-    e = np.exp(2j * z[upper])  # |e| <= 1
-    out[upper] = 1j * (e + 1.0) / (e - 1.0)
-    e = np.exp(-2j * z[~upper])  # |e| < 1
-    out[~upper] = 1j * (1.0 + e) / (1.0 - e)
-    return out
+    sign = np.where(z.imag >= 0, 1.0, -1.0)
+    return sign * 1j * (1.0 + 2.0 / np.expm1(sign * 2j * z))
 
 
 def gibbs_covariance(
@@ -162,6 +161,13 @@ def gibbs_covariance(
     root, inv_root = _sym_sqrt(hamiltonian.epsilon, tol)
     herm = 1j * (root @ delta @ root)
     w, U = np.linalg.eigh(herm)
+    # |w| are the normal-mode frequencies m and alpha grows like 1/(2 beta m);
+    # the checks below square its entries, which overflows near beta m = 1e-154
+    # for epsilon = I, so refuse well before, leaving room for ill-conditioning
+    if beta * np.abs(w).min() < 1e-100:
+        raise InadmissibleInputError(
+            f"beta = {beta:.3g} is too small: the Gibbs covariance would overflow"
+        )
     # epsilon @ delta = root @ (-i herm) @ inv_root has eigenvalues -i w.
     cot_vals = _stable_cot(-1j * beta * w)
     cot_core = (U * cot_vals) @ U.conj().T
@@ -221,12 +227,10 @@ def mode_entropy(nu) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     if np.any(nu < 0.5 - 1e-9):
         raise InadmissibleInputError(f"symplectic eigenvalues must be >= 1/2, got {nu}")
-    up = (nu + 0.5) * np.log(nu + 0.5)
-    lo = np.maximum(nu - 0.5, 0.0)
-    down = np.zeros_like(lo)
-    mask = lo > 0.0
-    down[mask] = lo[mask] * np.log(lo[mask])
-    return up - down
+    # with x = nu - 1/2, g = log1p(x) + x log1p(1/x): two nonnegative terms,
+    # so nothing cancels for x near 0 or for the large x of small beta
+    x = np.maximum(nu - 0.5, 0.0)
+    return np.log1p(x) + x * np.log1p(1.0 / np.where(x > 0.0, x, 1.0))
 
 
 def entropy_of_covariance(

@@ -16,12 +16,11 @@ from egain.channels import (
     general_lower_bound,
     make_channel,
     minimal_entropy_gain,
-    phi_of_identity_scale,
     preset_channel,
     tensor_channels,
 )
 from egain.errors import InadmissibleInputError, NonRegularChannelError
-from egain.gaussian import mode_entropy, quadratic_hamiltonian
+from egain.gaussian import gibbs_covariance, mode_entropy, quadratic_hamiltonian
 from egain.symplectic import canonical_form
 
 
@@ -71,9 +70,18 @@ class TestGainAndBound:
         with pytest.raises(NonRegularChannelError):
             general_lower_bound(channel)
 
-    def test_phi_of_identity_scale(self):
-        channel = preset_channel("attenuator", 0.5)
-        assert phi_of_identity_scale(channel) == pytest.approx(4.0)
+    def test_general_lower_bound_values(self):
+        # Phi[I] = 4 I for the attenuator with k = 0.5
+        assert general_lower_bound(preset_channel("attenuator", 0.5)) == pytest.approx(
+            -math.log(4.0)
+        )
+        # five amplifier modes with k = 1e40: det K = 1e400 overflows a double,
+        # the bound 10 log(1e40) = 921.03 does not
+        channel = preset_channel("amplifier", 1e40)
+        for _ in range(4):
+            channel = tensor_channels(channel, preset_channel("amplifier", 1e40))
+        assert channel.regular
+        assert general_lower_bound(channel) == pytest.approx(10.0 * math.log(1e40), rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), modes=st.integers(1, 3))
@@ -153,6 +161,14 @@ class TestBetaSweep:
         grid = default_beta_grid(1.0, 0.1, 3)
         report = gain_beta_sweep(channel, ham, beta_grid=grid, adaptive=False)
         assert not report.converged
+
+    def test_gap_resolved_at_beta_floor(self):
+        # the exact gap is 3 beta; at the adaptive floor of 1e-12 it must not
+        # drown in rounding of entropies near 28 nats
+        channel = preset_channel("attenuator", 0.5)
+        ham = quadratic_hamiltonian(canonical_form(1), np.eye(2))
+        gain = gaussian_gain(channel, gibbs_covariance(ham, 1e-12))
+        assert abs(gain - minimal_entropy_gain(channel)) <= 1e-10
 
     def test_rejects_ascending_grid(self):
         channel = preset_channel("attenuator", 0.5)

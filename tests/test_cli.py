@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,74 @@ class TestTolerancePlumbing:
         code, _, err = run(["gain", "--preset", "attenuator", "--k", "0.5"], capsys)
         assert code == 2
         assert "EGAIN_TOL" in err
+
+
+@pytest.mark.parametrize(
+    "argv, env_tol, message",
+    [
+        pytest.param("classical --k 2.5", None, "--k: invalid int value: '2.5'", id="int-k"),
+        pytest.param(
+            "gain --preset attenuator --k 0.5 --tol nan", None, "--tol: must be finite", id="tol-nan"
+        ),
+        pytest.param(
+            "gain --preset attenuator --k 0.5 --tol -1",
+            None,
+            "--tol: must be positive",
+            id="tol-negative",
+        ),
+        pytest.param(
+            "williamson alpha.json --tol 0", None, "--tol: must be positive", id="tol-zero"
+        ),
+        pytest.param(
+            "gain --preset attenuator --k 0.5",
+            "nan",
+            "EGAIN_TOL must be a finite positive number",
+            id="env-tol-nan",
+        ),
+        pytest.param(
+            "gain --preset attenuator --k 0.5",
+            "-1",
+            "EGAIN_TOL must be a finite positive number",
+            id="env-tol-negative",
+        ),
+        pytest.param("gain --preset amplifier --k inf", None, "--k: must be finite", id="k-inf"),
+        pytest.param(
+            "fock --preset classical-noise --k 1 --noise nan",
+            None,
+            "--noise: must be finite",
+            id="noise-nan",
+        ),
+        pytest.param(
+            "sweep --preset attenuator --k 0.5 --beta-max inf",
+            None,
+            "--beta-max: must be finite",
+            id="beta-max-inf",
+        ),
+        # the grid point that first crosses the overflow floor is named
+        pytest.param(
+            "sweep --preset attenuator --k 0.5 --beta-min 1e-300",
+            None,
+            "beta = 3.16e-113 is too small: the Gibbs covariance would overflow",
+            id="beta-min-tiny",
+        ),
+    ],
+)
+def test_bad_numbers_exit_2_cleanly(argv, env_tol, message, capsys, monkeypatch):
+    if env_tol is None:
+        monkeypatch.delenv("EGAIN_TOL", raising=False)
+    else:
+        monkeypatch.setenv("EGAIN_TOL", env_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:  # argparse refuses a flag by exiting
+            code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_readme_experiment_commands_parse():

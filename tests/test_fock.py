@@ -37,24 +37,61 @@ DIM = 60
 
 
 def attenuator_kraus_closed_form(k, dim):
-    """Closed-form attenuator Kraus operators, as a cross-check on the dilation.
+    """Closed-form attenuator Kraus amplitudes, as a cross-check on the dilation.
 
-    V_l has entries sqrt(binom(n, l)) k^(n-l) (1 - k^2)^(l/2) at (n-l, n).
-    The dilation route agrees with these up to a phase of (-1)^l per
-    operator, which leaves the channel unchanged.
+    Returns the stage table: V_l has amplitude sqrt(binom(n, l)) k^(n-l)
+    (1 - k^2)^(l/2) at (n-l, n), stored at [l, n]. The dilation route agrees
+    with these up to a phase of (-1)^l per operator, which leaves the channel
+    unchanged.
     """
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
-    kraus = []
+    amps = np.zeros((dim, dim), dtype=complex)
     for l in range(dim):
-        V = np.zeros((dim, dim), dtype=complex)
         ns = np.arange(l, dim)
         log_binom = log_fact[ns] - log_fact[l] - log_fact[ns - l]
-        amp = np.exp(
+        amps[l, ns] = np.exp(
             0.5 * log_binom + (ns - l) * math.log(k) + 0.5 * l * math.log1p(-k * k)
         )
-        V[ns - l, ns] = amp
-        kraus.append(V)
-    return kraus
+    return amps
+
+
+def dense_stages(channel):
+    """The channel's stages as lists of dense Kraus operators, in order.
+
+    Rebuilds each V_l entry by entry from its table row, independently of the
+    block slicing in ``fock._kraus_sums``: V_l sends |n> to |n - l> in the
+    attenuator stages and to |n + l> in the amplifier stages.
+    """
+    dim = channel.dim
+    tables = [(channel.kraus, channel.kind == "attenuator")]
+    if channel.first is not None:
+        tables.insert(0, (channel.first, True))
+    stages = []
+    for amps, lowering in tables:
+        ops = []
+        for l in range(dim):
+            V = np.zeros((dim, dim), dtype=complex)
+            for n in range(dim):
+                m = n - l if lowering else n + l
+                if 0 <= m < dim:
+                    V[m, n] = amps[l, n]
+            ops.append(V)
+        stages.append(ops)
+    return stages
+
+
+def dense_kraus_sum(stages, rho):
+    """Reference channel action: sum_l V_l rho V_l† over dense operators, stage by stage."""
+    for ops in stages:
+        rho = sum(V @ rho @ V.conj().T for V in ops)
+    return rho
+
+
+def dense_output(stages, state):
+    """Normalized output state of the dense reference, as ``apply_channel`` returns it."""
+    out = dense_kraus_sum(stages, state.rho)
+    out = 0.5 * (out + out.conj().T)
+    return out / np.trace(out).real
 
 
 def displacement_mixture_kraus(nbar, dim, order):
@@ -167,16 +204,31 @@ class TestDilations:
     def test_kraus_completeness(self, attenuator, amplifier, classical_noise):
         # the generators are exponentiated blockwise, so completeness holds
         # on the whole truncated space, well inside the 1e-8 requirement
-        # for the reliable block; classical noise is checked stage by stage
+        # for the reliable block; classical noise is checked stage by stage.
+        # V_l are weighted shifts, so sum_l V_l† V_l is diagonal with entries
+        # sum_l |amps[l, n]|^2
         stages = (attenuator.kraus, amplifier.kraus, classical_noise.first, classical_noise.kraus)
-        for kraus in stages:
-            V = np.stack(kraus)
-            gram = np.einsum("aji,ajk->ik", V.conj(), V)
-            assert np.abs(gram - np.eye(DIM)).max() < 1e-12
+        for amps in stages:
+            assert amps.shape == (DIM, DIM)
+            assert np.abs((np.abs(amps) ** 2).sum(axis=0) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "kind, k, noise",
+        [("attenuator", 0.7, None), ("amplifier", 1.5, None), ("classical_noise", 1.0, 0.3)],
+    )
+    def test_matches_dense_kraus_sum(self, kind, k, noise, rng):
+        channel = build_dilation(kind, k, dim=20, noise=noise)
+        assert len(channel.kraus) == 20
+        stages = dense_stages(channel)
+        state = random_low_support_state(rng, dim=20, support=8)
+        reference = dense_output(stages, state)
+        assert np.abs(apply_channel(channel, state).rho - reference).max() <= 1e-14
+        image = dense_kraus_sum(stages, np.eye(20))
+        assert np.abs(channel_on_identity(channel) - image).max() <= 1e-14
 
     def test_attenuator_matches_closed_form(self, attenuator, rng):
         closed = attenuator_kraus_closed_form(0.7, DIM)
-        alt = DilationChannel(kind="attenuator", k=0.7, dim=DIM, kraus=tuple(closed))
+        alt = DilationChannel(kind="attenuator", k=0.7, dim=DIM, kraus=closed)
         state = random_low_support_state(rng)
         out_dilation = apply_channel(attenuator, state).rho
         out_closed = apply_channel(alt, state).rho
@@ -216,17 +268,11 @@ class TestDilations:
     def test_classical_noise_matches_displacement_mixture(self, classical_noise):
         # high number states are where a coarse quadrature of the mixture
         # fails; the composition must agree with a fine one far inside 1e-6
-        reference = DilationChannel(
-            kind="classical_noise",
-            k=1.0,
-            dim=DIM,
-            kraus=tuple(displacement_mixture_kraus(0.3, DIM, 25)),
-            noise=0.3,
-        )
+        mixture_stages = [displacement_mixture_kraus(0.3, DIM, 25)]
         for n in (8, 9):
             state = number_state(n, DIM)
             composed = von_neumann_entropy(apply_channel(classical_noise, state))
-            mixture = von_neumann_entropy(apply_channel(reference, state))
+            mixture = von_neumann_entropy(fock_density(dense_output(mixture_stages, state)))
             assert abs(composed - mixture) <= 1e-9
 
     def test_classical_noise_phi_of_identity_corner(self, classical_noise):

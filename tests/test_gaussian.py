@@ -42,6 +42,11 @@ class TestModeEntropy:
         # (2)log(2) - (1)log(1) = 2 log 2
         assert mode_entropy(1.5) == pytest.approx(2.0 * math.log(2.0), abs=1e-15)
 
+    def test_large_nu_without_cancellation(self):
+        # g(nu) = log(nu) + 1 + O(nu^-2); the two nu log nu terms of the
+        # textbook form cancel to within 1e-3 here
+        assert mode_entropy(1e12) == pytest.approx(math.log(1e12) + 1.0, abs=1e-13)
+
     def test_monotone(self):
         nus = np.linspace(0.5, 5.0, 200)
         values = np.array([mode_entropy(nu) for nu in nus])
@@ -169,6 +174,12 @@ class TestGibbs:
         ham = quadratic_hamiltonian(space, np.eye(2))
         with pytest.raises(InadmissibleInputError):
             gibbs_covariance(ham, 0.0)
+
+    def test_rejects_overflowing_beta(self):
+        space = canonical_form(1)
+        ham = quadratic_hamiltonian(space, np.eye(2))
+        with pytest.raises(InadmissibleInputError, match="beta = 1e-300 is too small"):
+            gibbs_covariance(ham, 1e-300)
 
     def test_rejects_indefinite_hamiltonian(self):
         space = canonical_form(1)
