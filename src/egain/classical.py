@@ -46,6 +46,9 @@ __all__ = [
 
 _CHUNK = 1 << 22
 _NORMALIZER_CUTOFF = 10**8
+_HEAD_CUTOFF = 10**5
+_TAIL_PANELS = 8
+_TAIL_NODES = 64
 
 
 def permutation(i: int, j: int) -> int:
@@ -94,26 +97,51 @@ def _raw_weight(n: np.ndarray) -> np.ndarray:
     return 1.0 / (n * np.log(n + 1.0) ** 2)
 
 
+def _raw_weight_slope(x: float) -> float:
+    """Derivative a'(x) of a(x) = 1/(x log^2(x+1))."""
+    L = math.log1p(x)
+    return -1.0 / (x * x * L * L) - 2.0 / (x * (x + 1.0) * L**3)
+
+
+def _partial_sum(N: int) -> float:
+    """sum_{n<=N} a_n: direct below M, quadrature plus Euler-Maclaurin from M to N."""
+    M = min(_HEAD_CUTOFF, N)
+    head = float(_raw_weight(np.arange(1, M, dtype=np.float64)).sum())
+    # int_M^N a(x) dx = int 1/log1p(e^t)^2 dt over t = log x in [log M, log N]
+    nodes, weights = np.polynomial.legendre.leggauss(_TAIL_NODES)
+    edges = np.linspace(math.log(M), math.log(N), _TAIL_PANELS + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = 0.5 * (edges[:-1, None] + edges[1:, None]) + half * nodes
+    integral = float((half * weights / np.log1p(np.exp(t)) ** 2).sum())
+    a_M, a_N = _raw_weight(np.array([M, N], dtype=np.float64))
+    ends = 0.5 * (a_M + a_N) + (_raw_weight_slope(N) - _raw_weight_slope(M)) / 12.0
+    return head + integral + float(ends)
+
+
 @functools.lru_cache(maxsize=1)
 def normalizer() -> tuple[float, float]:
     """Normalizer of q_n = a_n / Z with a_n = 1/(n log^2(n+1)), and its uncertainty.
 
-    Computed once per process as the partial sum of a_n up to 1e8 plus the
-    midpoint of the bracketing integral tails
+    Z is the partial sum of a_n up to N = 1e8 plus the midpoint of the
+    bracketing integral tails
 
         1/log(N+2) <= sum_{n>N} a_n <= 1/log(N),
 
     so the result is reproducible without a hard-coded constant. The second
     return value is the half width of the bracket.
+
+    The partial sum comes in three parts: the terms n < M = 1e5 summed
+    directly; the integral of a(x) from M to N by 64-node Gauss-Legendre on 8
+    equal panels in t = log x, where the integrand is 1/log1p(e^t)^2; and the
+    Euler-Maclaurin end terms (a(M) + a(N))/2 + (a'(N) - a'(M))/12. The first
+    omitted term, (a'''(M) - a'''(N))/720, is below 1e-20 and the quadrature
+    is exact to rounding, so the partial sum matches the term-by-term sum of
+    all 1e8 terms to float64 rounding (a few 1e-15).
     """
     N = _NORMALIZER_CUTOFF
-    total = 0.0
-    for lo in range(1, N + 1, _CHUNK):
-        hi = min(N, lo + _CHUNK - 1)
-        total += float(_raw_weight(np.arange(lo, hi + 1, dtype=np.float64)).sum())
     tail_lo = 1.0 / math.log(N + 2.0)
     tail_hi = 1.0 / math.log(N)
-    return total + 0.5 * (tail_lo + tail_hi), 0.5 * (tail_hi - tail_lo)
+    return _partial_sum(N) + 0.5 * (tail_lo + tail_hi), 0.5 * (tail_hi - tail_lo)
 
 
 @dataclass(frozen=True, eq=False)

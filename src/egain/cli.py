@@ -11,8 +11,9 @@ The CLI only orchestrates and formats: every number in a report comes from a
 library call. Reports are JSON (sorted keys) or CSV, written atomically, and
 byte-identical for identical configuration and seed.
 
-Exit codes: 0 success; 2 inadmissible input; 3 hypothesis violation;
-4 unreliable truncation beyond threshold.
+Exit codes: 0 success; 2 inadmissible input (including numbers so large or
+small that the computation overflows); 3 hypothesis violation; 4 unreliable
+truncation beyond threshold.
 """
 
 from __future__ import annotations
@@ -333,7 +334,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return int(args.func(args))
+        # numpy overflow, division by zero and invalid values raise instead of
+        # warning, so a finite but out-of-range number ends in exit 2, as does
+        # a float OverflowError (math.log(k**2) at k = 1e200)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return int(args.func(args))
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"error: numeric overflow: {exc}; input out of range", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     except HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

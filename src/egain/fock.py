@@ -78,11 +78,14 @@ class FockDensityMatrix:
 
     ``trace_deficit`` records probability mass lost to the cutoff, both by
     the state's own tail and by any channel applications that produced it.
+    ``spectrum`` holds the eigenvalues of ``rho`` (in no particular order),
+    kept from validation so the entropy needs no second eigensolve.
     """
 
     dim: int
     rho: np.ndarray
     trace_deficit: float
+    spectrum: np.ndarray
 
 
 def fock_density(
@@ -102,16 +105,16 @@ def fock_density(
     tr = float(np.trace(rho).real)
     if tr <= 0.5:
         raise InadmissibleInputError(f"density matrix trace {tr:.3e} too far from 1")
-    return FockDensityMatrix(dim=rho.shape[0], rho=rho / tr, trace_deficit=float(trace_deficit))
+    return FockDensityMatrix(rho.shape[0], rho / tr, float(trace_deficit), w / tr)
 
 
 def number_state(n: int, dim: int) -> FockDensityMatrix:
     """Pure number state |n><n|."""
     if not 0 <= n < dim:
         raise InadmissibleInputError("need 0 <= n < dim")
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[n, n] = 1.0
-    return FockDensityMatrix(dim=dim, rho=rho, trace_deficit=0.0)
+    pops = np.zeros(dim)
+    pops[n] = 1.0
+    return FockDensityMatrix(dim, np.diag(pops).astype(complex), 0.0, pops)
 
 
 def thermal_state(nu: float, dim: int = DEFAULT_DIM) -> FockDensityMatrix:
@@ -128,14 +131,13 @@ def thermal_state(nu: float, dim: int = DEFAULT_DIM) -> FockDensityMatrix:
     ratio = (nu - 0.5) / (nu + 0.5)
     raw = np.exp(np.arange(dim) * math.log(ratio)) / (nu + 0.5)
     deficit = ratio**dim
-    rho = np.diag(raw / (1.0 - deficit)).astype(complex)
-    return FockDensityMatrix(dim=dim, rho=rho, trace_deficit=float(deficit))
+    pops = raw / (1.0 - deficit)
+    return FockDensityMatrix(dim, np.diag(pops).astype(complex), float(deficit), pops)
 
 
 def von_neumann_entropy(state: FockDensityMatrix) -> float:
     """Entropy -tr(rho log rho) in nats, with 0 log 0 = 0."""
-    w = np.linalg.eigvalsh(state.rho)
-    w = np.clip(w, 0.0, None)
+    w = np.clip(state.spectrum, 0.0, None)
     w = w[w > 0.0]
     return float(-(w * np.log(w)).sum())
 

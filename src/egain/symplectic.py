@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InadmissibleInputError
 
@@ -179,7 +178,10 @@ def random_symplectic(
     """Random symplectic matrix exp(delta @ A) for symmetric Gaussian A.
 
     ``scale`` sets the entry scale of A and thereby the squeezing strength.
+    scipy is imported here, its only use, so ``import egain`` loads numpy alone.
     """
+    import scipy.linalg
+
     n = 2 * space.s
     A = rng.normal(scale=scale, size=(n, n))
     A = 0.5 * (A + A.T)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egain import classical
 from egain.classical import (
     block_recursion_exhaustive,
     channel_row_entropy,
@@ -79,6 +80,14 @@ class TestNormalizer:
         assert value == pytest.approx(NORMALIZER, abs=1e-12)
         assert half_width < 5e-11
         assert TAIL_LO < (value - PARTIAL_SUM_1E8) < TAIL_HI
+
+    @pytest.mark.parametrize("cutoff", [10**6, 10**7])
+    def test_quadrature_matches_direct_sum(self, cutoff, monkeypatch):
+        monkeypatch.setattr(classical, "_NORMALIZER_CUTOFF", cutoff)
+        value, _ = normalizer.__wrapped__()
+        direct = float(classical._raw_weight(np.arange(1, cutoff + 1, dtype=np.float64)).sum())
+        midpoint = 0.5 * (1.0 / math.log(cutoff + 2.0) + 1.0 / math.log(cutoff))
+        assert value == pytest.approx(direct + midpoint, abs=1e-14)
 
     def test_distribution_sums_to_one_in_the_limit(self):
         dist = heavy_tail(10_000_000)

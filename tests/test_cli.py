@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -387,6 +390,30 @@ class TestTolerancePlumbing:
             "beta = 3.16e-113 is too small: the Gibbs covariance would overflow",
             id="beta-min-tiny",
         ),
+        # finite but out-of-range numbers: numpy overflow ends the run with exit 2
+        pytest.param("gain --preset amplifier --k 1e100", None, "numeric overflow", id="k-1e100"),
+        pytest.param("gain --preset amplifier --k 1e200", None, "numeric overflow", id="k-1e200"),
+        pytest.param(
+            "gain --preset classical-noise --k 1 --noise 1e308",
+            None,
+            "numeric overflow",
+            id="noise-1e308",
+        ),
+        pytest.param(
+            "sweep --preset attenuator --k 1e-200", None, "numeric overflow", id="k-1e-200"
+        ),
+        pytest.param(
+            "sweep --preset amplifier --k 1.5 --beta-max 1e308",
+            None,
+            "numeric overflow",
+            id="beta-max-1e308",
+        ),
+        pytest.param(
+            "fock --preset amplifier --k 1e200 --dim 8 --trials 1",
+            None,
+            "numeric overflow",
+            id="fock-k-1e200",
+        ),
     ],
 )
 def test_bad_numbers_exit_2_cleanly(argv, env_tol, message, capsys, monkeypatch):
@@ -416,3 +443,21 @@ def test_readme_experiment_commands_parse():
     for line in commands:
         args = cli.build_parser().parse_args(shlex.split(line)[1:])
         assert callable(args.func)
+
+
+def test_fresh_process_loads_no_scipy():
+    # scipy is imported only inside symplectic.random_symplectic
+    script = (
+        "import sys, egain, egain.cli\n"
+        "assert egain.cli.main(['gain', '--preset', 'attenuator', '--k', '0.5']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "[]"
