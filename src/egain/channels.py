@@ -23,14 +23,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InadmissibleInputError, NonRegularChannelError
-from .gaussian import QuadraticHamiltonian, entropy_of_covariance, gibbs_covariance
+from .gaussian import QuadraticHamiltonian, _entropies, _gibbs_covariances, entropy_of_covariance
 from .symplectic import (
     DEFAULT_TOL,
     HermitianCert,
     PhaseSpace,
     canonical_form,
     check_hermitian_psd,
+    _least_eigenvalues,
+    _refuse,
     _require_symmetric,
+    _transpose,
+    symplectic_eigenvalues,
 )
 
 __all__ = [
@@ -139,16 +143,21 @@ def tensor_channels(a: GaussianChannel, b: GaussianChannel, tol: float = DEFAULT
 def apply_to_covariance(
     channel: GaussianChannel, alpha: np.ndarray, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """Covariance action alpha -> K.T alpha K + mu, with output admissibility check."""
+    """Covariance action alpha -> K.T alpha K + mu, with output admissibility check.
+
+    A (B, 2s, 2s) stack of covariances gives the stack of outputs.
+    """
     alpha = _require_symmetric(alpha, channel.space, tol)
     out = channel.K.T @ alpha @ channel.K + channel.mu
-    out = 0.5 * (out + out.T)
-    cert = check_hermitian_psd(out + 0.5j * channel.space.delta, tol)
-    if not cert.is_positive_semidefinite:
-        raise RuntimeError(
-            "channel output violated admissibility, min eigenvalue "
-            f"{cert.min_eigenvalue:.3e}; input covariance was likely inadmissible"
-        )
+    out = 0.5 * (out + _transpose(out))
+    min_eig, abs_tol = _least_eigenvalues(out + 0.5j * channel.space.delta, tol)
+    _refuse(
+        ~(min_eig >= -abs_tol),  # not positive semidefinite; a NaN eigenvalue fails too
+        RuntimeError,
+        "channel output violated admissibility, min eigenvalue {:.3e}; "
+        "input covariance was likely inadmissible",
+        min_eig,
+    )
     return out
 
 
@@ -176,12 +185,17 @@ def general_lower_bound(channel: GaussianChannel) -> float:
     return float(np.linalg.slogdet(channel.K)[1])
 
 
+def _output_entropies(channel: GaussianChannel, alpha: np.ndarray, tol: float) -> np.ndarray:
+    """Entropy of the channel output on each covariance of alpha (one or a stack)."""
+    out = apply_to_covariance(channel, alpha, tol)
+    return _entropies(symplectic_eigenvalues(out, channel.space, tol))
+
+
 def gaussian_gain(
     channel: GaussianChannel, alpha: np.ndarray, tol: float = DEFAULT_TOL
 ) -> float:
     """Entropy gain of the channel on the Gaussian state with covariance alpha."""
-    out = apply_to_covariance(channel, alpha, tol)
-    return entropy_of_covariance(out, channel.space, tol) - entropy_of_covariance(
+    return float(_output_entropies(channel, alpha, tol)) - entropy_of_covariance(
         alpha, channel.space, tol
     )
 
@@ -206,6 +220,26 @@ class GainReport:
     closed_form: float
     lower_bound_general: float
     converged: bool = field(default=True)
+
+
+def _gibbs_gains(
+    channel: GaussianChannel, hamiltonian: QuadraticHamiltonian, betas: np.ndarray
+) -> np.ndarray:
+    """Gains on the Gibbs states at each beta, the whole grid as one stack of matrices.
+
+    Every check runs on each beta. When one fails, the betas before it are
+    evaluated again, so the error raised is the one that evaluating the grid
+    point by point (each beta through every check before the next) would
+    meet first.
+    """
+    try:
+        alpha, nu = _gibbs_covariances(hamiltonian, betas, DEFAULT_TOL)
+        return _output_entropies(channel, alpha, DEFAULT_TOL) - _entropies(nu)
+    except (InadmissibleInputError, RuntimeError) as exc:
+        first = getattr(exc, "slice_index", 0)
+        if first:
+            _gibbs_gains(channel, hamiltonian, betas[:first])
+        raise
 
 
 def gain_beta_sweep(
@@ -236,12 +270,12 @@ def gain_beta_sweep(
     if np.any(np.diff(betas) >= 0):
         raise InadmissibleInputError("beta grid must be strictly descending")
     closed = minimal_entropy_gain(channel)
+    gains = list(_gibbs_gains(channel, hamiltonian, betas))
     betas = list(betas)
-    gains = [gaussian_gain(channel, gibbs_covariance(hamiltonian, b)) for b in betas]
     converged = abs(gains[-1] - closed) < tol
     while adaptive and not converged and betas[-1] / 10.0 >= beta_floor:
         betas.append(betas[-1] / 10.0)
-        gains.append(gaussian_gain(channel, gibbs_covariance(hamiltonian, betas[-1])))
+        gains.extend(_gibbs_gains(channel, hamiltonian, np.array(betas[-1:])))
         converged = abs(gains[-1] - closed) < tol
     return GainReport(
         beta_grid=np.array(betas),

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -68,29 +68,23 @@ def _xor_vectorized(i, j):
 class PermutationFamily:
     """Family of row permutations (i, j) -> n_j(i) of the positive integers.
 
-    ``vectorized`` is an optional broadcasting evaluator used by the bulk
-    checks; families without one fall back to scalar loops.
+    ``vectorized`` evaluates the table on broadcast arrays of 1-based indices.
     """
 
-    evaluator: Callable[[int, int], int]
-    vectorized: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    vectorized: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def row(self, i: int, n: int) -> np.ndarray:
         """First n entries (j = 1..n) of row i as an int64 array."""
-        if self.vectorized is not None:
-            return self.vectorized(i, np.arange(1, n + 1, dtype=np.int64))
-        return np.array([self.evaluator(i, j) for j in range(1, n + 1)], dtype=np.int64)
+        return self.vectorized(i, np.arange(1, n + 1, dtype=np.int64))
 
     def column(self, j: int, n: int) -> np.ndarray:
         """First n entries (i = 1..n) of column j as an int64 array."""
-        if self.vectorized is not None:
-            return self.vectorized(np.arange(1, n + 1, dtype=np.int64), j)
-        return np.array([self.evaluator(i, j) for i in range(1, n + 1)], dtype=np.int64)
+        return self.vectorized(np.arange(1, n + 1, dtype=np.int64), j)
 
 
 def xor_family() -> PermutationFamily:
     """The canonical XOR permutation family."""
-    return PermutationFamily(evaluator=permutation, vectorized=_xor_vectorized)
+    return PermutationFamily(vectorized=_xor_vectorized)
 
 
 def _raw_weight(n: np.ndarray) -> np.ndarray:

@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # numpy overflow, division by zero and invalid values raise instead of
         # warning, so a finite but out-of-range number ends in exit 2, as does
-        # a float OverflowError (math.log(k**2) at k = 1e200)
+        # a float OverflowError (an amplifier k whose square overflows)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return int(args.func(args))
     except (FloatingPointError, OverflowError) as exc:

@@ -210,6 +210,9 @@ def build_dilation(
         raise InadmissibleInputError("attenuator requires 0 < k < 1")
     if kind == "amplifier" and not k > 1.0:
         raise InadmissibleInputError("amplifier requires k > 1")
+    if kind == "amplifier" and math.isinf(k * k):
+        # its phase-space counterpart adds noise (k^2 - 1)/2, which is no float
+        raise OverflowError(f"amplifier k = {k:g}: k**2 overflows")
     if kind in ("attenuator", "amplifier"):
         return DilationChannel(kind, float(k), dim, _ladder_amplitudes(k, dim))
     if kind != "classical_noise":
@@ -382,7 +385,7 @@ def verify_lower_bound(channel: DilationChannel, state: FockDensityMatrix) -> di
     entropy_in = von_neumann_entropy(state)
     entropy_out = von_neumann_entropy(out)
     gain = entropy_out - entropy_in
-    bound = math.log(channel.k**2)
+    bound = 2.0 * math.log(channel.k)  # k**2 underflows to 0 below k = 1e-162
     deficit = _effective_deficit(state, out)
     slack = slack_from_deficit(deficit)
     flags_in = truncation_flags(state)

@@ -27,8 +27,10 @@ from .symplectic import (
     HermitianCert,
     PhaseSpace,
     check_hermitian_psd,
+    _refuse,
     _require_symmetric,
     _sym_sqrt,
+    _transpose,
     symplectic_eigenvalues,
 )
 
@@ -154,8 +156,17 @@ def gibbs_covariance(
     in the Hermitian form i epsilon^(1/2) delta epsilon^(1/2), which is
     similar to i epsilon delta.
     """
-    if not beta > 0:
-        raise InadmissibleInputError("beta must be positive")
+    return _gibbs_covariances(hamiltonian, beta, tol)[0]
+
+
+def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas, tol: float):
+    """Gibbs covariances at each beta (a scalar or a 1-d stack) and their symplectic spectra.
+
+    The spectra are those of the cone check, returned so that an entropy of
+    the same covariances need not solve for them again.
+    """
+    betas = np.asarray(betas, dtype=float)
+    _refuse(~(betas > 0), InadmissibleInputError, "beta must be positive")
     space = hamiltonian.space
     delta = space.delta
     root, inv_root = _sym_sqrt(hamiltonian.epsilon, tol)
@@ -164,33 +175,37 @@ def gibbs_covariance(
     # |w| are the normal-mode frequencies m and alpha grows like 1/(2 beta m);
     # the checks below square its entries, which overflows near beta m = 1e-154
     # for epsilon = I, so refuse well before, leaving room for ill-conditioning
-    if beta * np.abs(w).min() < 1e-100:
-        raise InadmissibleInputError(
-            f"beta = {beta:.3g} is too small: the Gibbs covariance would overflow"
-        )
+    _refuse(
+        betas * np.abs(w).min() < 1e-100,
+        InadmissibleInputError,
+        "beta = {:.3g} is too small: the Gibbs covariance would overflow",
+        betas,
+    )
     # epsilon @ delta = root @ (-i herm) @ inv_root has eigenvalues -i w.
-    cot_vals = _stable_cot(-1j * beta * w)
-    cot_core = (U * cot_vals) @ U.conj().T
+    cot_vals = _stable_cot(-1j * betas[..., None] * w)
+    cot_core = (U * cot_vals[..., None, :]) @ U.conj().T
     cot_mat = root @ cot_core @ inv_root
     alpha = 0.5 * (delta @ cot_mat)
-    scale = max(1.0, np.abs(alpha).max())
-    resid = np.abs(alpha.imag).max()
-    if resid > 1e-9 * scale:
-        raise RuntimeError(f"matrix cotangent has imaginary residue {resid:.3e}")
+    scale = np.maximum(1.0, np.abs(alpha).max(axis=(-2, -1)))
+    resid = np.abs(alpha.imag).max(axis=(-2, -1))
+    _refuse(
+        resid > 1e-9 * scale, RuntimeError, "matrix cotangent has imaginary residue {:.3e}", resid
+    )
     alpha = alpha.real
-    asym = np.abs(alpha - alpha.T).max()
-    if asym > 1e-9 * scale:
-        raise RuntimeError(f"matrix cotangent result asymmetric by {asym:.3e}")
-    alpha = 0.5 * (alpha + alpha.T)
+    asym = np.abs(alpha - _transpose(alpha)).max(axis=(-2, -1))
+    _refuse(asym > 1e-9 * scale, RuntimeError, "matrix cotangent result asymmetric by {:.3e}", asym)
+    alpha = 0.5 * (alpha + _transpose(alpha))
     nu = symplectic_eigenvalues(alpha, space, tol)
     # The exact result is nondegenerate for every beta > 0; in floating point
     # coth saturates for very large beta and nu rounds down to exactly 1/2,
     # so only genuine admissibility failures are treated as errors here.
-    if nu[-1] < 0.5 - tol * max(1.0, nu[0]):
-        raise RuntimeError(
-            f"Gibbs covariance left the admissible cone, min nu {nu[-1]:.6e}"
-        )
-    return alpha
+    _refuse(
+        nu[..., -1] < 0.5 - tol * np.maximum(1.0, nu[..., 0]),
+        RuntimeError,
+        "Gibbs covariance left the admissible cone, min nu {:.6e}",
+        nu[..., -1],
+    )
+    return alpha, nu
 
 
 def log_partition(
@@ -223,10 +238,18 @@ def gibbs_state(
 
 
 def mode_entropy(nu) -> np.ndarray:
-    """Single-mode entropy g(nu), continuously extended by g(1/2) = 0."""
+    """Single-mode entropy g(nu), continuously extended by g(1/2) = 0.
+
+    A 2-d ``nu`` holds one spectrum per row, each checked on its own.
+    """
     nu = np.asarray(nu, dtype=float)
-    if np.any(nu < 0.5 - 1e-9):
-        raise InadmissibleInputError(f"symplectic eigenvalues must be >= 1/2, got {nu}")
+    rows = nu if nu.ndim > 1 else nu[None]
+    _refuse(
+        np.any(rows < 0.5 - 1e-9, axis=-1),
+        InadmissibleInputError,
+        "symplectic eigenvalues must be >= 1/2, got {}",
+        rows,
+    )
     # with x = nu - 1/2, g = log1p(x) + x log1p(1/x): two nonnegative terms,
     # so nothing cancels for x near 0 or for the large x of small beta
     x = np.maximum(nu - 0.5, 0.0)
@@ -237,8 +260,12 @@ def entropy_of_covariance(
     alpha: np.ndarray, space: PhaseSpace, tol: float = DEFAULT_TOL
 ) -> float:
     """Entropy of the Gaussian state with the given covariance, in nats."""
-    nu = symplectic_eigenvalues(alpha, space, tol)
-    return float(np.sum(mode_entropy(nu)))
+    return float(_entropies(symplectic_eigenvalues(alpha, space, tol)))
+
+
+def _entropies(nu: np.ndarray) -> np.ndarray:
+    """Entropy sum_j g(nu_j) of each spectrum along the last axis of nu."""
+    return np.sum(mode_entropy(nu), axis=-1)
 
 
 def gaussian_entropy(state: GaussianState, tol: float = DEFAULT_TOL) -> float:

@@ -66,6 +66,44 @@ class HermitianCert:
         return self.verdict in (VERDICT_PD, VERDICT_PSD)
 
 
+def _refuse(bad, error: type, message: str, *values) -> None:
+    """Raise ``error`` for the first flagged matrix of a stack.
+
+    ``bad`` holds one flag per matrix (0-d for a single matrix) and each of
+    ``values`` one entry per matrix to format into ``message``. The exception
+    records the matrix as ``slice_index``, so that a caller evaluating many
+    points at once can find the failure a point-by-point loop meets first.
+    """
+    bad = np.atleast_1d(bad)
+    if bad.any():
+        i = int(np.argmax(bad))
+        exc = error(message.format(*(np.atleast_1d(v)[i] for v in values)))
+        exc.slice_index = i
+        raise exc
+
+
+def _transpose(M: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix in a stack (ndarray.mT before numpy 2)."""
+    return np.swapaxes(M, -1, -2)
+
+
+def _least_eigenvalues(M: np.ndarray, tol: float):
+    """Smallest eigenvalue of each Hermitian matrix in M and its absolute threshold.
+
+    ``tol`` is relative; it is scaled by the spectral radius (floored at 1).
+    """
+    adjoint = _transpose(M).conj()
+    defect = np.linalg.norm(M - adjoint, axis=(-2, -1))
+    _refuse(
+        defect > tol * np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1.0),
+        InadmissibleInputError,
+        "matrix is not Hermitian within tolerance (defect {:.3e})",
+        defect,
+    )
+    eigs = np.linalg.eigvalsh(0.5 * (M + adjoint))
+    return eigs[..., 0], tol * np.maximum(1.0, np.abs(eigs).max(axis=-1))
+
+
 def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCert:
     """Certify positive (semi)definiteness of a Hermitian matrix.
 
@@ -75,14 +113,7 @@ def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCer
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InadmissibleInputError("expected a square matrix")
-    defect = np.linalg.norm(M - M.conj().T)
-    if defect > tol * max(np.linalg.norm(M), 1.0):
-        raise InadmissibleInputError(
-            f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
-        )
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    min_eig = float(eigs[0])
-    abs_tol = tol * max(1.0, float(np.abs(eigs).max()))
+    min_eig, abs_tol = map(float, _least_eigenvalues(M, tol))
     if min_eig > abs_tol:
         verdict = VERDICT_PD
     elif min_eig >= -abs_tol:
@@ -93,24 +124,32 @@ def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCer
 
 
 def _require_symmetric(alpha: np.ndarray, space: PhaseSpace, tol: float) -> np.ndarray:
+    """Symmetrized copy of a 2s x 2s matrix, or of each matrix in a (B, 2s, 2s) stack."""
     alpha = np.asarray(alpha, dtype=float)
     n = 2 * space.s
-    if alpha.shape != (n, n):
+    if alpha.shape[-2:] != (n, n) or alpha.ndim > 3:
         raise InadmissibleInputError(f"expected a {n}x{n} matrix, got {alpha.shape}")
-    if np.linalg.norm(alpha - alpha.T) > tol * max(np.linalg.norm(alpha), 1.0):
-        raise InadmissibleInputError("covariance matrix must be symmetric")
-    return 0.5 * (alpha + alpha.T)
+    _refuse(
+        np.linalg.norm(alpha - _transpose(alpha), axis=(-2, -1))
+        > tol * np.maximum(np.linalg.norm(alpha, axis=(-2, -1)), 1.0),
+        InadmissibleInputError,
+        "covariance matrix must be symmetric",
+    )
+    return 0.5 * (alpha + _transpose(alpha))
 
 
 def _sym_sqrt(alpha: np.ndarray, tol: float):
-    """Square root and inverse square root of a symmetric positive definite matrix."""
+    """Square root and inverse square root of each symmetric positive definite matrix."""
     w, Q = np.linalg.eigh(alpha)
-    if w[0] <= tol * max(1.0, w[-1]):
-        raise InadmissibleInputError(
-            f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
-        )
-    root = (Q * np.sqrt(w)) @ Q.T
-    inv_root = (Q / np.sqrt(w)) @ Q.T
+    _refuse(
+        w[..., 0] <= tol * np.maximum(1.0, w[..., -1]),
+        InadmissibleInputError,
+        "matrix is not positive definite (min eigenvalue {:.3e})",
+        w[..., 0],
+    )
+    root_w = np.sqrt(w)[..., None, :]
+    root = (Q * root_w) @ _transpose(Q)
+    inv_root = (Q / root_w) @ _transpose(Q)
     return root, inv_root
 
 
@@ -122,14 +161,20 @@ def symplectic_eigenvalues(
     Computed as the positive spectrum of the Hermitian matrix
     ``alpha^(1/2) (i delta^-1) alpha^(1/2)``, which is similar to
     ``i delta^-1 alpha`` and therefore carries the pairs (+nu_j, -nu_j).
+    A (B, 2s, 2s) stack gives one row of eigenvalues per matrix.
     """
     alpha = _require_symmetric(alpha, space, tol)
     root, _ = _sym_sqrt(alpha, tol)
     herm = -1j * (root @ space.delta @ root)  # i * delta^-1 conjugated by alpha^(1/2)
     ev = np.linalg.eigvalsh(herm)
-    if not np.allclose(ev, -ev[::-1], atol=tol * max(1.0, abs(ev[-1]))):
-        raise RuntimeError("symplectic spectrum did not split into +/- pairs")
-    return ev[::-1][: space.s].copy()
+    # np.allclose(ev, -ev[::-1]) for each matrix
+    mirror = -ev[..., ::-1]
+    atol = tol * np.maximum(1.0, np.abs(ev[..., -1]))
+    paired = np.abs(ev - mirror) <= atol[..., None] + 1e-5 * np.abs(mirror)
+    _refuse(
+        ~paired.all(axis=-1), RuntimeError, "symplectic spectrum did not split into +/- pairs"
+    )
+    return ev[..., ::-1][..., : space.s].copy()
 
 
 @dataclass(frozen=True, eq=False)

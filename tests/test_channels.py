@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_covariance, random_regular_channel, random_spd
 from egain.channels import (
+    GaussianChannel,
     apply_to_covariance,
     default_beta_grid,
     gain_beta_sweep,
@@ -21,7 +22,7 @@ from egain.channels import (
 )
 from egain.errors import InadmissibleInputError, NonRegularChannelError
 from egain.gaussian import gibbs_covariance, mode_entropy, quadratic_hamiltonian
-from egain.symplectic import canonical_form
+from egain.symplectic import canonical_form, check_hermitian_psd
 
 
 class TestPresets:
@@ -118,6 +119,19 @@ class TestApplyToCovariance:
         assert gain == pytest.approx(mode_entropy(nu_out) - mode_entropy(nu_in), rel=1e-12)
 
 
+def reference_sweep(channel, ham, grid, adaptive, tol=1e-3, beta_floor=1e-12):
+    """gain_beta_sweep evaluated point by point: one Gibbs covariance and gain per beta."""
+    closed = minimal_entropy_gain(channel)
+    betas = list(grid)
+    gains = [gaussian_gain(channel, gibbs_covariance(ham, b)) for b in betas]
+    converged = abs(gains[-1] - closed) < tol
+    while adaptive and not converged and betas[-1] / 10.0 >= beta_floor:
+        betas.append(betas[-1] / 10.0)
+        gains.append(gaussian_gain(channel, gibbs_covariance(ham, betas[-1])))
+        converged = abs(gains[-1] - closed) < tol
+    return np.array(betas), np.array(gains), converged
+
+
 class TestBetaSweep:
     def test_default_grid_shape(self):
         grid = default_beta_grid()
@@ -169,6 +183,65 @@ class TestBetaSweep:
         ham = quadratic_hamiltonian(canonical_form(1), np.eye(2))
         gain = gaussian_gain(channel, gibbs_covariance(ham, 1e-12))
         assert abs(gain - minimal_entropy_gain(channel)) <= 1e-10
+
+    @pytest.mark.parametrize("modes", range(1, 7))
+    def test_stacked_sweep_equals_point_by_point_loop(self, modes):
+        gen = np.random.default_rng([20261018, modes])
+        channel = random_regular_channel(gen, modes)
+        ham = quadratic_hamiltonian(channel.space, random_spd(gen, 2 * modes))
+        short = default_beta_grid(1.0, 0.01, 5)  # too coarse to converge: must extend
+        for grid, adaptive in [(short, True), (default_beta_grid(), False)]:
+            report = gain_beta_sweep(channel, ham, beta_grid=grid, adaptive=adaptive)
+            betas, gains, converged = reference_sweep(channel, ham, grid, adaptive)
+            assert np.array_equal(report.beta_grid, betas)
+            assert np.array_equal(report.gains, gains)
+            assert report.converged == converged
+            assert len(betas) > len(grid) or not adaptive
+
+    def test_refuses_first_beta_below_overflow_floor(self):
+        channel = preset_channel("amplifier", 2.0)
+        ham = quadratic_hamiltonian(canonical_form(1), np.eye(2))  # frequencies m = 1
+        grid = np.array([1.0, 1e-50, 1e-99, 1e-101, 1e-110, 1e-300])
+        with pytest.raises(InadmissibleInputError, match=r"^beta = 1e-101 is too small"):
+            gain_beta_sweep(channel, ham, beta_grid=grid)
+
+    def test_error_is_the_first_a_point_by_point_loop_meets(self):
+        # an attenuator without its noise, built past make_channel: its output
+        # at beta = 1 falls below the uncertainty bound, a check that comes
+        # after the overflow floor that the last beta fails
+        space = canonical_form(1)
+        K, mu = 0.5 * np.eye(2), np.zeros((2, 2))
+        cert = check_hermitian_psd(mu - 0.5j * (space.delta - K.T @ space.delta @ K))
+        channel = GaussianChannel(space=space, K=K, mu=mu, cert=cert, strict=False)
+        ham = quadratic_hamiltonian(space, np.eye(2))
+        grid = np.array([1.0, 1e-3, 1e-120])
+        with pytest.raises(RuntimeError) as looped:
+            reference_sweep(channel, ham, grid, adaptive=False)
+        with pytest.raises(RuntimeError) as stacked:
+            gain_beta_sweep(channel, ham, beta_grid=grid, adaptive=False)
+        assert "channel output violated admissibility" in str(looped.value)
+        assert str(stacked.value) == str(looped.value)
+
+    def test_eigensolve_count_does_not_grow_with_the_grid(self, monkeypatch):
+        gen = np.random.default_rng(5)
+        channel = random_regular_channel(gen, 2)
+        ham = quadratic_hamiltonian(channel.space, random_spd(gen, 4))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, _solver=solver, **kwargs):
+                calls.append(1)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        counts = []
+        for points in (25, 50):
+            calls.clear()
+            grid = default_beta_grid(points=points)
+            gain_beta_sweep(channel, ham, beta_grid=grid, adaptive=False)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_rejects_ascending_grid(self):
         channel = preset_channel("attenuator", 0.5)

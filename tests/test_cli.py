@@ -195,6 +195,16 @@ class TestFock:
         assert report["unreliable_count"] > 0
         assert len(report["records"]) == 6
 
+    def test_tiny_k_reports_the_bound(self, capsys):
+        # k**2 underflows to 0 at k = 1e-200, so the bound is taken as 2 log k
+        code, out, err = run(
+            ["fock", "--preset", "attenuator", "--k", "1e-200", "--dim", "8", "--trials", "1"],
+            capsys,
+        )
+        assert code == 4
+        assert err == ""
+        assert json.loads(out)["records"][0]["bound"] == pytest.approx(-921.0340371976183)
+
     def test_small_dim_clamps_generator_support(self, tmp_path, capsys):
         # support-10 campaign inputs must shrink to fit a dim-8 cutoff
         out_path = str(tmp_path / "tiny_att.json")
