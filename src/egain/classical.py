@@ -7,9 +7,10 @@ permutation table used here is the XOR table
 
     n_j(i) = ((i - 1) XOR (j - 1)) + 1,
 
-which satisfies n_1(i) = i, n_j(1) = j, restricts to a bijection of every
-power-of-two prefix {1..2^k} in each row and column, and realizes the
-hierarchical block structure A_k = [[A_{k-1}, B_{k-1}], [B_{k-1}, A_{k-1}]].
+which satisfies n_1(i) = i, n_j(1) = j and has the block form
+A_k = [[A_{k-1}, A_{k-1} + h], [A_{k-1} + h, A_{k-1}]], h = 2^(k-1), from
+A_0 = [1]. By induction each row and column restricts to a bijection of
+every power-of-two prefix {1..2^k}; the checks below certify this form.
 Consequently the 2^k x 2^k truncations are doubly stochastic up to
 renormalization, every row carries the same truncated entropy
 
@@ -49,6 +50,7 @@ _NORMALIZER_CUTOFF = 10**8
 _HEAD_CUTOFF = 10**5
 _TAIL_PANELS = 8
 _TAIL_NODES = 64
+_STRIPE = 64
 
 
 def permutation(i: int, j: int) -> int:
@@ -58,10 +60,15 @@ def permutation(i: int, j: int) -> int:
     return ((int(i) - 1) ^ (int(j) - 1)) + 1
 
 
+def _xor_table(a, b):
+    """The 0-based XOR table u(a, b) = a XOR b, in the dtype of its indices."""
+    return a ^ b
+
+
 def _xor_vectorized(i, j):
     i = np.asarray(i, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
-    return ((i - 1) ^ (j - 1)) + 1
+    return _xor_table(i - 1, j - 1) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +83,6 @@ class PermutationFamily:
     def row(self, i: int, n: int) -> np.ndarray:
         """First n entries (j = 1..n) of row i as an int64 array."""
         return self.vectorized(i, np.arange(1, n + 1, dtype=np.int64))
-
-    def column(self, j: int, n: int) -> np.ndarray:
-        """First n entries (i = 1..n) of column j as an int64 array."""
-        return self.vectorized(np.arange(1, n + 1, dtype=np.int64), j)
 
 
 def xor_family() -> PermutationFamily:
@@ -196,85 +199,80 @@ def channel_row_entropy(
     return float(-(q * np.log(q)).sum())
 
 
-def _is_prefix_bijection(values: np.ndarray, n: int) -> bool:
-    """True iff the n int values are exactly {1..n}."""
-    if values.min() < 1 or values.max() > n:
+def _block_form(table: Callable[[np.ndarray, np.ndarray], np.ndarray], k: int) -> bool:
+    """True iff the 0-based table u on the 2^k prefix has the XOR block form.
+
+    The form is u(0, 0) = 0 and, at every scale h = 2^(j-1), j = 1..k, for
+    all a, b < h: u(a, b+h) = u(a+h, b) = u(a, b) + h and u(a+h, b+h) = u(a, b).
+    That is A_j = [[A, A+h], [A+h, A]] with A = A_{j-1}, from A_0 = [0]. If
+    every row and column of A is a bijection of {0..h-1}, every row of A_j
+    is such a row beside that row plus h, a bijection of {0..2h-1}, and so is
+    every column; by induction every 2^j prefix is a table of bijections.
+
+    ``table(rows, cols)`` evaluates u on the broadcast grid of a column of
+    row indices and a row of column indices, in the smallest unsigned dtype
+    that holds the values 0..2^k-1 (uint16 for 9 <= k <= 16). Scales run
+    upwards, so u(a, b) < h is already certified when scale h is checked and
+    u(a, b) + h cannot overflow. Each scale is swept in stripes of _STRIPE
+    rows, and the first mismatch returns False.
+    """
+    dtype = np.min_scalar_type((1 << k) - 1)
+    origin = np.zeros(1, dtype=dtype)
+    if table(origin[:, None], origin).item() != 0:
         return False
-    seen = np.zeros(n, dtype=bool)
-    seen[values - 1] = True
-    return bool(seen.all())
+    for j in range(1, k + 1):
+        h = 1 << (j - 1)
+        cols = np.arange(h, dtype=dtype)
+        right = cols + h
+        for lo in range(0, h, _STRIPE):
+            rows = np.arange(lo, min(lo + _STRIPE, h), dtype=dtype)[:, None]
+            low = rows + h
+            base = table(rows, cols)
+            shifted = base + h
+            if not (
+                np.array_equal(table(rows, right), shifted)
+                and np.array_equal(table(low, cols), shifted)
+                and np.array_equal(table(low, right), base)
+            ):
+                return False
+    return True
 
 
 def doubly_stochastic_check(
     perms: PermutationFamily, dist: HeavyTailDistribution, k: int
 ) -> bool:
-    """Check the 2^k x 2^k truncation is doubly stochastic after renormalization.
+    """Certify that the 2^k x 2^k truncation is doubly stochastic after renormalization.
 
-    Equivalent statement checked: every row and every column of the index
-    table restricted to the prefix {1..2^k} is a bijection of the prefix, so
-    each carries exactly the weight multiset {q_1, ..., q_{2^k}} (q is
-    strictly decreasing, hence injective).
+    True iff the table of ``perms.vectorized`` (on int64 indices) on the
+    prefix {1..2^k}, less one, has the XOR block form of ``_block_form``.
+    Every row and column is then a bijection of the prefix, so each carries
+    the weight multiset {q_1, ..., q_{2^k}}. The form is sufficient, not
+    necessary: False means "not of the XOR block form", and a doubly
+    stochastic table of another form, such as the cyclic
+    ((i-1) + (j-1)) mod 2^k + 1, gets False too.
     """
     if k < 0:
         raise InadmissibleInputError("k must be nonnegative")
-    n = 1 << k
-    if n > dist.n_max:
+    if (1 << k) > dist.n_max:
         raise InadmissibleInputError("prefix exceeds the distribution support")
-    for idx in range(1, n + 1):
-        if not _is_prefix_bijection(perms.row(idx, n), n):
-            return False
-        if not _is_prefix_bijection(perms.column(idx, n), n):
-            return False
-    return True
+
+    def table(a, b):
+        return perms.vectorized(a.astype(np.int64) + 1, b.astype(np.int64) + 1) - 1
+
+    return _block_form(table, k)
 
 
 def prefix_bijections_exhaustive(k_max: int = 16) -> bool:
-    """Exhaustively verify all rows and columns of the XOR table to k_max.
-
-    For every constant c in {0..2^k_max - 1} the sequence (c XOR t) over
-    t < 2^k_max is checked to be injective (scatter with an epoch marker)
-    and to map each power-of-two prefix into itself; full-length injectivity
-    restricts to injectivity on every prefix, so together these make each
-    applicable prefix a bijection. Row i of the XOR table is (i-1) XOR (j-1)
-    over j and column j is (j-1) XOR (i-1) over i, so one pass over
-    constants covers rows and columns alike.
+    """Verify that each row and column of the XOR table restricts to a
+    bijection of every prefix {1..2^k}, k <= k_max, through the block form of
+    ``_xor_table``, which implies them by the induction in ``_block_form``.
     """
-    n = 1 << k_max
-    t = np.arange(n, dtype=np.uint32)
-    seen = np.zeros(n, dtype=np.uint32)
-    prefix_sizes = [1 << m for m in range(1, k_max + 1)]
-    for c in range(n):
-        v = np.uint32(c) ^ t
-        epoch = np.uint32(c + 1)
-        seen[v] = epoch
-        if not np.all(seen == epoch):
-            return False
-        for m_size in prefix_sizes:
-            # constant c corresponds to row/column c+1, which belongs to the
-            # 2^m prefix table only when c < 2^m
-            if c < m_size and int(v[:m_size].max()) >= m_size:
-                return False
-    return True
+    return _block_form(_xor_table, k_max)
 
 
-def block_recursion_exhaustive(k_max: int = 16, stripe: int = 256) -> bool:
-    """Exhaustively verify the quadrant identity of the XOR table to k_max.
-
-    For each k <= k_max and h = 2^(k-1), the 0-based table t(a, b) = a XOR b
-    must satisfy t(a+h, b+h) = t(a, b) and t(a+h, b) = t(a, b+h) for all
-    a, b < h: the table has the form [[A, B], [B, A]] at every scale.
+def block_recursion_exhaustive(k_max: int = 16) -> bool:
+    """Verify that the XOR table has the form [[A, A+h], [A+h, A]] at every
+    scale h = 2^(k-1), k <= k_max: the block form of ``_xor_table``, the
+    certificate that ``prefix_bijections_exhaustive`` also uses.
     """
-    for k in range(1, k_max + 1):
-        h = 1 << (k - 1)
-        cols = np.arange(h, dtype=np.uint32)
-        for lo in range(0, h, stripe):
-            a = np.arange(lo, min(lo + stripe, h), dtype=np.uint32)[:, None]
-            tl = a ^ cols[None, :]
-            br = (a + h) ^ (cols[None, :] + h)
-            if not np.array_equal(tl, br):
-                return False
-            tr = a ^ (cols[None, :] + h)
-            bl = (a + h) ^ cols[None, :]
-            if not np.array_equal(tr, bl):
-                return False
-    return True
+    return _block_form(_xor_table, k_max)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from egain import classical
 from egain.classical import (
+    PermutationFamily,
     block_recursion_exhaustive,
     channel_row_entropy,
     doubly_stochastic_check,
@@ -152,3 +153,60 @@ class TestExhaustive:
 
     def test_block_recursion_small(self):
         assert block_recursion_exhaustive(8)
+
+    @pytest.mark.parametrize("k_max, dtype", [(8, np.uint8), (9, np.uint16), (12, np.uint16)])
+    def test_table_is_evaluated_in_stripes_of_the_smallest_dtype(self, k_max, dtype, monkeypatch):
+        seen = []
+
+        def spy(a, b):
+            seen.append((a.dtype, b.dtype, a.shape[0]))
+            return a ^ b
+
+        monkeypatch.setattr(classical, "_xor_table", spy)
+        assert prefix_bijections_exhaustive(k_max)
+        assert {(a, b) for a, b, _ in seen} == {(np.dtype(dtype), np.dtype(dtype))}
+        assert max(rows for _, _, rows in seen) == classical._STRIPE
+
+
+def _swap_one_pair(a, b):
+    """The 0-based XOR table with u(700, 600) and u(700, 601) swapped.
+
+    Both entries lie in the bottom-right 2^9 quadrant of the 2^10 prefix; the
+    swap keeps row 700 a bijection but repeats a value in columns 600 and 601.
+    """
+    u = a ^ b
+    return np.where((a == 700) & ((b == 600) | (b == 601)), u ^ 1, u)
+
+
+def _verdicts(k):
+    return (
+        doubly_stochastic_check(xor_family(), heavy_tail(1 << k), k),
+        prefix_bijections_exhaustive(k),
+        block_recursion_exhaustive(k),
+    )
+
+
+class TestChecksCanFail:
+    def test_one_swapped_pair_fails_every_check(self, monkeypatch):
+        monkeypatch.setattr(classical, "_xor_table", _swap_one_pair)
+        column = xor_family().vectorized(np.arange(1, 1025), 601)
+        assert np.unique(column).size == 1023
+        # the 2^9 prefix does not contain the swap
+        assert _verdicts(9) == (True, True, True)
+        assert _verdicts(10) == (False, False, False)
+
+    def test_cyclic_table_is_doubly_stochastic_but_not_of_xor_form(self):
+        # False means "not of the XOR block form", not "not doubly stochastic"
+        k = 4
+        n = 1 << k
+        cyclic = PermutationFamily(vectorized=lambda i, j: (i - 1 + j - 1) % n + 1)
+        table = cyclic.vectorized(np.arange(1, n + 1)[:, None], np.arange(1, n + 1))
+        prefix = np.arange(1, n + 1)
+        assert all(np.array_equal(np.sort(line), prefix) for line in (*table, *table.T))
+        assert not doubly_stochastic_check(cyclic, heavy_tail(n), k)
+
+    def test_table_without_the_one_based_shift_fails(self):
+        # (i-1) XOR (j-1) has every quadrant identity but takes values 0..n-1
+        k = 4
+        unshifted = PermutationFamily(vectorized=lambda i, j: (i - 1) ^ (j - 1))
+        assert not doubly_stochastic_check(unshifted, heavy_tail(1 << k), k)

@@ -276,7 +276,37 @@ class TestFock:
         assert err == "error: trials must be >= 1\n"
 
 
+# Frozen stdout of `egain classical --k 10`: the CSV must stay byte-identical.
+CLASSICAL_K10_CSV = """\
+# seed: none
+# n_max: 10000000
+k,H,doubly_stochastic
+1,0.55625758212129395,true
+2,0.80979351922958442,true
+3,1.0221137216708793,true
+4,1.1899020968185163,true
+5,1.3221691211271669,true
+6,1.4283686366569508,true
+7,1.5156356483061704,true
+8,1.5889399666648831,true
+9,1.6517064672229984,true
+10,1.7063273912071821,true
+"""
+
+
 class TestClassical:
+    def test_csv_is_byte_identical_to_the_frozen_table(self, capsys):
+        code, out, err = run(["classical", "--k", "10"], capsys)
+        assert code == 0
+        assert err == ""
+        assert out == CLASSICAL_K10_CSV
+
+    def test_k_beyond_the_limit_exits_2(self, capsys):
+        code, out, err = run(["classical", "--k", "17"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: prefix exponent must be between 1 and 16\n"
+
     def test_table_rows(self, capsys):
         code, out, _ = run(["classical", "--k", "5"], capsys)
         assert code == 0
