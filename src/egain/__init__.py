@@ -45,7 +45,6 @@ from .channels import (
     default_beta_grid,
     gain_beta_sweep,
     gaussian_gain,
-    general_lower_bound,
     make_channel,
     minimal_entropy_gain,
     preset_channel,

@@ -45,7 +45,6 @@ __all__ = [
     "tensor_channels",
     "apply_to_covariance",
     "minimal_entropy_gain",
-    "general_lower_bound",
     "gaussian_gain",
     "default_beta_grid",
     "gain_beta_sweep",
@@ -162,25 +161,16 @@ def apply_to_covariance(
 
 
 def minimal_entropy_gain(channel: GaussianChannel) -> float:
-    """Closed-form minimal entropy gain log |det K| of a regular channel."""
-    if not channel.regular:
-        raise NonRegularChannelError(
-            "non-regular channel (det K = 0); the minimal entropy gain is undefined"
-        )
-    sign, logabs = np.linalg.slogdet(channel.K)
-    return float(logabs)
+    """Closed-form minimal entropy gain log |det K| of a regular channel.
 
-
-def general_lower_bound(channel: GaussianChannel) -> float:
-    """Lower bound -log ||Phi[I]|| on the entropy gain of any channel.
-
-    Phi[I] = |det K|^-1 I for a Gaussian channel, so the bound is
-    log |det K|, taken from slogdet because det K itself overflows for
-    strongly amplifying channels on several modes.
+    It is also the general lower bound -log ||Phi[I]|| on the entropy gain of
+    any channel, since Phi[I] = |det K|^-1 I for a Gaussian channel. It is
+    taken from slogdet because det K itself overflows for strongly
+    amplifying channels on several modes.
     """
     if not channel.regular:
         raise NonRegularChannelError(
-            "the lower bound -log ||Phi[I]|| requires a regular channel"
+            "non-regular channel (det K = 0); the minimal entropy gain is undefined"
         )
     return float(np.linalg.slogdet(channel.K)[1])
 
@@ -281,6 +271,6 @@ def gain_beta_sweep(
         beta_grid=np.array(betas),
         gains=np.array(gains),
         closed_form=closed,
-        lower_bound_general=general_lower_bound(channel),
+        lower_bound_general=closed,
         converged=bool(converged),
     )

@@ -66,8 +66,6 @@ def _xor_table(a, b):
 
 
 def _xor_vectorized(i, j):
-    i = np.asarray(i, dtype=np.int64)
-    j = np.asarray(j, dtype=np.int64)
     return _xor_table(i - 1, j - 1) + 1
 
 
@@ -75,7 +73,9 @@ def _xor_vectorized(i, j):
 class PermutationFamily:
     """Family of row permutations (i, j) -> n_j(i) of the positive integers.
 
-    ``vectorized`` evaluates the table on broadcast arrays of 1-based indices.
+    ``vectorized`` evaluates the table on broadcast arrays of 1-based indices;
+    ``doubly_stochastic_check`` passes them in the smallest unsigned dtype
+    that holds 2^k, and the table must be exact in that dtype.
     """
 
     vectorized: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -199,33 +199,36 @@ def channel_row_entropy(
     return float(-(q * np.log(q)).sum())
 
 
-def _block_form(table: Callable[[np.ndarray, np.ndarray], np.ndarray], k: int) -> bool:
-    """True iff the 0-based table u on the 2^k prefix has the XOR block form.
+def _block_form(table: Callable[..., np.ndarray], k: int, origin: int) -> bool:
+    """True iff the table t on the 2^k prefix from ``origin`` has the XOR block form.
 
-    The form is u(0, 0) = 0 and, at every scale h = 2^(j-1), j = 1..k, for
-    all a, b < h: u(a, b+h) = u(a+h, b) = u(a, b) + h and u(a+h, b+h) = u(a, b).
-    That is A_j = [[A, A+h], [A+h, A]] with A = A_{j-1}, from A_0 = [0]. If
-    every row and column of A is a bijection of {0..h-1}, every row of A_j
-    is such a row beside that row plus h, a bijection of {0..2h-1}, and so is
-    every column; by induction every 2^j prefix is a table of bijections.
+    Indices and values run from o = ``origin`` (0 for ``_xor_table``, 1 for a
+    family). The form is t(o, o) = o and, at every scale h = 2^(j-1),
+    j = 1..k, for all o <= a, b < o + h: t(a, b+h) = t(a+h, b) = t(a, b) + h
+    and t(a+h, b+h) = t(a, b). That is A_j = [[A, A+h], [A+h, A]] with
+    A = A_{j-1}, from A_0 = [o]; shifting every index and value by one maps
+    the 0-based identities onto the 1-based ones. If every row and column of
+    A is a bijection of {o..o+h-1}, every row of A_j is such a row beside
+    that row plus h, a bijection of {o..o+2h-1}, and so is every column; by
+    induction every 2^j prefix is a table of bijections.
 
-    ``table(rows, cols)`` evaluates u on the broadcast grid of a column of
+    ``table(rows, cols)`` evaluates t on the broadcast grid of a column of
     row indices and a row of column indices, in the smallest unsigned dtype
-    that holds the values 0..2^k-1 (uint16 for 9 <= k <= 16). Scales run
-    upwards, so u(a, b) < h is already certified when scale h is checked and
-    u(a, b) + h cannot overflow. Each scale is swept in stripes of _STRIPE
-    rows, and the first mismatch returns False.
+    that holds 2^k - 1 + o (uint16 for k = 16 from 0, uint32 from 1). Scales
+    run upwards, so t(a, b) < o + h is already certified when scale h is
+    checked and t(a, b) + h <= 2^k - 1 + o cannot overflow. Each scale is
+    swept in stripes of _STRIPE rows, and the first mismatch returns False.
     """
-    dtype = np.min_scalar_type((1 << k) - 1)
-    origin = np.zeros(1, dtype=dtype)
-    if table(origin[:, None], origin).item() != 0:
+    dtype = np.min_scalar_type((1 << k) - 1 + origin)
+    corner = np.full(1, origin, dtype=dtype)
+    if table(corner[:, None], corner).item() != origin:
         return False
     for j in range(1, k + 1):
         h = 1 << (j - 1)
-        cols = np.arange(h, dtype=dtype)
+        cols = np.arange(origin, origin + h, dtype=dtype)
         right = cols + h
-        for lo in range(0, h, _STRIPE):
-            rows = np.arange(lo, min(lo + _STRIPE, h), dtype=dtype)[:, None]
+        for lo in range(origin, origin + h, _STRIPE):
+            rows = np.arange(lo, min(lo + _STRIPE, origin + h), dtype=dtype)[:, None]
             low = rows + h
             base = table(rows, cols)
             shifted = base + h
@@ -243,23 +246,19 @@ def doubly_stochastic_check(
 ) -> bool:
     """Certify that the 2^k x 2^k truncation is doubly stochastic after renormalization.
 
-    True iff the table of ``perms.vectorized`` (on int64 indices) on the
-    prefix {1..2^k}, less one, has the XOR block form of ``_block_form``.
-    Every row and column is then a bijection of the prefix, so each carries
-    the weight multiset {q_1, ..., q_{2^k}}. The form is sufficient, not
-    necessary: False means "not of the XOR block form", and a doubly
-    stochastic table of another form, such as the cyclic
-    ((i-1) + (j-1)) mod 2^k + 1, gets False too.
+    True iff the table of ``perms.vectorized`` on the prefix {1..2^k}, in
+    uint8 to k = 7, uint16 to k = 15 and uint32 at k = 16, has the 1-based
+    XOR block form of ``_block_form``. Every row and column is then a
+    bijection of the prefix, so each carries the weight multiset {q_1, ...,
+    q_{2^k}}. The form is sufficient, not necessary: False means "not of the
+    XOR block form", and a doubly stochastic table of another form, such as
+    the cyclic ((i-1) + (j-1)) mod 2^k + 1, gets False too.
     """
     if k < 0:
         raise InadmissibleInputError("k must be nonnegative")
     if (1 << k) > dist.n_max:
         raise InadmissibleInputError("prefix exceeds the distribution support")
-
-    def table(a, b):
-        return perms.vectorized(a.astype(np.int64) + 1, b.astype(np.int64) + 1) - 1
-
-    return _block_form(table, k)
+    return _block_form(perms.vectorized, k, 1)
 
 
 def prefix_bijections_exhaustive(k_max: int = 16) -> bool:
@@ -267,7 +266,7 @@ def prefix_bijections_exhaustive(k_max: int = 16) -> bool:
     bijection of every prefix {1..2^k}, k <= k_max, through the block form of
     ``_xor_table``, which implies them by the induction in ``_block_form``.
     """
-    return _block_form(_xor_table, k_max)
+    return _block_form(_xor_table, k_max, 0)
 
 
 def block_recursion_exhaustive(k_max: int = 16) -> bool:
@@ -275,4 +274,4 @@ def block_recursion_exhaustive(k_max: int = 16) -> bool:
     scale h = 2^(k-1), k <= k_max: the block form of ``_xor_table``, the
     certificate that ``prefix_bijections_exhaustive`` also uses.
     """
-    return _block_form(_xor_table, k_max)
+    return _block_form(_xor_table, k_max, 0)

@@ -31,7 +31,6 @@ from .channels import (
     GaussianChannel,
     default_beta_grid,
     gain_beta_sweep,
-    general_lower_bound,
     make_channel,
     minimal_entropy_gain,
     preset_channel,
@@ -59,6 +58,11 @@ RELIABLE_FRACTION_FLOOR = 0.95
 
 # Largest `classical --k`: the structure check of the 2^k prefix costs ~4^k.
 CLASSICAL_K_MAX = 16
+# Largest `fock --dim`, `fock --trials` and `sweep --beta-points`, refused at
+# parse time: each Fock stage holds dim^2 complex amplitudes (16 MB at 1000).
+FOCK_DIM_MAX = 1000
+FOCK_TRIALS_MAX = 100_000
+BETA_POINTS_MAX = 1000
 
 
 def _fmt(x: float) -> str:
@@ -96,6 +100,21 @@ def _tolerance(text: str) -> float:
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
+
+
+def _at_most(limit: int):
+    """argparse type: an integer no larger than ``limit``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
@@ -136,6 +155,7 @@ def _resolve_channel(args: argparse.Namespace, tol: float) -> tuple[GaussianChan
 def cmd_gain(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     channel, source = _resolve_channel(args, tol)
+    gain = minimal_entropy_gain(channel)
     report = {
         "command": "gain",
         "seed": None,
@@ -148,8 +168,9 @@ def cmd_gain(args: argparse.Namespace) -> int:
             "strict": bool(channel.strict),
         },
         "regular": bool(channel.regular),
-        "gain_closed_form": minimal_entropy_gain(channel),
-        "lower_bound_general": general_lower_bound(channel),
+        "gain_closed_form": gain,
+        # the general bound -log ||Phi[I]|| is log |det K|, the closed form itself
+        "lower_bound_general": gain,
     }
     _emit_json(report, args.out)
     return EXIT_OK
@@ -301,13 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--epsilon-file", help="JSON matrix file for the Hamiltonian")
     p_sweep.add_argument("--beta-max", type=_finite, default=1.0)
     p_sweep.add_argument("--beta-min", type=_finite, default=1e-6)
-    p_sweep.add_argument("--beta-points", type=int, default=25)
+    p_sweep.add_argument("--beta-points", type=_at_most(BETA_POINTS_MAX), default=25)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fock = sub.add_parser("fock", help="randomized Kraus-oracle bound campaign")
     _add_channel_flags(p_fock)
-    p_fock.add_argument("--dim", type=int, default=60, help="Fock-space cutoff")
-    p_fock.add_argument("--trials", type=int, default=100)
+    p_fock.add_argument(
+        "--dim", type=_at_most(FOCK_DIM_MAX), default=60, help="Fock-space cutoff"
+    )
+    p_fock.add_argument("--trials", type=_at_most(FOCK_TRIALS_MAX), default=100)
     p_fock.add_argument("--seed", type=int, default=0)
     p_fock.add_argument(
         "--extremality",

@@ -14,7 +14,6 @@ from egain.channels import (
     default_beta_grid,
     gain_beta_sweep,
     gaussian_gain,
-    general_lower_bound,
     make_channel,
     minimal_entropy_gain,
     preset_channel,
@@ -68,12 +67,10 @@ class TestGainAndBound:
         assert not channel.regular
         with pytest.raises(NonRegularChannelError):
             minimal_entropy_gain(channel)
-        with pytest.raises(NonRegularChannelError):
-            general_lower_bound(channel)
 
     def test_general_lower_bound_values(self):
         # Phi[I] = 4 I for the attenuator with k = 0.5
-        assert general_lower_bound(preset_channel("attenuator", 0.5)) == pytest.approx(
+        assert minimal_entropy_gain(preset_channel("attenuator", 0.5)) == pytest.approx(
             -math.log(4.0)
         )
         # five amplifier modes with k = 1e40: det K = 1e400 overflows a double,
@@ -82,16 +79,16 @@ class TestGainAndBound:
         for _ in range(4):
             channel = tensor_channels(channel, preset_channel("amplifier", 1e40))
         assert channel.regular
-        assert general_lower_bound(channel) == pytest.approx(10.0 * math.log(1e40), rel=1e-12)
+        assert minimal_entropy_gain(channel) == pytest.approx(10.0 * math.log(1e40), rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), modes=st.integers(1, 3))
     def test_general_bound_equals_closed_form_when_regular(self, seed, modes):
         gen = np.random.default_rng(seed)
         channel = random_regular_channel(gen, modes)
-        closed = minimal_entropy_gain(channel)
-        bound = general_lower_bound(channel)
-        assert bound == pytest.approx(closed, rel=1e-10, abs=1e-10)
+        # log |det K| from the singular values, a route independent of slogdet
+        bound = float(np.log(np.linalg.svd(channel.K, compute_uv=False)).sum())
+        assert minimal_entropy_gain(channel) == pytest.approx(bound, rel=1e-10, abs=1e-10)
 
 
 class TestApplyToCovariance:

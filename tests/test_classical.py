@@ -147,6 +147,43 @@ class TestChannelStructure:
         assert out_entropy >= min(rows) - 1e-12
 
 
+class TestDoublyStochasticEvaluation:
+    @pytest.mark.parametrize("k, dtype", [(7, np.uint8), (8, np.uint16), (12, np.uint16)])
+    def test_family_is_evaluated_in_the_smallest_dtype_holding_2_to_the_k(self, k, dtype):
+        seen = set()
+
+        def spy(i, j):
+            seen.add((i.dtype, j.dtype))
+            return xor_family().vectorized(i, j)
+
+        family = PermutationFamily(vectorized=spy)
+        assert doubly_stochastic_check(family, heavy_tail(1 << k), k)
+        assert seen == {(np.dtype(dtype), np.dtype(dtype))}
+
+    @pytest.mark.parametrize("k, dtype", [(15, np.uint16), (16, np.uint32)])
+    def test_wrong_origin_returns_after_one_call(self, k, dtype):
+        seen = []
+
+        def spy(i, j):
+            seen.append((i.dtype, j.dtype))
+            return i ^ j  # t(1, 1) = 0, not 1
+
+        family = PermutationFamily(vectorized=spy)
+        assert not doubly_stochastic_check(family, heavy_tail(1 << k), k)
+        assert seen == [(np.dtype(dtype), np.dtype(dtype))]
+
+    @pytest.mark.parametrize("k", [7, 8, 12])
+    def test_last_entry_of_the_prefix_is_checked(self, k):
+        # the XOR table with t(2^k, 2^k) moved from 1 to 2, in the last stripe
+        n = 1 << k
+
+        def last_entry_moved(i, j):
+            return xor_family().vectorized(i, j) + ((i == n) & (j == n))
+
+        family = PermutationFamily(vectorized=last_entry_moved)
+        assert not doubly_stochastic_check(family, heavy_tail(n), k)
+
+
 class TestExhaustive:
     def test_prefix_bijections_small(self):
         assert prefix_bijections_exhaustive(8)

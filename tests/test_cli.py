@@ -292,6 +292,16 @@ k,H,doubly_stochastic
 9,1.6517064672229984,true
 10,1.7063273912071821,true
 """
+# Frozen stdout of `egain classical --k 14`, the README example.
+CLASSICAL_K14_CSV = (
+    CLASSICAL_K10_CSV
+    + """\
+11,1.7545102045987291,true
+12,1.7975024681747638,true
+13,1.8362365613175564,true
+14,1.8714239931628232,true
+"""
+)
 
 
 class TestClassical:
@@ -300,6 +310,12 @@ class TestClassical:
         assert code == 0
         assert err == ""
         assert out == CLASSICAL_K10_CSV
+
+    def test_k14_csv_is_byte_identical_to_the_frozen_table(self, capsys):
+        code, out, err = run(["classical", "--k", "14"], capsys)
+        assert code == 0
+        assert err == ""
+        assert out == CLASSICAL_K14_CSV
 
     def test_k_beyond_the_limit_exits_2(self, capsys):
         code, out, err = run(["classical", "--k", "17"], capsys)
@@ -387,6 +403,12 @@ class TestTolerancePlumbing:
     [
         pytest.param("classical --k 2.5", None, "--k: invalid int value: '2.5'", id="int-k"),
         pytest.param(
+            "fock --preset attenuator --k 0.7 --dim 2.5",
+            None,
+            "--dim: not an integer: '2.5'",
+            id="int-dim",
+        ),
+        pytest.param(
             "gain --preset attenuator --k 0.5 --tol nan", None, "--tol: must be finite", id="tol-nan"
         ),
         pytest.param(
@@ -471,6 +493,35 @@ def test_bad_numbers_exit_2_cleanly(argv, env_tol, message, capsys, monkeypatch)
     assert code == 2
     assert out == ""
     assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, limit",
+    [
+        ("fock --preset attenuator --k 0.7 --dim", "--dim", cli.FOCK_DIM_MAX),
+        ("fock --preset attenuator --k 0.7 --trials", "--trials", cli.FOCK_TRIALS_MAX),
+        ("sweep --preset attenuator --k 0.5 --beta-points", "--beta-points", cli.BETA_POINTS_MAX),
+    ],
+)
+def test_size_flags_are_capped_at_parse_time(argv, flag, limit, capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    # nothing is allocated: both builders are stubbed out
+    monkeypatch.setattr(cli, "build_dilation", refuse)
+    monkeypatch.setattr(cli, "default_beta_grid", refuse)
+    with pytest.raises(Reached):
+        main(f"{argv} {limit}".split())
+    with pytest.raises(SystemExit) as exc:
+        main(f"{argv} {10**12}".split())
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"{flag}: must be at most {limit}, got '{10**12}'" in err
     assert "Traceback" not in err
 
 
