@@ -8,6 +8,10 @@ the other (classical noise). Comparing entropy gains computed this way
 against the closed-form and Gaussian-extremality predictions is the
 package's main numerical evidence.
 
+Campaigns draw their states in trial order and run them in chunks of at most
+``_STACK_BYTES`` as (B, d, d) stacks; each Kraus stage moves only the levels the
+stack occupies, so records are bit-identical to ``verify_*`` on each state.
+
 Truncation policy: results carry a ``trace_deficit`` and states whose
 deficit or top-band population (top ceil(0.2 d) levels) exceeds 1e-6 are
 flagged unreliable; unreliable trials are reported, never silently
@@ -41,7 +45,6 @@ __all__ = [
     "build_dilation",
     "apply_channel",
     "channel_on_identity",
-    "quadrature_moments",
     "covariance_of",
     "top_band_mass",
     "truncation_flags",
@@ -92,20 +95,32 @@ def fock_density(
     rho: np.ndarray, trace_deficit: float = 0.0, tol: float = 1e-10
 ) -> FockDensityMatrix:
     """Validate, symmetrize and renormalize a raw density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    return _validated(np.array(rho, dtype=complex)[None], [trace_deficit], tol)[0]
+
+
+def _validated(rho: np.ndarray, deficits, tol: float = 1e-10) -> list[FockDensityMatrix]:
+    """``fock_density`` on a (B, d, d) stack, in place, with one batched ``eigvalsh``.
+
+    The first matrix that fails a check raises that check's message.
+    """
+    if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise InadmissibleInputError("density matrix must be square")
-    herm_defect = float(np.abs(rho - rho.conj().T).max())
-    if herm_defect > 1e-12 * max(1.0, float(np.abs(rho).max())):
-        raise InadmissibleInputError(f"density matrix not Hermitian (defect {herm_defect:.3e})")
-    rho = 0.5 * (rho + rho.conj().T)
+    herm = np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(rho).max(axis=(1, 2)))
+    rho += rho.conj().swapaxes(1, 2)
+    rho *= 0.5
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -tol:
-        raise InadmissibleInputError(f"density matrix has eigenvalue {w[0]:.3e} < -{tol}")
-    tr = float(np.trace(rho).real)
-    if tr <= 0.5:
-        raise InadmissibleInputError(f"density matrix trace {tr:.3e} too far from 1")
-    return FockDensityMatrix(rho.shape[0], rho / tr, float(trace_deficit), w / tr)
+    tr = np.array([np.trace(m).real for m in rho])
+    for defect, size, low, t in zip(herm, scale, w[:, 0], tr):
+        if defect > 1e-12 * size:
+            raise InadmissibleInputError(f"density matrix not Hermitian (defect {defect:.3e})")
+        if low < -tol:
+            raise InadmissibleInputError(f"density matrix has eigenvalue {low:.3e} < -{tol}")
+        if t <= 0.5:
+            raise InadmissibleInputError(f"density matrix trace {t:.3e} too far from 1")
+    rho /= tr[:, None, None]
+    w /= tr[:, None]
+    return [FockDensityMatrix(rho.shape[1], m, float(t), v) for m, t, v in zip(rho, deficits, w)]
 
 
 def number_state(n: int, dim: int) -> FockDensityMatrix:
@@ -227,33 +242,47 @@ def build_dilation(
 
 
 def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
-    """Each stage's sum_l V_l rho V_l† in turn, ``first`` before ``kraus``.
+    """Each stage's sum_l V_l rho V_l† in turn, ``first`` before ``kraus``, on a stack.
 
     V_l rho V_l† moves a block of rho l levels down (``first``, attenuator) or
     up (amplifier stages), weighted by the outer product of V_l's diagonal.
+    Only the s leading levels move, s one past the last level with an exact
+    nonzero in a row or column of some matrix: a lowering stage stops at l = s,
+    a raising stage moves s x s blocks. The skipped terms are exact zeros.
     """
     for amps, lowering in ((channel.first, True), (channel.kraus, channel.kind == "attenuator")):
         if amps is None:
             continue
+        nz = rho != 0
+        occupied = (nz.any(axis=-1) | nz.any(axis=-2)).reshape(-1, rho.shape[-1]).any(axis=0)
+        s = int(occupied.nonzero()[0].max(initial=-1)) + 1
         out = np.zeros_like(rho, dtype=complex)
-        for l, row in enumerate(amps):
-            src, dst = slice(l, None), slice(0, len(row) - l)
+        for l, row in enumerate(amps[:s] if lowering else amps):
+            b = s - l if lowering else min(s, len(row) - l)
+            src, dst = slice(l, l + b), slice(0, b)
             if not lowering:
                 src, dst = dst, src
-            out[dst, dst] += np.outer(row[src], row[src].conj()) * rho[src, src]
+            v = row[src]
+            out[..., dst, dst] += np.outer(v, v.conj()) * rho[..., src, src]
         rho = out
     return rho
 
 
+def _apply_stack(channel: DilationChannel, states: list) -> list[FockDensityMatrix]:
+    """``apply_channel`` on each of ``states``, evaluated as one (B, d, d) stack."""
+    if any(state.dim != channel.dim for state in states):
+        raise InadmissibleInputError("state and channel dimensions differ")
+    out = _kraus_sums(channel, np.stack([state.rho for state in states]))
+    out += out.conj().swapaxes(1, 2)
+    out *= 0.5
+    tr = [float(np.trace(m).real) for m in out]
+    out /= np.array(tr)[:, None, None]
+    return _validated(out, [s.trace_deficit + max(0.0, 1.0 - t) for s, t in zip(states, tr)])
+
+
 def apply_channel(channel: DilationChannel, state: FockDensityMatrix) -> FockDensityMatrix:
     """Kraus sum sum_l V_l rho V_l†, renormalized, with deficit bookkeeping."""
-    if state.dim != channel.dim:
-        raise InadmissibleInputError("state and channel dimensions differ")
-    out = _kraus_sums(channel, state.rho)
-    out = 0.5 * (out + out.conj().T)
-    tr = float(np.trace(out).real)
-    lost = max(0.0, 1.0 - tr)
-    return fock_density(out / tr, trace_deficit=state.trace_deficit + lost)
+    return _apply_stack(channel, [state])[0]
 
 
 def channel_on_identity(channel: DilationChannel) -> np.ndarray:
@@ -261,24 +290,18 @@ def channel_on_identity(channel: DilationChannel) -> np.ndarray:
     return _kraus_sums(channel, np.eye(channel.dim))
 
 
-def quadrature_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """First moments and symmetrized second moments of (q, p)."""
-    q, p = quadratures(state.dim)
-    ops = (q, p)
-    mean = np.array([float(np.trace(state.rho @ op).real) for op in ops])
-    second = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            sym = 0.5 * (ops[i] @ ops[j] + ops[j] @ ops[i])
-            second[i, j] = float(np.trace(state.rho @ sym).real)
-    second = 0.5 * (second + second.T)
-    return mean, second
+def _moment_ops(dim: int) -> tuple:
+    """q, p and their symmetrized products, the operators ``covariance_of`` traces."""
+    ops = quadratures(dim)
+    return ops, [[0.5 * (a @ b + b @ a) for b in ops] for a in ops]
 
 
-def covariance_of(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance matrix of the state."""
-    mean, second = quadrature_moments(state)
-    return mean, second - np.outer(mean, mean)
+def covariance_of(state: FockDensityMatrix, ops=None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean vector and covariance matrix of (q, p); ``ops`` is ``_moment_ops(state.dim)``."""
+    (q, p), sym = ops or _moment_ops(state.dim)
+    mean = np.array([float(np.trace(state.rho @ op).real) for op in (q, p)])
+    second = np.array([[float(np.trace(state.rho @ op).real) for op in row] for row in sym])
+    return mean, 0.5 * (second + second.T) - np.outer(mean, mean)
 
 
 def top_band_mass(state: FockDensityMatrix, band_fraction: float = TOP_BAND_FRACTION) -> float:
@@ -334,20 +357,28 @@ def _effective_deficit(state_in: FockDensityMatrix, state_out: FockDensityMatrix
 # 6 levels (measured top-band mass <= 4e-7 at k = 1.5) preserves the
 # generator's purpose: states whose truncation slack is negligible.
 CAMPAIGN_SUPPORT = {"attenuator": 10, "amplifier": 6, "classical_noise": 10}
+# Bytes of states in one campaign stack, at least one: 18 at d = 60, 1 at d = 1000.
+_STACK_BYTES = 1 << 20
 
 
-def _campaign(
-    verify, channel: DilationChannel, trials: int, rng: np.random.Generator, support: Optional[int]
-) -> dict:
-    """Run ``verify`` over random low-support states and tally the results."""
+def _campaign(channel, trials, rng, support, record, hypotheses=lambda state: None) -> dict:
+    """Draw random low-support states in trial order and tally their records.
+
+    Each chunk's ``hypotheses`` are checked in trial order before the chunk runs
+    as one stack; ``record(channel, state, out, checked)`` makes each record.
+    """
     if trials < 1:
         raise InadmissibleInputError("trials must be >= 1")
     if support is None:
         support = CAMPAIGN_SUPPORT.get(channel.kind, 10)
+    chunk = max(1, _STACK_BYTES // (16 * channel.dim**2))
     records = []
-    for _ in range(trials):
-        state = random_low_support_state(rng, dim=channel.dim, support=support)
-        records.append(verify(channel, state))
+    for start in range(0, trials, chunk):
+        draw = range(min(chunk, trials - start))
+        states = [random_low_support_state(rng, dim=channel.dim, support=support) for _ in draw]
+        checked = [hypotheses(state) for state in states]
+        outs = _apply_stack(channel, states)
+        records += [record(channel, *trial) for trial in zip(states, outs, checked)]
     return {
         "kind": channel.kind,
         "k": channel.k,
@@ -364,14 +395,16 @@ def lower_bound_campaign(
     channel: DilationChannel, trials: int, rng: np.random.Generator, support: Optional[int] = None
 ) -> dict:
     """Run verify_lower_bound over random low-support states and tally the results."""
-    return _campaign(verify_lower_bound, channel, trials, rng, support)
+    return _campaign(channel, trials, rng, support, _bound_record)
 
 
 def extremality_campaign(
     channel: DilationChannel, trials: int, rng: np.random.Generator, support: Optional[int] = None
 ) -> dict:
     """Run verify_extremality over random low-support states and tally the results."""
-    return _campaign(verify_extremality, channel, trials, rng, support)
+    gch, ops = channel.gaussian_channel(), _moment_ops(channel.dim)
+    hypotheses = lambda state: _extremality_hypotheses(gch, state, "flag", ops)  # noqa: E731
+    return _campaign(channel, trials, rng, support, _extremality_record, hypotheses)
 
 
 def verify_lower_bound(channel: DilationChannel, state: FockDensityMatrix) -> dict:
@@ -381,14 +414,15 @@ def verify_lower_bound(channel: DilationChannel, state: FockDensityMatrix) -> di
     deficit, the slack actually granted, and the reliability flags; the
     verdict ``holds`` means gain >= bound - slack.
     """
-    out = apply_channel(channel, state)
-    entropy_in = von_neumann_entropy(state)
-    entropy_out = von_neumann_entropy(out)
+    return _bound_record(channel, state, apply_channel(channel, state))
+
+
+def _bound_record(channel, state, out, checked=None) -> dict:
+    entropy_in, entropy_out = von_neumann_entropy(state), von_neumann_entropy(out)
     gain = entropy_out - entropy_in
     bound = 2.0 * math.log(channel.k)  # k**2 underflows to 0 below k = 1e-162
     deficit = _effective_deficit(state, out)
     slack = slack_from_deficit(deficit)
-    flags_in = truncation_flags(state)
     flags_out = truncation_flags(out)
     return {
         "gain": gain,
@@ -398,7 +432,7 @@ def verify_lower_bound(channel: DilationChannel, state: FockDensityMatrix) -> di
         "deficit": deficit,
         "slack": slack,
         "holds": bool(gain >= bound - slack),
-        "reliable": bool(flags_in["reliable"] and flags_out["reliable"]),
+        "reliable": bool(truncation_flags(state)["reliable"] and flags_out["reliable"]),
         "top_band_mass_out": flags_out["top_band_mass"],
     }
 
@@ -422,20 +456,23 @@ def verify_extremality(
     """
     if saturating not in ("flag", "refuse"):
         raise InadmissibleInputError("saturating must be 'flag' or 'refuse'")
+    checked = _extremality_hypotheses(channel.gaussian_channel(), state, saturating)
+    return _extremality_record(channel, state, apply_channel(channel, state), checked)
+
+
+def _extremality_hypotheses(gch: GaussianChannel, state, saturating: str, ops=None) -> tuple:
+    """verify_extremality's hypotheses on one state: (nu_min, flagged, Gaussian gain)."""
     space = canonical_form(1)
-    mean, alpha = covariance_of(state)
+    _, alpha = covariance_of(state, ops)
     nu_min = float(symplectic_eigenvalues(alpha, space)[-1])
     if nu_min <= 0.5 + 1e-9:
         raise HypothesisViolationError(
             f"state covariance is degenerate (min symplectic eigenvalue {nu_min:.9f})"
         )
-    gch = channel.gaussian_channel()
     flagged = False
     if not gch.strict:
         if saturating == "refuse":
-            raise HypothesisViolationError(
-                "channel noise certificate is saturating, not strict"
-            )
+            raise HypothesisViolationError("channel noise certificate is saturating, not strict")
         out_alpha = apply_to_covariance(gch, alpha)
         out_nu = float(symplectic_eigenvalues(out_alpha, space)[-1])
         if out_nu <= 0.5 + 1e-9:
@@ -443,8 +480,11 @@ def verify_extremality(
                 "saturating channel maps this state to a degenerate Gaussian image"
             )
         flagged = True
-    gauss_gain = gaussian_gain(gch, alpha)
-    out = apply_channel(channel, state)
+    return nu_min, flagged, gaussian_gain(gch, alpha)
+
+
+def _extremality_record(channel, state, out, checked) -> dict:
+    nu_min, flagged, gauss_gain = checked
     gain = von_neumann_entropy(out) - von_neumann_entropy(state)
     deficit = _effective_deficit(state, out)
     slack = slack_from_deficit(deficit)

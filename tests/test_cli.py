@@ -1,5 +1,6 @@
 """Tests for the command-line interface: reports, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -169,6 +170,27 @@ class TestFock:
             assert main(argv + ["--out", path]) == 0
         capsys.readouterr()
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+    # md5 of the reports written when campaigns ran one trial at a time;
+    # stacked campaigns must reproduce them byte for byte
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "fock --preset amplifier --k 1.5 --trials 20 --seed 3",
+                "f0ac411fdd1dec4ff31f2e0a2f2efa03",
+            ),
+            (
+                "fock --preset classical-noise --k 1 --noise 0.3 --extremality --trials 10 --seed 3",
+                "c1bf00c1d4776d5b8c9376bf915a946d",
+            ),
+        ],
+    )
+    def test_report_is_byte_identical_to_the_frozen_digest(self, argv, digest, capsys):
+        code, out, err = run(argv.split(), capsys)
+        assert code == 0
+        assert err == ""
+        assert hashlib.md5(out.encode()).hexdigest() == digest
 
     def test_tiny_dim_exits_4_but_reports(self, tmp_path, capsys):
         out_path = str(tmp_path / "tiny.json")

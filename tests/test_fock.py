@@ -1,12 +1,14 @@
 """Tests for the truncated Fock-space oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egain import fock
 from egain.channels import apply_to_covariance
 from egain.errors import HypothesisViolationError, InadmissibleInputError
 from egain.fock import (
@@ -94,6 +96,21 @@ def dense_output(stages, state):
     return out / np.trace(out).real
 
 
+def full_block_kraus_sums(channel, rho):
+    """Kraus sums of one matrix over every l and whole blocks, whatever levels it occupies."""
+    for amps, lowering in ((channel.first, True), (channel.kraus, channel.kind == "attenuator")):
+        if amps is None:
+            continue
+        out = np.zeros_like(rho, dtype=complex)
+        for l, row in enumerate(amps):
+            src, dst = slice(l, None), slice(0, len(row) - l)
+            if not lowering:
+                src, dst = dst, src
+            out[dst, dst] += np.outer(row[src], row[src].conj()) * rho[src, src]
+        rho = out
+    return rho
+
+
 def displacement_mixture_kraus(nbar, dim, order):
     """Classical noise as a Gauss-Hermite mixture of displacement unitaries.
 
@@ -155,6 +172,21 @@ class TestFockDensity:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InadmissibleInputError):
             fock_density(np.diag([1.2, -0.2]).astype(complex))
+
+    def test_stack_raises_for_its_first_bad_matrix(self):
+        good = np.diag([0.5, 0.5]).astype(complex)
+        negative = np.diag([1.2, -0.2]).astype(complex)
+        skew = np.array([[0.5, 0.4], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(InadmissibleInputError) as alone:
+            fock_density(negative)
+        with pytest.raises(InadmissibleInputError, match=re.escape(str(alone.value))):
+            fock._validated(np.stack([good, negative, skew]), [0.0] * 3)
+
+    def test_input_is_left_unchanged(self):
+        rho = np.array([[0.6, 0.1 + 1e-14], [0.1, 0.6]], dtype=complex)
+        before = rho.copy()
+        fock_density(rho)
+        assert np.array_equal(rho, before)
 
     def test_random_states_are_valid(self, rng):
         for _ in range(5):
@@ -397,3 +429,134 @@ class TestProp3:
 @pytest.fixture(scope="module")
 def amplifier_small():
     return build_dilation("amplifier", 2.0, dim=40)
+
+
+@pytest.fixture(scope="module")
+def small_dilations():
+    return [
+        build_dilation("attenuator", 0.7, dim=20),
+        build_dilation("amplifier", 1.5, dim=20),
+        build_dilation("classical_noise", 1.0, dim=20, noise=0.3),
+    ]
+
+
+class TestOccupiedLevels:
+    """Kraus stages move only the levels a stack occupies; no output may show it."""
+
+    @pytest.mark.parametrize(
+        "make_state",
+        [lambda d: number_state(d - 1, d), lambda d: thermal_state(2.0, d), lambda d: number_state(0, d)],
+        ids=["top-level", "full-support", "one-level"],
+    )
+    def test_edge_states_match_dense_reference(self, small_dilations, make_state):
+        for channel in small_dilations:
+            state = make_state(channel.dim)
+            reference = dense_output(dense_stages(channel), state)
+            assert np.abs(apply_channel(channel, state).rho - reference).max() <= 1e-14
+
+    def test_occupancy_is_taken_over_the_whole_stack(self, small_dilations, rng):
+        # only the last matrix reaches level 15: occupancy read from the first
+        # matrix alone would move one level and lose the rest
+        dim = 20
+        states = [
+            number_state(0, dim),
+            random_low_support_state(rng, dim=dim, support=4),
+            number_state(15, dim),
+        ]
+        for channel in small_dilations:
+            stages = dense_stages(channel)
+            sums = fock._kraus_sums(channel, np.stack([state.rho for state in states]))
+            outs = fock._apply_stack(channel, states)
+            for state, summed, out in zip(states, sums, outs):
+                assert np.array_equal(summed, full_block_kraus_sums(channel, state.rho))
+                assert np.abs(out.rho - dense_output(stages, state)).max() <= 1e-14
+                alone = apply_channel(channel, state)
+                assert np.array_equal(out.rho, alone.rho)
+                assert np.array_equal(out.spectrum, alone.spectrum)
+                assert out.trace_deficit == alone.trace_deficit
+
+    def test_channel_on_identity_is_the_full_block_sum(self, small_dilations):
+        for channel in small_dilations:
+            identity = np.eye(channel.dim)
+            assert np.array_equal(channel_on_identity(channel), full_block_kraus_sums(channel, identity))
+
+
+class TestStackedCampaigns:
+    """Campaigns run chunks of trials as stacks; their records are the per-state verifiers'."""
+
+    TRIALS = 40  # three chunks at d = 60
+
+    @staticmethod
+    def campaign_states(channel, seed, trials):
+        gen = np.random.default_rng(seed)
+        support = fock.CAMPAIGN_SUPPORT[channel.kind]
+        return [random_low_support_state(gen, dim=channel.dim, support=support) for _ in range(trials)]
+
+    def test_lower_bound_records_equal_per_state_results(self, attenuator, amplifier, classical_noise):
+        for channel in (attenuator, amplifier, classical_noise):
+            summary = lower_bound_campaign(channel, self.TRIALS, np.random.default_rng(7))
+            states = self.campaign_states(channel, 7, self.TRIALS)
+            assert summary["records"] == [verify_lower_bound(channel, state) for state in states]
+
+    def test_extremality_records_equal_per_state_results(self, attenuator, classical_noise):
+        for channel in (classical_noise, attenuator):
+            summary = extremality_campaign(channel, self.TRIALS, np.random.default_rng(7))
+            states = self.campaign_states(channel, 7, self.TRIALS)
+            assert summary["records"] == [verify_extremality(channel, state) for state in states]
+            saturating = channel is attenuator
+            assert all(r["flagged_saturating"] == saturating for r in summary["records"])
+
+    def test_degenerate_trial_mid_chunk_raises_before_its_chunk_runs(self, classical_noise, monkeypatch):
+        with pytest.raises(HypothesisViolationError) as alone:
+            verify_extremality(classical_noise, number_state(0, DIM))
+        draw, kernel, drawn, stacks = fock.random_low_support_state, fock._kraus_sums, [], []
+
+        def draw_vacuum_25th(rng, **kwargs):
+            drawn.append(draw(rng, **kwargs))
+            return number_state(0, DIM) if len(drawn) == 25 else drawn[-1]
+
+        def spy(channel, rho):
+            stacks.append(len(rho))
+            return kernel(channel, rho)
+
+        monkeypatch.setattr(fock, "random_low_support_state", draw_vacuum_25th)
+        monkeypatch.setattr(fock, "_kraus_sums", spy)
+        with pytest.raises(HypothesisViolationError, match=re.escape(str(alone.value))):
+            extremality_campaign(classical_noise, self.TRIALS, np.random.default_rng(7))
+        assert stacks == [18]
+        assert len(drawn) == 36
+
+    def test_stacks_stay_within_the_byte_budget(self, classical_noise, monkeypatch):
+        kernel, sizes = fock._kraus_sums, []
+
+        def spy(channel, rho):
+            assert rho.nbytes <= fock._STACK_BYTES
+            sizes.append(len(rho))
+            return kernel(channel, rho)
+
+        monkeypatch.setattr(fock, "_kraus_sums", spy)
+        lower_bound_campaign(classical_noise, self.TRIALS, np.random.default_rng(7))
+        assert sizes == [18, 18, 4]
+
+    def test_one_trial_per_stack_at_the_largest_cutoff(self, monkeypatch):
+        # one 1000-level state is over the budget, so a stack holds one trial;
+        # an identity channel and vacuum inputs keep the set-up cheap, and the
+        # spy stops the campaign at its first stack
+        dim = 1000
+        identity = np.zeros((dim, dim), dtype=complex)
+        identity[0] = 1.0
+        channel = DilationChannel(kind="attenuator", k=0.5, dim=dim, kraus=identity)
+        shapes = []
+
+        class FirstStack(Exception):
+            pass
+
+        def spy(channel, rho):
+            shapes.append(rho.shape)
+            raise FirstStack
+
+        monkeypatch.setattr(fock, "random_low_support_state", lambda rng, dim, support: number_state(0, dim))
+        monkeypatch.setattr(fock, "_kraus_sums", spy)
+        with pytest.raises(FirstStack):
+            lower_bound_campaign(channel, 3, np.random.default_rng(0))
+        assert shapes == [(1, dim, dim)]
