@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InadmissibleInputError, NonRegularChannelError
-from .gaussian import QuadraticHamiltonian, _entropies, _gibbs_covariances, entropy_of_covariance
+from .gaussian import QuadraticHamiltonian, _entropies, _gibbs_covariances
 from .symplectic import (
     DEFAULT_TOL,
     HermitianCert,
@@ -33,8 +33,8 @@ from .symplectic import (
     _least_eigenvalues,
     _refuse,
     _require_symmetric,
+    _symplectic_spectrum,
     _transpose,
-    symplectic_eigenvalues,
 )
 
 __all__ = [
@@ -146,7 +146,11 @@ def apply_to_covariance(
 
     A (B, 2s, 2s) stack of covariances gives the stack of outputs.
     """
-    alpha = _require_symmetric(alpha, channel.space, tol)
+    return _apply(channel, _require_symmetric(alpha, channel.space, tol), tol)
+
+
+def _apply(channel: GaussianChannel, alpha: np.ndarray, tol: float) -> np.ndarray:
+    """``apply_to_covariance`` on an exactly symmetric matrix or stack, which it does not validate."""
     out = channel.K.T @ alpha @ channel.K + channel.mu
     out = 0.5 * (out + _transpose(out))
     min_eig, abs_tol = _least_eigenvalues(out + 0.5j * channel.space.delta, tol)
@@ -176,18 +180,19 @@ def minimal_entropy_gain(channel: GaussianChannel) -> float:
 
 
 def _output_entropies(channel: GaussianChannel, alpha: np.ndarray, tol: float) -> np.ndarray:
-    """Entropy of the channel output on each covariance of alpha (one or a stack)."""
-    out = apply_to_covariance(channel, alpha, tol)
-    return _entropies(symplectic_eigenvalues(out, channel.space, tol))
+    """Entropy of the channel output on each exactly symmetric covariance of alpha (one or a stack)."""
+    out = _apply(channel, alpha, tol)
+    return _entropies(_symplectic_spectrum(out, channel.space, tol))
 
 
 def gaussian_gain(
     channel: GaussianChannel, alpha: np.ndarray, tol: float = DEFAULT_TOL
 ) -> float:
     """Entropy gain of the channel on the Gaussian state with covariance alpha."""
-    return float(_output_entropies(channel, alpha, tol)) - entropy_of_covariance(
-        alpha, channel.space, tol
-    )
+    space = channel.space
+    alpha = _require_symmetric(alpha, space, tol)
+    output = float(_output_entropies(channel, alpha, tol))
+    return output - float(_entropies(_symplectic_spectrum(alpha, space, tol)))
 
 
 def default_beta_grid(

@@ -27,9 +27,12 @@ from .symplectic import (
     HermitianCert,
     PhaseSpace,
     check_hermitian_psd,
+    _positive_half,
     _refuse,
+    _require_definite,
     _require_symmetric,
     _sym_sqrt,
+    _symplectic_spectrum,
     _transpose,
     symplectic_eigenvalues,
 )
@@ -55,12 +58,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Gaussian state given by mean vector, covariance and its admissibility cert."""
+    """Gaussian state given by mean vector, covariance and its admissibility cert.
+
+    ``nu`` holds the symplectic eigenvalues of ``alpha`` (descending), kept
+    from validation so the entropy needs no eigensolve; ``alpha`` is
+    read-only so that they cannot go stale.
+    """
 
     space: PhaseSpace
     mean: np.ndarray
     alpha: np.ndarray
     cert: HermitianCert
+    nu: np.ndarray
 
     @property
     def nondegenerate(self) -> bool:
@@ -79,7 +88,7 @@ def gaussian_state(
     alpha: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> GaussianState:
-    """Validate moments and assemble a Gaussian state.
+    """Validate moments and assemble a Gaussian state with its symplectic spectrum.
 
     Rejects covariances for which alpha + (i/2) delta is indefinite.
     """
@@ -88,14 +97,27 @@ def gaussian_state(
         raise InadmissibleInputError(
             f"mean must have length {2 * space.s}, got shape {mean.shape}"
         )
-    alpha = _require_symmetric(alpha, space, tol)
+    return _admissible_state(space, mean, _require_symmetric(alpha, space, tol), tol)
+
+
+def _admissible_state(
+    space: PhaseSpace, mean: np.ndarray, alpha: np.ndarray, tol: float, nu=None
+) -> GaussianState:
+    """State of an exactly symmetric alpha that passes the uncertainty bound.
+
+    ``nu`` is the symplectic spectrum of alpha when the caller has it, and
+    is solved for otherwise. alpha becomes read-only.
+    """
     cert = check_hermitian_psd(alpha + 0.5j * space.delta, tol)
     if not cert.is_positive_semidefinite:
         raise InadmissibleInputError(
             "covariance fails the uncertainty bound: min eigenvalue of "
             f"alpha + (i/2) delta is {cert.min_eigenvalue:.3e}"
         )
-    return GaussianState(space=space, mean=mean, alpha=alpha, cert=cert)
+    if nu is None:
+        nu = _symplectic_spectrum(alpha, space, tol)
+    alpha.flags.writeable = False
+    return GaussianState(space=space, mean=mean, alpha=alpha, cert=cert, nu=nu)
 
 
 def vacuum_state(space: PhaseSpace) -> GaussianState:
@@ -106,22 +128,40 @@ def vacuum_state(space: PhaseSpace) -> GaussianState:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
-    """Positive definite quadratic Hamiltonian, represented by its matrix."""
+    """Positive definite quadratic Hamiltonian, with its normal modes solved once.
+
+    ``eigenvalues`` are those of the read-only ``epsilon`` (ascending), and
+    ``root``, ``inv_root`` are epsilon^(1/2) and epsilon^(-1/2). ``w``, ``U``
+    are the eigenpairs of the Hermitian matrix i epsilon^(1/2) delta
+    epsilon^(1/2), whose eigenvalues are the normal-mode frequencies +-m_j,
+    and ``spectrum`` is the eigenvalues of its negative, from which
+    ``symplectic_eigenvalues(epsilon)`` takes the m_j. Each use tests
+    ``eigenvalues`` and ``spectrum`` again at its own tolerance.
+    """
 
     space: PhaseSpace
     epsilon: np.ndarray
+    eigenvalues: np.ndarray
+    root: np.ndarray
+    inv_root: np.ndarray
+    w: np.ndarray
+    U: np.ndarray
+    spectrum: np.ndarray
 
 
 def quadratic_hamiltonian(
     space: PhaseSpace, epsilon: np.ndarray, tol: float = DEFAULT_TOL
 ) -> QuadraticHamiltonian:
+    """Validate epsilon and solve its normal modes for every later use."""
     epsilon = _require_symmetric(epsilon, space, tol)
-    w = np.linalg.eigvalsh(epsilon)
-    if w[0] <= tol * max(1.0, w[-1]):
-        raise InadmissibleInputError(
-            f"Hamiltonian matrix must be positive definite (min eigenvalue {w[0]:.3e})"
-        )
-    return QuadraticHamiltonian(space=space, epsilon=epsilon)
+    eigenvalues, root, inv_root = _sym_sqrt(epsilon, tol, "Hamiltonian matrix")
+    form = root @ space.delta @ root
+    w, U = np.linalg.eigh(1j * form)
+    # solved apart from w because eigvalsh and eigh agree only to rounding,
+    # and log_partition takes the frequencies as symplectic_eigenvalues does
+    spectrum = np.linalg.eigvalsh(-1j * form)
+    epsilon.flags.writeable = False
+    return QuadraticHamiltonian(space, epsilon, eigenvalues, root, inv_root, w, U, spectrum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +194,7 @@ def gibbs_covariance(
     the complex numbers and applying the scalar cotangent to its (purely
     imaginary) spectrum. For numerical stability the eigenproblem is solved
     in the Hermitian form i epsilon^(1/2) delta epsilon^(1/2), which is
-    similar to i epsilon delta.
+    similar to i epsilon delta, once when the Hamiltonian is built.
     """
     return _gibbs_covariances(hamiltonian, beta, tol)[0]
 
@@ -167,11 +207,11 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas, tol: float):
     """
     betas = np.asarray(betas, dtype=float)
     _refuse(~(betas > 0), InadmissibleInputError, "beta must be positive")
+    _require_definite(hamiltonian.eigenvalues, tol)
     space = hamiltonian.space
     delta = space.delta
-    root, inv_root = _sym_sqrt(hamiltonian.epsilon, tol)
-    herm = 1j * (root @ delta @ root)
-    w, U = np.linalg.eigh(herm)
+    root, inv_root = hamiltonian.root, hamiltonian.inv_root
+    w, U = hamiltonian.w, hamiltonian.U
     # |w| are the normal-mode frequencies m and alpha grows like 1/(2 beta m);
     # the checks below square its entries, which overflows near beta m = 1e-154
     # for epsilon = I, so refuse well before, leaving room for ill-conditioning
@@ -181,7 +221,8 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas, tol: float):
         "beta = {:.3g} is too small: the Gibbs covariance would overflow",
         betas,
     )
-    # epsilon @ delta = root @ (-i herm) @ inv_root has eigenvalues -i w.
+    # with herm = i root @ delta @ root = U diag(w) U^H, epsilon @ delta =
+    # root @ (-i herm) @ inv_root has eigenvalues -i w.
     cot_vals = _stable_cot(-1j * betas[..., None] * w)
     cot_core = (U * cot_vals[..., None, :]) @ U.conj().T
     cot_mat = root @ cot_core @ inv_root
@@ -195,7 +236,7 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas, tol: float):
     asym = np.abs(alpha - _transpose(alpha)).max(axis=(-2, -1))
     _refuse(asym > 1e-9 * scale, RuntimeError, "matrix cotangent result asymmetric by {:.3e}", asym)
     alpha = 0.5 * (alpha + _transpose(alpha))
-    nu = symplectic_eigenvalues(alpha, space, tol)
+    nu = _symplectic_spectrum(alpha, space, tol)
     # The exact result is nondegenerate for every beta > 0; in floating point
     # coth saturates for very large beta and nu rounds down to exactly 1/2,
     # so only genuine admissibility failures are treated as errors here.
@@ -221,7 +262,8 @@ def log_partition(
     """
     if not beta > 0:
         raise InadmissibleInputError("beta must be positive")
-    m = symplectic_eigenvalues(hamiltonian.epsilon, hamiltonian.space, tol)
+    _require_definite(hamiltonian.eigenvalues, tol)
+    m = _positive_half(hamiltonian.spectrum, hamiltonian.space.s, tol)
     x = beta * m
     # log(2 sinh x) = x + log(1 - exp(-2x)), stable for all x > 0
     return float(-np.sum(x + np.log(-np.expm1(-2.0 * x))))
@@ -231,9 +273,10 @@ def gibbs_state(
     hamiltonian: QuadraticHamiltonian, beta: float, tol: float = DEFAULT_TOL
 ) -> GibbsState:
     """Assemble the Gibbs state (zero mean) with its log-partition value."""
-    alpha = gibbs_covariance(hamiltonian, beta, tol)
+    alpha, nu = _gibbs_covariances(hamiltonian, beta, tol)
     c_beta = log_partition(hamiltonian, beta, tol)
-    base = gaussian_state(hamiltonian.space, np.zeros(2 * hamiltonian.space.s), alpha, tol)
+    space = hamiltonian.space
+    base = _admissible_state(space, np.zeros(2 * space.s), alpha, tol, nu)
     return GibbsState(base=base, beta=float(beta), hamiltonian=hamiltonian, c_beta=c_beta)
 
 
@@ -268,9 +311,9 @@ def _entropies(nu: np.ndarray) -> np.ndarray:
     return np.sum(mode_entropy(nu), axis=-1)
 
 
-def gaussian_entropy(state: GaussianState, tol: float = DEFAULT_TOL) -> float:
+def gaussian_entropy(state: GaussianState) -> float:
     """von Neumann entropy of a Gaussian state (mean plays no role)."""
-    return entropy_of_covariance(state.alpha, state.space, tol)
+    return float(_entropies(state.nu))
 
 
 def entropy_matrix_form(

@@ -138,19 +138,45 @@ def _require_symmetric(alpha: np.ndarray, space: PhaseSpace, tol: float) -> np.n
     return 0.5 * (alpha + _transpose(alpha))
 
 
-def _sym_sqrt(alpha: np.ndarray, tol: float):
-    """Square root and inverse square root of each symmetric positive definite matrix."""
-    w, Q = np.linalg.eigh(alpha)
+def _require_definite(w: np.ndarray, tol: float, what: str = "matrix") -> None:
+    """Refuse each ascending spectrum in w whose least eigenvalue is not above tol * max(1, largest)."""
     _refuse(
         w[..., 0] <= tol * np.maximum(1.0, w[..., -1]),
         InadmissibleInputError,
-        "matrix is not positive definite (min eigenvalue {:.3e})",
+        f"{what} fails the test min eigenvalue > tol * max(1, max eigenvalue): "
+        f"min eigenvalue {{:.3e}}, max eigenvalue {{:.3e}}, tol {tol:.3g}",
         w[..., 0],
+        w[..., -1],
     )
+
+
+def _sym_sqrt(alpha: np.ndarray, tol: float, what: str = "matrix"):
+    """Eigenvalues, square root and inverse square root of each symmetric positive definite matrix."""
+    w, Q = np.linalg.eigh(alpha)
+    _require_definite(w, tol, what)
     root_w = np.sqrt(w)[..., None, :]
     root = (Q * root_w) @ _transpose(Q)
     inv_root = (Q / root_w) @ _transpose(Q)
-    return root, inv_root
+    return w, root, inv_root
+
+
+def _positive_half(ev: np.ndarray, s: int, tol: float) -> np.ndarray:
+    """Descending positive half of each ascending spectrum of +/- pairs in ev, checked to pair up."""
+    # np.allclose(ev, -ev[::-1]) for each matrix
+    mirror = -ev[..., ::-1]
+    atol = tol * np.maximum(1.0, np.abs(ev[..., -1]))
+    paired = np.abs(ev - mirror) <= atol[..., None] + 1e-5 * np.abs(mirror)
+    _refuse(
+        ~paired.all(axis=-1), RuntimeError, "symplectic spectrum did not split into +/- pairs"
+    )
+    return ev[..., ::-1][..., :s].copy()
+
+
+def _symplectic_spectrum(alpha: np.ndarray, space: PhaseSpace, tol: float) -> np.ndarray:
+    """``symplectic_eigenvalues`` of an exactly symmetric matrix or stack, which it does not validate."""
+    _, root, _ = _sym_sqrt(alpha, tol)
+    herm = -1j * (root @ space.delta @ root)  # i * delta^-1 conjugated by alpha^(1/2)
+    return _positive_half(np.linalg.eigvalsh(herm), space.s, tol)
 
 
 def symplectic_eigenvalues(
@@ -163,18 +189,7 @@ def symplectic_eigenvalues(
     ``i delta^-1 alpha`` and therefore carries the pairs (+nu_j, -nu_j).
     A (B, 2s, 2s) stack gives one row of eigenvalues per matrix.
     """
-    alpha = _require_symmetric(alpha, space, tol)
-    root, _ = _sym_sqrt(alpha, tol)
-    herm = -1j * (root @ space.delta @ root)  # i * delta^-1 conjugated by alpha^(1/2)
-    ev = np.linalg.eigvalsh(herm)
-    # np.allclose(ev, -ev[::-1]) for each matrix
-    mirror = -ev[..., ::-1]
-    atol = tol * np.maximum(1.0, np.abs(ev[..., -1]))
-    paired = np.abs(ev - mirror) <= atol[..., None] + 1e-5 * np.abs(mirror)
-    _refuse(
-        ~paired.all(axis=-1), RuntimeError, "symplectic spectrum did not split into +/- pairs"
-    )
-    return ev[..., ::-1][..., : space.s].copy()
+    return _symplectic_spectrum(_require_symmetric(alpha, space, tol), space, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +215,7 @@ def williamson(
     symplectic and diagonalize alpha by congruence.
     """
     alpha = _require_symmetric(alpha, space, tol)
-    root, inv_root = _sym_sqrt(alpha, tol)
+    _, root, inv_root = _sym_sqrt(alpha, tol)
     herm = -1j * (root @ space.delta @ root)
     w, W = np.linalg.eigh(herm)
     order = np.argsort(w)[::-1][: space.s]

@@ -43,3 +43,21 @@ def random_regular_channel(rng, modes, tol=1e-9):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture
+def count_eigensolves(monkeypatch):
+    """List that gains the solver's name at each np.linalg.eigh or eigvalsh call.
+
+    Stacked calls count once. Clear the list to start a new count.
+    """
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls.append(_name)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

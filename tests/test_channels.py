@@ -219,26 +219,27 @@ class TestBetaSweep:
         assert "channel output violated admissibility" in str(looped.value)
         assert str(stacked.value) == str(looped.value)
 
-    def test_eigensolve_count_does_not_grow_with_the_grid(self, monkeypatch):
+    def test_eigensolve_count_does_not_grow_with_the_grid(self, count_eigensolves):
         gen = np.random.default_rng(5)
         channel = random_regular_channel(gen, 2)
         ham = quadratic_hamiltonian(channel.space, random_spd(gen, 4))
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
-
-            def counted(*args, _solver=solver, **kwargs):
-                calls.append(1)
-                return _solver(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
         counts = []
         for points in (25, 50):
-            calls.clear()
+            count_eigensolves.clear()
             grid = default_beta_grid(points=points)
             gain_beta_sweep(channel, ham, beta_grid=grid, adaptive=False)
-            counts.append(len(calls))
+            counts.append(len(count_eigensolves))
         assert counts[0] == counts[1]
+
+    def test_non_adaptive_sweep_solves_five_eigenproblems(self, count_eigensolves):
+        # the Gibbs spectra (2), the output admissibility check (1) and the
+        # output spectra (2); the Hamiltonian's normal modes come from its build
+        gen = np.random.default_rng(6)
+        channel = random_regular_channel(gen, 3)
+        ham = quadratic_hamiltonian(channel.space, random_spd(gen, 6))
+        count_eigensolves.clear()
+        gain_beta_sweep(channel, ham, adaptive=False)
+        assert len(count_eigensolves) == 5
 
     def test_rejects_ascending_grid(self):
         channel = preset_channel("attenuator", 0.5)

@@ -519,6 +519,36 @@ def test_bad_numbers_exit_2_cleanly(argv, env_tol, message, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize(
+    "argv, matrix, named",
+    [
+        # an admissible squeezed state (nu = 1) past the relative threshold
+        pytest.param(
+            "williamson {}",
+            [[1e8, 0.0], [0.0, 1e-8]],
+            ("min eigenvalue 1.000e-08", "max eigenvalue 1.000e+08"),
+            id="williamson-squeezed",
+        ),
+        pytest.param(
+            "sweep --preset attenuator --k 0.5 --epsilon-file {}",
+            [[1e12, 0.0], [0.0, 1.0]],
+            ("min eigenvalue 1.000e+00", "max eigenvalue 1.000e+12"),
+            id="sweep-stiff-epsilon",
+        ),
+    ],
+)
+def test_relative_positivity_refusal_names_what_was_tested(argv, matrix, named, tmp_path, capsys):
+    path = str(tmp_path / "matrix.json")
+    save_matrix(path, np.array(matrix))
+    code = main(argv.format(path).split())
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    for text in (*named, "tol 1e-09"):
+        assert text in err
+
+
+@pytest.mark.parametrize(
     "argv, flag, limit",
     [
         ("fock --preset attenuator --k 0.7 --dim", "--dim", cli.FOCK_DIM_MAX),

@@ -1,5 +1,6 @@
 """Tests for Gaussian states, Gibbs states, and the two entropy routes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -185,6 +186,71 @@ class TestGibbs:
         space = canonical_form(1)
         with pytest.raises(InadmissibleInputError):
             quadratic_hamiltonian(space, np.diag([1.0, -1.0]))
+
+
+class TestSolvedOnce:
+    """A Hamiltonian keeps its normal modes and a state its symplectic spectrum."""
+
+    @pytest.fixture
+    def hamiltonian(self):
+        return quadratic_hamiltonian(canonical_form(3), random_spd(np.random.default_rng(9), 6))
+
+    def test_build_solves_at_most_four_eigenproblems(self, count_eigensolves):
+        quadratic_hamiltonian(canonical_form(3), random_spd(np.random.default_rng(9), 6))
+        assert len(count_eigensolves) <= 4
+
+    def test_gibbs_state_solves_at_most_three(self, hamiltonian, count_eigensolves):
+        gibbs_state(hamiltonian, 0.3)
+        assert len(count_eigensolves) <= 3
+
+    def test_entropy_and_log_partition_solve_none(self, hamiltonian, count_eigensolves):
+        state = gibbs_state(hamiltonian, 0.3)
+        count_eigensolves.clear()
+        gaussian_entropy(state.base)
+        log_partition(hamiltonian, 0.3)
+        assert count_eigensolves == []
+
+    @staticmethod
+    def seeded_gibbs_states(modes):
+        """A seeded Hamiltonian on the given modes and its Gibbs states at four betas in [1e-3, 10]."""
+        gen = np.random.default_rng(100 + modes)
+        ham = quadratic_hamiltonian(canonical_form(modes), random_spd(gen, 2 * modes))
+        for beta in 10.0 ** gen.uniform(-3.0, 1.0, size=4):
+            yield ham, beta, gibbs_state(ham, beta)
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_kept_values_equal_the_public_routes_exactly(self, modes):
+        for ham, beta, state in self.seeded_gibbs_states(modes):
+            assert state.c_beta == log_partition(ham, beta)
+            assert gaussian_entropy(state.base) == entropy_of_covariance(state.base.alpha, ham.space)
+            assert np.array_equal(state.base.alpha, gibbs_covariance(ham, beta))
+
+    def test_values_are_frozen_bit_for_bit(self):
+        # md5 of c_beta, the entropy and alpha as computed when every call
+        # solved the normal modes and spectra again; the kept ones must match
+        digest = hashlib.md5()
+        for modes in range(1, 7):
+            for _, _, state in self.seeded_gibbs_states(modes):
+                digest.update(np.array([state.c_beta, gaussian_entropy(state.base)]).tobytes())
+                digest.update(state.base.alpha.tobytes())
+        assert digest.hexdigest() == "cc53f1450a5dfc04c35728efbdc2fa2f"
+
+    def test_each_use_tests_the_hamiltonian_at_its_own_tol(self):
+        # built at a looser tolerance than the Gibbs checks apply
+        ham = quadratic_hamiltonian(canonical_form(1), np.diag([1.0, 1e-10]), tol=1e-12)
+        for use in (gibbs_state, gibbs_covariance, log_partition):
+            with pytest.raises(InadmissibleInputError, match="min eigenvalue 1.000e-10"):
+                use(ham, 1.0)
+
+    def test_stored_inputs_are_read_only(self, hamiltonian):
+        state = gibbs_state(hamiltonian, 0.3)
+        for kept in (state.base.alpha, hamiltonian.epsilon):
+            with pytest.raises(ValueError):
+                kept[0, 0] = 1.0
+        # the caller's own matrix is copied, not frozen
+        alpha = 1.5 * np.eye(2)
+        gaussian_state(canonical_form(1), np.zeros(2), alpha)
+        alpha[0, 0] = 2.0
 
 
 class TestGaussify:
