@@ -84,7 +84,7 @@ def make_channel(
     n = 2 * space.s
     if K.shape != (n, n):
         raise InadmissibleInputError(f"K must be {n}x{n}, got {K.shape}")
-    mu = _require_symmetric(mu, space, tol)
+    mu = _require_symmetric(mu, space, tol, "channel noise mu")
     noise_bound = mu - 0.5j * (space.delta - K.T @ space.delta @ K)
     cert = check_hermitian_psd(noise_bound, tol)
     if not cert.is_positive_semidefinite:

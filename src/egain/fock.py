@@ -4,7 +4,8 @@ Everything here is deliberately independent of the exact phase-space
 machinery: states are dense d x d density matrices in the number basis,
 channels act by explicit Kraus sums from two-mode unitary dilations: a
 beamsplitter (attenuator), a two-mode squeezer (amplifier), or the one after
-the other (classical noise). Comparing entropy gains computed this way
+the other (classical noise), with the dilations' Kraus amplitudes taken in
+closed form. Comparing entropy gains computed this way
 against the closed-form and Gaussian-extremality predictions is the
 package's main numerical evidence.
 
@@ -12,10 +13,11 @@ Campaigns draw their states in trial order and run them in chunks of at most
 ``_STACK_BYTES`` as (B, d, d) stacks; each Kraus stage moves only the levels the
 stack occupies, so records are bit-identical to ``verify_*`` on each state.
 
-Truncation policy: results carry a ``trace_deficit`` and states whose
-deficit or top-band population (top ceil(0.2 d) levels) exceeds 1e-6 are
-flagged unreliable; unreliable trials are reported, never silently
-dropped. Bound checks use the slack 50 * deficit + 1e-6.
+Truncation policy: results carry a ``trace_deficit``, which includes the
+mass a channel moves past the cutoff, and states whose deficit or top-band
+population (top ceil(0.2 d) levels) exceeds 1e-6 are flagged unreliable;
+unreliable trials are reported, never silently dropped. Bound checks use the
+slack 50 * deficit + 1e-6.
 """
 
 from __future__ import annotations
@@ -157,33 +159,29 @@ def von_neumann_entropy(state: FockDensityMatrix) -> float:
     return float(-(w * np.log(w)).sum())
 
 
-def _unitary_from_skew(G: np.ndarray) -> np.ndarray:
-    """exp(G) for anti-Hermitian G, via the Hermitian eigenproblem of iG."""
-    w, V = np.linalg.eigh(1j * G)
-    return (V * np.exp(-1j * w)) @ V.conj().T
-
-
-def _ladder_amplitudes(k: float, dim: int) -> np.ndarray:
-    """Kraus amplitudes of the attenuator (k < 1) or amplifier (k > 1) dilation.
+def _amplitudes(k: float, dim: int) -> np.ndarray:
+    """Kraus amplitudes of the attenuator (k < 1) or amplifier (k > 1), in closed form.
 
     Each Kraus operator V_l is a weighted shift: it sends |n> to |n - l>
     (k < 1) or |n + l> (k > 1) with amplitude amps[l, n], so row l of the
-    (dim, dim) table is its diagonal (Ivan, Sabapathy and Simon, PRA 84,
-    042311 (2011)). Each block, from (system n, environment vacuum), is
-    exponentiated alone: the beamsplitter, cos(theta) = k, runs down the
-    ladder (n-j, j), j <= n, exact below the cutoff; the two-mode squeezer,
-    cosh(r) = k, runs up the ladder (n+j, j) and is truncated at the cutoff,
-    distorting amplitudes near its top, which the top-band flag guards against.
+    (dim, dim) table is its diagonal. With m the lower of the input and output
+    levels and t = k or 1/k, the amplitude is sqrt(C(m + l, l)) t^m (1 - t^2)^(l/2)
+    for the attenuator, and t times that for the amplifier (Ivan, Sabapathy and
+    Simon, PRA 84, 042311 (2011)). Entries whose output level passes the cutoff
+    are zero: the amplifier's column n then sums to the mass it keeps, so the
+    loss shows in ``trace_deficit``.
     """
     lowering = k < 1.0
-    angle = math.acos(k) if lowering else -math.acosh(k)
-    amps = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim):
-        size = n + 1 if lowering else dim - n
-        j = np.arange(size - 1, dtype=float)
-        off = angle * np.sqrt((n - j if lowering else n + j + 1.0) * (j + 1.0))
-        G = np.diag(off, k=1) - np.diag(off, k=-1)
-        amps[:size, n] = _unitary_from_skew(G)[:, 0]
+    t = k if lowering else 1.0 / k
+    l, n = np.indices((dim, dim))
+    low = n - l if lowering else n
+    kept = (low >= 0) & (low + l < dim)
+    l, low = l[kept], low[kept]
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+    log_binom = log_fact[low + l] - log_fact[low] - log_fact[l]
+    shift = 0 if lowering else 1
+    amps = np.zeros((dim, dim))
+    amps[kept] = np.exp(0.5 * log_binom + (low + shift) * math.log(t) + 0.5 * l * math.log1p(-t * t))
     return amps
 
 
@@ -191,8 +189,9 @@ def _ladder_amplitudes(k: float, dim: int) -> np.ndarray:
 class DilationChannel:
     """One-mode channel in the number basis, one Kraus amplitude table per stage.
 
-    Tables are laid out as in ``_ladder_amplitudes``. ``kraus`` lowers photon
-    number for the attenuator and raises it otherwise; ``first``, applied
+    Each table is the closed form of ``_amplitudes``: row l is V_l's diagonal,
+    column n its input level. ``kraus`` lowers photon number for the
+    attenuator and raises it otherwise; ``first``, applied
     before it, is the attenuator half of classical noise, else None.
     """
 
@@ -229,7 +228,7 @@ def build_dilation(
         # its phase-space counterpart adds noise (k^2 - 1)/2, which is no float
         raise OverflowError(f"amplifier k = {k:g}: k**2 overflows")
     if kind in ("attenuator", "amplifier"):
-        return DilationChannel(kind, float(k), dim, _ladder_amplitudes(k, dim))
+        return DilationChannel(kind, float(k), dim, _amplitudes(k, dim))
     if kind != "classical_noise":
         raise InadmissibleInputError(f"unknown kind {kind!r}; choose from {DILATION_KINDS}")
     if k != 1.0:
@@ -237,8 +236,8 @@ def build_dilation(
     if noise is None or noise <= 0.0:
         raise InadmissibleInputError("classical_noise requires noise > 0")
     root_gain = math.sqrt(1.0 + noise)
-    first = _ladder_amplitudes(1.0 / root_gain, dim)
-    return DilationChannel(kind, 1.0, dim, _ladder_amplitudes(root_gain, dim), float(noise), first)
+    first = _amplitudes(1.0 / root_gain, dim)
+    return DilationChannel(kind, 1.0, dim, _amplitudes(root_gain, dim), float(noise), first)
 
 
 def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
@@ -276,6 +275,12 @@ def _apply_stack(channel: DilationChannel, states: list) -> list[FockDensityMatr
     out += out.conj().swapaxes(1, 2)
     out *= 0.5
     tr = [float(np.trace(m).real) for m in out]
+    for t in tr:
+        if not t >= np.finfo(float).tiny:  # a subnormal or zero mass cannot be renormalized
+            raise InadmissibleInputError(
+                f"output mass kept below the cutoff dim = {channel.dim} is {t:.3e}, "
+                "not a positive normal float"
+            )
     out /= np.array(tr)[:, None, None]
     return _validated(out, [s.trace_deficit + max(0.0, 1.0 - t) for s, t in zip(states, tr)])
 
@@ -304,17 +309,17 @@ def covariance_of(state: FockDensityMatrix, ops=None) -> tuple[np.ndarray, np.nd
     return mean, 0.5 * (second + second.T) - np.outer(mean, mean)
 
 
-def top_band_mass(state: FockDensityMatrix, band_fraction: float = TOP_BAND_FRACTION) -> float:
-    """Population in the top ceil(band_fraction * dim) number levels."""
-    band = max(1, math.ceil(band_fraction * state.dim))
+def top_band_mass(state: FockDensityMatrix) -> float:
+    """Population in the top ceil(TOP_BAND_FRACTION * dim) number levels."""
+    band = max(1, math.ceil(TOP_BAND_FRACTION * state.dim))
     populations = np.diag(state.rho).real
     return float(populations[state.dim - band :].sum())
 
 
-def truncation_flags(state: FockDensityMatrix, threshold: float = RELIABILITY_THRESHOLD) -> dict:
+def truncation_flags(state: FockDensityMatrix) -> dict:
     """Reliability assessment of a truncated state."""
     band = top_band_mass(state)
-    reliable = state.trace_deficit <= threshold and band <= threshold
+    reliable = state.trace_deficit <= RELIABILITY_THRESHOLD and band <= RELIABILITY_THRESHOLD
     return {
         "trace_deficit": state.trace_deficit,
         "top_band_mass": band,
@@ -361,7 +366,7 @@ CAMPAIGN_SUPPORT = {"attenuator": 10, "amplifier": 6, "classical_noise": 10}
 _STACK_BYTES = 1 << 20
 
 
-def _campaign(channel, trials, rng, support, record, hypotheses=lambda state: None) -> dict:
+def _campaign(channel, trials, rng, record, hypotheses=lambda state: None) -> dict:
     """Draw random low-support states in trial order and tally their records.
 
     Each chunk's ``hypotheses`` are checked in trial order before the chunk runs
@@ -369,8 +374,7 @@ def _campaign(channel, trials, rng, support, record, hypotheses=lambda state: No
     """
     if trials < 1:
         raise InadmissibleInputError("trials must be >= 1")
-    if support is None:
-        support = CAMPAIGN_SUPPORT.get(channel.kind, 10)
+    support = CAMPAIGN_SUPPORT[channel.kind]
     chunk = max(1, _STACK_BYTES // (16 * channel.dim**2))
     records = []
     for start in range(0, trials, chunk):
@@ -391,20 +395,16 @@ def _campaign(channel, trials, rng, support, record, hypotheses=lambda state: No
     }
 
 
-def lower_bound_campaign(
-    channel: DilationChannel, trials: int, rng: np.random.Generator, support: Optional[int] = None
-) -> dict:
+def lower_bound_campaign(channel: DilationChannel, trials: int, rng: np.random.Generator) -> dict:
     """Run verify_lower_bound over random low-support states and tally the results."""
-    return _campaign(channel, trials, rng, support, _bound_record)
+    return _campaign(channel, trials, rng, _bound_record)
 
 
-def extremality_campaign(
-    channel: DilationChannel, trials: int, rng: np.random.Generator, support: Optional[int] = None
-) -> dict:
+def extremality_campaign(channel: DilationChannel, trials: int, rng: np.random.Generator) -> dict:
     """Run verify_extremality over random low-support states and tally the results."""
     gch, ops = channel.gaussian_channel(), _moment_ops(channel.dim)
-    hypotheses = lambda state: _extremality_hypotheses(gch, state, "flag", ops)  # noqa: E731
-    return _campaign(channel, trials, rng, support, _extremality_record, hypotheses)
+    hypotheses = lambda state: _extremality_hypotheses(gch, state, ops)  # noqa: E731
+    return _campaign(channel, trials, rng, _extremality_record, hypotheses)
 
 
 def verify_lower_bound(channel: DilationChannel, state: FockDensityMatrix) -> dict:
@@ -437,9 +437,7 @@ def _bound_record(channel, state, out, checked=None) -> dict:
     }
 
 
-def verify_extremality(
-    channel: DilationChannel, state: FockDensityMatrix, saturating: str = "flag"
-) -> dict:
+def verify_extremality(channel: DilationChannel, state: FockDensityMatrix) -> dict:
     """Check Gaussian extremality of the gain on one state.
 
     The gain of the channel on ``state`` is compared against the exact
@@ -449,18 +447,15 @@ def verify_extremality(
     Hypotheses: the state's covariance must be nondegenerate, and the
     channel's noise certificate should be strictly positive. Channels whose
     certificate merely saturates the bound (the minimal-noise attenuator
-    and amplifier) are still accepted under ``saturating="flag"`` provided
-    the Gaussian image of the state is nondegenerate, which is what the
-    extremality argument actually needs; ``saturating="refuse"`` rejects
-    them outright.
+    and amplifier) are accepted and flagged, provided the Gaussian image of
+    the state is nondegenerate, which is what the extremality argument
+    actually needs.
     """
-    if saturating not in ("flag", "refuse"):
-        raise InadmissibleInputError("saturating must be 'flag' or 'refuse'")
-    checked = _extremality_hypotheses(channel.gaussian_channel(), state, saturating)
+    checked = _extremality_hypotheses(channel.gaussian_channel(), state)
     return _extremality_record(channel, state, apply_channel(channel, state), checked)
 
 
-def _extremality_hypotheses(gch: GaussianChannel, state, saturating: str, ops=None) -> tuple:
+def _extremality_hypotheses(gch: GaussianChannel, state, ops=None) -> tuple:
     """verify_extremality's hypotheses on one state: (nu_min, flagged, Gaussian gain)."""
     space = canonical_form(1)
     _, alpha = covariance_of(state, ops)
@@ -471,8 +466,6 @@ def _extremality_hypotheses(gch: GaussianChannel, state, saturating: str, ops=No
         )
     flagged = False
     if not gch.strict:
-        if saturating == "refuse":
-            raise HypothesisViolationError("channel noise certificate is saturating, not strict")
         out_alpha = apply_to_covariance(gch, alpha)
         out_nu = float(symplectic_eigenvalues(out_alpha, space)[-1])
         if out_nu <= 0.5 + 1e-9:

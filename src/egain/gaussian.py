@@ -153,7 +153,7 @@ def quadratic_hamiltonian(
     space: PhaseSpace, epsilon: np.ndarray, tol: float = DEFAULT_TOL
 ) -> QuadraticHamiltonian:
     """Validate epsilon and solve its normal modes for every later use."""
-    epsilon = _require_symmetric(epsilon, space, tol)
+    epsilon = _require_symmetric(epsilon, space, tol, "Hamiltonian matrix")
     eigenvalues, root, inv_root = _sym_sqrt(epsilon, tol, "Hamiltonian matrix")
     form = root @ space.delta @ root
     w, U = np.linalg.eigh(1j * form)

@@ -123,17 +123,20 @@ def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCer
     return HermitianCert(min_eigenvalue=min_eig, tolerance=abs_tol, verdict=verdict)
 
 
-def _require_symmetric(alpha: np.ndarray, space: PhaseSpace, tol: float) -> np.ndarray:
+def _require_symmetric(
+    alpha: np.ndarray, space: PhaseSpace, tol: float, what: str = "covariance matrix"
+) -> np.ndarray:
     """Symmetrized copy of a 2s x 2s matrix, or of each matrix in a (B, 2s, 2s) stack."""
     alpha = np.asarray(alpha, dtype=float)
     n = 2 * space.s
     if alpha.shape[-2:] != (n, n) or alpha.ndim > 3:
         raise InadmissibleInputError(f"expected a {n}x{n} matrix, got {alpha.shape}")
+    defect = np.linalg.norm(alpha - _transpose(alpha), axis=(-2, -1))
     _refuse(
-        np.linalg.norm(alpha - _transpose(alpha), axis=(-2, -1))
-        > tol * np.maximum(np.linalg.norm(alpha, axis=(-2, -1)), 1.0),
+        defect > tol * np.maximum(np.linalg.norm(alpha, axis=(-2, -1)), 1.0),
         InadmissibleInputError,
-        "covariance matrix must be symmetric",
+        f"{what} must be symmetric (defect {{:.3e}})",
+        defect,
     )
     return 0.5 * (alpha + _transpose(alpha))
 

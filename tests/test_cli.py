@@ -171,18 +171,19 @@ class TestFock:
         capsys.readouterr()
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
-    # md5 of the reports written when campaigns ran one trial at a time;
-    # stacked campaigns must reproduce them byte for byte
+    # md5 of the reports of the closed-form Kraus tables, frozen after the
+    # holds and reliable counts were checked against the exponentiated
+    # dilation's; stacked campaigns reproduce one-trial-at-a-time runs byte for byte
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (
                 "fock --preset amplifier --k 1.5 --trials 20 --seed 3",
-                "f0ac411fdd1dec4ff31f2e0a2f2efa03",
+                "06307fae6ce74722c2e11f41beddddf8",
             ),
             (
                 "fock --preset classical-noise --k 1 --noise 0.3 --extremality --trials 10 --seed 3",
-                "c1bf00c1d4776d5b8c9376bf915a946d",
+                "7be8d7fbb3fcd592c7db731b77dd6587",
             ),
         ],
     )
@@ -498,6 +499,13 @@ class TestTolerancePlumbing:
             "numeric overflow",
             id="fock-k-1e200",
         ),
+        # the output mass below the cutoff underflows and cannot be renormalized
+        pytest.param(
+            "fock --preset amplifier --k 1e154 --dim 8 --trials 3",
+            None,
+            "dim = 8 is 3.232e-309, not a positive normal float",
+            id="fock-k-1e154",
+        ),
     ],
 )
 def test_bad_numbers_exit_2_cleanly(argv, env_tol, message, capsys, monkeypatch):
@@ -546,6 +554,33 @@ def test_relative_positivity_refusal_names_what_was_tested(argv, matrix, named, 
     assert "Traceback" not in err
     for text in (*named, "tol 1e-09"):
         assert text in err
+
+
+@pytest.mark.parametrize(
+    "argv, payload, named",
+    [
+        pytest.param(
+            "sweep --preset attenuator --k 0.5 --epsilon-file {}",
+            [[1.0, 0.5], [0.0, 1.0]],
+            "Hamiltonian matrix must be symmetric (defect 7.071e-01)",
+            id="epsilon",
+        ),
+        pytest.param(
+            "gain --channel-file {}",
+            {"K": [[2.0, 0.0], [0.0, 2.0]], "mu": [[1.6, 0.5], [0.0, 1.6]]},
+            "channel noise mu must be symmetric (defect 7.071e-01)",
+            id="channel-mu",
+        ),
+    ],
+)
+def test_asymmetric_matrix_refusal_names_the_matrix(argv, payload, named, tmp_path, capsys):
+    path = str(tmp_path / "matrix.json")
+    write_json(path, payload)
+    code = main(argv.format(path).split())
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {named}\n"
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import nbinom
 
 from egain import fock
 from egain.channels import apply_to_covariance
 from egain.errors import HypothesisViolationError, InadmissibleInputError
 from egain.fock import (
     DilationChannel,
-    _unitary_from_skew,
     annihilation,
     apply_channel,
     build_dilation,
@@ -38,23 +38,46 @@ from egain.gaussian import mode_entropy
 DIM = 60
 
 
-def attenuator_kraus_closed_form(k, dim):
-    """Closed-form attenuator Kraus amplitudes, as a cross-check on the dilation.
+def unitary_from_skew(G):
+    """exp(G) for anti-Hermitian G, via the Hermitian eigenproblem of iG."""
+    w, V = np.linalg.eigh(1j * G)
+    return (V * np.exp(-1j * w)) @ V.conj().T
 
-    Returns the stage table: V_l has amplitude sqrt(binom(n, l)) k^(n-l)
-    (1 - k^2)^(l/2) at (n-l, n), stored at [l, n]. The dilation route agrees
-    with these up to a phase of (-1)^l per operator, which leaves the channel
+
+def ladder_column(k, n, dim):
+    """Kraus amplitudes on input level n, by exponentiating the dilation, as a reference.
+
+    The block from (system n, environment vacuum) is exponentiated alone: the
+    beamsplitter, cos(theta) = k < 1, runs down the ladder (n - j, j), j <= n,
+    exactly; the two-mode squeezer, cosh(r) = k > 1, runs up the ladder
+    (n + j, j) and is cut off at dim, which distorts the amplitudes near the
+    top. Entry l is V_l's amplitude on |n>: the attenuator's agree with the
+    closed form up to a phase (-1)^l per operator, which leaves the channel
     unchanged.
     """
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+    lowering = k < 1.0
+    angle = math.acos(k) if lowering else -math.acosh(k)
+    size = n + 1 if lowering else dim - n
+    j = np.arange(size - 1, dtype=float)
+    off = angle * np.sqrt((n - j if lowering else n + j + 1.0) * (j + 1.0))
+    G = np.diag(off, k=1) - np.diag(off, k=-1)
+    return unitary_from_skew(G)[:, 0]
+
+
+def ladder_amplitudes(k, dim):
+    """The (dim, dim) table of ``ladder_column``s, laid out as the dilation's tables."""
     amps = np.zeros((dim, dim), dtype=complex)
-    for l in range(dim):
-        ns = np.arange(l, dim)
-        log_binom = log_fact[ns] - log_fact[l] - log_fact[ns - l]
-        amps[l, ns] = np.exp(
-            0.5 * log_binom + (ns - l) * math.log(k) + 0.5 * l * math.log1p(-k * k)
-        )
+    for n in range(dim):
+        column = ladder_column(k, n, dim)
+        amps[: len(column), n] = column
     return amps
+
+
+def campaign_states(channel, seed, trials):
+    """The states a campaign on ``channel`` seeded with ``seed`` draws, in trial order."""
+    gen = np.random.default_rng(seed)
+    support = fock.CAMPAIGN_SUPPORT[channel.kind]
+    return [random_low_support_state(gen, dim=channel.dim, support=support) for _ in range(trials)]
 
 
 def dense_stages(channel):
@@ -125,7 +148,7 @@ def displacement_mixture_kraus(nbar, dim, order):
     for i in range(order):
         for j in range(order):
             shift = scale * (nodes[i] + 1j * nodes[j])
-            displacement = _unitary_from_skew(shift * a.conj().T - np.conj(shift) * a)
+            displacement = unitary_from_skew(shift * a.conj().T - np.conj(shift) * a)
             kraus.append(math.sqrt(weights[i] * weights[j] / math.pi) * displacement)
     return kraus
 
@@ -234,15 +257,19 @@ class TestThermalState:
 
 class TestDilations:
     def test_kraus_completeness(self, attenuator, amplifier, classical_noise):
-        # the generators are exponentiated blockwise, so completeness holds
-        # on the whole truncated space, well inside the 1e-8 requirement
-        # for the reliable block; classical noise is checked stage by stage.
         # V_l are weighted shifts, so sum_l V_l† V_l is diagonal with entries
-        # sum_l |amps[l, n]|^2
-        stages = (attenuator.kraus, amplifier.kraus, classical_noise.first, classical_noise.kraus)
-        for amps in stages:
+        # sum_l |amps[l, n]|^2. An attenuator stage keeps every level below
+        # the cutoff, so these are 1; an amplifier stage keeps the part of
+        # the negative binomial P(l; n + 1, 1/k^2) with n + l below the cutoff.
+        # Classical noise is checked stage by stage.
+        n = np.arange(DIM)
+        for amps in (attenuator.kraus, classical_noise.first):
             assert amps.shape == (DIM, DIM)
             assert np.abs((np.abs(amps) ** 2).sum(axis=0) - 1.0).max() < 1e-12
+        for amps, k in ((amplifier.kraus, 1.5), (classical_noise.kraus, math.sqrt(1.3))):
+            assert amps.shape == (DIM, DIM)
+            kept = nbinom.cdf(DIM - n - 1, n + 1, 1.0 / k**2)
+            assert np.abs((np.abs(amps) ** 2).sum(axis=0) - kept).max() < 1e-12
 
     @pytest.mark.parametrize(
         "kind, k, noise",
@@ -259,12 +286,21 @@ class TestDilations:
         assert np.abs(channel_on_identity(channel) - image).max() <= 1e-14
 
     def test_attenuator_matches_closed_form(self, attenuator, rng):
-        closed = attenuator_kraus_closed_form(0.7, DIM)
-        alt = DilationChannel(kind="attenuator", k=0.7, dim=DIM, kraus=closed)
+        ladder = ladder_amplitudes(0.7, DIM)
+        phases = (-1.0) ** np.arange(DIM)
+        assert np.abs(ladder * phases[:, None] - attenuator.kraus).max() <= 1e-14
+        alt = DilationChannel(kind="attenuator", k=0.7, dim=DIM, kraus=ladder)
         state = random_low_support_state(rng)
-        out_dilation = apply_channel(attenuator, state).rho
-        out_closed = apply_channel(alt, state).rho
-        assert np.abs(out_dilation - out_closed).max() < 1e-12
+        out_closed = apply_channel(attenuator, state).rho
+        out_ladder = apply_channel(alt, state).rho
+        assert np.abs(out_closed - out_ladder).max() < 1e-12
+
+    def test_amplifier_matches_the_ladder_at_a_large_cutoff(self, amplifier):
+        # the ladder is cut off at its dim, so it is exact only far below it;
+        # at 200 levels the campaign inputs' columns are exact to rounding
+        for n in range(fock.CAMPAIGN_SUPPORT["amplifier"]):
+            column = ladder_column(1.5, n, 200)[: DIM - n]
+            assert np.abs(column - amplifier.kraus[: DIM - n, n]).max() <= 1e-14
 
     def test_moments_transform_as_gaussian_channel(self, attenuator, classical_noise, rng):
         state = random_low_support_state(rng)
@@ -346,6 +382,34 @@ class TestTruncationPolicy:
         record = verify_lower_bound(channel, state)
         assert not record["reliable"]
 
+    def test_output_mass_that_underflows_is_refused(self):
+        # every amplitude on |5> underflows at k = 1e154, so no mass is kept
+        channel = build_dilation("amplifier", 1e154, dim=8)
+        with pytest.raises(InadmissibleInputError, match=r"dim = 8 is 0\.000e\+00, not a positive normal"):
+            apply_channel(channel, number_state(5, 8))
+
+    @pytest.mark.parametrize(
+        "kind, k, noise",
+        [
+            ("attenuator", 0.7, None),
+            ("amplifier", 1.5, None),
+            ("classical_noise", 1.0, 0.3),
+            ("amplifier", 2.0, None),  # its trials are unreliable at d = 60
+        ],
+    )
+    def test_slack_covers_the_cutoff_error(self, kind, k, noise):
+        # each campaign state, embedded at a cutoff its output does not reach,
+        # gives the reference gain; the d = 60 gain must be within its slack
+        ref_dim, trials = 200, 20
+        channel = build_dilation(kind, k, dim=DIM, noise=noise)
+        reference = build_dilation(kind, k, dim=ref_dim, noise=noise)
+        summary = lower_bound_campaign(channel, trials, np.random.default_rng(5))
+        for state, record in zip(campaign_states(channel, 5, trials), summary["records"]):
+            rho = np.zeros((ref_dim, ref_dim), dtype=complex)
+            rho[:DIM, :DIM] = state.rho
+            exact = verify_lower_bound(reference, fock_density(rho))["gain"]
+            assert abs(record["gain"] - exact) <= record["slack"]
+
     def test_flags_dict(self):
         flags = truncation_flags(thermal_state(1.0, DIM))
         assert flags["reliable"]
@@ -417,10 +481,6 @@ class TestProp3:
         assert record["flagged_saturating"]
         assert record["holds"]
 
-    def test_saturating_channel_refusal_mode(self, attenuator):
-        with pytest.raises(HypothesisViolationError):
-            verify_extremality(attenuator, thermal_state(1.0, DIM), saturating="refuse")
-
     def test_campaign(self, classical_noise, rng):
         summary = extremality_campaign(classical_noise, 5, rng)
         assert summary["holds_count"] == 5
@@ -486,22 +546,16 @@ class TestStackedCampaigns:
 
     TRIALS = 40  # three chunks at d = 60
 
-    @staticmethod
-    def campaign_states(channel, seed, trials):
-        gen = np.random.default_rng(seed)
-        support = fock.CAMPAIGN_SUPPORT[channel.kind]
-        return [random_low_support_state(gen, dim=channel.dim, support=support) for _ in range(trials)]
-
     def test_lower_bound_records_equal_per_state_results(self, attenuator, amplifier, classical_noise):
         for channel in (attenuator, amplifier, classical_noise):
             summary = lower_bound_campaign(channel, self.TRIALS, np.random.default_rng(7))
-            states = self.campaign_states(channel, 7, self.TRIALS)
+            states = campaign_states(channel, 7, self.TRIALS)
             assert summary["records"] == [verify_lower_bound(channel, state) for state in states]
 
     def test_extremality_records_equal_per_state_results(self, attenuator, classical_noise):
         for channel in (classical_noise, attenuator):
             summary = extremality_campaign(channel, self.TRIALS, np.random.default_rng(7))
-            states = self.campaign_states(channel, 7, self.TRIALS)
+            states = campaign_states(channel, 7, self.TRIALS)
             assert summary["records"] == [verify_extremality(channel, state) for state in states]
             saturating = channel is attenuator
             assert all(r["flagged_saturating"] == saturating for r in summary["records"])
