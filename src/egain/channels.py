@@ -23,18 +23,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InadmissibleInputError, NonRegularChannelError
-from .gaussian import QuadraticHamiltonian, _entropies, _gibbs_covariances
+from .gaussian import QuadraticHamiltonian, _entropies, _gibbs_covariances, gaussian_state
 from .symplectic import (
     DEFAULT_TOL,
     HermitianCert,
     PhaseSpace,
     canonical_form,
     check_hermitian_psd,
-    _least_eigenvalues,
     _refuse,
     _require_symmetric,
     _symplectic_spectrum,
     _transpose,
+    _uncertainty_cert,
 )
 
 __all__ = [
@@ -146,22 +146,26 @@ def apply_to_covariance(
 
     A (B, 2s, 2s) stack of covariances gives the stack of outputs.
     """
-    return _apply(channel, _require_symmetric(alpha, channel.space, tol), tol)
+    return _apply(channel, _require_symmetric(alpha, channel.space, tol), tol)[0]
 
 
-def _apply(channel: GaussianChannel, alpha: np.ndarray, tol: float) -> np.ndarray:
-    """``apply_to_covariance`` on an exactly symmetric matrix or stack, which it does not validate."""
+def _apply(channel: GaussianChannel, alpha: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_to_covariance`` on an exactly symmetric matrix or stack, which it does not validate.
+
+    Returns the output with the symplectic spectrum its certificate is read off.
+    """
     out = channel.K.T @ alpha @ channel.K + channel.mu
     out = 0.5 * (out + _transpose(out))
-    min_eig, abs_tol = _least_eigenvalues(out + 0.5j * channel.space.delta, tol)
+    nu = _symplectic_spectrum(out, channel.space, tol)
+    cert = _uncertainty_cert(nu, tol)
     _refuse(
-        ~(min_eig >= -abs_tol),  # not positive semidefinite; a NaN eigenvalue fails too
+        np.logical_not(cert.is_positive_semidefinite),
         RuntimeError,
         "channel output violated admissibility, min eigenvalue {:.3e}; "
         "input covariance was likely inadmissible",
-        min_eig,
+        cert.min_eigenvalue,
     )
-    return out
+    return out, nu
 
 
 def minimal_entropy_gain(channel: GaussianChannel) -> float:
@@ -179,20 +183,16 @@ def minimal_entropy_gain(channel: GaussianChannel) -> float:
     return float(np.linalg.slogdet(channel.K)[1])
 
 
-def _output_entropies(channel: GaussianChannel, alpha: np.ndarray, tol: float) -> np.ndarray:
-    """Entropy of the channel output on each exactly symmetric covariance of alpha (one or a stack)."""
-    out = _apply(channel, alpha, tol)
-    return _entropies(_symplectic_spectrum(out, channel.space, tol))
-
-
 def gaussian_gain(
     channel: GaussianChannel, alpha: np.ndarray, tol: float = DEFAULT_TOL
 ) -> float:
-    """Entropy gain of the channel on the Gaussian state with covariance alpha."""
-    space = channel.space
-    alpha = _require_symmetric(alpha, space, tol)
-    output = float(_output_entropies(channel, alpha, tol))
-    return output - float(_entropies(_symplectic_spectrum(alpha, space, tol)))
+    """Entropy gain of the channel on the Gaussian state with covariance alpha.
+
+    alpha must pass the uncertainty bound.
+    """
+    state = gaussian_state(channel.space, np.zeros(2 * channel.space.s), alpha, tol)
+    nu_out = _apply(channel, state.alpha, tol)[1]
+    return float(_entropies(nu_out)) - float(_entropies(state.nu))
 
 
 def default_beta_grid(
@@ -229,7 +229,7 @@ def _gibbs_gains(
     """
     try:
         alpha, nu = _gibbs_covariances(hamiltonian, betas, DEFAULT_TOL)
-        return _output_entropies(channel, alpha, DEFAULT_TOL) - _entropies(nu)
+        return _entropies(_apply(channel, alpha, DEFAULT_TOL)[1]) - _entropies(nu)
     except (InadmissibleInputError, RuntimeError) as exc:
         first = getattr(exc, "slice_index", 0)
         if first:

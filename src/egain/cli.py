@@ -19,7 +19,7 @@ truncation beyond threshold.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import math
 import os
 import sys
@@ -44,8 +44,8 @@ from .fock import (
     extremality_campaign,
 )
 from .gaussian import quadratic_hamiltonian
-from .matio import decode_array, encode_array, load_matrix, read_json, write_json, write_text
-from .symplectic import DEFAULT_TOL, canonical_form, check_hermitian_psd, williamson
+from .matio import _json_text, decode_array, encode_array, load_matrix, read_json, write_json, write_text
+from .symplectic import DEFAULT_TOL, _uncertainty_cert, canonical_form, williamson
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 2
@@ -78,7 +78,7 @@ def _emit_text(text: str, out: str | None) -> None:
 
 def _emit_json(payload: dict, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json_text(payload))
     else:
         write_json(out, payload)
 
@@ -161,12 +161,7 @@ def cmd_gain(args: argparse.Namespace) -> int:
         "seed": None,
         "source": source,
         "modes": channel.space.s,
-        "admissibility": {
-            "min_eigenvalue": float(channel.cert.min_eigenvalue),
-            "tolerance": float(channel.cert.tolerance),
-            "verdict": channel.cert.verdict,
-            "strict": bool(channel.strict),
-        },
+        "admissibility": dict(dataclasses.asdict(channel.cert), strict=bool(channel.strict)),
         "regular": bool(channel.regular),
         "gain_closed_form": gain,
         # the general bound -log ||Phi[I]|| is log |det K|, the closed form itself
@@ -277,7 +272,6 @@ def cmd_williamson(args: argparse.Namespace) -> int:
         raise InadmissibleInputError("covariance matrix must be square with even dimension")
     space = canonical_form(alpha.shape[0] // 2)
     decomposition = williamson(alpha, space, tol=tol)
-    cert = check_hermitian_psd(alpha + 0.5j * space.delta, tol=tol)
     report = {
         "command": "williamson",
         "seed": None,
@@ -285,11 +279,7 @@ def cmd_williamson(args: argparse.Namespace) -> int:
         "modes": space.s,
         "symplectic_eigenvalues": [float(nu) for nu in decomposition.nu],
         "T": encode_array(decomposition.T),
-        "admissibility": {
-            "min_eigenvalue": float(cert.min_eigenvalue),
-            "tolerance": float(cert.tolerance),
-            "verdict": cert.verdict,
-        },
+        "admissibility": dataclasses.asdict(_uncertainty_cert(decomposition.nu, tol)),
     }
     _emit_json(report, args.out)
     return EXIT_OK
@@ -367,17 +357,15 @@ def main(argv: list[str] | None = None) -> int:
         # a float OverflowError (an amplifier k whose square overflows)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return int(args.func(args))
-    except (FloatingPointError, OverflowError) as exc:
-        print(f"error: numeric overflow: {exc}; input out of range", file=sys.stderr)
-        return EXIT_INADMISSIBLE
     except HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except InadmissibleInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # InadmissibleInputError and json.JSONDecodeError are ValueErrors
+    except (FloatingPointError, OverflowError, OSError, KeyError, ValueError) as exc:
+        message = str(exc)
+        if isinstance(exc, (FloatingPointError, OverflowError)):
+            message = f"numeric overflow: {message}; input out of range"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INADMISSIBLE
 
 

@@ -28,9 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import GaussianChannel, apply_to_covariance, gaussian_gain, preset_channel
+from .channels import GaussianChannel, _apply, preset_channel
 from .errors import HypothesisViolationError, InadmissibleInputError
-from .symplectic import canonical_form, symplectic_eigenvalues
+from .gaussian import _entropies
+from .symplectic import DEFAULT_TOL, _uncertainty_cert, symplectic_eigenvalues
 
 __all__ = [
     "DEFAULT_DIM",
@@ -456,24 +457,23 @@ def verify_extremality(channel: DilationChannel, state: FockDensityMatrix) -> di
 
 
 def _extremality_hypotheses(gch: GaussianChannel, state, ops=None) -> tuple:
-    """verify_extremality's hypotheses on one state: (nu_min, flagged, Gaussian gain)."""
-    space = canonical_form(1)
-    _, alpha = covariance_of(state, ops)
-    nu_min = float(symplectic_eigenvalues(alpha, space)[-1])
-    if nu_min <= 0.5 + 1e-9:
+    """verify_extremality's hypotheses on one state: (nu_min, flagged, Gaussian gain).
+
+    Both nondegeneracy tests and the gain are read off the input and output spectra.
+    """
+    _, alpha = covariance_of(state, ops)  # exactly symmetric, as _apply requires
+    nu_in = symplectic_eigenvalues(alpha, gch.space)
+    nu_min = float(nu_in[-1])
+    if not _uncertainty_cert(nu_in, DEFAULT_TOL).is_positive_definite:
         raise HypothesisViolationError(
             f"state covariance is degenerate (min symplectic eigenvalue {nu_min:.9f})"
         )
-    flagged = False
-    if not gch.strict:
-        out_alpha = apply_to_covariance(gch, alpha)
-        out_nu = float(symplectic_eigenvalues(out_alpha, space)[-1])
-        if out_nu <= 0.5 + 1e-9:
-            raise HypothesisViolationError(
-                "saturating channel maps this state to a degenerate Gaussian image"
-            )
-        flagged = True
-    return nu_min, flagged, gaussian_gain(gch, alpha)
+    nu_out = _apply(gch, alpha, DEFAULT_TOL)[1]
+    if not (gch.strict or _uncertainty_cert(nu_out, DEFAULT_TOL).is_positive_definite):
+        raise HypothesisViolationError(
+            "saturating channel maps this state to a degenerate Gaussian image"
+        )
+    return nu_min, not gch.strict, float(_entropies(nu_out)) - float(_entropies(nu_in))
 
 
 def _extremality_record(channel, state, out, checked) -> dict:

@@ -26,7 +26,6 @@ from .symplectic import (
     DEFAULT_TOL,
     HermitianCert,
     PhaseSpace,
-    check_hermitian_psd,
     _positive_half,
     _refuse,
     _require_definite,
@@ -34,6 +33,7 @@ from .symplectic import (
     _sym_sqrt,
     _symplectic_spectrum,
     _transpose,
+    _uncertainty_cert,
     symplectic_eigenvalues,
 )
 
@@ -73,12 +73,7 @@ class GaussianState:
 
     @property
     def nondegenerate(self) -> bool:
-        """True iff alpha - (i/2) delta is positive definite.
-
-        The matrices alpha +/- (i/2) delta are complex conjugates of each
-        other, hence share their (real) spectrum; one certificate covers
-        both signs.
-        """
+        """True iff alpha +/- (i/2) delta is positive definite: nu_min - 1/2 > tolerance."""
         return self.cert.is_positive_definite
 
 
@@ -106,16 +101,17 @@ def _admissible_state(
     """State of an exactly symmetric alpha that passes the uncertainty bound.
 
     ``nu`` is the symplectic spectrum of alpha when the caller has it, and
-    is solved for otherwise. alpha becomes read-only.
+    is solved for otherwise; the certificate is read off it. alpha becomes
+    read-only.
     """
-    cert = check_hermitian_psd(alpha + 0.5j * space.delta, tol)
+    if nu is None:
+        nu = _symplectic_spectrum(alpha, space, tol)
+    cert = _uncertainty_cert(nu, tol)
     if not cert.is_positive_semidefinite:
         raise InadmissibleInputError(
             "covariance fails the uncertainty bound: min eigenvalue of "
-            f"alpha + (i/2) delta is {cert.min_eigenvalue:.3e}"
+            f"alpha + (i/2) delta in Williamson coordinates is {cert.min_eigenvalue:.3e}"
         )
-    if nu is None:
-        nu = _symplectic_spectrum(alpha, space, tol)
     alpha.flags.writeable = False
     return GaussianState(space=space, mean=mean, alpha=alpha, cert=cert, nu=nu)
 
@@ -154,7 +150,8 @@ def quadratic_hamiltonian(
 ) -> QuadraticHamiltonian:
     """Validate epsilon and solve its normal modes for every later use."""
     epsilon = _require_symmetric(epsilon, space, tol, "Hamiltonian matrix")
-    eigenvalues, root, inv_root = _sym_sqrt(epsilon, tol, "Hamiltonian matrix")
+    eigenvalues, Q, root = _sym_sqrt(epsilon, tol, "Hamiltonian matrix")
+    inv_root = (Q / np.sqrt(eigenvalues)) @ Q.T
     form = root @ space.delta @ root
     w, U = np.linalg.eigh(1j * form)
     # solved apart from w because eigvalsh and eigh agree only to rounding,
@@ -241,7 +238,7 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas, tol: float):
     # coth saturates for very large beta and nu rounds down to exactly 1/2,
     # so only genuine admissibility failures are treated as errors here.
     _refuse(
-        nu[..., -1] < 0.5 - tol * np.maximum(1.0, nu[..., 0]),
+        np.logical_not(_uncertainty_cert(nu, tol).is_positive_semidefinite),
         RuntimeError,
         "Gibbs covariance left the admissible cone, min nu {:.6e}",
         nu[..., -1],

@@ -87,9 +87,14 @@ def write_text(path: str, text: str) -> None:
         raise
 
 
+def _json_text(obj) -> str:
+    """Deterministic JSON text of ``obj``: sorted keys, fixed indentation, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def write_json(path: str, obj) -> None:
     """Serialize ``obj`` deterministically and replace ``path`` atomically."""
-    write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    write_text(path, _json_text(obj))
 
 
 def read_json(path: str):

@@ -50,7 +50,8 @@ class HermitianCert:
 
     ``tolerance`` is the absolute eigenvalue threshold actually applied:
     the verdict is ``positive_definite`` iff min_eigenvalue > tolerance and
-    ``positive_semidefinite`` iff min_eigenvalue >= -tolerance.
+    ``positive_semidefinite`` iff min_eigenvalue >= -tolerance. A certificate
+    of a stack of matrices holds one array entry per matrix in each field.
     """
 
     min_eigenvalue: float
@@ -63,7 +64,7 @@ class HermitianCert:
 
     @property
     def is_positive_semidefinite(self) -> bool:
-        return self.verdict in (VERDICT_PD, VERDICT_PSD)
+        return self.verdict != VERDICT_INDEFINITE
 
 
 def _refuse(bad, error: type, message: str, *values) -> None:
@@ -87,21 +88,16 @@ def _transpose(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M, -1, -2)
 
 
-def _least_eigenvalues(M: np.ndarray, tol: float):
-    """Smallest eigenvalue of each Hermitian matrix in M and its absolute threshold.
-
-    ``tol`` is relative; it is scaled by the spectral radius (floored at 1).
-    """
-    adjoint = _transpose(M).conj()
-    defect = np.linalg.norm(M - adjoint, axis=(-2, -1))
-    _refuse(
-        defect > tol * np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1.0),
-        InadmissibleInputError,
-        "matrix is not Hermitian within tolerance (defect {:.3e})",
-        defect,
+def _cert(min_eig, abs_tol) -> HermitianCert:
+    """Certificate of a least eigenvalue against its absolute threshold, or of a stack of them."""
+    verdict = np.where(
+        min_eig > abs_tol,
+        VERDICT_PD,
+        np.where(min_eig >= -abs_tol, VERDICT_PSD, VERDICT_INDEFINITE),
     )
-    eigs = np.linalg.eigvalsh(0.5 * (M + adjoint))
-    return eigs[..., 0], tol * np.maximum(1.0, np.abs(eigs).max(axis=-1))
+    if np.ndim(min_eig) == 0:
+        return HermitianCert(float(min_eig), float(abs_tol), str(verdict))
+    return HermitianCert(min_eig, abs_tol, verdict)
 
 
 def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCert:
@@ -113,14 +109,28 @@ def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCer
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InadmissibleInputError("expected a square matrix")
-    min_eig, abs_tol = map(float, _least_eigenvalues(M, tol))
-    if min_eig > abs_tol:
-        verdict = VERDICT_PD
-    elif min_eig >= -abs_tol:
-        verdict = VERDICT_PSD
-    else:
-        verdict = VERDICT_INDEFINITE
-    return HermitianCert(min_eigenvalue=min_eig, tolerance=abs_tol, verdict=verdict)
+    adjoint = M.T.conj()
+    defect = np.linalg.norm(M - adjoint)
+    if defect > tol * max(np.linalg.norm(M), 1.0):
+        raise InadmissibleInputError(
+            f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
+        )
+    eigs = np.linalg.eigvalsh(0.5 * (M + adjoint))
+    return _cert(eigs[0], tol * max(1.0, np.abs(eigs).max()))
+
+
+def _uncertainty_cert(nu: np.ndarray, tol: float) -> HermitianCert:
+    """Certificate of alpha + (i/2) delta read off alpha's descending symplectic spectrum nu.
+
+    A Williamson congruence takes alpha + (i/2) delta to D + (i/2) delta,
+    D = diag(nu_1, nu_1, ..., nu_s, nu_s), whose eigenvalues are nu_j +- 1/2;
+    congruence keeps the verdict, and ``check_hermitian_psd``'s rule applied
+    to that form needs no eigensolve. Its absolute threshold does not grow
+    with the squeezing of alpha, so it refuses a squeezed state below the
+    uncertainty bound however strongly squeezed. ``nu`` may be one spectrum
+    or a stack of them, one per row.
+    """
+    return _cert(nu[..., -1] - 0.5, tol * np.maximum(1.0, nu[..., 0] + 0.5))
 
 
 def _require_symmetric(
@@ -154,13 +164,10 @@ def _require_definite(w: np.ndarray, tol: float, what: str = "matrix") -> None:
 
 
 def _sym_sqrt(alpha: np.ndarray, tol: float, what: str = "matrix"):
-    """Eigenvalues, square root and inverse square root of each symmetric positive definite matrix."""
+    """Eigenpairs and square root of each symmetric positive definite matrix."""
     w, Q = np.linalg.eigh(alpha)
     _require_definite(w, tol, what)
-    root_w = np.sqrt(w)[..., None, :]
-    root = (Q * root_w) @ _transpose(Q)
-    inv_root = (Q / root_w) @ _transpose(Q)
-    return w, root, inv_root
+    return w, Q, (Q * np.sqrt(w)[..., None, :]) @ _transpose(Q)
 
 
 def _positive_half(ev: np.ndarray, s: int, tol: float) -> np.ndarray:
@@ -177,7 +184,7 @@ def _positive_half(ev: np.ndarray, s: int, tol: float) -> np.ndarray:
 
 def _symplectic_spectrum(alpha: np.ndarray, space: PhaseSpace, tol: float) -> np.ndarray:
     """``symplectic_eigenvalues`` of an exactly symmetric matrix or stack, which it does not validate."""
-    _, root, _ = _sym_sqrt(alpha, tol)
+    _, _, root = _sym_sqrt(alpha, tol)
     herm = -1j * (root @ space.delta @ root)  # i * delta^-1 conjugated by alpha^(1/2)
     return _positive_half(np.linalg.eigvalsh(herm), space.s, tol)
 
@@ -218,12 +225,12 @@ def williamson(
     symplectic and diagonalize alpha by congruence.
     """
     alpha = _require_symmetric(alpha, space, tol)
-    _, root, inv_root = _sym_sqrt(alpha, tol)
+    eigenvalues, Q, root = _sym_sqrt(alpha, tol)
     herm = -1j * (root @ space.delta @ root)
     w, W = np.linalg.eigh(herm)
     order = np.argsort(w)[::-1][: space.s]
     nu = w[order]
-    U = inv_root @ W[:, order]
+    U = (Q / np.sqrt(eigenvalues)) @ Q.T @ W[:, order]  # alpha^(-1/2) W
     n = 2 * space.s
     T = np.empty((n, n))
     scale = np.sqrt(2.0 * nu)

@@ -21,6 +21,23 @@ def random_covariance(rng, modes, nu_min=0.6, nu_max=3.0, scale=0.4):
     return 0.5 * (alpha + alpha.T), nus
 
 
+def squeezed_covariance(nu, r, theta=0.0):
+    """One-mode covariance nu R diag(e^2r, e^-2r) R^T, R the rotation by theta.
+
+    Its symplectic eigenvalue is nu, so nu = 1/2 is a pure squeezed vacuum
+    and nu < 1/2 violates the uncertainty bound at every squeezing r.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    alpha = nu * R @ np.diag([np.exp(2.0 * r), np.exp(-2.0 * r)]) @ R.T
+    return 0.5 * (alpha + alpha.T)
+
+
+# inadmissible squeezed states that a certificate scaled by the spectral
+# radius of alpha + (i/2) delta accepted at r = 5
+BELOW_THE_BOUND = [(nu, r) for nu in (0.4999, 0.49, 0.45) for r in (3, 4, 5)]
+
+
 def random_spd(rng, dim, scale=0.5):
     """Random symmetric positive definite matrix with eigenvalues >= 0.1."""
     A = rng.normal(size=(dim, dim)) * scale

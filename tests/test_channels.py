@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_covariance, random_regular_channel, random_spd
+from conftest import (
+    BELOW_THE_BOUND,
+    random_covariance,
+    random_regular_channel,
+    random_spd,
+    squeezed_covariance,
+)
 from egain.channels import (
     GaussianChannel,
     apply_to_covariance,
@@ -114,6 +120,13 @@ class TestApplyToCovariance:
         nu_out = 0.49 * (nu_in - 0.5) + 0.5
         gain = gaussian_gain(channel, nu_in * np.eye(2))
         assert gain == pytest.approx(mode_entropy(nu_out) - mode_entropy(nu_in), rel=1e-12)
+
+    @pytest.mark.parametrize("nu, r", BELOW_THE_BOUND)
+    def test_gaussian_gain_refuses_squeezed_state_below_the_bound(self, nu, r):
+        # the attenuator's noise takes these states into the cone, so only a
+        # certificate of the input can refuse them
+        with pytest.raises(InadmissibleInputError, match="uncertainty bound"):
+            gaussian_gain(preset_channel("attenuator", 0.5), squeezed_covariance(nu, r))
 
 
 def reference_sweep(channel, ham, grid, adaptive, tol=1e-3, beta_floor=1e-12):
@@ -231,15 +244,16 @@ class TestBetaSweep:
             counts.append(len(count_eigensolves))
         assert counts[0] == counts[1]
 
-    def test_non_adaptive_sweep_solves_five_eigenproblems(self, count_eigensolves):
-        # the Gibbs spectra (2), the output admissibility check (1) and the
-        # output spectra (2); the Hamiltonian's normal modes come from its build
+    def test_non_adaptive_sweep_solves_four_eigenproblems(self, count_eigensolves):
+        # the Gibbs spectra (2) and the output spectra (2), off which both
+        # admissibility checks are read; the Hamiltonian's normal modes come
+        # from its build
         gen = np.random.default_rng(6)
         channel = random_regular_channel(gen, 3)
         ham = quadratic_hamiltonian(channel.space, random_spd(gen, 6))
         count_eigensolves.clear()
         gain_beta_sweep(channel, ham, adaptive=False)
-        assert len(count_eigensolves) == 5
+        assert len(count_eigensolves) == 4
 
     def test_rejects_ascending_grid(self):
         channel = preset_channel("attenuator", 0.5)

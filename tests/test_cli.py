@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import egain.cli as cli
+from conftest import BELOW_THE_BOUND, squeezed_covariance
 from egain.cli import main
 from egain.errors import HypothesisViolationError
 from egain.matio import save_matrix, write_json
@@ -177,13 +178,15 @@ class TestFock:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (
+            pytest.param(
                 "fock --preset amplifier --k 1.5 --trials 20 --seed 3",
                 "06307fae6ce74722c2e11f41beddddf8",
+                id="amplifier-lower-bound",
             ),
-            (
+            pytest.param(
                 "fock --preset classical-noise --k 1 --noise 0.3 --extremality --trials 10 --seed 3",
                 "7be8d7fbb3fcd592c7db731b77dd6587",
+                id="classical-noise-extremality",
             ),
         ],
     )
@@ -377,6 +380,16 @@ class TestWilliamson:
         report = json.loads(out)
         nu = math.sqrt(1.0 * 0.8 - 0.2 * 0.2)
         assert report["symplectic_eigenvalues"] == pytest.approx([nu])
+
+    @pytest.mark.parametrize("nu, r", BELOW_THE_BOUND)
+    def test_reports_squeezed_state_below_the_bound_as_indefinite(self, nu, r, tmp_path, capsys):
+        path = str(tmp_path / "squeezed.json")
+        save_matrix(path, squeezed_covariance(nu, r))
+        code, out, _ = run(["williamson", path], capsys)
+        assert code == 0
+        admissibility = json.loads(out)["admissibility"]
+        assert admissibility["verdict"] == "indefinite"
+        assert admissibility["min_eigenvalue"] == pytest.approx(nu - 0.5, abs=1e-9)
 
     def test_odd_dimension_exits_2(self, tmp_path, capsys):
         path = str(tmp_path / "odd.json")

@@ -485,6 +485,16 @@ class TestProp3:
         summary = extremality_campaign(classical_noise, 5, rng)
         assert summary["holds_count"] == 5
 
+    @pytest.mark.parametrize("name", ["classical_noise", "attenuator"])
+    def test_hypotheses_solve_four_eigenproblems(self, name, request, count_eigensolves):
+        # the input and output spectra (2 each), off which both nondegeneracy
+        # tests and the Gaussian gain are read
+        gch = request.getfixturevalue(name).gaussian_channel()
+        state = thermal_state(1.0, DIM)
+        count_eigensolves.clear()
+        fock._extremality_hypotheses(gch, state)
+        assert len(count_eigensolves) == 4
+
 
 @pytest.fixture(scope="module")
 def amplifier_small():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_covariance, random_spd
+from conftest import BELOW_THE_BOUND, random_covariance, random_spd, squeezed_covariance
 from egain.errors import InadmissibleInputError
 from egain.gaussian import (
     entropy_matrix_form,
@@ -76,6 +76,19 @@ class TestGaussianState:
         space = canonical_form(1)
         with pytest.raises(InadmissibleInputError):
             gaussian_state(space, np.zeros(2), 0.25 * np.eye(2))
+
+    @pytest.mark.parametrize("nu, r", BELOW_THE_BOUND)
+    def test_rejects_squeezed_state_below_the_bound(self, nu, r):
+        with pytest.raises(InadmissibleInputError, match="uncertainty bound"):
+            gaussian_state(canonical_form(1), np.zeros(2), squeezed_covariance(nu, r))
+
+    @pytest.mark.parametrize(
+        "r, theta", [(r, 0.0) for r in range(1, 6)] + [(r, 0.3) for r in range(1, 5)]
+    )
+    def test_accepts_pure_squeezed_vacuum(self, r, theta):
+        state = gaussian_state(canonical_form(1), np.zeros(2), squeezed_covariance(0.5, r, theta))
+        assert state.cert.is_positive_semidefinite
+        assert abs(state.nu[0] - 0.5) <= 1e-9
 
     def test_rejects_bad_mean_shape(self):
         space = canonical_form(1)
@@ -202,6 +215,17 @@ class TestSolvedOnce:
     def test_gibbs_state_solves_at_most_three(self, hamiltonian, count_eigensolves):
         gibbs_state(hamiltonian, 0.3)
         assert len(count_eigensolves) <= 3
+
+    def test_gaussian_state_solves_two_eigenproblems(self, count_eigensolves):
+        # the symplectic spectrum (2); the certificate is read off it
+        gaussian_state(canonical_form(3), np.zeros(6), np.eye(6))
+        assert len(count_eigensolves) == 2
+
+    def test_gibbs_state_solves_two_eigenproblems(self, hamiltonian, count_eigensolves):
+        # the Gibbs spectra (2); the cone check and the certificate are read off them
+        count_eigensolves.clear()
+        gibbs_state(hamiltonian, 0.3)
+        assert len(count_eigensolves) == 2
 
     def test_entropy_and_log_partition_solve_none(self, hamiltonian, count_eigensolves):
         state = gibbs_state(hamiltonian, 0.3)
