@@ -14,16 +14,13 @@ from egain.channels import apply_to_covariance
 from egain.errors import HypothesisViolationError, InadmissibleInputError
 from egain.fock import (
     DilationChannel,
-    annihilation,
     apply_channel,
     build_dilation,
-    channel_on_identity,
     covariance_of,
     fock_density,
     number_state,
     lower_bound_campaign,
     extremality_campaign,
-    quadratures,
     random_low_support_state,
     slack_from_deficit,
     thermal_state,
@@ -36,6 +33,27 @@ from egain.fock import (
 from egain.gaussian import mode_entropy
 
 DIM = 60
+
+
+def annihilation(dim):
+    """Annihilation operator a|n> = sqrt(n)|n-1> truncated to dim levels."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+
+
+def quadratures(dim):
+    """Quadrature operators q = (a + a†)/sqrt2, p = -i(a - a†)/sqrt2."""
+    a = annihilation(dim)
+    q = (a + a.conj().T) / math.sqrt(2.0)
+    p = -1j * (a - a.conj().T) / math.sqrt(2.0)
+    return q, p
+
+
+def dense_covariance(state):
+    """Reference moments: tr(rho op) for q, p and their symmetrized products, dense."""
+    ops = quadratures(state.dim)
+    mean = np.array([np.trace(state.rho @ op).real for op in ops])
+    second = np.array([[np.trace(state.rho @ (0.5 * (a @ b + b @ a))).real for b in ops] for a in ops])
+    return mean, second - np.outer(mean, mean)
 
 
 def unitary_from_skew(G):
@@ -119,6 +137,11 @@ def dense_output(stages, state):
     return out / np.trace(out).real
 
 
+def channel_on_identity(channel):
+    """The image sum_l V_l V_l† of the identity operator under the channel."""
+    return fock._kraus_sums(channel, np.eye(channel.dim))
+
+
 def full_block_kraus_sums(channel, rho):
     """Kraus sums of one matrix over every l and whole blocks, whatever levels it occupies."""
     for amps, lowering in ((channel.first, True), (channel.kraus, channel.kind == "attenuator")):
@@ -181,6 +204,18 @@ class TestOperators:
         comm = q @ p - p @ q
         assert comm[:29, :29] == pytest.approx(1j * np.eye(30)[:29, :29], abs=1e-12)
 
+    def test_diagonal_moments_equal_dense_traces(self, amplifier, rng):
+        # amplifier outputs reach the top level, where aa† has its zero entry
+        states = [random_low_support_state(rng, support=support) for support in (1, 2, 10, DIM)]
+        states += [apply_channel(amplifier, random_low_support_state(rng, support=6)) for _ in range(3)]
+        assert states[-1].rho[-1, -1] != 0.0
+        for state in states:
+            mean, alpha = covariance_of(state)
+            dense_mean, dense_alpha = dense_covariance(state)
+            assert np.abs(mean - dense_mean).max() <= 1e-13
+            assert np.abs(alpha - dense_alpha).max() <= 1e-13
+            assert np.array_equal(alpha, alpha.T)
+
 
 class TestFockDensity:
     def test_renormalizes_trace(self):
@@ -217,6 +252,36 @@ class TestFockDensity:
             assert np.trace(state.rho).real == pytest.approx(1.0)
             assert np.abs(state.rho[6:, :]).max() == 0.0
             assert np.linalg.eigvalsh(state.rho)[0] >= -1e-12
+
+    def test_negative_eigenvalue_behind_zero_levels_is_refused(self):
+        # the padded spectrum starts with the unoccupied levels' zeros
+        with pytest.raises(InadmissibleInputError) as block:
+            fock_density(np.diag([1.2, -0.2]).astype(complex))
+        with pytest.raises(InadmissibleInputError, match=re.escape(str(block.value))):
+            fock_density(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
+
+    @pytest.mark.parametrize("row, col", [(0, 1), (0, 3)], ids=["inside-the-diagonal", "column-only"])
+    def test_zero_padded_non_hermitian_block_is_refused(self, row, col):
+        # level 3 is occupied by its column alone: reading rows only would drop it
+        rho = np.diag([0.5, 0.5, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+        rho[row, col] = 0.4
+        with pytest.raises(InadmissibleInputError, match="not Hermitian"):
+            fock_density(rho)
+
+    def test_zero_matrix_is_refused_by_the_trace_check(self):
+        with pytest.raises(InadmissibleInputError, match=r"trace 0\.000e\+00 too far from 1"):
+            fock_density(np.zeros((5, 5)))
+        with pytest.raises(InadmissibleInputError, match="trace 0"):
+            fock._validated(np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))]).astype(complex), [0.0] * 2)
+
+    def test_padded_spectrum_matches_a_full_eigensolve(self, attenuator, rng):
+        states = [random_low_support_state(rng, support=support) for support in (1, 3, 10)]
+        states += [apply_channel(attenuator, state) for state in states]
+        for state in states:
+            full = np.linalg.eigvalsh(state.rho)
+            assert np.abs(np.sort(state.spectrum) - full).max() <= 1e-14
+            w = full[full > 0.0]
+            assert abs(von_neumann_entropy(state) + (w * np.log(w)).sum()) <= 1e-13
 
 
 class TestThermalState:
@@ -510,8 +575,40 @@ def small_dilations():
     ]
 
 
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """List that gains the shape of each np.linalg.eigvalsh argument."""
+    solver, shapes = np.linalg.eigvalsh, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
 class TestOccupiedLevels:
-    """Kraus stages move only the levels a stack occupies; no output may show it."""
+    """Kraus stages and validation touch only the levels a matrix occupies; no output may show it."""
+
+    def test_each_matrix_is_validated_as_if_alone(self, rng):
+        # one matrix per occupancy; solving them as one union block moves the smaller ones' bits
+        stack = [number_state(0, DIM).rho]
+        stack += [random_low_support_state(rng, support=support).rho for support in (4, 10)]
+        stack += [thermal_state(2.0, DIM).rho]
+        together = fock._validated(np.stack(stack), [0.0] * len(stack))
+        for rho, state in zip(stack, together):
+            alone = fock_density(rho)
+            assert np.array_equal(state.rho, alone.rho)
+            assert np.array_equal(state.spectrum, alone.spectrum)
+
+    def test_attenuator_campaign_solves_only_occupied_blocks(self, attenuator, eigvalsh_shapes):
+        lower_bound_campaign(attenuator, 20, np.random.default_rng(7))
+        assert eigvalsh_shapes == [(1, 10, 10)] * 18 + [(18, 10, 10)] + [(1, 10, 10)] * 2 + [(2, 10, 10)]
+
+    def test_amplifier_campaign_solves_its_outputs_on_every_level(self, amplifier, eigvalsh_shapes):
+        lower_bound_campaign(amplifier, 20, np.random.default_rng(7))
+        assert eigvalsh_shapes == [(1, 6, 6)] * 18 + [(18, DIM, DIM)] + [(1, 6, 6)] * 2 + [(2, DIM, DIM)]
 
     @pytest.mark.parametrize(
         "make_state",
