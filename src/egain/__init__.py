@@ -60,7 +60,6 @@ from .fock import (
     lower_bound_campaign,
     random_low_support_state,
     thermal_state,
-    truncation_flags,
     verify_lower_bound,
     verify_extremality,
     von_neumann_entropy,

@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("attenuator", "amplifier", "classical-noise")
+_SWEEP_TOL = 1e-3
+_BETA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,16 +243,14 @@ def gain_beta_sweep(
     channel: GaussianChannel,
     hamiltonian: QuadraticHamiltonian,
     beta_grid: np.ndarray | None = None,
-    tol: float = 1e-3,
-    beta_floor: float = 1e-12,
     adaptive: bool = True,
 ) -> GainReport:
     """Entropy gain on Gibbs states over a beta grid, with adaptive extension.
 
     Each gain is an exact difference of Gaussian entropies (no asymptotic
     expansion). When ``adaptive`` is set the grid is extended downward by
-    factors of 10 until the last gain is within ``tol`` of the closed form
-    or ``beta_floor`` is reached; the report's ``converged`` flag records
+    factors of 10 until the last gain is within ``_SWEEP_TOL`` of the closed form
+    or ``_BETA_FLOOR`` is reached; the report's ``converged`` flag records
     which happened.
     """
     if not channel.regular:
@@ -267,11 +267,11 @@ def gain_beta_sweep(
     closed = minimal_entropy_gain(channel)
     gains = list(_gibbs_gains(channel, hamiltonian, betas))
     betas = list(betas)
-    converged = abs(gains[-1] - closed) < tol
-    while adaptive and not converged and betas[-1] / 10.0 >= beta_floor:
+    converged = abs(gains[-1] - closed) < _SWEEP_TOL
+    while adaptive and not converged and betas[-1] / 10.0 >= _BETA_FLOOR:
         betas.append(betas[-1] / 10.0)
         gains.extend(_gibbs_gains(channel, hamiltonian, np.array(betas[-1:])))
-        converged = abs(gains[-1] - closed) < tol
+        converged = abs(gains[-1] - closed) < _SWEEP_TOL
     return GainReport(
         beta_grid=np.array(betas),
         gains=np.array(gains),

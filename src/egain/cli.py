@@ -204,8 +204,9 @@ def cmd_fock(args: argparse.Namespace) -> int:
     if not args.preset:
         raise InadmissibleInputError("fock campaigns require --preset")
     kind = args.preset.replace("-", "_")
-    noise = args.noise if kind == "classical_noise" else None
-    channel = build_dilation(kind, args.k, dim=args.dim, noise=noise)
+    if args.noise and kind != "classical_noise":
+        raise InadmissibleInputError(f"--noise applies only to classical-noise, not {args.preset}")
+    channel = build_dilation(kind, args.k, dim=args.dim, noise=args.noise)
     rng = np.random.default_rng(args.seed)
     if args.extremality:
         summary = extremality_campaign(channel, args.trials, rng)
@@ -230,7 +231,7 @@ def cmd_fock(args: argparse.Namespace) -> int:
         "seed": int(args.seed),
         "kind": kind,
         "k": float(args.k),
-        "noise": float(noise) if noise is not None else 0.0,
+        "noise": channel.noise,
         "dim": int(args.dim),
         "trials": int(args.trials),
         "support": summary["support"],
@@ -285,14 +286,16 @@ def cmd_williamson(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
+def _add_channel_flags(parser: argparse.ArgumentParser, fock: bool = False) -> None:
+    """Channel flags; the Fock oracle takes presets only and certifies no matrix, so no file or tolerance."""
     parser.add_argument("--preset", choices=PRESET_NAMES, help="named one-mode channel")
     parser.add_argument("--k", type=_finite, default=0.5, help="channel parameter k")
     parser.add_argument(
         "--noise", type=_finite, default=0.0, help="extra classical noise per quadrature"
     )
-    parser.add_argument("--channel-file", help="JSON file holding matrices K and mu")
-    parser.add_argument("--tol", type=_tolerance, default=None, help="certificate tolerance")
+    if not fock:
+        parser.add_argument("--channel-file", help="JSON file holding matrices K and mu")
+        parser.add_argument("--tol", type=_tolerance, default=None, help="certificate tolerance")
     parser.add_argument("--out", help="output path (stdout when omitted)")
 
 
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fock = sub.add_parser("fock", help="randomized Kraus-oracle bound campaign")
-    _add_channel_flags(p_fock)
+    _add_channel_flags(p_fock, fock=True)
     p_fock.add_argument(
         "--dim", type=_at_most(FOCK_DIM_MAX), default=60, help="Fock-space cutoff"
     )

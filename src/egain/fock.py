@@ -12,14 +12,15 @@ package's main numerical evidence.
 Each matrix is validated on the s leading levels it occupies, so random states
 and attenuator outputs cost O(s^3) whatever the cutoff. Campaigns draw their
 states in trial order and run them in chunks of at most ``_STACK_BYTES`` as
-(B, d, d) stacks; Kraus stages move only the levels a stack occupies and
-validation groups it by occupancy, so records equal ``verify_*`` bit for bit.
+(B, d, d) stacks, taking each trial's reference before its chunk runs. A stack
+gives each state the bits it gives alone, and ``_record`` builds every trial's
+record, so campaign records equal ``verify_*``'s.
 
 Truncation policy: results carry a ``trace_deficit``, which includes the
-mass a channel moves past the cutoff, and states whose deficit or top-band
-population (top ceil(0.2 d) levels) exceeds 1e-6 are flagged unreliable;
+mass a channel moves past the cutoff, and a trial whose states' deficits or
+top-band populations (top ceil(0.2 d) levels) exceed 1e-6 is flagged unreliable;
 unreliable trials are reported, never silently dropped. Bound checks use the
-slack 50 * deficit + 1e-6.
+slack 50 * deficit + 1e-6, the deficit adding the output's top-band population.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "apply_channel",
     "covariance_of",
     "top_band_mass",
-    "truncation_flags",
     "random_low_support_state",
     "slack_from_deficit",
     "lower_bound_campaign",
@@ -276,17 +276,19 @@ def _apply_stack(channel: DilationChannel, states: list) -> list[FockDensityMatr
     if any(state.dim != channel.dim for state in states):
         raise InadmissibleInputError("state and channel dimensions differ")
     out = _kraus_sums(channel, np.stack([state.rho for state in states]))
-    out += out.conj().swapaxes(1, 2)
-    out *= 0.5
-    tr = np.trace(out, axis1=1, axis2=2).real
+    tr = np.trace(out, axis1=1, axis2=2).real  # over all d levels: a block sum adds in another order
     for t in tr:
         if not t >= np.finfo(float).tiny:  # a subnormal or zero mass cannot be renormalized
             raise InadmissibleInputError(
                 f"output mass kept below the cutoff dim = {channel.dim} is {t:.3e}, "
                 "not a positive normal float"
             )
-    out /= tr[:, None, None]
-    return _validated(out, [s.trace_deficit + max(0.0, 1.0 - t) for s, t in zip(states, tr)])
+    s = _levels(out).max()  # past the occupied block lie exact zeros
+    block = out[:, :s, :s]
+    block += block.conj().swapaxes(1, 2)
+    block *= 0.5
+    block /= tr[:, None, None]
+    return _validated(out, [state.trace_deficit + max(0.0, 1.0 - t) for state, t in zip(states, tr)])
 
 
 def apply_channel(channel: DilationChannel, state: FockDensityMatrix) -> FockDensityMatrix:
@@ -316,17 +318,6 @@ def top_band_mass(state: FockDensityMatrix) -> float:
     return float(populations[state.dim - band :].sum())
 
 
-def truncation_flags(state: FockDensityMatrix) -> dict:
-    """Reliability assessment of a truncated state."""
-    band = top_band_mass(state)
-    reliable = state.trace_deficit <= RELIABILITY_THRESHOLD and band <= RELIABILITY_THRESHOLD
-    return {
-        "trace_deficit": state.trace_deficit,
-        "top_band_mass": band,
-        "reliable": bool(reliable),
-    }
-
-
 def random_low_support_state(
     rng: np.random.Generator,
     dim: int = DEFAULT_DIM,
@@ -352,10 +343,6 @@ def slack_from_deficit(deficit: float) -> float:
     return 50.0 * deficit + 1e-6
 
 
-def _effective_deficit(state_in: FockDensityMatrix, state_out: FockDensityMatrix) -> float:
-    return state_in.trace_deficit + state_out.trace_deficit + top_band_mass(state_out)
-
-
 # Campaign input support per channel kind. The amplifier expands photon
 # number by roughly k^2 and spreads it binomially, so inputs reaching level 9
 # put ~1e-5 of output population into the top band at the default dimension
@@ -368,12 +355,29 @@ CAMPAIGN_SUPPORT = {"attenuator": 10, "amplifier": 6, "classical_noise": 10}
 _STACK_BYTES = 1 << 20
 
 
-def _campaign(channel, trials, rng, record, hypotheses=lambda state: None) -> dict:
-    """Draw random low-support states in trial order and tally their records.
+def _record(state: FockDensityMatrix, out: FockDensityMatrix, reference: dict) -> dict:
+    """A trial's record: ``holds`` if gain >= the first value of ``reference`` - slack.
 
-    Each chunk's ``hypotheses`` are checked in trial order before the chunk runs
-    as one stack; ``record(channel, state, out, checked)`` makes each record.
+    The deficit adds both trace deficits and the output's top-band mass; the trial is
+    reliable if none of them nor the input's top-band mass exceeds RELIABILITY_THRESHOLD.
     """
+    band_out = top_band_mass(out)
+    gain = von_neumann_entropy(out) - von_neumann_entropy(state)
+    deficit = state.trace_deficit + out.trace_deficit + band_out
+    slack = slack_from_deficit(deficit)
+    worst = max(state.trace_deficit, out.trace_deficit, top_band_mass(state), band_out)
+    return {
+        "gain": gain,
+        **reference,
+        "deficit": deficit,
+        "slack": slack,
+        "holds": bool(gain >= next(iter(reference.values())) - slack),
+        "reliable": bool(worst <= RELIABILITY_THRESHOLD),
+    }
+
+
+def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
+    """Draw random low-support states in trial order and tally their records, a chunk at a time."""
     if trials < 1:
         raise InadmissibleInputError("trials must be >= 1")
     support = CAMPAIGN_SUPPORT[channel.kind]
@@ -382,9 +386,8 @@ def _campaign(channel, trials, rng, record, hypotheses=lambda state: None) -> di
     for start in range(0, trials, chunk):
         draw = range(min(chunk, trials - start))
         states = [random_low_support_state(rng, dim=channel.dim, support=support) for _ in draw]
-        checked = [hypotheses(state) for state in states]
-        outs = _apply_stack(channel, states)
-        records += [record(channel, *trial) for trial in zip(states, outs, checked)]
+        references = [reference(state) for state in states]  # in trial order, before the stack runs
+        records += map(_record, states, _apply_stack(channel, states), references)
     return {
         "kind": channel.kind,
         "k": channel.k,
@@ -397,45 +400,33 @@ def _campaign(channel, trials, rng, record, hypotheses=lambda state: None) -> di
     }
 
 
+def _reference(channel: DilationChannel, extremality: bool):
+    """Per state: the bound log k^2, or the Gaussian gain once the state meets the hypotheses."""
+    if extremality:
+        return functools.partial(_extremality_hypotheses, channel.gaussian_channel())
+    bound = {"bound": 2.0 * math.log(channel.k)}  # k**2 underflows to 0 below k = 1e-162
+    return lambda state: bound
+
+
 def lower_bound_campaign(channel: DilationChannel, trials: int, rng: np.random.Generator) -> dict:
     """Run verify_lower_bound over random low-support states and tally the results."""
-    return _campaign(channel, trials, rng, _bound_record)
+    return _campaign(channel, trials, rng, _reference(channel, extremality=False))
 
 
 def extremality_campaign(channel: DilationChannel, trials: int, rng: np.random.Generator) -> dict:
     """Run verify_extremality over random low-support states and tally the results."""
-    hypotheses = functools.partial(_extremality_hypotheses, channel.gaussian_channel())
-    return _campaign(channel, trials, rng, _extremality_record, hypotheses)
+    return _campaign(channel, trials, rng, _reference(channel, extremality=True))
 
 
 def verify_lower_bound(channel: DilationChannel, state: FockDensityMatrix) -> dict:
     """Check the universal lower bound gain >= log k^2 on one state.
 
     Returns a record with the measured gain, the bound, the truncation
-    deficit, the slack actually granted, and the reliability flags; the
+    deficit, the slack actually granted, and the reliability flag; the
     verdict ``holds`` means gain >= bound - slack.
     """
-    return _bound_record(channel, state, apply_channel(channel, state))
-
-
-def _bound_record(channel, state, out, checked=None) -> dict:
-    entropy_in, entropy_out = von_neumann_entropy(state), von_neumann_entropy(out)
-    gain = entropy_out - entropy_in
-    bound = 2.0 * math.log(channel.k)  # k**2 underflows to 0 below k = 1e-162
-    deficit = _effective_deficit(state, out)
-    slack = slack_from_deficit(deficit)
-    flags_out = truncation_flags(out)
-    return {
-        "gain": gain,
-        "bound": bound,
-        "entropy_in": entropy_in,
-        "entropy_out": entropy_out,
-        "deficit": deficit,
-        "slack": slack,
-        "holds": bool(gain >= bound - slack),
-        "reliable": bool(truncation_flags(state)["reliable"] and flags_out["reliable"]),
-        "top_band_mass_out": flags_out["top_band_mass"],
-    }
+    reference = _reference(channel, extremality=False)(state)
+    return _record(state, apply_channel(channel, state), reference)
 
 
 def verify_extremality(channel: DilationChannel, state: FockDensityMatrix) -> dict:
@@ -452,12 +443,12 @@ def verify_extremality(channel: DilationChannel, state: FockDensityMatrix) -> di
     the state is nondegenerate, which is what the extremality argument
     actually needs.
     """
-    checked = _extremality_hypotheses(channel.gaussian_channel(), state)
-    return _extremality_record(channel, state, apply_channel(channel, state), checked)
+    reference = _reference(channel, extremality=True)(state)
+    return _record(state, apply_channel(channel, state), reference)
 
 
-def _extremality_hypotheses(gch: GaussianChannel, state) -> tuple:
-    """verify_extremality's hypotheses on one state: (nu_min, flagged, Gaussian gain).
+def _extremality_hypotheses(gch: GaussianChannel, state) -> dict:
+    """Check verify_extremality's hypotheses on one state; return its reference, Gaussian gain first.
 
     Both nondegeneracy tests and the gain are read off the input and output spectra.
     """
@@ -473,21 +464,5 @@ def _extremality_hypotheses(gch: GaussianChannel, state) -> tuple:
         raise HypothesisViolationError(
             "saturating channel maps this state to a degenerate Gaussian image"
         )
-    return nu_min, not gch.strict, float(_entropies(nu_out)) - float(_entropies(nu_in))
-
-
-def _extremality_record(channel, state, out, checked) -> dict:
-    nu_min, flagged, gauss_gain = checked
-    gain = von_neumann_entropy(out) - von_neumann_entropy(state)
-    deficit = _effective_deficit(state, out)
-    slack = slack_from_deficit(deficit)
-    return {
-        "gain": gain,
-        "gaussian_gain": gauss_gain,
-        "deficit": deficit,
-        "slack": slack,
-        "holds": bool(gain >= gauss_gain - slack),
-        "reliable": bool(truncation_flags(state)["reliable"] and truncation_flags(out)["reliable"]),
-        "flagged_saturating": flagged,
-        "min_symplectic_eigenvalue": nu_min,
-    }
+    gain = float(_entropies(nu_out)) - float(_entropies(nu_in))
+    return dict(gaussian_gain=gain, flagged_saturating=not gch.strict, min_symplectic_eigenvalue=nu_min)

@@ -50,10 +50,7 @@ def decode_array(data) -> np.ndarray:
     """Decode nested lists produced by :func:`encode_array`."""
     if not isinstance(data, list) or not data:
         raise InadmissibleInputError("expected a non-empty JSON array")
-    if isinstance(data[0], list) and data[0] and isinstance(data[0][0], list):
-        rows = [[_decode_entry(v) for v in row] for row in data]
-        arr = np.array(rows, dtype=complex)
-    elif isinstance(data[0], list):
+    if isinstance(data[0], list):
         width = len(data[0])
         if any(not isinstance(row, list) or len(row) != width for row in data):
             raise InadmissibleInputError("matrix rows must all have the same length")

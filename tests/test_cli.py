@@ -190,6 +190,12 @@ class TestFock:
                 "d500ce5dad78acc8be71167bf8b3cd53",
                 id="classical-noise-extremality",
             ),
+            # attenuator outputs occupy fewer than dim levels
+            pytest.param(
+                "fock --preset attenuator --k 0.7 --trials 20 --seed 3",
+                "5ebc42e3b09fd41baf7bfd7400635eb1",
+                id="attenuator-lower-bound",
+            ),
         ],
     )
     def test_report_is_byte_identical_to_the_frozen_digest(self, argv, digest, capsys):
@@ -476,6 +482,31 @@ class TestTolerancePlumbing:
             None,
             "--noise: must be finite",
             id="noise-nan",
+        ),
+        # the Fock oracle has no noisy attenuator or amplifier, and certifies no matrix
+        pytest.param(
+            "fock --preset attenuator --k 0.7 --noise 0.3",
+            None,
+            "--noise applies only to classical-noise, not attenuator",
+            id="fock-attenuator-noise",
+        ),
+        pytest.param(
+            "fock --preset amplifier --k 1.5 --noise 0.3",
+            None,
+            "--noise applies only to classical-noise, not amplifier",
+            id="fock-amplifier-noise",
+        ),
+        pytest.param(
+            "fock --preset attenuator --k 0.7 --tol 1e-6",
+            None,
+            "unrecognized arguments: --tol 1e-6",
+            id="fock-tol",
+        ),
+        pytest.param(
+            "fock --preset attenuator --k 0.7 --channel-file missing.json",
+            None,
+            "unrecognized arguments: --channel-file missing.json",
+            id="fock-channel-file",
         ),
         pytest.param(
             "sweep --preset attenuator --k 0.5 --beta-max inf",

@@ -25,7 +25,6 @@ from egain.fock import (
     slack_from_deficit,
     thermal_state,
     top_band_mass,
-    truncation_flags,
     verify_lower_bound,
     verify_extremality,
     von_neumann_entropy,
@@ -475,10 +474,12 @@ class TestTruncationPolicy:
             exact = verify_lower_bound(reference, fock_density(rho))["gain"]
             assert abs(record["gain"] - exact) <= record["slack"]
 
-    def test_flags_dict(self):
-        flags = truncation_flags(thermal_state(1.0, DIM))
-        assert flags["reliable"]
-        assert set(flags) == {"trace_deficit", "top_band_mass", "reliable"}
+    def test_record_keys(self, rng, attenuator, classical_noise):
+        state = random_low_support_state(rng, dim=DIM)
+        common = {"gain", "deficit", "slack", "holds", "reliable"}
+        assert set(verify_lower_bound(attenuator, state)) == common | {"bound"}
+        extremality = {"gaussian_gain", "flagged_saturating", "min_symplectic_eigenvalue"}
+        assert set(verify_extremality(classical_noise, state)) == common | extremality
 
 
 class TestProp1:

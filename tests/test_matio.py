@@ -63,6 +63,8 @@ class TestValidation:
     def test_rejects_ragged_rows(self):
         with pytest.raises(InadmissibleInputError):
             decode_array([[1.0, 2.0], [3.0]])
+        with pytest.raises(InadmissibleInputError, match="rows must all have the same length"):
+            decode_array([[[1, 0], [2, 0]], [[3, 0]]])
 
     def test_rejects_empty(self):
         with pytest.raises(InadmissibleInputError):
