@@ -17,7 +17,6 @@ from .symplectic import (
     WilliamsonDecomposition,
     canonical_form,
     check_hermitian_psd,
-    random_symplectic,
     symplectic_eigenvalues,
     williamson,
 )
@@ -29,14 +28,12 @@ from .gaussian import (
     entropy_of_covariance,
     gaussian_entropy,
     gaussian_state,
-    gaussify,
     gibbs_covariance,
     gibbs_state,
     log_partition,
     mean_energy,
     mode_entropy,
     quadratic_hamiltonian,
-    vacuum_state,
 )
 from .channels import (
     GainReport,
@@ -66,12 +63,11 @@ from .fock import (
 )
 from .classical import (
     HeavyTailDistribution,
-    PermutationFamily,
     channel_row_entropy,
     doubly_stochastic_check,
     heavy_tail,
     xor_family,
 )
-from .matio import load_matrix, read_json, save_matrix, write_json
+from .matio import load_matrix, read_json, write_json
 
 __version__ = "0.1.0"

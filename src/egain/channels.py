@@ -18,7 +18,7 @@ the same number because Phi[I] = |det K|^-1 I.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def preset_channel(
     return make_channel(k * eye, mu, space, tol)
 
 
-def tensor_channels(a: GaussianChannel, b: GaussianChannel, tol: float = DEFAULT_TOL) -> GaussianChannel:
+def tensor_channels(a: GaussianChannel, b: GaussianChannel) -> GaussianChannel:
     """Parallel composition: block-diagonal K and mu on the joint phase space."""
     space = canonical_form(a.space.s + b.space.s)
     na, nb = 2 * a.space.s, 2 * b.space.s
@@ -138,28 +138,26 @@ def tensor_channels(a: GaussianChannel, b: GaussianChannel, tol: float = DEFAULT
     mu = np.zeros_like(K)
     K[:na, :na], K[na:, na:] = a.K, b.K
     mu[:na, :na], mu[na:, na:] = a.mu, b.mu
-    return make_channel(K, mu, space, tol)
+    return make_channel(K, mu, space)
 
 
-def apply_to_covariance(
-    channel: GaussianChannel, alpha: np.ndarray, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def apply_to_covariance(channel: GaussianChannel, alpha: np.ndarray) -> np.ndarray:
     """Covariance action alpha -> K.T alpha K + mu, with output admissibility check.
 
     A (B, 2s, 2s) stack of covariances gives the stack of outputs.
     """
-    return _apply(channel, _require_symmetric(alpha, channel.space, tol), tol)[0]
+    return _apply(channel, _require_symmetric(alpha, channel.space, DEFAULT_TOL))[0]
 
 
-def _apply(channel: GaussianChannel, alpha: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _apply(channel: GaussianChannel, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``apply_to_covariance`` on an exactly symmetric matrix or stack, which it does not validate.
 
     Returns the output with the symplectic spectrum its certificate is read off.
     """
     out = channel.K.T @ alpha @ channel.K + channel.mu
     out = 0.5 * (out + _transpose(out))
-    nu = _symplectic_spectrum(out, channel.space, tol)
-    cert = _uncertainty_cert(nu, tol)
+    nu = _symplectic_spectrum(out, channel.space)
+    cert = _uncertainty_cert(nu, DEFAULT_TOL)
     _refuse(
         np.logical_not(cert.is_positive_semidefinite),
         RuntimeError,
@@ -185,15 +183,13 @@ def minimal_entropy_gain(channel: GaussianChannel) -> float:
     return float(np.linalg.slogdet(channel.K)[1])
 
 
-def gaussian_gain(
-    channel: GaussianChannel, alpha: np.ndarray, tol: float = DEFAULT_TOL
-) -> float:
+def gaussian_gain(channel: GaussianChannel, alpha: np.ndarray) -> float:
     """Entropy gain of the channel on the Gaussian state with covariance alpha.
 
     alpha must pass the uncertainty bound.
     """
-    state = gaussian_state(channel.space, np.zeros(2 * channel.space.s), alpha, tol)
-    nu_out = _apply(channel, state.alpha, tol)[1]
+    state = gaussian_state(channel.space, np.zeros(2 * channel.space.s), alpha)
+    nu_out = _apply(channel, state.alpha)[1]
     return float(_entropies(nu_out)) - float(_entropies(state.nu))
 
 
@@ -215,8 +211,7 @@ class GainReport:
     beta_grid: np.ndarray
     gains: np.ndarray
     closed_form: float
-    lower_bound_general: float
-    converged: bool = field(default=True)
+    converged: bool
 
 
 def _gibbs_gains(
@@ -230,8 +225,8 @@ def _gibbs_gains(
     meet first.
     """
     try:
-        alpha, nu = _gibbs_covariances(hamiltonian, betas, DEFAULT_TOL)
-        return _entropies(_apply(channel, alpha, DEFAULT_TOL)[1]) - _entropies(nu)
+        alpha, nu = _gibbs_covariances(hamiltonian, betas)
+        return _entropies(_apply(channel, alpha)[1]) - _entropies(nu)
     except (InadmissibleInputError, RuntimeError) as exc:
         first = getattr(exc, "slice_index", 0)
         if first:
@@ -243,15 +238,13 @@ def gain_beta_sweep(
     channel: GaussianChannel,
     hamiltonian: QuadraticHamiltonian,
     beta_grid: np.ndarray | None = None,
-    adaptive: bool = True,
 ) -> GainReport:
     """Entropy gain on Gibbs states over a beta grid, with adaptive extension.
 
     Each gain is an exact difference of Gaussian entropies (no asymptotic
-    expansion). When ``adaptive`` is set the grid is extended downward by
-    factors of 10 until the last gain is within ``_SWEEP_TOL`` of the closed form
-    or ``_BETA_FLOOR`` is reached; the report's ``converged`` flag records
-    which happened.
+    expansion). The grid is extended downward by factors of 10 until the
+    last gain is within ``_SWEEP_TOL`` of the closed form or ``_BETA_FLOOR``
+    is reached; the report's ``converged`` flag records which happened.
     """
     if not channel.regular:
         raise NonRegularChannelError("beta sweeps require a regular channel")
@@ -268,7 +261,7 @@ def gain_beta_sweep(
     gains = list(_gibbs_gains(channel, hamiltonian, betas))
     betas = list(betas)
     converged = abs(gains[-1] - closed) < _SWEEP_TOL
-    while adaptive and not converged and betas[-1] / 10.0 >= _BETA_FLOOR:
+    while not converged and betas[-1] / 10.0 >= _BETA_FLOOR:
         betas.append(betas[-1] / 10.0)
         gains.extend(_gibbs_gains(channel, hamiltonian, np.array(betas[-1:])))
         converged = abs(gains[-1] - closed) < _SWEEP_TOL
@@ -276,6 +269,5 @@ def gain_beta_sweep(
         beta_grid=np.array(betas),
         gains=np.array(gains),
         closed_form=closed,
-        lower_bound_general=closed,
         converged=bool(converged),
     )

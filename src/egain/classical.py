@@ -33,9 +33,7 @@ import numpy as np
 from .errors import InadmissibleInputError
 
 __all__ = [
-    "PermutationFamily",
     "HeavyTailDistribution",
-    "permutation",
     "xor_family",
     "heavy_tail",
     "normalizer",
@@ -53,13 +51,6 @@ _TAIL_NODES = 64
 _STRIPE = 64
 
 
-def permutation(i: int, j: int) -> int:
-    """The XOR permutation table n_j(i) = ((i-1) XOR (j-1)) + 1, 1-based."""
-    if i < 1 or j < 1:
-        raise InadmissibleInputError("indices are 1-based and must be >= 1")
-    return ((int(i) - 1) ^ (int(j) - 1)) + 1
-
-
 def _xor_table(a, b):
     """The 0-based XOR table u(a, b) = a XOR b, in the dtype of its indices."""
     return a ^ b
@@ -69,25 +60,14 @@ def _xor_vectorized(i, j):
     return _xor_table(i - 1, j - 1) + 1
 
 
-@dataclass(frozen=True, eq=False)
-class PermutationFamily:
-    """Family of row permutations (i, j) -> n_j(i) of the positive integers.
+def xor_family() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The XOR permutation table (i, j) -> n_j(i) of the positive integers.
 
-    ``vectorized`` evaluates the table on broadcast arrays of 1-based indices;
-    ``doubly_stochastic_check`` passes them in the smallest unsigned dtype
-    that holds 2^k, and the table must be exact in that dtype.
+    It evaluates the table on broadcast arrays of 1-based indices. Other
+    tables passed where this one is expected must do the same, and be exact
+    in the smallest unsigned dtype that ``doubly_stochastic_check`` uses.
     """
-
-    vectorized: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def row(self, i: int, n: int) -> np.ndarray:
-        """First n entries (j = 1..n) of row i as an int64 array."""
-        return self.vectorized(i, np.arange(1, n + 1, dtype=np.int64))
-
-
-def xor_family() -> PermutationFamily:
-    """The canonical XOR permutation family."""
-    return PermutationFamily(vectorized=_xor_vectorized)
+    return _xor_vectorized
 
 
 def _raw_weight(n: np.ndarray) -> np.ndarray:
@@ -184,9 +164,7 @@ def heavy_tail(n_max: int = 10**7) -> HeavyTailDistribution:
     return HeavyTailDistribution(n_max=int(n_max), normalizer=Z, normalizer_uncertainty=err)
 
 
-def channel_row_entropy(
-    dist: HeavyTailDistribution, perms: PermutationFamily, i: int, N: int
-) -> float:
+def channel_row_entropy(dist: HeavyTailDistribution, perms: Callable, i: int, N: int) -> float:
     """Truncated entropy of row i of the channel: -sum_{j<=N} p_ij log p_ij.
 
     At complete prefixes N = 2^k with i <= N the row indices are a
@@ -194,7 +172,7 @@ def channel_row_entropy(
     """
     if i < 1 or N < 1:
         raise InadmissibleInputError("need i >= 1 and N >= 1")
-    idx = perms.row(i, N)
+    idx = perms(i, np.arange(1, N + 1, dtype=np.int64))
     q = dist.weight(idx)
     return float(-(q * np.log(q)).sum())
 
@@ -241,12 +219,10 @@ def _block_form(table: Callable[..., np.ndarray], k: int, origin: int) -> bool:
     return True
 
 
-def doubly_stochastic_check(
-    perms: PermutationFamily, dist: HeavyTailDistribution, k: int
-) -> bool:
+def doubly_stochastic_check(perms: Callable, dist: HeavyTailDistribution, k: int) -> bool:
     """Certify that the 2^k x 2^k truncation is doubly stochastic after renormalization.
 
-    True iff the table of ``perms.vectorized`` on the prefix {1..2^k}, in
+    True iff the table ``perms`` on the prefix {1..2^k}, in
     uint8 to k = 7, uint16 to k = 15 and uint32 at k = 16, has the 1-based
     XOR block form of ``_block_form``. Every row and column is then a
     bijection of the prefix, so each carries the weight multiset {q_1, ...,
@@ -258,7 +234,7 @@ def doubly_stochastic_check(
         raise InadmissibleInputError("k must be nonnegative")
     if (1 << k) > dist.n_max:
         raise InadmissibleInputError("prefix exceeds the distribution support")
-    return _block_form(perms.vectorized, k, 1)
+    return _block_form(perms, k, 1)
 
 
 def prefix_bijections_exhaustive(k_max: int = 16) -> bool:

@@ -44,7 +44,7 @@ from .fock import (
     extremality_campaign,
 )
 from .gaussian import quadratic_hamiltonian
-from .matio import _json_text, decode_array, encode_array, load_matrix, read_json, write_json, write_text
+from .matio import _json_text, decode_array, encode_array, load_matrix, read_json, write_text
 from .symplectic import DEFAULT_TOL, _uncertainty_cert, canonical_form, williamson
 
 EXIT_OK = 0
@@ -69,18 +69,12 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _emit_text(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> None:
+    """Write a report to stdout, or atomically to ``out``."""
     if out is None:
         sys.stdout.write(text)
     else:
         write_text(out, text)
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(_json_text(payload))
-    else:
-        write_json(out, payload)
 
 
 def _finite(text: str) -> float:
@@ -118,7 +112,7 @@ def _at_most(limit: int):
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         return args.tol
     env = os.environ.get("EGAIN_TOL")
     if env is not None:
@@ -133,7 +127,7 @@ def _resolve_tol(args: argparse.Namespace) -> float:
 
 def _resolve_channel(args: argparse.Namespace, tol: float) -> tuple[GaussianChannel, dict]:
     """Build the channel named on the command line, plus its report stanza."""
-    if getattr(args, "channel_file", None):
+    if args.channel_file:
         data = read_json(args.channel_file)
         if not isinstance(data, dict) or "K" not in data or "mu" not in data:
             raise InadmissibleInputError("channel file must contain 'K' and 'mu' matrices")
@@ -144,7 +138,7 @@ def _resolve_channel(args: argparse.Namespace, tol: float) -> tuple[GaussianChan
         space = canonical_form(K.shape[0] // 2)
         channel = make_channel(K.real, mu.real, space, tol=tol)
         source = {"channel_file": args.channel_file}
-    elif getattr(args, "preset", None):
+    elif args.preset:
         channel = preset_channel(args.preset, args.k, noise=args.noise, tol=tol)
         source = {"preset": args.preset, "k": float(args.k), "noise": float(args.noise)}
     else:
@@ -167,7 +161,7 @@ def cmd_gain(args: argparse.Namespace) -> int:
         # the general bound -log ||Phi[I]|| is log |det K|, the closed form itself
         "lower_bound_general": gain,
     }
-    _emit_json(report, args.out)
+    _emit(_json_text(report), args.out)
     return EXIT_OK
 
 
@@ -175,7 +169,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     channel, source = _resolve_channel(args, tol)
     space = channel.space
-    if getattr(args, "epsilon_file", None):
+    if args.epsilon_file:
         epsilon = load_matrix(args.epsilon_file).real
         source["epsilon_file"] = args.epsilon_file
     else:
@@ -196,7 +190,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines.append("beta,gain,gap_to_closed_form")
     for beta, gain in zip(report.beta_grid, report.gains):
         lines.append(f"{_fmt(beta)},{_fmt(gain)},{_fmt(gain - report.closed_form)}")
-    _emit_text("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -214,16 +208,8 @@ def cmd_fock(args: argparse.Namespace) -> int:
     else:
         summary = lower_bound_campaign(channel, args.trials, rng)
         reference_key = "bound"
-    records = [
-        {
-            "gain": r["gain"],
-            reference_key: r[reference_key],
-            "deficit": r["deficit"],
-            "holds": r["holds"],
-            "reliable": r["reliable"],
-        }
-        for r in summary["records"]
-    ]
+    keys = ("gain", reference_key, "deficit", "holds", "reliable")
+    records = [{key: r[key] for key in keys} for r in summary["records"]]
     margins = [r["gain"] - r[reference_key] for r in records]
     report = {
         "command": "fock",
@@ -243,7 +229,7 @@ def cmd_fock(args: argparse.Namespace) -> int:
         "reliability_threshold": RELIABILITY_THRESHOLD,
         "records": records,
     }
-    _emit_json(report, args.out)
+    _emit(_json_text(report), args.out)
     if summary["reliable_count"] < RELIABLE_FRACTION_FLOOR * args.trials:
         return EXIT_UNRELIABLE
     return EXIT_OK
@@ -255,14 +241,16 @@ def cmd_classical(args: argparse.Namespace) -> int:
         raise InadmissibleInputError(
             f"prefix exponent must be between 1 and {CLASSICAL_K_MAX}"
         )
-    dist = heavy_tail(max(args.n_max, 1 << k_max))
+    if args.n_max < 1 << k_max:
+        raise InadmissibleInputError(f"--n-max must be at least 2^k = {1 << k_max}")
+    dist = heavy_tail(args.n_max)
     family = xor_family()
     lines = ["# seed: none", f"# n_max: {dist.n_max}", "k,H,doubly_stochastic"]
     for k in range(1, k_max + 1):
         entropy = dist.truncated_entropy(1 << k)
         verdict = doubly_stochastic_check(family, dist, k)
         lines.append(f"{k},{_fmt(entropy)},{str(verdict).lower()}")
-    _emit_text("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -282,19 +270,23 @@ def cmd_williamson(args: argparse.Namespace) -> int:
         "T": encode_array(decomposition.T),
         "admissibility": dataclasses.asdict(_uncertainty_cert(decomposition.nu, tol)),
     }
-    _emit_json(report, args.out)
+    _emit(_json_text(report), args.out)
     return EXIT_OK
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser, fock: bool = False) -> None:
-    """Channel flags; the Fock oracle takes presets only and certifies no matrix, so no file or tolerance."""
-    parser.add_argument("--preset", choices=PRESET_NAMES, help="named one-mode channel")
+    """Channel flags; the Fock oracle takes presets only and certifies no matrix, so no file or tolerance.
+
+    Elsewhere a preset and a channel file exclude each other, so neither is ignored.
+    """
+    source = parser if fock else parser.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=PRESET_NAMES, help="named one-mode channel")
     parser.add_argument("--k", type=_finite, default=0.5, help="channel parameter k")
     parser.add_argument(
         "--noise", type=_finite, default=0.0, help="extra classical noise per quadrature"
     )
     if not fock:
-        parser.add_argument("--channel-file", help="JSON file holding matrices K and mu")
+        source.add_argument("--channel-file", help="JSON file holding matrices K and mu")
         parser.add_argument("--tol", type=_tolerance, default=None, help="certificate tolerance")
     parser.add_argument("--out", help="output path (stdout when omitted)")
 
@@ -337,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=14, help="largest prefix exponent to tabulate"
     )
     p_classical.add_argument(
-        "--n-max", type=int, default=10_000_000, help="distribution truncation"
+        "--n-max", type=int, default=10_000_000, help="distribution truncation, at least 2^k"
     )
     p_classical.add_argument("--out", help="output path (stdout when omitted)")
     p_classical.set_defaults(func=cmd_classical)

@@ -62,6 +62,8 @@ __all__ = [
 DEFAULT_DIM = 60
 RELIABILITY_THRESHOLD = 1e-6
 TOP_BAND_FRACTION = 0.2
+# Least eigenvalue a density matrix may have: rounding, not a negative population.
+_EIGENVALUE_FLOOR = -1e-10
 DILATION_KINDS = ("attenuator", "amplifier", "classical_noise")
 
 
@@ -82,11 +84,9 @@ class FockDensityMatrix:
     spectrum: np.ndarray
 
 
-def fock_density(
-    rho: np.ndarray, trace_deficit: float = 0.0, tol: float = 1e-10
-) -> FockDensityMatrix:
+def fock_density(rho: np.ndarray) -> FockDensityMatrix:
     """Validate, symmetrize and renormalize a raw density matrix."""
-    return _validated(np.array(rho, dtype=complex)[None], [trace_deficit], tol)[0]
+    return _validated(np.array(rho, dtype=complex)[None], [0.0])[0]
 
 
 def _levels(rho: np.ndarray) -> np.ndarray:
@@ -96,7 +96,7 @@ def _levels(rho: np.ndarray) -> np.ndarray:
     return np.where(occupied.any(axis=-1), rho.shape[-1] - occupied[..., ::-1].argmax(axis=-1), 0)
 
 
-def _validated(rho: np.ndarray, deficits, tol: float = 1e-10) -> list[FockDensityMatrix]:
+def _validated(rho: np.ndarray, deficits) -> list[FockDensityMatrix]:
     """``fock_density`` on a (B, d, d) stack, in place, each matrix on its occupied block.
 
     Matrices on the same s levels are checked and solved as one (n, s, s) stack;
@@ -122,8 +122,10 @@ def _validated(rho: np.ndarray, deficits, tol: float = 1e-10) -> list[FockDensit
     for defect, size, least, t in zip(herm, np.maximum(1.0, scale), low, tr):
         if defect > 1e-12 * size:
             raise InadmissibleInputError(f"density matrix not Hermitian (defect {defect:.3e})")
-        if least < -tol:
-            raise InadmissibleInputError(f"density matrix has eigenvalue {least:.3e} < -{tol}")
+        if least < _EIGENVALUE_FLOOR:
+            raise InadmissibleInputError(
+                f"density matrix has eigenvalue {least:.3e} < {_EIGENVALUE_FLOOR}"
+            )
         if t <= 0.5:
             raise InadmissibleInputError(f"density matrix trace {t:.3e} too far from 1")
     top = levels.max()  # past every matrix's block lie zeros, which renormalizing leaves zeros
@@ -214,15 +216,16 @@ class DilationChannel:
 
 
 def build_dilation(
-    kind: str, k: float, dim: int = DEFAULT_DIM, noise: Optional[float] = None
+    kind: str, k: float, dim: int = DEFAULT_DIM, noise: float = 0.0
 ) -> DilationChannel:
     """Construct the Kraus form of a one-mode preset channel.
 
     attenuator (0 < k < 1) and amplifier (k > 1) come from two-mode unitary
-    dilations against the vacuum. classical_noise (k = 1) adds ``noise`` to
-    each quadrature variance; it is composed from those two dilations as the
-    attenuator with k = 1/sqrt(G) followed by the amplifier with k = sqrt(G),
-    G = 1 + noise, which maps alpha to alpha + (G - 1) I.
+    dilations against the vacuum, and a nonzero ``noise`` is refused for them.
+    classical_noise (k = 1) adds ``noise`` to each quadrature variance; it is
+    composed from those two dilations as the attenuator with k = 1/sqrt(G)
+    followed by the amplifier with k = sqrt(G), G = 1 + noise, which maps
+    alpha to alpha + (G - 1) I.
     """
     if dim < 4:
         raise InadmissibleInputError("dim must be at least 4")
@@ -234,12 +237,14 @@ def build_dilation(
         # its phase-space counterpart adds noise (k^2 - 1)/2, which is no float
         raise OverflowError(f"amplifier k = {k:g}: k**2 overflows")
     if kind in ("attenuator", "amplifier"):
+        if noise:
+            raise InadmissibleInputError(f"noise applies only to classical_noise, not {kind}")
         return DilationChannel(kind, float(k), dim, _amplitudes(k, dim))
     if kind != "classical_noise":
         raise InadmissibleInputError(f"unknown kind {kind!r}; choose from {DILATION_KINDS}")
     if k != 1.0:
         raise InadmissibleInputError("classical_noise requires k = 1")
-    if noise is None or noise <= 0.0:
+    if not noise > 0.0:
         raise InadmissibleInputError("classical_noise requires noise > 0")
     root_gain = math.sqrt(1.0 + noise)
     first = _amplitudes(1.0 / root_gain, dim)
@@ -319,14 +324,11 @@ def top_band_mass(state: FockDensityMatrix) -> float:
 
 
 def random_low_support_state(
-    rng: np.random.Generator,
-    dim: int = DEFAULT_DIM,
-    support: int = 10,
-    max_components: int = 5,
+    rng: np.random.Generator, dim: int = DEFAULT_DIM, support: int = 10
 ) -> FockDensityMatrix:
-    """Random mixture of up to max_components pure states, validated on the lowest levels."""
+    """Random mixture of one to five pure states, validated on the lowest levels."""
     support = min(int(support), int(dim))  # small cutoffs get full-support states
-    ncomp = int(rng.integers(1, max_components + 1))
+    ncomp = int(rng.integers(1, 6))
     weights = rng.dirichlet(np.ones(ncomp))
     rho = np.zeros((dim, dim), dtype=complex)
     for w in weights:
@@ -459,7 +461,7 @@ def _extremality_hypotheses(gch: GaussianChannel, state) -> dict:
         raise HypothesisViolationError(
             f"state covariance is degenerate (min symplectic eigenvalue {nu_min:.9f})"
         )
-    nu_out = _apply(gch, alpha, DEFAULT_TOL)[1]
+    nu_out = _apply(gch, alpha)[1]
     if not (gch.strict or _uncertainty_cert(nu_out, DEFAULT_TOL).is_positive_definite):
         raise HypothesisViolationError(
             "saturating channel maps this state to a degenerate Gaussian image"

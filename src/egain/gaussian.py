@@ -42,7 +42,6 @@ __all__ = [
     "QuadraticHamiltonian",
     "GibbsState",
     "gaussian_state",
-    "vacuum_state",
     "quadratic_hamiltonian",
     "gibbs_covariance",
     "log_partition",
@@ -51,7 +50,6 @@ __all__ = [
     "entropy_of_covariance",
     "gaussian_entropy",
     "entropy_matrix_form",
-    "gaussify",
     "mean_energy",
 ]
 
@@ -77,12 +75,7 @@ class GaussianState:
         return self.cert.is_positive_definite
 
 
-def gaussian_state(
-    space: PhaseSpace,
-    mean: np.ndarray,
-    alpha: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> GaussianState:
+def gaussian_state(space: PhaseSpace, mean: np.ndarray, alpha: np.ndarray) -> GaussianState:
     """Validate moments and assemble a Gaussian state with its symplectic spectrum.
 
     Rejects covariances for which alpha + (i/2) delta is indefinite.
@@ -92,11 +85,11 @@ def gaussian_state(
         raise InadmissibleInputError(
             f"mean must have length {2 * space.s}, got shape {mean.shape}"
         )
-    return _admissible_state(space, mean, _require_symmetric(alpha, space, tol), tol)
+    return _admissible_state(space, mean, _require_symmetric(alpha, space, DEFAULT_TOL))
 
 
 def _admissible_state(
-    space: PhaseSpace, mean: np.ndarray, alpha: np.ndarray, tol: float, nu=None
+    space: PhaseSpace, mean: np.ndarray, alpha: np.ndarray, nu=None
 ) -> GaussianState:
     """State of an exactly symmetric alpha that passes the uncertainty bound.
 
@@ -105,8 +98,8 @@ def _admissible_state(
     read-only.
     """
     if nu is None:
-        nu = _symplectic_spectrum(alpha, space, tol)
-    cert = _uncertainty_cert(nu, tol)
+        nu = _symplectic_spectrum(alpha, space)
+    cert = _uncertainty_cert(nu, DEFAULT_TOL)
     if not cert.is_positive_semidefinite:
         raise InadmissibleInputError(
             "covariance fails the uncertainty bound: min eigenvalue of "
@@ -114,12 +107,6 @@ def _admissible_state(
         )
     alpha.flags.writeable = False
     return GaussianState(space=space, mean=mean, alpha=alpha, cert=cert, nu=nu)
-
-
-def vacuum_state(space: PhaseSpace) -> GaussianState:
-    """Gaussian state with zero mean and covariance identity/2."""
-    n = 2 * space.s
-    return gaussian_state(space, np.zeros(n), 0.5 * np.eye(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +119,8 @@ class QuadraticHamiltonian:
     epsilon^(1/2), whose eigenvalues are the normal-mode frequencies +-m_j,
     and ``spectrum`` is the eigenvalues of its negative, from which
     ``symplectic_eigenvalues(epsilon)`` takes the m_j. Each use tests
-    ``eigenvalues`` and ``spectrum`` again at its own tolerance.
+    ``eigenvalues`` and ``spectrum`` again at the default tolerance, whatever
+    tolerance built the Hamiltonian.
     """
 
     space: PhaseSpace
@@ -182,9 +170,7 @@ def _stable_cot(z: np.ndarray) -> np.ndarray:
     return sign * 1j * (1.0 + 2.0 / np.expm1(sign * 2j * z))
 
 
-def gibbs_covariance(
-    hamiltonian: QuadraticHamiltonian, beta: float, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def gibbs_covariance(hamiltonian: QuadraticHamiltonian, beta: float) -> np.ndarray:
     """Covariance of the Gibbs state: alpha_beta = (1/2) delta cot(beta epsilon delta).
 
     The matrix cotangent is evaluated by diagonalizing epsilon @ delta over
@@ -193,10 +179,10 @@ def gibbs_covariance(
     in the Hermitian form i epsilon^(1/2) delta epsilon^(1/2), which is
     similar to i epsilon delta, once when the Hamiltonian is built.
     """
-    return _gibbs_covariances(hamiltonian, beta, tol)[0]
+    return _gibbs_covariances(hamiltonian, beta)[0]
 
 
-def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas, tol: float):
+def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas):
     """Gibbs covariances at each beta (a scalar or a 1-d stack) and their symplectic spectra.
 
     The spectra are those of the cone check, returned so that an entropy of
@@ -204,7 +190,7 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas, tol: float):
     """
     betas = np.asarray(betas, dtype=float)
     _refuse(~(betas > 0), InadmissibleInputError, "beta must be positive")
-    _require_definite(hamiltonian.eigenvalues, tol)
+    _require_definite(hamiltonian.eigenvalues, DEFAULT_TOL)
     space = hamiltonian.space
     delta = space.delta
     root, inv_root = hamiltonian.root, hamiltonian.inv_root
@@ -233,12 +219,12 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas, tol: float):
     asym = np.abs(alpha - _transpose(alpha)).max(axis=(-2, -1))
     _refuse(asym > 1e-9 * scale, RuntimeError, "matrix cotangent result asymmetric by {:.3e}", asym)
     alpha = 0.5 * (alpha + _transpose(alpha))
-    nu = _symplectic_spectrum(alpha, space, tol)
+    nu = _symplectic_spectrum(alpha, space)
     # The exact result is nondegenerate for every beta > 0; in floating point
     # coth saturates for very large beta and nu rounds down to exactly 1/2,
     # so only genuine admissibility failures are treated as errors here.
     _refuse(
-        np.logical_not(_uncertainty_cert(nu, tol).is_positive_semidefinite),
+        np.logical_not(_uncertainty_cert(nu, DEFAULT_TOL).is_positive_semidefinite),
         RuntimeError,
         "Gibbs covariance left the admissible cone, min nu {:.6e}",
         nu[..., -1],
@@ -246,9 +232,7 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas, tol: float):
     return alpha, nu
 
 
-def log_partition(
-    hamiltonian: QuadraticHamiltonian, beta: float, tol: float = DEFAULT_TOL
-) -> float:
+def log_partition(hamiltonian: QuadraticHamiltonian, beta: float) -> float:
     """log of the partition function: c(beta) = 1/2 sum_j log(nu_j^2 - 1/4).
 
     The Gibbs covariance has symplectic eigenvalues nu_j = coth(beta m_j)/2
@@ -259,21 +243,19 @@ def log_partition(
     """
     if not beta > 0:
         raise InadmissibleInputError("beta must be positive")
-    _require_definite(hamiltonian.eigenvalues, tol)
-    m = _positive_half(hamiltonian.spectrum, hamiltonian.space.s, tol)
+    _require_definite(hamiltonian.eigenvalues, DEFAULT_TOL)
+    m = _positive_half(hamiltonian.spectrum, hamiltonian.space.s)
     x = beta * m
     # log(2 sinh x) = x + log(1 - exp(-2x)), stable for all x > 0
     return float(-np.sum(x + np.log(-np.expm1(-2.0 * x))))
 
 
-def gibbs_state(
-    hamiltonian: QuadraticHamiltonian, beta: float, tol: float = DEFAULT_TOL
-) -> GibbsState:
+def gibbs_state(hamiltonian: QuadraticHamiltonian, beta: float) -> GibbsState:
     """Assemble the Gibbs state (zero mean) with its log-partition value."""
-    alpha, nu = _gibbs_covariances(hamiltonian, beta, tol)
-    c_beta = log_partition(hamiltonian, beta, tol)
+    alpha, nu = _gibbs_covariances(hamiltonian, beta)
+    c_beta = log_partition(hamiltonian, beta)
     space = hamiltonian.space
-    base = _admissible_state(space, np.zeros(2 * space.s), alpha, tol, nu)
+    base = _admissible_state(space, np.zeros(2 * space.s), alpha, nu)
     return GibbsState(base=base, beta=float(beta), hamiltonian=hamiltonian, c_beta=c_beta)
 
 
@@ -296,11 +278,9 @@ def mode_entropy(nu) -> np.ndarray:
     return np.log1p(x) + x * np.log1p(1.0 / np.where(x > 0.0, x, 1.0))
 
 
-def entropy_of_covariance(
-    alpha: np.ndarray, space: PhaseSpace, tol: float = DEFAULT_TOL
-) -> float:
+def entropy_of_covariance(alpha: np.ndarray, space: PhaseSpace) -> float:
     """Entropy of the Gaussian state with the given covariance, in nats."""
-    return float(_entropies(symplectic_eigenvalues(alpha, space, tol)))
+    return float(_entropies(symplectic_eigenvalues(alpha, space)))
 
 
 def _entropies(nu: np.ndarray) -> np.ndarray:
@@ -313,9 +293,7 @@ def gaussian_entropy(state: GaussianState) -> float:
     return float(_entropies(state.nu))
 
 
-def entropy_matrix_form(
-    alpha: np.ndarray, space: PhaseSpace, tol: float = DEFAULT_TOL
-) -> float:
+def entropy_matrix_form(alpha: np.ndarray, space: PhaseSpace) -> float:
     """Entropy as a matrix function, an independent verification path.
 
     Evaluates
@@ -326,7 +304,7 @@ def entropy_matrix_form(
     eigendecomposition. Requires a nondegenerate covariance; degenerate
     modes make the arccot term singular.
     """
-    alpha = _require_symmetric(alpha, space, tol)
+    alpha = _require_symmetric(alpha, space, DEFAULT_TOL)
     n = 2 * space.s
     W = -(space.delta @ alpha)  # delta^-1 = -delta
     lam, V = np.linalg.eig(W)
@@ -343,23 +321,6 @@ def entropy_matrix_form(
     if abs(term2.imag) > 1e-9 * max(1.0, abs(term2.real)):
         raise RuntimeError(f"trace term has imaginary residue {term2.imag:.3e}")
     return float(0.5 * logabs + term2.real)
-
-
-def gaussify(
-    space: PhaseSpace,
-    mean: np.ndarray,
-    second_moments: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> GaussianState:
-    """Gaussian state matching the given first and symmetrized second moments.
-
-    The covariance is second_moments minus the (symmetric) outer product of
-    the mean with itself.
-    """
-    mean = np.asarray(mean, dtype=float)
-    outer = np.outer(mean, mean)
-    alpha = np.asarray(second_moments, dtype=float) - 0.5 * (outer + outer.T)
-    return gaussian_state(space, mean, alpha, tol)
 
 
 def mean_energy(hamiltonian: QuadraticHamiltonian, state: GaussianState) -> float:

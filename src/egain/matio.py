@@ -99,10 +99,6 @@ def read_json(path: str):
         return json.load(fh)
 
 
-def save_matrix(path: str, arr: np.ndarray) -> None:
-    write_json(path, encode_array(arr))
-
-
 def load_matrix(path: str) -> np.ndarray:
     payload = read_json(path)
     if isinstance(payload, dict):

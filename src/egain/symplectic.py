@@ -170,11 +170,11 @@ def _sym_sqrt(alpha: np.ndarray, tol: float, what: str = "matrix"):
     return w, Q, (Q * np.sqrt(w)[..., None, :]) @ _transpose(Q)
 
 
-def _positive_half(ev: np.ndarray, s: int, tol: float) -> np.ndarray:
+def _positive_half(ev: np.ndarray, s: int) -> np.ndarray:
     """Descending positive half of each ascending spectrum of +/- pairs in ev, checked to pair up."""
     # np.allclose(ev, -ev[::-1]) for each matrix
     mirror = -ev[..., ::-1]
-    atol = tol * np.maximum(1.0, np.abs(ev[..., -1]))
+    atol = DEFAULT_TOL * np.maximum(1.0, np.abs(ev[..., -1]))
     paired = np.abs(ev - mirror) <= atol[..., None] + 1e-5 * np.abs(mirror)
     _refuse(
         ~paired.all(axis=-1), RuntimeError, "symplectic spectrum did not split into +/- pairs"
@@ -182,16 +182,14 @@ def _positive_half(ev: np.ndarray, s: int, tol: float) -> np.ndarray:
     return ev[..., ::-1][..., :s].copy()
 
 
-def _symplectic_spectrum(alpha: np.ndarray, space: PhaseSpace, tol: float) -> np.ndarray:
+def _symplectic_spectrum(alpha: np.ndarray, space: PhaseSpace) -> np.ndarray:
     """``symplectic_eigenvalues`` of an exactly symmetric matrix or stack, which it does not validate."""
-    _, _, root = _sym_sqrt(alpha, tol)
+    _, _, root = _sym_sqrt(alpha, DEFAULT_TOL)
     herm = -1j * (root @ space.delta @ root)  # i * delta^-1 conjugated by alpha^(1/2)
-    return _positive_half(np.linalg.eigvalsh(herm), space.s, tol)
+    return _positive_half(np.linalg.eigvalsh(herm), space.s)
 
 
-def symplectic_eigenvalues(
-    alpha: np.ndarray, space: PhaseSpace, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def symplectic_eigenvalues(alpha: np.ndarray, space: PhaseSpace) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric positive definite matrix, descending.
 
     Computed as the positive spectrum of the Hermitian matrix
@@ -199,7 +197,7 @@ def symplectic_eigenvalues(
     ``i delta^-1 alpha`` and therefore carries the pairs (+nu_j, -nu_j).
     A (B, 2s, 2s) stack gives one row of eigenvalues per matrix.
     """
-    return _symplectic_spectrum(_require_symmetric(alpha, space, tol), space, tol)
+    return _symplectic_spectrum(_require_symmetric(alpha, space, DEFAULT_TOL), space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,19 +238,3 @@ def williamson(
     if defect > max(tol, 1e-12 * n) * 100:
         raise RuntimeError(f"symplectic defect {defect:.3e} exceeds tolerance")
     return WilliamsonDecomposition(T=T, nu=nu)
-
-
-def random_symplectic(
-    space: PhaseSpace, rng: np.random.Generator, scale: float = 0.5
-) -> np.ndarray:
-    """Random symplectic matrix exp(delta @ A) for symmetric Gaussian A.
-
-    ``scale`` sets the entry scale of A and thereby the squeezing strength.
-    scipy is imported here, its only use, so ``import egain`` loads numpy alone.
-    """
-    import scipy.linalg
-
-    n = 2 * space.s
-    A = rng.normal(scale=scale, size=(n, n))
-    A = 0.5 * (A + A.T)
-    return scipy.linalg.expm(space.delta @ A)

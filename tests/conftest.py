@@ -2,8 +2,26 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from egain.symplectic import canonical_form, random_symplectic
+from egain.matio import encode_array, write_json
+from egain.symplectic import canonical_form
+
+
+def random_symplectic(space, rng, scale=0.5):
+    """Random symplectic matrix exp(delta @ A) for symmetric Gaussian A.
+
+    ``scale`` sets the entry scale of A and thereby the squeezing strength.
+    """
+    n = 2 * space.s
+    A = rng.normal(scale=scale, size=(n, n))
+    A = 0.5 * (A + A.T)
+    return scipy.linalg.expm(space.delta @ A)
+
+
+def save_matrix(path, arr):
+    """Write a matrix file in the format ``matio.load_matrix`` reads."""
+    write_json(path, encode_array(arr))
 
 
 def random_covariance(rng, modes, nu_min=0.6, nu_max=3.0, scale=0.4):

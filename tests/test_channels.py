@@ -129,13 +129,13 @@ class TestApplyToCovariance:
             gaussian_gain(preset_channel("attenuator", 0.5), squeezed_covariance(nu, r))
 
 
-def reference_sweep(channel, ham, grid, adaptive, tol=1e-3, beta_floor=1e-12):
+def reference_sweep(channel, ham, grid, tol=1e-3, beta_floor=1e-12):
     """gain_beta_sweep evaluated point by point: one Gibbs covariance and gain per beta."""
     closed = minimal_entropy_gain(channel)
     betas = list(grid)
     gains = [gaussian_gain(channel, gibbs_covariance(ham, b)) for b in betas]
     converged = abs(gains[-1] - closed) < tol
-    while adaptive and not converged and betas[-1] / 10.0 >= beta_floor:
+    while not converged and betas[-1] / 10.0 >= beta_floor:
         betas.append(betas[-1] / 10.0)
         gains.append(gaussian_gain(channel, gibbs_covariance(ham, betas[-1])))
         converged = abs(gains[-1] - closed) < tol
@@ -179,13 +179,6 @@ class TestBetaSweep:
         assert len(report.beta_grid) > 3
         assert report.beta_grid[-1] < 0.1
 
-    def test_non_adaptive_reports_non_convergence(self):
-        channel = preset_channel("attenuator", 0.5)
-        ham = quadratic_hamiltonian(canonical_form(1), np.eye(2))
-        grid = default_beta_grid(1.0, 0.1, 3)
-        report = gain_beta_sweep(channel, ham, beta_grid=grid, adaptive=False)
-        assert not report.converged
-
     def test_gap_resolved_at_beta_floor(self):
         # the exact gap is 3 beta; at the adaptive floor of 1e-12 it must not
         # drown in rounding of entropies near 28 nats
@@ -200,13 +193,14 @@ class TestBetaSweep:
         channel = random_regular_channel(gen, modes)
         ham = quadratic_hamiltonian(channel.space, random_spd(gen, 2 * modes))
         short = default_beta_grid(1.0, 0.01, 5)  # too coarse to converge: must extend
-        for grid, adaptive in [(short, True), (default_beta_grid(), False)]:
-            report = gain_beta_sweep(channel, ham, beta_grid=grid, adaptive=adaptive)
-            betas, gains, converged = reference_sweep(channel, ham, grid, adaptive)
+        long = default_beta_grid(1.0, 1e-8, 25)  # converges on its last point: no extension
+        for grid, extends in [(short, True), (long, False)]:
+            report = gain_beta_sweep(channel, ham, beta_grid=grid)
+            betas, gains, converged = reference_sweep(channel, ham, grid)
             assert np.array_equal(report.beta_grid, betas)
             assert np.array_equal(report.gains, gains)
             assert report.converged == converged
-            assert len(betas) > len(grid) or not adaptive
+            assert (len(betas) > len(grid)) == extends
 
     def test_refuses_first_beta_below_overflow_floor(self):
         channel = preset_channel("amplifier", 2.0)
@@ -226,9 +220,9 @@ class TestBetaSweep:
         ham = quadratic_hamiltonian(space, np.eye(2))
         grid = np.array([1.0, 1e-3, 1e-120])
         with pytest.raises(RuntimeError) as looped:
-            reference_sweep(channel, ham, grid, adaptive=False)
+            reference_sweep(channel, ham, grid)
         with pytest.raises(RuntimeError) as stacked:
-            gain_beta_sweep(channel, ham, beta_grid=grid, adaptive=False)
+            gain_beta_sweep(channel, ham, beta_grid=grid)
         assert "channel output violated admissibility" in str(looped.value)
         assert str(stacked.value) == str(looped.value)
 
@@ -240,11 +234,12 @@ class TestBetaSweep:
         for points in (25, 50):
             count_eigensolves.clear()
             grid = default_beta_grid(points=points)
-            gain_beta_sweep(channel, ham, beta_grid=grid, adaptive=False)
+            report = gain_beta_sweep(channel, ham, beta_grid=grid)
+            assert report.converged and len(report.beta_grid) == points  # no extension
             counts.append(len(count_eigensolves))
         assert counts[0] == counts[1]
 
-    def test_non_adaptive_sweep_solves_four_eigenproblems(self, count_eigensolves):
+    def test_sweep_converging_on_its_grid_solves_four_eigenproblems(self, count_eigensolves):
         # the Gibbs spectra (2) and the output spectra (2), off which both
         # admissibility checks are read; the Hamiltonian's normal modes come
         # from its build
@@ -252,7 +247,8 @@ class TestBetaSweep:
         channel = random_regular_channel(gen, 3)
         ham = quadratic_hamiltonian(channel.space, random_spd(gen, 6))
         count_eigensolves.clear()
-        gain_beta_sweep(channel, ham, adaptive=False)
+        report = gain_beta_sweep(channel, ham)
+        assert report.converged and len(report.beta_grid) == len(default_beta_grid())
         assert len(count_eigensolves) == 4
 
     def test_rejects_ascending_grid(self):

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 import egain.cli as cli
-from conftest import BELOW_THE_BOUND, squeezed_covariance
+from conftest import BELOW_THE_BOUND, save_matrix, squeezed_covariance
 from egain.cli import main
 from egain.errors import HypothesisViolationError
-from egain.matio import save_matrix, write_json
+from egain.matio import write_json
 
 
 def run(argv, capsys):
@@ -103,18 +103,15 @@ class TestSweep:
         assert max(gaps) < 1e-12
 
     def test_warning_row_on_non_convergence(self, tmp_path, capsys, monkeypatch):
-        # force non-convergence by disabling the adaptive extension through
-        # a tight custom grid and a patched sweep... simpler: a grid whose
-        # floor is above the convergence point with adaptive off is not
-        # reachable through the CLI, so patch the library call instead.
+        # the adaptive sweep converges above its floor on every preset, so
+        # non-convergence is reached by patching the library call
         from egain.channels import GainReport
 
-        def fake_sweep(channel, hamiltonian, beta_grid=None, **kwargs):
+        def fake_sweep(channel, hamiltonian, beta_grid=None):
             return GainReport(
                 beta_grid=np.array([1.0, 0.1]),
                 gains=np.array([1.0, 0.9]),
                 closed_form=0.5,
-                lower_bound_general=0.5,
                 converged=False,
             )
 
@@ -508,6 +505,25 @@ class TestTolerancePlumbing:
             "unrecognized arguments: --channel-file missing.json",
             id="fock-channel-file",
         ),
+        # neither channel source is silently ignored for the other
+        pytest.param(
+            "gain --preset amplifier --k 2 --channel-file ch.json",
+            None,
+            "argument --channel-file: not allowed with argument --preset",
+            id="gain-preset-and-channel-file",
+        ),
+        pytest.param(
+            "sweep --channel-file ch.json --preset amplifier --k 2",
+            None,
+            "argument --preset: not allowed with argument --channel-file",
+            id="sweep-channel-file-and-preset",
+        ),
+        pytest.param(
+            "classical --k 2 --n-max -5",
+            None,
+            "--n-max must be at least 2^k = 4",
+            id="n-max-below-prefix",
+        ),
         pytest.param(
             "sweep --preset attenuator --k 0.5 --beta-max inf",
             None,
@@ -669,12 +685,23 @@ def test_readme_experiment_commands_parse():
         assert callable(args.func)
 
 
-def test_fresh_process_loads_no_scipy():
-    # scipy is imported only inside symplectic.random_symplectic
+def test_fresh_process_loads_no_scipy(tmp_path):
+    # numpy is the only run-time dependency: every subcommand runs with scipy unimportable
+    matrix = tmp_path / "alpha.json"
+    write_json(str(matrix), [[1.5, 0.0], [0.0, 1.5]])
+    runs = [
+        "gain --preset attenuator --k 0.5",
+        "sweep --preset amplifier --k 2 --beta-points 5",
+        "fock --preset attenuator --k 0.7 --dim 20 --trials 2",
+        "classical --k 3",
+        f"williamson {matrix}",
+    ]
+    argvs = [[*argv.split(), "--out", str(tmp_path / f"{i}.out")] for i, argv in enumerate(runs)]
     script = (
-        "import sys, egain, egain.cli\n"
-        "assert egain.cli.main(['gain', '--preset', 'attenuator', '--k', '0.5']) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None  # every import of scipy now raises ImportError\n"
+        "import egain.cli\n"
+        f"print([egain.cli.main(argv) for argv in {argvs!r}])\n"
     )
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     result = subprocess.run(
@@ -684,4 +711,5 @@ def test_fresh_process_loads_no_scipy():
         text=True,
         check=True,
     )
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert result.stdout.splitlines()[-1] == str([0] * len(runs))
+    assert result.stderr == ""

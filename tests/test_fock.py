@@ -416,6 +416,12 @@ class TestDilations:
         with pytest.raises(InadmissibleInputError):
             build_dilation("classical_noise", 1.0, dim=20)
 
+    @pytest.mark.parametrize("kind, k, noise", [("attenuator", 0.7, 0.3), ("amplifier", 1.5, -2.0)])
+    def test_noise_is_refused_where_it_would_be_dropped(self, kind, k, noise):
+        message = f"noise applies only to classical_noise, not {kind}"
+        with pytest.raises(InadmissibleInputError, match=message):
+            build_dilation(kind, k, dim=8, noise=noise)
+
     def test_parameter_validation(self):
         with pytest.raises(InadmissibleInputError):
             build_dilation("attenuator", 1.2, dim=20)
@@ -501,7 +507,7 @@ class TestProp1:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_random_states_through_amplifier(self, amplifier_small, seed):
         gen = np.random.default_rng(seed)
-        state = random_low_support_state(gen, dim=40, support=5, max_components=3)
+        state = random_low_support_state(gen, dim=40, support=5)
         record = verify_lower_bound(amplifier_small, state)
         assert record["holds"]
 

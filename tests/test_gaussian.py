@@ -15,14 +15,12 @@ from egain.gaussian import (
     entropy_of_covariance,
     gaussian_entropy,
     gaussian_state,
-    gaussify,
     gibbs_covariance,
     gibbs_state,
     log_partition,
     mean_energy,
     mode_entropy,
     quadratic_hamiltonian,
-    vacuum_state,
 )
 from egain.symplectic import canonical_form, symplectic_eigenvalues
 
@@ -60,7 +58,7 @@ class TestModeEntropy:
 
 class TestGaussianState:
     def test_vacuum_is_degenerate_boundary(self):
-        state = vacuum_state(canonical_form(2))
+        state = gaussian_state(canonical_form(2), np.zeros(4), 0.5 * np.eye(4))
         assert state.cert.is_positive_semidefinite
         assert not state.nondegenerate
         # eigensolver jitter near nu = 1/2 meets an infinite-slope point of
@@ -259,7 +257,7 @@ class TestSolvedOnce:
                 digest.update(state.base.alpha.tobytes())
         assert digest.hexdigest() == "cc53f1450a5dfc04c35728efbdc2fa2f"
 
-    def test_each_use_tests_the_hamiltonian_at_its_own_tol(self):
+    def test_each_use_tests_the_hamiltonian_at_the_default_tol(self):
         # built at a looser tolerance than the Gibbs checks apply
         ham = quadratic_hamiltonian(canonical_form(1), np.diag([1.0, 1e-10]), tol=1e-12)
         for use in (gibbs_state, gibbs_covariance, log_partition):
@@ -275,19 +273,3 @@ class TestSolvedOnce:
         alpha = 1.5 * np.eye(2)
         gaussian_state(canonical_form(1), np.zeros(2), alpha)
         alpha[0, 0] = 2.0
-
-
-class TestGaussify:
-    def test_reproduces_moments(self, rng):
-        space = canonical_form(1)
-        mean = np.array([0.3, -1.1])
-        alpha, _ = random_covariance(rng, 1)
-        second = alpha + np.outer(mean, mean)
-        state = gaussify(space, mean, second)
-        assert state.mean == pytest.approx(mean)
-        assert state.alpha == pytest.approx(alpha, abs=1e-12)
-
-    def test_rejects_inadmissible_moments(self):
-        space = canonical_form(1)
-        with pytest.raises(InadmissibleInputError):
-            gaussify(space, np.zeros(2), 0.1 * np.eye(2))

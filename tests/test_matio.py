@@ -6,13 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from conftest import save_matrix
 from egain.errors import InadmissibleInputError
 from egain.matio import (
     decode_array,
     encode_array,
     load_matrix,
     read_json,
-    save_matrix,
     write_json,
     write_text,
 )

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_covariance
+from conftest import random_covariance, random_symplectic
 from egain.errors import InadmissibleInputError
 from egain.symplectic import (
     canonical_form,
     check_hermitian_psd,
-    random_symplectic,
     symplectic_eigenvalues,
     williamson,
 )
