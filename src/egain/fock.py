@@ -10,11 +10,15 @@ against the closed-form and Gaussian-extremality predictions is the
 package's main numerical evidence.
 
 Each matrix is validated on the s leading levels it occupies, so random states
-and attenuator outputs cost O(s^3) whatever the cutoff. Campaigns draw their
-states in trial order and run them in chunks of at most ``_STACK_BYTES`` as
-(B, d, d) stacks, taking each trial's reference before its chunk runs. A stack
-gives each state the bits it gives alone, and ``_record`` builds every trial's
-record, so campaign records equal ``verify_*``'s.
+and attenuator outputs cost O(s^3) whatever the cutoff. Campaigns run their
+trials in chunks of at most ``_STACK_BYTES`` as (B, d, d) stacks, from input
+draw to Kraus sum: a chunk's inputs are drawn in trial order with the generator
+calls of B successive ``random_low_support_state`` draws and validated as one
+(B, s, s) block, each trial's reference is taken before the chunk's Kraus sums
+run, and a raising stage weights its Kraus operators in broadcasts of at most
+``_STACK_BYTES`` each, adding them in l order. A stack gives each state the bits
+it gives alone, and ``_record`` builds every trial's record, so campaign
+records equal ``verify_*``'s.
 
 Truncation policy: results carry a ``trace_deficit``, which includes the
 mass a channel moves past the cutoff, and a trial whose states' deficits or
@@ -99,29 +103,51 @@ def _levels(rho: np.ndarray) -> np.ndarray:
 def _validated(rho: np.ndarray, deficits) -> list[FockDensityMatrix]:
     """``fock_density`` on a (B, d, d) stack, in place, each matrix on its occupied block.
 
-    Matrices on the same s levels are checked and solved as one (n, s, s) stack;
-    a spectrum is d - s zeros, then the block's eigenvalues. The first matrix
-    that fails a check raises that check's message.
+    Matrices on the same s levels are checked and solved as one (n, s, s)
+    stack: each is symmetrized and handed to ``_normalized`` with the refusal
+    of its Hermitian check, if it failed.
     """
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise InadmissibleInputError("density matrix must be square")
     levels = _levels(rho)
-    herm, scale, low, tr = (np.zeros(len(rho)) for _ in range(4))  # a zero matrix fails on tr
-    w = np.zeros(rho.shape[:2])
-    for s in sorted(set(levels.tolist()) - {0}):  # np.unique imports numpy.ma on first use
-        group = levels == s if np.ptp(levels) else slice(None)  # one occupancy: views, no copies
+    herm, scale = np.zeros(len(rho)), np.zeros(len(rho))
+    for group, s in _groups(levels):
         block = rho[group, :s, :s]
         herm[group] = np.abs(block - block.conj().swapaxes(1, 2)).max(axis=(1, 2))
         scale[group] = np.abs(block).max(axis=(1, 2))
         block += block.conj().swapaxes(1, 2)
         block *= 0.5
         rho[group, :s, :s] = block
+    refusals = [
+        f"density matrix not Hermitian (defect {defect:.3e})" if defect > 1e-12 * size else ""
+        for defect, size in zip(herm, np.maximum(1.0, scale))
+    ]
+    return _normalized(rho, deficits, levels, refusals)
+
+
+def _groups(levels: np.ndarray):
+    """(selector, s) for each nonzero occupancy s in ``levels``, in increasing s."""
+    for s in sorted(set(levels.tolist()) - {0}):  # np.unique imports numpy.ma on first use
+        yield (levels == s if np.ptp(levels) else slice(None)), s  # one occupancy: views, no copies
+
+
+def _normalized(rho: np.ndarray, deficits, levels: np.ndarray, refusals) -> list[FockDensityMatrix]:
+    """Hermitian (B, d, d) stack with occupancies ``levels``, checked and renormalized in place.
+
+    A spectrum is d - s zeros, then the block's eigenvalues. The first matrix
+    that fails a check raises: its nonempty entry of ``refusals``, else its
+    eigenvalue or trace message.
+    """
+    low, tr = np.zeros(len(rho)), np.zeros(len(rho))  # a zero matrix fails on tr
+    w = np.zeros(rho.shape[:2])
+    for group, s in _groups(levels):
+        block = rho[group, :s, :s]
         w[group, -s:] = np.linalg.eigvalsh(block)
         low[group] = w[group, -s]  # the block's least eigenvalue, not a padding zero
         tr[group] = np.trace(block, axis1=1, axis2=2).real
-    for defect, size, least, t in zip(herm, np.maximum(1.0, scale), low, tr):
-        if defect > 1e-12 * size:
-            raise InadmissibleInputError(f"density matrix not Hermitian (defect {defect:.3e})")
+    for refusal, least, t in zip(refusals, low, tr):
+        if refusal:
+            raise InadmissibleInputError(refusal)
         if least < _EIGENVALUE_FLOOR:
             raise InadmissibleInputError(
                 f"density matrix has eigenvalue {least:.3e} < {_EIGENVALUE_FLOOR}"
@@ -247,6 +273,11 @@ def build_dilation(
     if not noise > 0.0:
         raise InadmissibleInputError("classical_noise requires noise > 0")
     root_gain = math.sqrt(1.0 + noise)
+    if not 1.0 < root_gain < math.inf:  # the stages' amplitudes would take log(0)
+        raise InadmissibleInputError(
+            f"classical_noise noise = {noise:g} gives sqrt(1 + noise) = {root_gain:g}: "
+            "noise must be above about 3.3e-16 and finite"
+        )
     first = _amplitudes(1.0 / root_gain, dim)
     return DilationChannel(kind, 1.0, dim, _amplitudes(root_gain, dim), float(noise), first)
 
@@ -256,31 +287,41 @@ def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
 
     V_l rho V_l† moves a block of rho l levels down (``first``, attenuator) or
     up (amplifier stages), weighted by the outer product of V_l's diagonal.
-    Only the s leading levels move, s the most levels any matrix occupies
-    (``_levels``): a lowering stage stops at l = s, a raising stage moves
-    s x s blocks. The skipped terms are exact zeros.
+    Only the s leading levels move, s the most levels any input matrix
+    occupies (``_levels``), and a lowering stage keeps them there: it stops at
+    l = s, a raising stage moves s x s blocks. The skipped terms are exact
+    zeros. A raising stage weights the block for many l in one broadcast, at
+    most ``_STACK_BYTES`` of terms at a time, and adds them in l order, so
+    every sum rounds as in a loop over l.
     """
+    s = int(_levels(rho).max(initial=0))
     for amps, lowering in ((channel.first, True), (channel.kraus, channel.kind == "attenuator")):
         if amps is None:
             continue
-        s = int(_levels(rho).max(initial=0))
         out = np.zeros_like(rho, dtype=complex)
-        for l, row in enumerate(amps[:s] if lowering else amps):
-            b = s - l if lowering else min(s, len(row) - l)
-            src, dst = slice(l, l + b), slice(0, b)
-            if not lowering:
-                src, dst = dst, src
-            v = row[src]
-            out[..., dst, dst] += np.outer(v, v.conj()) * rho[..., src, src]
+        if lowering:
+            for l, row in enumerate(amps[:s]):
+                v = row[l:s]
+                out[..., : s - l, : s - l] += np.outer(v, v.conj()) * rho[..., l:s, l:s]
+        else:
+            d = len(amps)
+            step = max(1, _STACK_BYTES // (16 * max(1, rho[..., :s, :s].size)))
+            for start in range(0, d, step):
+                b = min(s, d - start)  # from l = d - s on, V_l moves only d - l levels
+                v = amps[start : start + step, :b]
+                weights = v[:, :, None] * v[:, None, :].conj()
+                terms = weights.reshape(len(v), *(1,) * (rho.ndim - 2), b, b) * rho[..., :b, :b]
+                for l, term in zip(range(start, d), terms):
+                    c = min(b, d - l)
+                    out[..., l : l + c, l : l + c] += term[..., :c, :c]
+                del weights, terms, term  # freed before the next chunk's are built
         rho = out
     return rho
 
 
-def _apply_stack(channel: DilationChannel, states: list) -> list[FockDensityMatrix]:
-    """``apply_channel`` on each of ``states``, evaluated as one (B, d, d) stack."""
-    if any(state.dim != channel.dim for state in states):
-        raise InadmissibleInputError("state and channel dimensions differ")
-    out = _kraus_sums(channel, np.stack([state.rho for state in states]))
+def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> list[FockDensityMatrix]:
+    """``apply_channel`` on each state of a (B, d, d) stack, given the states' trace deficits."""
+    out = _kraus_sums(channel, rho)
     tr = np.trace(out, axis1=1, axis2=2).real  # over all d levels: a block sum adds in another order
     for t in tr:
         if not t >= np.finfo(float).tiny:  # a subnormal or zero mass cannot be renormalized
@@ -288,17 +329,20 @@ def _apply_stack(channel: DilationChannel, states: list) -> list[FockDensityMatr
                 f"output mass kept below the cutoff dim = {channel.dim} is {t:.3e}, "
                 "not a positive normal float"
             )
-    s = _levels(out).max()  # past the occupied block lie exact zeros
-    block = out[:, :s, :s]
-    block += block.conj().swapaxes(1, 2)
+    levels = _levels(out)
+    block = out[:, : levels.max(), : levels.max()]  # past the occupied block lie exact zeros
+    block += block.conj().swapaxes(1, 2)  # so the outputs need no Hermitian check
     block *= 0.5
     block /= tr[:, None, None]
-    return _validated(out, [state.trace_deficit + max(0.0, 1.0 - t) for state, t in zip(states, tr)])
+    deficits = [deficit + max(0.0, 1.0 - t) for deficit, t in zip(deficits, tr)]
+    return _normalized(out, deficits, levels, [""] * len(out))
 
 
 def apply_channel(channel: DilationChannel, state: FockDensityMatrix) -> FockDensityMatrix:
     """Kraus sum sum_l V_l rho V_l†, renormalized, with deficit bookkeeping."""
-    return _apply_stack(channel, [state])[0]
+    if state.dim != channel.dim:
+        raise InadmissibleInputError("state and channel dimensions differ")
+    return _apply_stack(channel, state.rho[None], [state.trace_deficit])[0]
 
 
 def covariance_of(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -327,17 +371,30 @@ def random_low_support_state(
     rng: np.random.Generator, dim: int = DEFAULT_DIM, support: int = 10
 ) -> FockDensityMatrix:
     """Random mixture of one to five pure states, validated on the lowest levels."""
+    return _random_states(rng, 1, dim, support)[1][0]
+
+
+def _random_states(
+    rng: np.random.Generator, count: int, dim: int, support: int
+) -> tuple[np.ndarray, list[FockDensityMatrix]]:
+    """``count`` successive ``random_low_support_state`` draws, as a (count, d, d) stack and its states.
+
+    Each trial draws its component count, its weights, then the real and
+    imaginary parts of each component, as one draw alone does; the (count,
+    s, s) block of the stack they fill is validated at once.
+    """
     support = min(int(support), int(dim))  # small cutoffs get full-support states
-    ncomp = int(rng.integers(1, 6))
-    weights = rng.dirichlet(np.ones(ncomp))
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        psi = rng.normal(size=support) + 1j * rng.normal(size=support)
-        psi /= np.linalg.norm(psi)
-        rho[:support, :support] += w * np.outer(psi, psi.conj())
-    drawn = fock_density(rho[:support, :support])
-    rho[:support, :support] = drawn.rho
-    return FockDensityMatrix(dim, rho, 0.0, np.concatenate((np.zeros(dim - support), drawn.spectrum)))
+    rho = np.zeros((count, dim, dim), dtype=complex)
+    blocks = rho[:, :support, :support]
+    for block in blocks:
+        ncomp = int(rng.integers(1, 6))
+        for w in rng.dirichlet(np.ones(ncomp)):
+            psi = rng.normal(size=support) + 1j * rng.normal(size=support)
+            psi /= np.linalg.norm(psi)
+            block += w * np.outer(psi, psi.conj())
+    pad = np.zeros(dim - support)
+    spectra = [np.concatenate((pad, b.spectrum)) for b in _validated(blocks, [0.0] * count)]
+    return rho, [FockDensityMatrix(dim, m, 0.0, w) for m, w in zip(rho, spectra)]
 
 
 def slack_from_deficit(deficit: float) -> float:
@@ -386,10 +443,9 @@ def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
     chunk = max(1, _STACK_BYTES // (16 * channel.dim**2))
     records = []
     for start in range(0, trials, chunk):
-        draw = range(min(chunk, trials - start))
-        states = [random_low_support_state(rng, dim=channel.dim, support=support) for _ in draw]
+        rho, states = _random_states(rng, min(chunk, trials - start), channel.dim, support)
         references = [reference(state) for state in states]  # in trial order, before the stack runs
-        records += map(_record, states, _apply_stack(channel, states), references)
+        records += map(_record, states, _apply_stack(channel, rho, [0.0] * len(states)), references)
     return {
         "kind": channel.kind,
         "k": channel.k,

@@ -90,13 +90,15 @@ def _transpose(M: np.ndarray) -> np.ndarray:
 
 def _cert(min_eig, abs_tol) -> HermitianCert:
     """Certificate of a least eigenvalue against its absolute threshold, or of a stack of them."""
+    if np.ndim(min_eig) == 0:
+        least, tol = float(min_eig), float(abs_tol)
+        verdict = VERDICT_PD if least > tol else VERDICT_PSD if least >= -tol else VERDICT_INDEFINITE
+        return HermitianCert(least, tol, verdict)
     verdict = np.where(
         min_eig > abs_tol,
         VERDICT_PD,
         np.where(min_eig >= -abs_tol, VERDICT_PSD, VERDICT_INDEFINITE),
     )
-    if np.ndim(min_eig) == 0:
-        return HermitianCert(float(min_eig), float(abs_tol), str(verdict))
     return HermitianCert(min_eig, abs_tol, verdict)
 
 

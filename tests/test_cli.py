@@ -555,6 +555,13 @@ class TestTolerancePlumbing:
             "numeric overflow",
             id="beta-max-1e308",
         ),
+        # sqrt(1 + noise) rounds to 1, and the dilation's amplitudes would take log(0)
+        pytest.param(
+            "fock --preset classical-noise --k 1 --noise 1e-300 --dim 8 --trials 1",
+            None,
+            "classical_noise noise = 1e-300 gives sqrt(1 + noise) = 1",
+            id="fock-noise-1e-300",
+        ),
         pytest.param(
             "fock --preset amplifier --k 1e200 --dim 8 --trials 1",
             None,

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,16 @@ class TestDilations:
         with pytest.raises(InadmissibleInputError):
             build_dilation("classical_noise", 1.0, dim=20)
 
+    @pytest.mark.parametrize("noise", [1e-300, 2e-16, 3e-16, math.inf])
+    def test_noise_without_a_dilation_is_refused(self, noise):
+        # sqrt(1 + noise) rounds to 1 or overflows, and a stage's amplitudes would take log(0)
+        with pytest.raises(InadmissibleInputError, match=f"classical_noise noise = {noise:g} gives"):
+            build_dilation("classical_noise", 1.0, dim=8, noise=noise)
+
+    def test_least_resolved_noise_builds(self):
+        channel = build_dilation("classical_noise", 1.0, dim=8, noise=4e-16)
+        assert math.sqrt(1.0 + channel.noise) > 1.0
+
     @pytest.mark.parametrize("kind, k, noise", [("attenuator", 0.7, 0.3), ("amplifier", 1.5, -2.0)])
     def test_noise_is_refused_where_it_would_be_dropped(self, kind, k, noise):
         message = f"noise applies only to classical_noise, not {kind}"
@@ -611,11 +622,12 @@ class TestOccupiedLevels:
 
     def test_attenuator_campaign_solves_only_occupied_blocks(self, attenuator, eigvalsh_shapes):
         lower_bound_campaign(attenuator, 20, np.random.default_rng(7))
-        assert eigvalsh_shapes == [(1, 10, 10)] * 18 + [(18, 10, 10)] + [(1, 10, 10)] * 2 + [(2, 10, 10)]
+        # per chunk, one solve of its inputs, then one of its outputs
+        assert eigvalsh_shapes == [(18, 10, 10)] * 2 + [(2, 10, 10)] * 2
 
     def test_amplifier_campaign_solves_its_outputs_on_every_level(self, amplifier, eigvalsh_shapes):
         lower_bound_campaign(amplifier, 20, np.random.default_rng(7))
-        assert eigvalsh_shapes == [(1, 6, 6)] * 18 + [(18, DIM, DIM)] + [(1, 6, 6)] * 2 + [(2, DIM, DIM)]
+        assert eigvalsh_shapes == [(18, 6, 6), (18, DIM, DIM), (2, 6, 6), (2, DIM, DIM)]
 
     @pytest.mark.parametrize(
         "make_state",
@@ -639,8 +651,9 @@ class TestOccupiedLevels:
         ]
         for channel in small_dilations:
             stages = dense_stages(channel)
-            sums = fock._kraus_sums(channel, np.stack([state.rho for state in states]))
-            outs = fock._apply_stack(channel, states)
+            stack = np.stack([state.rho for state in states])
+            sums = fock._kraus_sums(channel, stack)
+            outs = fock._apply_stack(channel, stack, [state.trace_deficit for state in states])
             for state, summed, out in zip(states, sums, outs):
                 assert np.array_equal(summed, full_block_kraus_sums(channel, state.rho))
                 assert np.abs(out.rho - dense_output(stages, state)).max() <= 1e-14
@@ -648,6 +661,29 @@ class TestOccupiedLevels:
                 assert np.array_equal(out.rho, alone.rho)
                 assert np.array_equal(out.spectrum, alone.spectrum)
                 assert out.trace_deficit == alone.trace_deficit
+
+    @pytest.mark.parametrize(
+        "kind, k, noise",
+        [("amplifier", 1.5, 0.0), ("classical_noise", 1.0, 0.3)],
+        ids=["amplifier", "classical-noise"],
+    )
+    def test_half_occupied_state_at_dim_400_keeps_the_byte_budget(self, kind, k, noise):
+        # all 400 terms of the raising stage at once would take 400 x 200 x 200 x 16 B = 256 MB;
+        # the dense operators would take 1 GB a stage, so the reference is the whole-block
+        # loop that test_occupancy_is_taken_over_the_whole_stack ties to them at dim 20
+        dim = 400
+        channel = build_dilation(kind, k, dim=dim, noise=noise)
+        state = random_low_support_state(np.random.default_rng(3), dim=dim, support=dim // 2)
+        tracemalloc.start()
+        try:
+            out = apply_channel(channel, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * fock._STACK_BYTES
+        reference = full_block_kraus_sums(channel, state.rho)
+        reference = 0.5 * (reference + reference.conj().T)
+        assert np.abs(out.rho - reference / np.trace(reference).real).max() <= 1e-14
 
     def test_channel_on_identity_is_the_full_block_sum(self, small_dilations):
         for channel in small_dilations:
@@ -674,20 +710,38 @@ class TestStackedCampaigns:
             saturating = channel is attenuator
             assert all(r["flagged_saturating"] == saturating for r in summary["records"])
 
+    @pytest.mark.parametrize("dim, support", [(DIM, 10), (DIM, 6), (8, 10)])
+    def test_chunk_draw_equals_successive_single_draws(self, dim, support):
+        chunked, alone = np.random.default_rng(5), np.random.default_rng(5)
+        rho, states = fock._random_states(chunked, 18, dim, support)
+        assert rho.shape == (18, dim, dim)
+        for m, state in zip(rho, states):
+            single = random_low_support_state(alone, dim=dim, support=support)
+            assert np.array_equal(m, single.rho)
+            assert np.array_equal(state.rho, single.rho)
+            assert np.array_equal(state.spectrum, single.spectrum)
+            assert state.trace_deficit == single.trace_deficit == 0.0
+        # both generators are left in the same state
+        after_chunk = random_low_support_state(chunked, dim=dim, support=support)
+        after_singles = random_low_support_state(alone, dim=dim, support=support)
+        assert np.array_equal(after_chunk.rho, after_singles.rho)
+
     def test_degenerate_trial_mid_chunk_raises_before_its_chunk_runs(self, classical_noise, monkeypatch):
         with pytest.raises(HypothesisViolationError) as alone:
             verify_extremality(classical_noise, number_state(0, DIM))
-        draw, kernel, drawn, stacks = fock.random_low_support_state, fock._kraus_sums, [], []
+        draw, kernel, drawn, stacks = fock._random_states, fock._kraus_sums, [], []
 
-        def draw_vacuum_25th(rng, **kwargs):
-            drawn.append(draw(rng, **kwargs))
-            return number_state(0, DIM) if len(drawn) == 25 else drawn[-1]
+        def draw_vacuum_25th(*args):
+            rho, states = draw(*args)
+            trials = range(len(drawn), len(drawn) + len(states))
+            drawn.extend(states)
+            return rho, [number_state(0, DIM) if i == 24 else state for i, state in zip(trials, states)]
 
         def spy(channel, rho):
             stacks.append(len(rho))
             return kernel(channel, rho)
 
-        monkeypatch.setattr(fock, "random_low_support_state", draw_vacuum_25th)
+        monkeypatch.setattr(fock, "_random_states", draw_vacuum_25th)
         monkeypatch.setattr(fock, "_kraus_sums", spy)
         with pytest.raises(HypothesisViolationError, match=re.escape(str(alone.value))):
             extremality_campaign(classical_noise, self.TRIALS, np.random.default_rng(7))
@@ -723,7 +777,11 @@ class TestStackedCampaigns:
             shapes.append(rho.shape)
             raise FirstStack
 
-        monkeypatch.setattr(fock, "random_low_support_state", lambda rng, dim, support: number_state(0, dim))
+        def draw_vacua(rng, count, dim, support):
+            states = [number_state(0, dim)] * count
+            return np.stack([state.rho for state in states]), states
+
+        monkeypatch.setattr(fock, "_random_states", draw_vacua)
         monkeypatch.setattr(fock, "_kraus_sums", spy)
         with pytest.raises(FirstStack):
             lower_bound_campaign(channel, 3, np.random.default_rng(0))

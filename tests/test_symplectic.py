@@ -1,5 +1,7 @@
 """Tests for the symplectic core: forms, certificates, normal forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_covariance, random_symplectic
 from egain.errors import InadmissibleInputError
 from egain.symplectic import (
+    _cert,
     canonical_form,
     check_hermitian_psd,
     symplectic_eigenvalues,
@@ -65,6 +68,16 @@ class TestHermitianCert:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InadmissibleInputError):
             check_hermitian_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("least", [1.0, 1e-9, 0.0, -1e-9, -1.0, math.nan])
+    def test_scalar_certificate_equals_the_stacked_one(self, least):
+        scalar = _cert(np.float64(least), np.float64(1e-9))
+        stacked = _cert(np.array([least]), np.array([1e-9]))
+        assert type(scalar.min_eigenvalue) is float and type(scalar.tolerance) is float
+        assert type(scalar.verdict) is str
+        assert scalar.verdict == stacked.verdict[0]
+        assert np.array_equal(scalar.min_eigenvalue, stacked.min_eigenvalue[0], equal_nan=True)
+        assert scalar.tolerance == stacked.tolerance[0]
 
 
 class TestSymplecticEigenvalues:
