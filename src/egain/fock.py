@@ -12,13 +12,14 @@ package's main numerical evidence.
 Each matrix is validated on the s leading levels it occupies, so random states
 and attenuator outputs cost O(s^3) whatever the cutoff. Campaigns run their
 trials in chunks of at most ``_STACK_BYTES`` as (B, d, d) stacks, from input
-draw to Kraus sum: a chunk's inputs are drawn in trial order with the generator
+draw to record: a chunk's inputs are drawn in trial order with the generator
 calls of B successive ``random_low_support_state`` draws and validated as one
-(B, s, s) block, each trial's reference is taken before the chunk's Kraus sums
-run, and a raising stage weights its Kraus operators in broadcasts of at most
-``_STACK_BYTES`` each, adding them in l order. A stack gives each state the bits
-it gives alone, and ``_record`` builds every trial's record, so campaign
-records equal ``verify_*``'s.
+(B, s, s) block, its references are solved as one (B, 2, 2) covariance stack
+before its Kraus sums run, a raising stage weights its Kraus operators in
+broadcasts of at most ``_STACK_BYTES`` each, adding them in l order, and its
+occupancies and top-band masses are read off whole stacks. A stack gives each
+state the bits it gives alone, and ``_record`` builds every trial's record, so
+campaign records equal ``verify_*``'s.
 
 Truncation policy: results carry a ``trace_deficit``, which includes the
 mass a channel moves past the cutoff, and a trial whose states' deficits or
@@ -93,10 +94,12 @@ def fock_density(rho: np.ndarray) -> FockDensityMatrix:
     return _validated(np.array(rho, dtype=complex)[None], [0.0])[0]
 
 
-def _levels(rho: np.ndarray) -> np.ndarray:
-    """Per matrix of a (..., d, d) stack, one past its last level with a nonzero row or column, or 0."""
-    nz = rho != 0
-    occupied = nz.any(axis=-1) | nz.any(axis=-2)
+def _levels(rho: np.ndarray, hermitian: bool = False) -> np.ndarray:
+    """Per matrix of a (..., d, d) stack, one past its last nonzero row or column, or 0."""
+    nz = rho.view(float) != 0  # half the cost of comparing complex entries
+    occupied = nz.any(axis=-1)
+    if not hermitian:  # Hermitian up to signed zeros: nonzero columns lie on nonzero rows
+        occupied |= nz.any(axis=-2).reshape(*occupied.shape, -1).any(axis=-1)
     return np.where(occupied.any(axis=-1), rho.shape[-1] - occupied[..., ::-1].argmax(axis=-1), 0)
 
 
@@ -107,8 +110,8 @@ def _validated(rho: np.ndarray, deficits) -> list[FockDensityMatrix]:
     stack: each is symmetrized and handed to ``_normalized`` with the refusal
     of its Hermitian check, if it failed.
     """
-    if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
-        raise InadmissibleInputError("density matrix must be square")
+    if rho.ndim != 3 or rho.shape[1] != rho.shape[2] or not rho.shape[1]:
+        raise InadmissibleInputError(f"density matrix must be square and nonempty, not {rho.shape[1:]}")
     levels = _levels(rho)
     herm, scale = np.zeros(len(rho)), np.zeros(len(rho))
     for group, s in _groups(levels):
@@ -288,13 +291,14 @@ def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
     V_l rho V_l† moves a block of rho l levels down (``first``, attenuator) or
     up (amplifier stages), weighted by the outer product of V_l's diagonal.
     Only the s leading levels move, s the most levels any input matrix
-    occupies (``_levels``), and a lowering stage keeps them there: it stops at
-    l = s, a raising stage moves s x s blocks. The skipped terms are exact
-    zeros. A raising stage weights the block for many l in one broadcast, at
-    most ``_STACK_BYTES`` of terms at a time, and adds them in l order, so
-    every sum rounds as in a loop over l.
+    occupies (``_levels`` on rows: inputs are Hermitian, and each stage's real,
+    symmetric weights keep them so up to signed zeros), and a lowering stage
+    keeps them there: it stops at l = s, a raising stage moves s x s blocks.
+    The skipped terms are exact zeros. A raising stage weights the block for
+    many l in one broadcast, at most ``_STACK_BYTES`` of terms at a time, and
+    adds them in l order, so every sum rounds as in a loop over l.
     """
-    s = int(_levels(rho).max(initial=0))
+    s = int(_levels(rho, hermitian=True).max(initial=0))
     for amps, lowering in ((channel.first, True), (channel.kraus, channel.kind == "attenuator")):
         if amps is None:
             continue
@@ -319,8 +323,8 @@ def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> list[FockDensityMatrix]:
-    """``apply_channel`` on each state of a (B, d, d) stack, given the states' trace deficits."""
+def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[np.ndarray, list]:
+    """``apply_channel`` on a (B, d, d) stack given its deficits: the output stack and its states."""
     out = _kraus_sums(channel, rho)
     tr = np.trace(out, axis1=1, axis2=2).real  # over all d levels: a block sum adds in another order
     for t in tr:
@@ -329,20 +333,20 @@ def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> list[Fo
                 f"output mass kept below the cutoff dim = {channel.dim} is {t:.3e}, "
                 "not a positive normal float"
             )
-    levels = _levels(out)
+    levels = _levels(out, hermitian=True)  # Hermitian up to signed zeros, as _kraus_sums keeps it
     block = out[:, : levels.max(), : levels.max()]  # past the occupied block lie exact zeros
     block += block.conj().swapaxes(1, 2)  # so the outputs need no Hermitian check
     block *= 0.5
     block /= tr[:, None, None]
     deficits = [deficit + max(0.0, 1.0 - t) for deficit, t in zip(deficits, tr)]
-    return _normalized(out, deficits, levels, [""] * len(out))
+    return out, _normalized(out, deficits, levels, [""] * len(out))
 
 
 def apply_channel(channel: DilationChannel, state: FockDensityMatrix) -> FockDensityMatrix:
     """Kraus sum sum_l V_l rho V_l†, renormalized, with deficit bookkeeping."""
     if state.dim != channel.dim:
         raise InadmissibleInputError("state and channel dimensions differ")
-    return _apply_stack(channel, state.rho[None], [state.trace_deficit])[0]
+    return _apply_stack(channel, state.rho[None], [state.trace_deficit])[1][0]
 
 
 def covariance_of(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -362,9 +366,13 @@ def covariance_of(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def top_band_mass(state: FockDensityMatrix) -> float:
     """Population in the top ceil(TOP_BAND_FRACTION * dim) number levels."""
-    band = max(1, math.ceil(TOP_BAND_FRACTION * state.dim))
-    populations = np.diag(state.rho).real
-    return float(populations[state.dim - band :].sum())
+    return float(_band_masses(state.rho))
+
+
+def _band_masses(rho: np.ndarray) -> np.ndarray:
+    """``top_band_mass`` of each matrix of a (..., d, d) stack, in one diagonal reduction."""
+    band = max(1, math.ceil(TOP_BAND_FRACTION * rho.shape[-1]))
+    return np.diagonal(rho, axis1=-2, axis2=-1)[..., -band:].real.sum(axis=-1)
 
 
 def random_low_support_state(
@@ -390,8 +398,8 @@ def _random_states(
         ncomp = int(rng.integers(1, 6))
         for w in rng.dirichlet(np.ones(ncomp)):
             psi = rng.normal(size=support) + 1j * rng.normal(size=support)
-            psi /= np.linalg.norm(psi)
-            block += w * np.outer(psi, psi.conj())
+            psi /= math.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))  # np.linalg.norm's sums
+            block += w * (psi[:, None] * psi.conj())
     pad = np.zeros(dim - support)
     spectra = [np.concatenate((pad, b.spectrum)) for b in _validated(blocks, [0.0] * count)]
     return rho, [FockDensityMatrix(dim, m, 0.0, w) for m, w in zip(rho, spectra)]
@@ -414,17 +422,16 @@ CAMPAIGN_SUPPORT = {"attenuator": 10, "amplifier": 6, "classical_noise": 10}
 _STACK_BYTES = 1 << 20
 
 
-def _record(state: FockDensityMatrix, out: FockDensityMatrix, reference: dict) -> dict:
+def _record(state: FockDensityMatrix, out: FockDensityMatrix, reference: dict, band_in, band_out) -> dict:
     """A trial's record: ``holds`` if gain >= the first value of ``reference`` - slack.
 
-    The deficit adds both trace deficits and the output's top-band mass; the trial is
-    reliable if none of them nor the input's top-band mass exceeds RELIABILITY_THRESHOLD.
+    The deficit adds both trace deficits and the output's top-band mass ``band_out``; the trial
+    is reliable if none of them nor the input's, ``band_in``, exceeds RELIABILITY_THRESHOLD.
     """
-    band_out = top_band_mass(out)
     gain = von_neumann_entropy(out) - von_neumann_entropy(state)
     deficit = state.trace_deficit + out.trace_deficit + band_out
     slack = slack_from_deficit(deficit)
-    worst = max(state.trace_deficit, out.trace_deficit, top_band_mass(state), band_out)
+    worst = max(state.trace_deficit, out.trace_deficit, band_in, band_out)
     return {
         "gain": gain,
         **reference,
@@ -444,8 +451,10 @@ def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
     records = []
     for start in range(0, trials, chunk):
         rho, states = _random_states(rng, min(chunk, trials - start), channel.dim, support)
-        references = [reference(state) for state in states]  # in trial order, before the stack runs
-        records += map(_record, states, _apply_stack(channel, rho, [0.0] * len(states)), references)
+        references = reference(states)  # in trial order, before the stack runs
+        out, outs = _apply_stack(channel, rho, [0.0] * len(states))
+        masses = _band_masses(rho).tolist(), _band_masses(out).tolist()
+        records += map(_record, states, outs, references, *masses)
     return {
         "kind": channel.kind,
         "k": channel.k,
@@ -459,11 +468,11 @@ def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
 
 
 def _reference(channel: DilationChannel, extremality: bool):
-    """Per state: the bound log k^2, or the Gaussian gain once the state meets the hypotheses."""
+    """Per list of states: the bound log k^2 each, or their Gaussian gains once they meet the hypotheses."""
     if extremality:
-        return functools.partial(_extremality_hypotheses, channel.gaussian_channel())
+        return functools.partial(_extremality_references, channel.gaussian_channel())
     bound = {"bound": 2.0 * math.log(channel.k)}  # k**2 underflows to 0 below k = 1e-162
-    return lambda state: bound
+    return lambda states: [bound] * len(states)
 
 
 def lower_bound_campaign(channel: DilationChannel, trials: int, rng: np.random.Generator) -> dict:
@@ -483,8 +492,9 @@ def verify_lower_bound(channel: DilationChannel, state: FockDensityMatrix) -> di
     deficit, the slack actually granted, and the reliability flag; the
     verdict ``holds`` means gain >= bound - slack.
     """
-    reference = _reference(channel, extremality=False)(state)
-    return _record(state, apply_channel(channel, state), reference)
+    reference = _reference(channel, extremality=False)([state])[0]
+    out = apply_channel(channel, state)
+    return _record(state, out, reference, top_band_mass(state), top_band_mass(out))
 
 
 def verify_extremality(channel: DilationChannel, state: FockDensityMatrix) -> dict:
@@ -501,26 +511,30 @@ def verify_extremality(channel: DilationChannel, state: FockDensityMatrix) -> di
     the state is nondegenerate, which is what the extremality argument
     actually needs.
     """
-    reference = _reference(channel, extremality=True)(state)
-    return _record(state, apply_channel(channel, state), reference)
+    reference = _reference(channel, extremality=True)([state])[0]
+    out = apply_channel(channel, state)
+    return _record(state, out, reference, top_band_mass(state), top_band_mass(out))
 
 
-def _extremality_hypotheses(gch: GaussianChannel, state) -> dict:
-    """Check verify_extremality's hypotheses on one state; return its reference, Gaussian gain first.
+def _extremality_references(gch: GaussianChannel, states) -> list[dict]:
+    """Check verify_extremality's hypotheses on each state; return their references, Gaussian gain first.
 
-    Both nondegeneracy tests and the gain are read off the input and output spectra.
+    Both nondegeneracy tests and the gains are read off the input and output spectra of one
+    (B, 2, 2) covariance stack, four eigensolves whatever B. The first state that fails raises.
     """
-    _, alpha = covariance_of(state)  # exactly symmetric, as _apply requires
+    alpha = np.stack([covariance_of(state)[1] for state in states])  # exactly symmetric, as _apply requires
     nu_in = symplectic_eigenvalues(alpha, gch.space)
-    nu_min = float(nu_in[-1])
-    if not _uncertainty_cert(nu_in, DEFAULT_TOL).is_positive_definite:
-        raise HypothesisViolationError(
-            f"state covariance is degenerate (min symplectic eigenvalue {nu_min:.9f})"
-        )
     nu_out = _apply(gch, alpha)[1]
-    if not (gch.strict or _uncertainty_cert(nu_out, DEFAULT_TOL).is_positive_definite):
+    degenerate = ~_uncertainty_cert(nu_in, DEFAULT_TOL).is_positive_definite
+    blurred = ~(gch.strict | _uncertainty_cert(nu_out, DEFAULT_TOL).is_positive_definite)
+    for i in np.flatnonzero(degenerate | blurred)[:1]:  # the first failing state, if any
         raise HypothesisViolationError(
-            "saturating channel maps this state to a degenerate Gaussian image"
+            f"state covariance is degenerate (min symplectic eigenvalue {nu_in[i, -1]:.9f})"
+            if degenerate[i]
+            else "saturating channel maps this state to a degenerate Gaussian image"
         )
-    gain = float(_entropies(nu_out)) - float(_entropies(nu_in))
-    return dict(gaussian_gain=gain, flagged_saturating=not gch.strict, min_symplectic_eigenvalue=nu_min)
+    gains = (_entropies(nu_out) - _entropies(nu_in)).tolist()
+    return [
+        dict(gaussian_gain=gain, flagged_saturating=not gch.strict, min_symplectic_eigenvalue=nu_min)
+        for gain, nu_min in zip(gains, nu_in[:, -1].tolist())
+    ]

@@ -187,6 +187,12 @@ class TestFock:
                 "d500ce5dad78acc8be71167bf8b3cd53",
                 id="classical-noise-extremality",
             ),
+            # three chunks at d = 60: each chunk's references are taken as one stack
+            pytest.param(
+                "fock --preset classical-noise --k 1 --noise 0.3 --extremality --trials 40 --seed 3",
+                "86b2a4355d2bf29f52f370eb88404101",
+                id="classical-noise-extremality-three-chunks",
+            ),
             # attenuator outputs occupy fewer than dim levels
             pytest.param(
                 "fock --preset attenuator --k 0.7 --trials 20 --seed 3",

@@ -31,6 +31,7 @@ from egain.fock import (
     von_neumann_entropy,
 )
 from egain.gaussian import mode_entropy
+from egain.symplectic import DEFAULT_TOL
 
 DIM = 60
 
@@ -273,6 +274,14 @@ class TestFockDensity:
             fock_density(np.zeros((5, 5)))
         with pytest.raises(InadmissibleInputError, match="trace 0"):
             fock._validated(np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))]).astype(complex), [0.0] * 2)
+
+    def test_empty_matrix_is_refused(self):
+        with pytest.raises(InadmissibleInputError, match=r"must be square and nonempty, not \(0, 0\)"):
+            fock_density(np.zeros((0, 0)))
+
+    def test_random_state_on_no_levels_is_refused(self, rng):
+        with pytest.raises(InadmissibleInputError, match=r"must be square and nonempty, not \(0, 0\)"):
+            random_low_support_state(rng, support=0)
 
     def test_padded_spectrum_matches_a_full_eigensolve(self, attenuator, rng):
         states = [random_low_support_state(rng, support=support) for support in (1, 3, 10)]
@@ -568,15 +577,47 @@ class TestProp3:
         summary = extremality_campaign(classical_noise, 5, rng)
         assert summary["holds_count"] == 5
 
+    @pytest.mark.parametrize("image, vacuum", [(3, 10), (10, 3)], ids=["image-first", "input-first"])
+    def test_chunk_raises_for_its_first_failing_trial(self, attenuator, monkeypatch, image, vacuum):
+        # (1 - p)|0><0| + p|1><1| has nu = 1/2 + p, which passes the input test at
+        # p = 1.5 tol; the saturating attenuator shrinks p by k^2 = 0.49, below tol
+        p = 1.5 * DEFAULT_TOL
+        blurred = fock_density(np.diag([1.0 - p, p] + [0.0] * (DIM - 2)).astype(complex))
+        failing = {image: blurred, vacuum: number_state(0, DIM)}
+        messages = {}
+        for trial, state in failing.items():
+            with pytest.raises(HypothesisViolationError) as alone:
+                verify_extremality(attenuator, state)
+            messages[trial] = str(alone.value)
+        assert "degenerate Gaussian image" in messages[image]
+        assert "state covariance is degenerate" in messages[vacuum]
+        draw, kernel, stacks = fock._random_states, fock._kraus_sums, []
+
+        def draw_failing(*args):
+            rho, states = draw(*args)
+            return rho, [failing.get(trial, state) for trial, state in enumerate(states)]
+
+        def spy(channel, rho):
+            stacks.append(len(rho))
+            return kernel(channel, rho)
+
+        monkeypatch.setattr(fock, "_random_states", draw_failing)
+        monkeypatch.setattr(fock, "_kraus_sums", spy)
+        with pytest.raises(HypothesisViolationError, match=re.escape(messages[min(image, vacuum)])):
+            extremality_campaign(attenuator, 18, np.random.default_rng(7))
+        assert stacks == []
+
     @pytest.mark.parametrize("name", ["classical_noise", "attenuator"])
     def test_hypotheses_solve_four_eigenproblems(self, name, request, count_eigensolves):
         # the input and output spectra (2 each), off which both nondegeneracy
-        # tests and the Gaussian gain are read
+        # tests and the Gaussian gain are read, as one stack whatever the chunk's size
         gch = request.getfixturevalue(name).gaussian_channel()
-        state = thermal_state(1.0, DIM)
-        count_eigensolves.clear()
-        fock._extremality_hypotheses(gch, state)
-        assert len(count_eigensolves) == 4
+        chunk = fock._random_states(np.random.default_rng(7), 18, DIM, 10)[1]
+        for states in ([thermal_state(1.0, DIM)], chunk):
+            count_eigensolves.clear()
+            references = fock._extremality_references(gch, states)
+            assert len(references) == len(states)
+            assert len(count_eigensolves) == 4
 
 
 @pytest.fixture(scope="module")
@@ -653,7 +694,7 @@ class TestOccupiedLevels:
             stages = dense_stages(channel)
             stack = np.stack([state.rho for state in states])
             sums = fock._kraus_sums(channel, stack)
-            outs = fock._apply_stack(channel, stack, [state.trace_deficit for state in states])
+            outs = fock._apply_stack(channel, stack, [state.trace_deficit for state in states])[1]
             for state, summed, out in zip(states, sums, outs):
                 assert np.array_equal(summed, full_block_kraus_sums(channel, state.rho))
                 assert np.abs(out.rho - dense_output(stages, state)).max() <= 1e-14
@@ -684,6 +725,39 @@ class TestOccupiedLevels:
         reference = full_block_kraus_sums(channel, state.rho)
         reference = 0.5 * (reference + reference.conj().T)
         assert np.abs(out.rho - reference / np.trace(reference).real).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim", [20, DIM])
+    def test_row_scan_of_kraus_stacks_equals_the_row_or_column_scan(self, dim, monkeypatch):
+        # every stack scanned on rows alone, a campaign's inputs and each dilation's
+        # outputs, is Hermitian up to signed zeros: its columns add no level
+        scan, scanned = fock._levels, []
+
+        def checked(rho, hermitian=False):
+            if hermitian:
+                assert np.array_equal(scan(rho, hermitian=True), scan(rho))
+                scanned.append(len(rho))
+            return scan(rho, hermitian)
+
+        monkeypatch.setattr(fock, "_levels", checked)
+        # level 5 is occupied by a purely imaginary off-diagonal pair alone
+        imaginary = np.diag([0.5, 0.5] + [0.0] * (dim - 2)).astype(complex)
+        imaginary[1, 5], imaginary[5, 1] = 0.25j, -0.25j
+        assert scan(imaginary, hermitian=True) == scan(imaginary) == 6
+        for kind, k, noise in [("attenuator", 0.7, 0.0), ("amplifier", 1.5, 0.0), ("classical_noise", 1.0, 0.3)]:
+            channel = build_dilation(kind, k, dim=dim, noise=noise)
+            lower_bound_campaign(channel, 20, np.random.default_rng(3))
+            out = fock._kraus_sums(channel, imaginary[None])
+            assert np.array_equal(scan(out, hermitian=True), scan(out))
+        chunks = math.ceil(20 / (fock._STACK_BYTES // (16 * dim * dim)))  # 1 at d = 20, 2 at d = 60
+        assert len(scanned) == 3 * (2 * chunks + 1)  # each chunk's inputs and outputs, then the pair's input
+
+    def test_raw_input_is_scanned_on_rows_and_columns(self):
+        # level 3 of this raw matrix is occupied by its column alone; fock_density
+        # refuses it (test_zero_padded_non_hermitian_block_is_refused) only if it sees it
+        raw = np.diag([0.5, 0.5, 0.0, 0.0, 0.0]).astype(complex)
+        raw[0, 3] = 0.4
+        assert fock._levels(raw) == 4
+        assert fock._levels(raw, hermitian=True) == 2
 
     def test_channel_on_identity_is_the_full_block_sum(self, small_dilations):
         for channel in small_dilations:
