@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .symplectic import (
     _refuse,
     _require_symmetric,
     _symplectic_spectrum,
-    _transpose,
     _uncertainty_cert,
 )
 
@@ -58,7 +58,11 @@ _BETA_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GaussianChannel:
-    """Admissible Gaussian channel with its positivity certificate."""
+    """Admissible Gaussian channel with its positivity certificate.
+
+    slogdet(K) and ``regular`` are solved once, on first use; ``make_channel``
+    keeps read-only copies of K and mu, so that they cannot go stale.
+    """
 
     space: PhaseSpace
     K: np.ndarray
@@ -66,10 +70,14 @@ class GaussianChannel:
     cert: HermitianCert
     strict: bool
 
-    @property
+    @cached_property
+    def _slogdet(self):
+        return np.linalg.slogdet(self.K)
+
+    @cached_property
     def regular(self) -> bool:
         """True iff K is nonsingular, so the closed-form gain applies."""
-        sign, logdet = np.linalg.slogdet(self.K)
+        sign, logdet = self._slogdet
         if sign == 0.0:
             return False
         # Guard against numerically singular K: compare log |det K| against
@@ -82,7 +90,7 @@ def make_channel(
     K: np.ndarray, mu: np.ndarray, space: PhaseSpace, tol: float = DEFAULT_TOL
 ) -> GaussianChannel:
     """Validate (K, mu) against the channel positivity condition."""
-    K = np.asarray(K, dtype=float)
+    K = np.array(K, dtype=float)
     n = 2 * space.s
     if K.shape != (n, n):
         raise InadmissibleInputError(f"K must be {n}x{n}, got {K.shape}")
@@ -94,6 +102,7 @@ def make_channel(
             "channel noise is below the admissibility bound: min eigenvalue "
             f"{cert.min_eigenvalue:.3e}"
         )
+    K.flags.writeable = mu.flags.writeable = False
     return GaussianChannel(
         space=space, K=K, mu=mu, cert=cert, strict=cert.is_positive_definite
     )
@@ -116,6 +125,8 @@ def preset_channel(
     if name == "attenuator":
         if not 0.0 < k < 1.0:
             raise InadmissibleInputError("attenuator requires 0 < k < 1")
+        if k * k < np.finfo(float).tiny:  # every larger k keeps K = k I regular
+            raise InadmissibleInputError(f"k = {k:.3g} is too small: k^2 underflows")
         mu = (0.5 * (1.0 - k * k) + noise) * eye
     elif name == "amplifier":
         if not k > 1.0:
@@ -155,7 +166,7 @@ def _apply(channel: GaussianChannel, alpha: np.ndarray) -> tuple[np.ndarray, np.
     Returns the output with the symplectic spectrum its certificate is read off.
     """
     out = channel.K.T @ alpha @ channel.K + channel.mu
-    out = 0.5 * (out + _transpose(out))
+    out = 0.5 * (out + out.swapaxes(-1, -2))
     nu = _symplectic_spectrum(out, channel.space)
     cert = _uncertainty_cert(nu, DEFAULT_TOL)
     _refuse(
@@ -180,7 +191,7 @@ def minimal_entropy_gain(channel: GaussianChannel) -> float:
         raise NonRegularChannelError(
             "non-regular channel (det K = 0); the minimal entropy gain is undefined"
         )
-    return float(np.linalg.slogdet(channel.K)[1])
+    return float(channel._slogdet[1])
 
 
 def gaussian_gain(channel: GaussianChannel, alpha: np.ndarray) -> float:

@@ -333,11 +333,8 @@ def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[n
                 f"output mass kept below the cutoff dim = {channel.dim} is {t:.3e}, "
                 "not a positive normal float"
             )
-    levels = _levels(out, hermitian=True)  # Hermitian up to signed zeros, as _kraus_sums keeps it
-    block = out[:, : levels.max(), : levels.max()]  # past the occupied block lie exact zeros
-    block += block.conj().swapaxes(1, 2)  # so the outputs need no Hermitian check
-    block *= 0.5
-    block /= tr[:, None, None]
+    levels = _levels(out, hermitian=True)  # Hermitian up to signed zeros, as _kraus_sums keeps it:
+    out[:, : levels.max(), : levels.max()] /= tr[:, None, None]  # no symmetrizing or check needed
     deficits = [deficit + max(0.0, 1.0 - t) for deficit, t in zip(deficits, tr)]
     return out, _normalized(out, deficits, levels, [""] * len(out))
 
@@ -379,6 +376,8 @@ def random_low_support_state(
     rng: np.random.Generator, dim: int = DEFAULT_DIM, support: int = 10
 ) -> FockDensityMatrix:
     """Random mixture of one to five pure states, validated on the lowest levels."""
+    if not support >= 1 or support % 1:
+        raise InadmissibleInputError(f"support must be an integer >= 1, got {support!r}")
     return _random_states(rng, 1, dim, support)[1][0]
 
 

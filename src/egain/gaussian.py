@@ -18,6 +18,7 @@ symplectic eigenvalues of alpha_beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .symplectic import (
     _require_symmetric,
     _sym_sqrt,
     _symplectic_spectrum,
-    _transpose,
     _uncertainty_cert,
     symplectic_eigenvalues,
 )
@@ -118,9 +118,11 @@ class QuadraticHamiltonian:
     are the eigenpairs of the Hermitian matrix i epsilon^(1/2) delta
     epsilon^(1/2), whose eigenvalues are the normal-mode frequencies +-m_j,
     and ``spectrum`` is the eigenvalues of its negative, from which
-    ``symplectic_eigenvalues(epsilon)`` takes the m_j. Each use tests
-    ``eigenvalues`` and ``spectrum`` again at the default tolerance, whatever
-    tolerance built the Hamiltonian.
+    ``symplectic_eigenvalues(epsilon)`` takes the m_j. The beta-independent
+    pieces of every Gibbs state are solved once too: ``U_H`` is U^H,
+    ``least_frequency`` is min |w|, and ``frequencies`` holds the m_j,
+    descending, on first use. Each use tests ``eigenvalues`` and ``spectrum``
+    again at the default tolerance, whatever tolerance built the Hamiltonian.
     """
 
     space: PhaseSpace
@@ -131,6 +133,12 @@ class QuadraticHamiltonian:
     w: np.ndarray
     U: np.ndarray
     spectrum: np.ndarray
+    U_H: np.ndarray
+    least_frequency: float
+
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        return _positive_half(self.spectrum, self.space.s)
 
 
 def quadratic_hamiltonian(
@@ -146,7 +154,9 @@ def quadratic_hamiltonian(
     # and log_partition takes the frequencies as symplectic_eigenvalues does
     spectrum = np.linalg.eigvalsh(-1j * form)
     epsilon.flags.writeable = False
-    return QuadraticHamiltonian(space, epsilon, eigenvalues, root, inv_root, w, U, spectrum)
+    return QuadraticHamiltonian(
+        space, epsilon, eigenvalues, root, inv_root, w, U, spectrum, U.conj().T, float(abs(w).min())
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,36 +199,38 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas):
     the same covariances need not solve for them again.
     """
     betas = np.asarray(betas, dtype=float)
-    _refuse(~(betas > 0), InadmissibleInputError, "beta must be positive")
+    space, root, inv_root = hamiltonian.space, hamiltonian.root, hamiltonian.inv_root
+    w, U, least = hamiltonian.w, hamiltonian.U, hamiltonian.least_frequency
+    # one beta that passes both checks below is let through on Python floats
+    one = betas.ndim == 0 and betas.item() > 0 and betas.item() * least >= 1e-100
+    if not one:
+        _refuse(~(betas > 0), InadmissibleInputError, "beta must be positive")
     _require_definite(hamiltonian.eigenvalues, DEFAULT_TOL)
-    space = hamiltonian.space
-    delta = space.delta
-    root, inv_root = hamiltonian.root, hamiltonian.inv_root
-    w, U = hamiltonian.w, hamiltonian.U
     # |w| are the normal-mode frequencies m and alpha grows like 1/(2 beta m);
     # the checks below square its entries, which overflows near beta m = 1e-154
     # for epsilon = I, so refuse well before, leaving room for ill-conditioning
-    _refuse(
-        betas * np.abs(w).min() < 1e-100,
-        InadmissibleInputError,
-        "beta = {:.3g} is too small: the Gibbs covariance would overflow",
-        betas,
-    )
+    if not one:
+        _refuse(
+            betas * least < 1e-100,
+            InadmissibleInputError,
+            "beta = {:.3g} is too small: the Gibbs covariance would overflow",
+            betas,
+        )
     # with herm = i root @ delta @ root = U diag(w) U^H, epsilon @ delta =
     # root @ (-i herm) @ inv_root has eigenvalues -i w.
     cot_vals = _stable_cot(-1j * betas[..., None] * w)
-    cot_core = (U * cot_vals[..., None, :]) @ U.conj().T
+    cot_core = (U * cot_vals[..., None, :]) @ hamiltonian.U_H
     cot_mat = root @ cot_core @ inv_root
-    alpha = 0.5 * (delta @ cot_mat)
+    alpha = 0.5 * (space.delta @ cot_mat)
     scale = np.maximum(1.0, np.abs(alpha).max(axis=(-2, -1)))
     resid = np.abs(alpha.imag).max(axis=(-2, -1))
     _refuse(
         resid > 1e-9 * scale, RuntimeError, "matrix cotangent has imaginary residue {:.3e}", resid
     )
     alpha = alpha.real
-    asym = np.abs(alpha - _transpose(alpha)).max(axis=(-2, -1))
+    asym = np.abs(alpha - alpha.swapaxes(-1, -2)).max(axis=(-2, -1))
     _refuse(asym > 1e-9 * scale, RuntimeError, "matrix cotangent result asymmetric by {:.3e}", asym)
-    alpha = 0.5 * (alpha + _transpose(alpha))
+    alpha = 0.5 * (alpha + alpha.swapaxes(-1, -2))
     nu = _symplectic_spectrum(alpha, space)
     # The exact result is nondegenerate for every beta > 0; in floating point
     # coth saturates for very large beta and nu rounds down to exactly 1/2,
@@ -244,8 +256,7 @@ def log_partition(hamiltonian: QuadraticHamiltonian, beta: float) -> float:
     if not beta > 0:
         raise InadmissibleInputError("beta must be positive")
     _require_definite(hamiltonian.eigenvalues, DEFAULT_TOL)
-    m = _positive_half(hamiltonian.spectrum, hamiltonian.space.s)
-    x = beta * m
+    x = beta * hamiltonian.frequencies
     # log(2 sinh x) = x + log(1 - exp(-2x)), stable for all x > 0
     return float(-np.sum(x + np.log(-np.expm1(-2.0 * x))))
 
@@ -265,13 +276,14 @@ def mode_entropy(nu) -> np.ndarray:
     A 2-d ``nu`` holds one spectrum per row, each checked on its own.
     """
     nu = np.asarray(nu, dtype=float)
-    rows = nu if nu.ndim > 1 else nu[None]
-    _refuse(
-        np.any(rows < 0.5 - 1e-9, axis=-1),
-        InadmissibleInputError,
-        "symplectic eigenvalues must be >= 1/2, got {}",
-        rows,
-    )
+    if nu.ndim != 1 or any(v < 0.5 - 1e-9 for v in nu.tolist()):  # one spectrum on floats
+        rows = nu if nu.ndim > 1 else nu[None]
+        _refuse(
+            np.any(rows < 0.5 - 1e-9, axis=-1),
+            InadmissibleInputError,
+            "symplectic eigenvalues must be >= 1/2, got {}",
+            rows,
+        )
     # with x = nu - 1/2, g = log1p(x) + x log1p(1/x): two nonnegative terms,
     # so nothing cancels for x near 0 or for the large x of small beta
     x = np.maximum(nu - 0.5, 0.0)

@@ -13,6 +13,7 @@ equivalently iff every symplectic eigenvalue of ``alpha`` is >= 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,12 +37,17 @@ class PhaseSpace:
 
 
 def canonical_form(s: int) -> PhaseSpace:
-    """Return the s-mode phase space with the canonical commutation matrix."""
+    """Return the s-mode phase space with the canonical commutation matrix, shared per s."""
     if int(s) != s or s < 1:
         raise InadmissibleInputError("mode count s must be a positive integer")
-    delta = np.kron(np.eye(int(s)), _BLOCK)
+    return _phase_space(int(s))
+
+
+@lru_cache(maxsize=16)
+def _phase_space(s: int) -> PhaseSpace:
+    delta = np.kron(np.eye(s), _BLOCK)
     delta.flags.writeable = False
-    return PhaseSpace(s=int(s), delta=delta)
+    return PhaseSpace(s=s, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -67,30 +73,27 @@ class HermitianCert:
         return self.verdict != VERDICT_INDEFINITE
 
 
-def _refuse(bad, error: type, message: str, *values) -> None:
+def _refuse(bad, error: type, message: str, *values, **constants) -> None:
     """Raise ``error`` for the first flagged matrix of a stack.
 
-    ``bad`` holds one flag per matrix (0-d for a single matrix) and each of
-    ``values`` one entry per matrix to format into ``message``. The exception
-    records the matrix as ``slice_index``, so that a caller evaluating many
-    points at once can find the failure a point-by-point loop meets first.
+    ``bad`` holds one flag per matrix (0-d or a bool for a single matrix) and
+    each of ``values`` one entry per matrix to format into ``message``, as
+    ``constants`` are by name; with no flag set it returns at once, unformatted.
+    The exception records the matrix as ``slice_index``, so that a caller
+    evaluating many points at once can find the failure a point-by-point loop
+    meets first.
     """
-    bad = np.atleast_1d(bad)
-    if bad.any():
-        i = int(np.argmax(bad))
-        exc = error(message.format(*(np.atleast_1d(v)[i] for v in values)))
-        exc.slice_index = i
-        raise exc
-
-
-def _transpose(M: np.ndarray) -> np.ndarray:
-    """Transpose of a matrix, or of each matrix in a stack (ndarray.mT before numpy 2)."""
-    return np.swapaxes(M, -1, -2)
+    if not (bad.any() if getattr(bad, "ndim", 0) else bad):
+        return
+    i = int(np.argmax(bad))
+    exc = error(message.format(*(np.atleast_1d(v)[i] for v in values), **constants))
+    exc.slice_index = i
+    raise exc
 
 
 def _cert(min_eig, abs_tol) -> HermitianCert:
     """Certificate of a least eigenvalue against its absolute threshold, or of a stack of them."""
-    if np.ndim(min_eig) == 0:
+    if getattr(min_eig, "ndim", 0) == 0:
         least, tol = float(min_eig), float(abs_tol)
         verdict = VERDICT_PD if least > tol else VERDICT_PSD if least >= -tol else VERDICT_INDEFINITE
         return HermitianCert(least, tol, verdict)
@@ -130,8 +133,10 @@ def _uncertainty_cert(nu: np.ndarray, tol: float) -> HermitianCert:
     to that form needs no eigensolve. Its absolute threshold does not grow
     with the squeezing of alpha, so it refuses a squeezed state below the
     uncertainty bound however strongly squeezed. ``nu`` may be one spectrum
-    or a stack of them, one per row.
+    or a stack of them, one per row; one is read on Python floats.
     """
+    if nu.ndim == 1:
+        return _cert(nu[-1].item() - 0.5, tol * max(nu[0].item() + 0.5, 1.0))
     return _cert(nu[..., -1] - 0.5, tol * np.maximum(1.0, nu[..., 0] + 0.5))
 
 
@@ -143,25 +148,32 @@ def _require_symmetric(
     n = 2 * space.s
     if alpha.shape[-2:] != (n, n) or alpha.ndim > 3:
         raise InadmissibleInputError(f"expected a {n}x{n} matrix, got {alpha.shape}")
-    defect = np.linalg.norm(alpha - _transpose(alpha), axis=(-2, -1))
+    transpose = alpha.swapaxes(-1, -2)  # of each matrix in a stack, as ndarray.mT in numpy 2
+    # np.linalg.norm(., axis=(-2, -1)) of both, in its own sums but without its dispatch
+    defect, size = (np.sqrt(np.add.reduce(M * M, axis=(-2, -1))) for M in (alpha - transpose, alpha))
     _refuse(
-        defect > tol * np.maximum(np.linalg.norm(alpha, axis=(-2, -1)), 1.0),
+        defect > tol * np.maximum(size, 1.0),
         InadmissibleInputError,
-        f"{what} must be symmetric (defect {{:.3e}})",
+        "{what} must be symmetric (defect {:.3e})",
         defect,
+        what=what,
     )
-    return 0.5 * (alpha + _transpose(alpha))
+    return 0.5 * (alpha + transpose)
 
 
 def _require_definite(w: np.ndarray, tol: float, what: str = "matrix") -> None:
     """Refuse each ascending spectrum in w whose least eigenvalue is not above tol * max(1, largest)."""
+    if w.ndim == 1 and w[0].item() > tol * max(w[-1].item(), 1.0):
+        return  # one spectrum that passes, on Python floats
     _refuse(
         w[..., 0] <= tol * np.maximum(1.0, w[..., -1]),
         InadmissibleInputError,
-        f"{what} fails the test min eigenvalue > tol * max(1, max eigenvalue): "
-        f"min eigenvalue {{:.3e}}, max eigenvalue {{:.3e}}, tol {tol:.3g}",
+        "{what} fails the test min eigenvalue > tol * max(1, max eigenvalue): "
+        "min eigenvalue {:.3e}, max eigenvalue {:.3e}, tol {tol:.3g}",
         w[..., 0],
         w[..., -1],
+        what=what,
+        tol=tol,
     )
 
 
@@ -169,11 +181,16 @@ def _sym_sqrt(alpha: np.ndarray, tol: float, what: str = "matrix"):
     """Eigenpairs and square root of each symmetric positive definite matrix."""
     w, Q = np.linalg.eigh(alpha)
     _require_definite(w, tol, what)
-    return w, Q, (Q * np.sqrt(w)[..., None, :]) @ _transpose(Q)
+    return w, Q, (Q * np.sqrt(w)[..., None, :]) @ Q.swapaxes(-1, -2)
 
 
 def _positive_half(ev: np.ndarray, s: int) -> np.ndarray:
     """Descending positive half of each ascending spectrum of +/- pairs in ev, checked to pair up."""
+    if ev.ndim == 1:  # one spectrum on Python floats; max(x, 1.0) keeps a nan x as np.maximum does
+        e = ev.tolist()
+        atol = DEFAULT_TOL * max(abs(e[-1]), 1.0)
+        if all(abs(a + b) <= atol + 1e-5 * abs(b) for a, b in zip(e, reversed(e))):
+            return ev[::-1][:s].copy()
     # np.allclose(ev, -ev[::-1]) for each matrix
     mirror = -ev[..., ::-1]
     atol = DEFAULT_TOL * np.maximum(1.0, np.abs(ev[..., -1]))

@@ -1,6 +1,8 @@
 """Tests for Gaussian channels: presets, gains, bounds, sweeps, additivity."""
 
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,8 +28,17 @@ from egain.channels import (
     tensor_channels,
 )
 from egain.errors import InadmissibleInputError, NonRegularChannelError
-from egain.gaussian import gibbs_covariance, mode_entropy, quadratic_hamiltonian
-from egain.symplectic import canonical_form, check_hermitian_psd
+from egain.gaussian import (
+    entropy_matrix_form,
+    entropy_of_covariance,
+    gaussian_entropy,
+    gibbs_covariance,
+    gibbs_state,
+    mean_energy,
+    mode_entropy,
+    quadratic_hamiltonian,
+)
+from egain.symplectic import canonical_form, check_hermitian_psd, williamson
 
 
 class TestPresets:
@@ -58,6 +69,15 @@ class TestPresets:
             preset_channel("classical-noise", 2.0)
         with pytest.raises(InadmissibleInputError):
             preset_channel("no-such-channel", 0.5)
+
+    def test_attenuator_refuses_k_whose_square_underflows(self):
+        least = math.sqrt(sys.float_info.min)
+        channel = preset_channel("attenuator", least)
+        assert channel.regular
+        assert minimal_entropy_gain(channel) == pytest.approx(2.0 * math.log(least), rel=1e-15)
+        for k in (math.nextafter(least, 0.0), 1e-160, 1e-170, 5e-324):
+            with pytest.raises(InadmissibleInputError, match=rf"^k = {k:.3g} is too small"):
+                preset_channel("attenuator", k)
 
     def test_rejects_insufficient_noise(self):
         space = canonical_form(1)
@@ -95,6 +115,35 @@ class TestGainAndBound:
         # log |det K| from the singular values, a route independent of slogdet
         bound = float(np.log(np.linalg.svd(channel.K, compute_uv=False)).sum())
         assert minimal_entropy_gain(channel) == pytest.approx(bound, rel=1e-10, abs=1e-10)
+
+
+class TestSolvedOnce:
+    def test_make_channel_keeps_a_read_only_copy_of_k(self):
+        K, mu = 0.5 * np.eye(2), 0.5 * np.eye(2)
+        channel = make_channel(K, mu, canonical_form(1))
+        assert channel.K is not K and K.flags.writeable and mu.flags.writeable
+        K[0, 0] = 0.25  # the caller's array stays theirs; the kept value does not go stale
+        assert channel.K[0, 0] == 0.5
+        assert minimal_entropy_gain(channel) == 2.0 * math.log(0.5)
+        for kept in (channel.K, channel.mu):
+            with pytest.raises(ValueError):
+                kept[0, 0] = 1.0
+
+    def test_sweep_and_closed_form_take_one_slogdet(self, monkeypatch):
+        gen = np.random.default_rng(8)
+        channel = random_regular_channel(gen, 2)
+        ham = quadratic_hamiltonian(channel.space, random_spd(gen, 4))
+        calls = []
+        slogdet = np.linalg.slogdet
+
+        def counted(M):
+            calls.append(M)
+            return slogdet(M)
+
+        monkeypatch.setattr(np.linalg, "slogdet", counted)
+        report = gain_beta_sweep(channel, ham)
+        assert minimal_entropy_gain(channel) == report.closed_form and channel.regular
+        assert len(calls) == 1
 
 
 class TestApplyToCovariance:
@@ -288,3 +337,37 @@ class TestTensorAdditivity:
         assert combined.K[:2, 2:] == pytest.approx(np.zeros((2, 2)))
         assert combined.K[:2, :2] == pytest.approx(a.K)
         assert combined.K[2:, 2:] == pytest.approx(b.K)
+
+
+class TestFrozenPhaseSpace:
+    @staticmethod
+    def public_numbers(modes, seed):
+        """Every number a seeded phase-space case returns through the public API."""
+        gen = np.random.default_rng([seed, modes])
+        space = canonical_form(modes)
+        alpha, _ = random_covariance(gen, modes)
+        channel = random_regular_channel(gen, modes)
+        ham = quadratic_hamiltonian(space, random_spd(gen, 2 * modes))
+        numbers = list(williamson(alpha, space).nu)
+        numbers += [entropy_of_covariance(alpha, space), entropy_matrix_form(alpha, space)]
+        numbers += [gaussian_gain(channel, alpha), minimal_entropy_gain(channel)]
+        for beta in 10.0 ** gen.uniform(-3.0, 1.0, size=3):
+            state = gibbs_state(ham, beta)
+            numbers += [state.c_beta, gaussian_entropy(state.base), mean_energy(ham, state.base)]
+        report = gain_beta_sweep(channel, ham)
+        numbers += [*report.beta_grid, *report.gains, float(report.converged)]
+        other = random_regular_channel(gen, 1 + modes % 2)
+        other_alpha, _ = random_covariance(gen, other.space.s)
+        joint = np.zeros((2 * (modes + other.space.s),) * 2)
+        joint[: 2 * modes, : 2 * modes], joint[2 * modes :, 2 * modes :] = alpha, other_alpha
+        combined = tensor_channels(channel, other)
+        numbers += [minimal_entropy_gain(combined), gaussian_gain(combined, joint)]
+        return np.array(numbers, dtype=float)
+
+    def test_public_numbers_are_frozen_bit_for_bit(self):
+        # md5 taken before the per-call fast paths and kept constants existed
+        digest = hashlib.md5()
+        for modes in range(1, 7):
+            for seed in range(4):
+                digest.update(self.public_numbers(modes, seed).tobytes())
+        assert digest.hexdigest() == "47830c2baaee4308accbb614d2ac1ee6"

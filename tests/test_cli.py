@@ -552,8 +552,24 @@ class TestTolerancePlumbing:
             "numeric overflow",
             id="noise-1e308",
         ),
+        # K = k I with k^2 below the smallest normal float: refused naming k
         pytest.param(
-            "sweep --preset attenuator --k 1e-200", None, "numeric overflow", id="k-1e-200"
+            "sweep --preset attenuator --k 1e-200",
+            None,
+            "k = 1e-200 is too small: k^2 underflows",
+            id="k-1e-200",
+        ),
+        pytest.param(
+            "gain --preset attenuator --k 1e-170",
+            None,
+            "k = 1e-170 is too small: k^2 underflows",
+            id="k-1e-170",
+        ),
+        pytest.param(
+            "gain --preset attenuator --k 1e-160",
+            None,
+            "k = 1e-160 is too small: k^2 underflows",
+            id="k-1e-160",
         ),
         pytest.param(
             "sweep --preset amplifier --k 1.5 --beta-max 1e308",

@@ -280,8 +280,18 @@ class TestFockDensity:
             fock_density(np.zeros((0, 0)))
 
     def test_random_state_on_no_levels_is_refused(self, rng):
-        with pytest.raises(InadmissibleInputError, match=r"must be square and nonempty, not \(0, 0\)"):
+        with pytest.raises(InadmissibleInputError, match=r"^support must be an integer >= 1, got 0$"):
             random_low_support_state(rng, support=0)
+
+    @pytest.mark.parametrize("support", [-1, 2.5, math.inf, math.nan])
+    def test_random_state_refuses_a_support_that_is_no_positive_integer(self, rng, support):
+        expected = rf"^support must be an integer >= 1, got {support!r}$"
+        with pytest.raises(InadmissibleInputError, match=expected):
+            random_low_support_state(rng, support=support)
+
+    def test_random_state_takes_an_integral_float_support(self):
+        drawn = [random_low_support_state(np.random.default_rng(4), 8, support) for support in (3, 3.0)]
+        assert np.array_equal(drawn[0].rho, drawn[1].rho)
 
     def test_padded_spectrum_matches_a_full_eigensolve(self, attenuator, rng):
         states = [random_low_support_state(rng, support=support) for support in (1, 3, 10)]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,12 +23,22 @@ from egain.gaussian import (
     mode_entropy,
     quadratic_hamiltonian,
 )
-from egain.symplectic import canonical_form, symplectic_eigenvalues
+from egain.gaussian import _gibbs_covariances
+from egain.symplectic import (
+    VERDICT_INDEFINITE,
+    HermitianCert,
+    _positive_half,
+    _require_definite,
+    _uncertainty_cert,
+    canonical_form,
+    symplectic_eigenvalues,
+)
 
 # Frozen reference values, computed independently with mpmath at 50 digits.
 G_AT_ONE = 0.9547712524422192  # (3/2)log(3/2) - (1/2)log(1/2)
 COTH_ONE_HALF = 0.6565176427496656  # coth(1)/2
 C_BETA_ONE = -0.8545865421311409  # -log(2 sinh 1)
+NAN = math.nan
 
 
 class TestModeEntropy:
@@ -273,3 +284,84 @@ class TestSolvedOnce:
         alpha = 1.5 * np.eye(2)
         gaussian_state(canonical_form(1), np.zeros(2), alpha)
         alpha[0, 0] = 2.0
+
+
+
+def outcome(check, arg):
+    """check(arg)'s result, or the type, message and slice_index of what it raised."""
+    try:
+        return "returned", check(arg)
+    except (InadmissibleInputError, RuntimeError) as exc:
+        return type(exc), str(exc), exc.slice_index
+
+
+def parts(result, row=None):
+    """The parts of a check's result, or of one row of a stacked result."""
+    if isinstance(result, HermitianCert):
+        result = (result.min_eigenvalue, result.tolerance, result.verdict == VERDICT_INDEFINITE)
+    if not isinstance(result, tuple):
+        result = (result,)
+    return [p if row is None or p is None else p[row] for p in result]
+
+
+def same(a, b):
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+class TestOneSpectrumOnFloats:
+    """One spectrum or beta is checked on Python floats, a stack on arrays: same outcomes."""
+
+    @staticmethod
+    def assert_stack_agrees(check, single, good):
+        """check on one input, on a stack of it, and on a stack of ``good`` before it.
+
+        When ``good`` passes alone, the last stack fails as ``single`` does, at index 1.
+        """
+        one = outcome(check, single)
+        alone = outcome(check, np.asarray(single)[None])
+        after = outcome(check, np.stack([good, single]))
+        if one[0] != "returned":
+            assert one[2] == 0
+            assert alone == one
+            assert outcome(check, good)[0] != "returned" or after == (*one[:2], 1)
+            return
+        assert alone[0] == after[0] == "returned"
+        for stacked, row in ((alone[1], 0), (after[1], 1)):
+            assert all(map(same, parts(stacked, row), parts(one[1])))
+
+    @pytest.mark.parametrize(
+        "w",
+        [[0.5, 2.0], [1e-9, 1.0], [1e-9, 0.5], [1.1e-9, 0.5], [-1.0, 3.0], [NAN, 1.0], [1.0, NAN]],
+    )
+    def test_require_definite(self, w):
+        check = partial(_require_definite, tol=1e-9, what="test matrix")
+        self.assert_stack_agrees(check, np.array(w), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "ev", [[-2.0, 2.0], [-1.0, 1.0 + 5e-6], [-1.0, 1.0 + 3e-5], [-1.0, NAN], [NAN, 1.0]]
+    )
+    def test_positive_half(self, ev):
+        self.assert_stack_agrees(partial(_positive_half, s=1), np.array(ev), np.array([-1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "nu", [[1.0, 0.6], [1.0, 0.5 - 5e-10], [1.0, 0.5 - 5e-9], [NAN, 0.7], [0.7, NAN]]
+    )
+    def test_mode_entropy(self, nu):
+        self.assert_stack_agrees(mode_entropy, np.array(nu), np.array([1.0, 0.6]))
+
+    @pytest.mark.parametrize(
+        "nu", [[1.0, 0.6], [1.0, 0.5], [1.0, 0.5 - 2e-9], [1.0, 0.4], [NAN, 0.7], [0.7, NAN]]
+    )
+    def test_uncertainty_cert(self, nu):
+        check = partial(_uncertainty_cert, tol=1e-9)
+        self.assert_stack_agrees(check, np.array(nu), np.array([1.0, 0.6]))
+
+    @pytest.mark.parametrize("beta", [0.3, 1e-100, 0.0, -1.0, NAN, 1e-101, 1e-120])
+    @pytest.mark.parametrize("least", [0.1, 1e-10])
+    def test_gibbs_covariances(self, beta, least):
+        # least = 1e-10 fails the default tolerance: a check between the two beta checks
+        ham = quadratic_hamiltonian(canonical_form(1), np.diag([1.0, least]), tol=1e-12)
+        check = partial(_gibbs_covariances, ham)
+        self.assert_stack_agrees(check, np.float64(beta), np.float64(1.0))

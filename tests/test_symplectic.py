@@ -39,6 +39,11 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             space.delta[0, 0] = 5.0
 
+    def test_each_mode_count_shares_one_space(self):
+        space = canonical_form(3)
+        assert canonical_form(3.0) is space and canonical_form(np.int64(3)) is space
+        assert canonical_form(2) is not space and canonical_form(2).s == 2
+
     def test_rejects_bad_mode_count(self):
         with pytest.raises(InadmissibleInputError):
             canonical_form(0)
