@@ -32,8 +32,9 @@ from .symplectic import (
     canonical_form,
     check_hermitian_psd,
     _refuse,
+    _require_decidable,
     _require_symmetric,
-    _symplectic_spectrum,
+    _spectrum_and_factor,
     _uncertainty_cert,
 )
 
@@ -89,7 +90,14 @@ class GaussianChannel:
 def make_channel(
     K: np.ndarray, mu: np.ndarray, space: PhaseSpace, tol: float = DEFAULT_TOL
 ) -> GaussianChannel:
-    """Validate (K, mu) against the channel positivity condition."""
+    """Validate (K, mu) against the channel positivity condition.
+
+    The noise bound M = mu - (i/2)(delta - K.T delta K) is certified on
+    D^-1 M D^-1, D = diag(mu_jj)^(1/2), by ``check_hermitian_psd``: the
+    diagonal of the second term is zero, so that matrix has a unit diagonal
+    and a least eigenvalue that does not change with a squeezing of mu along
+    the axes.
+    """
     K = np.array(K, dtype=float)
     n = 2 * space.s
     if K.shape != (n, n):
@@ -167,7 +175,8 @@ def _apply(channel: GaussianChannel, alpha: np.ndarray) -> tuple[np.ndarray, np.
     """
     out = channel.K.T @ alpha @ channel.K + channel.mu
     out = 0.5 * (out + out.swapaxes(-1, -2))
-    nu = _symplectic_spectrum(out, channel.space)
+    nu, factor = _spectrum_and_factor(out, channel.space, "channel output")
+    _require_decidable(nu, DEFAULT_TOL, out, factor, "channel output")
     cert = _uncertainty_cert(nu, DEFAULT_TOL)
     _refuse(
         np.logical_not(cert.is_positive_semidefinite),
@@ -213,6 +222,10 @@ def default_beta_grid(
     if points < 2:
         raise InadmissibleInputError("need at least two grid points")
     return np.geomspace(beta_max, beta_min, int(points))
+
+
+_DEFAULT_GRID = default_beta_grid()  # built and validated once; read-only
+_DEFAULT_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,12 +275,13 @@ def gain_beta_sweep(
     if channel.space.s != hamiltonian.space.s:
         raise InadmissibleInputError("channel and Hamiltonian mode counts differ")
     if beta_grid is None:
-        beta_grid = default_beta_grid()
-    betas = np.asarray(beta_grid, dtype=float)
-    if betas.ndim != 1 or betas.size == 0 or np.any(betas <= 0):
-        raise InadmissibleInputError("beta grid must be positive")
-    if np.any(np.diff(betas) >= 0):
-        raise InadmissibleInputError("beta grid must be strictly descending")
+        betas = _DEFAULT_GRID
+    else:
+        betas = np.asarray(beta_grid, dtype=float)
+        if betas.ndim != 1 or betas.size == 0 or np.any(betas <= 0):
+            raise InadmissibleInputError("beta grid must be positive")
+        if np.any(np.diff(betas) >= 0):
+            raise InadmissibleInputError("beta grid must be strictly descending")
     closed = minimal_entropy_gain(channel)
     gains = list(_gibbs_gains(channel, hamiltonian, betas))
     betas = list(betas)

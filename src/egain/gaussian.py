@@ -17,6 +17,7 @@ symplectic eigenvalues of alpha_beta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,12 +28,11 @@ from .symplectic import (
     DEFAULT_TOL,
     HermitianCert,
     PhaseSpace,
-    _positive_half,
+    _factor,
     _refuse,
-    _require_definite,
+    _require_decidable,
     _require_symmetric,
-    _sym_sqrt,
-    _symplectic_spectrum,
+    _spectrum_and_factor,
     _uncertainty_cert,
     symplectic_eigenvalues,
 )
@@ -93,12 +93,14 @@ def _admissible_state(
 ) -> GaussianState:
     """State of an exactly symmetric alpha that passes the uncertainty bound.
 
-    ``nu`` is the symplectic spectrum of alpha when the caller has it, and
-    is solved for otherwise; the certificate is read off it. alpha becomes
-    read-only.
+    ``nu`` is the symplectic spectrum of alpha when the caller has it and has
+    found the verdict at the default tolerance decidable; otherwise it is
+    solved for here and the verdict checked to be decidable at alpha's
+    conditioning. The certificate is read off nu. alpha becomes read-only.
     """
     if nu is None:
-        nu = _symplectic_spectrum(alpha, space)
+        nu, factor = _spectrum_and_factor(alpha, space, "covariance matrix")
+        _require_decidable(nu, DEFAULT_TOL, alpha, factor)
     cert = _uncertainty_cert(nu, DEFAULT_TOL)
     if not cert.is_positive_semidefinite:
         raise InadmissibleInputError(
@@ -113,32 +115,27 @@ def _admissible_state(
 class QuadraticHamiltonian:
     """Positive definite quadratic Hamiltonian, with its normal modes solved once.
 
-    ``eigenvalues`` are those of the read-only ``epsilon`` (ascending), and
-    ``root``, ``inv_root`` are epsilon^(1/2) and epsilon^(-1/2). ``w``, ``U``
-    are the eigenpairs of the Hermitian matrix i epsilon^(1/2) delta
-    epsilon^(1/2), whose eigenvalues are the normal-mode frequencies +-m_j,
-    and ``spectrum`` is the eigenvalues of its negative, from which
-    ``symplectic_eigenvalues(epsilon)`` takes the m_j. The beta-independent
-    pieces of every Gibbs state are solved once too: ``U_H`` is U^H,
-    ``least_frequency`` is min |w|, and ``frequencies`` holds the m_j,
-    descending, on first use. Each use tests ``eigenvalues`` and ``spectrum``
-    again at the default tolerance, whatever tolerance built the Hamiltonian.
+    ``factor`` is the Cholesky factor L of the read-only ``epsilon``
+    (epsilon = L L^T) and ``inv_factor`` is L^-1. ``w``, ``U`` are the
+    eigenpairs of the Hermitian matrix i L^T delta L, whose eigenvalues are
+    the normal-mode frequencies +-m_j. The beta-independent pieces of every
+    Gibbs state are solved once too: ``U_H`` is U^H, ``least_frequency`` is
+    min |w|, and ``frequencies`` holds the m_j, descending, on first use, as
+    ``symplectic_eigenvalues(epsilon)`` gives them.
     """
 
     space: PhaseSpace
     epsilon: np.ndarray
-    eigenvalues: np.ndarray
-    root: np.ndarray
-    inv_root: np.ndarray
+    factor: np.ndarray
+    inv_factor: np.ndarray
     w: np.ndarray
     U: np.ndarray
-    spectrum: np.ndarray
     U_H: np.ndarray
     least_frequency: float
 
     @cached_property
     def frequencies(self) -> np.ndarray:
-        return _positive_half(self.spectrum, self.space.s)
+        return symplectic_eigenvalues(self.epsilon, self.space)
 
 
 def quadratic_hamiltonian(
@@ -146,16 +143,11 @@ def quadratic_hamiltonian(
 ) -> QuadraticHamiltonian:
     """Validate epsilon and solve its normal modes for every later use."""
     epsilon = _require_symmetric(epsilon, space, tol, "Hamiltonian matrix")
-    eigenvalues, Q, root = _sym_sqrt(epsilon, tol, "Hamiltonian matrix")
-    inv_root = (Q / np.sqrt(eigenvalues)) @ Q.T
-    form = root @ space.delta @ root
-    w, U = np.linalg.eigh(1j * form)
-    # solved apart from w because eigvalsh and eigh agree only to rounding,
-    # and log_partition takes the frequencies as symplectic_eigenvalues does
-    spectrum = np.linalg.eigvalsh(-1j * form)
+    factor = _factor(epsilon, "Hamiltonian matrix")
+    w, U = np.linalg.eigh(1j * (factor.T @ space.delta @ factor))
     epsilon.flags.writeable = False
     return QuadraticHamiltonian(
-        space, epsilon, eigenvalues, root, inv_root, w, U, spectrum, U.conj().T, float(abs(w).min())
+        space, epsilon, factor, np.linalg.inv(factor), w, U, U.conj().T, float(abs(w).min())
     )
 
 
@@ -186,8 +178,10 @@ def gibbs_covariance(hamiltonian: QuadraticHamiltonian, beta: float) -> np.ndarr
     The matrix cotangent is evaluated by diagonalizing epsilon @ delta over
     the complex numbers and applying the scalar cotangent to its (purely
     imaginary) spectrum. For numerical stability the eigenproblem is solved
-    in the Hermitian form i epsilon^(1/2) delta epsilon^(1/2), which is
-    similar to i epsilon delta, once when the Hamiltonian is built.
+    in the Hermitian form i L^T delta L, L the Cholesky factor of epsilon,
+    which is similar to i epsilon delta = L (i L^T delta L) L^-1, once when
+    the Hamiltonian is built. A covariance whose admissibility its
+    conditioning leaves undecidable is refused (see ``gaussian_state``).
     """
     return _gibbs_covariances(hamiltonian, beta)[0]
 
@@ -199,13 +193,12 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas):
     the same covariances need not solve for them again.
     """
     betas = np.asarray(betas, dtype=float)
-    space, root, inv_root = hamiltonian.space, hamiltonian.root, hamiltonian.inv_root
+    space, factor, inv_factor = hamiltonian.space, hamiltonian.factor, hamiltonian.inv_factor
     w, U, least = hamiltonian.w, hamiltonian.U, hamiltonian.least_frequency
     # one beta that passes both checks below is let through on Python floats
     one = betas.ndim == 0 and betas.item() > 0 and betas.item() * least >= 1e-100
     if not one:
         _refuse(~(betas > 0), InadmissibleInputError, "beta must be positive")
-    _require_definite(hamiltonian.eigenvalues, DEFAULT_TOL)
     # |w| are the normal-mode frequencies m and alpha grows like 1/(2 beta m);
     # the checks below square its entries, which overflows near beta m = 1e-154
     # for epsilon = I, so refuse well before, leaving room for ill-conditioning
@@ -216,11 +209,11 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas):
             "beta = {:.3g} is too small: the Gibbs covariance would overflow",
             betas,
         )
-    # with herm = i root @ delta @ root = U diag(w) U^H, epsilon @ delta =
-    # root @ (-i herm) @ inv_root has eigenvalues -i w.
+    # with herm = i L^T delta L = U diag(w) U^H, epsilon @ delta =
+    # L @ (-i herm) @ L^-1 has eigenvalues -i w.
     cot_vals = _stable_cot(-1j * betas[..., None] * w)
     cot_core = (U * cot_vals[..., None, :]) @ hamiltonian.U_H
-    cot_mat = root @ cot_core @ inv_root
+    cot_mat = factor @ cot_core @ inv_factor
     alpha = 0.5 * (space.delta @ cot_mat)
     scale = np.maximum(1.0, np.abs(alpha).max(axis=(-2, -1)))
     resid = np.abs(alpha.imag).max(axis=(-2, -1))
@@ -231,7 +224,8 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas):
     asym = np.abs(alpha - alpha.swapaxes(-1, -2)).max(axis=(-2, -1))
     _refuse(asym > 1e-9 * scale, RuntimeError, "matrix cotangent result asymmetric by {:.3e}", asym)
     alpha = 0.5 * (alpha + alpha.swapaxes(-1, -2))
-    nu = _symplectic_spectrum(alpha, space)
+    nu, alpha_factor = _spectrum_and_factor(alpha, space, "Gibbs covariance")
+    _require_decidable(nu, DEFAULT_TOL, alpha, alpha_factor, "Gibbs covariance")
     # The exact result is nondegenerate for every beta > 0; in floating point
     # coth saturates for very large beta and nu rounds down to exactly 1/2,
     # so only genuine admissibility failures are treated as errors here.
@@ -255,7 +249,6 @@ def log_partition(hamiltonian: QuadraticHamiltonian, beta: float) -> float:
     """
     if not beta > 0:
         raise InadmissibleInputError("beta must be positive")
-    _require_definite(hamiltonian.eigenvalues, DEFAULT_TOL)
     x = beta * hamiltonian.frequencies
     # log(2 sinh x) = x + log(1 - exp(-2x)), stable for all x > 0
     return float(-np.sum(x + np.log(-np.expm1(-2.0 * x))))
@@ -273,15 +266,16 @@ def gibbs_state(hamiltonian: QuadraticHamiltonian, beta: float) -> GibbsState:
 def mode_entropy(nu) -> np.ndarray:
     """Single-mode entropy g(nu), continuously extended by g(1/2) = 0.
 
-    A 2-d ``nu`` holds one spectrum per row, each checked on its own.
+    A 2-d ``nu`` holds one spectrum per row, each checked on its own; a nan
+    or an infinity is refused as a value below 1/2 is.
     """
     nu = np.asarray(nu, dtype=float)
-    if nu.ndim != 1 or any(v < 0.5 - 1e-9 for v in nu.tolist()):  # one spectrum on floats
+    if nu.ndim != 1 or not all(0.5 - 1e-9 <= v < math.inf for v in nu.tolist()):  # on floats
         rows = nu if nu.ndim > 1 else nu[None]
         _refuse(
-            np.any(rows < 0.5 - 1e-9, axis=-1),
+            ~np.all((rows >= 0.5 - 1e-9) & (rows < np.inf), axis=-1),
             InadmissibleInputError,
-            "symplectic eigenvalues must be >= 1/2, got {}",
+            "symplectic eigenvalues must be finite and >= 1/2, got {}",
             rows,
         )
     # with x = nu - 1/2, g = log1p(x) + x log1p(1/x): two nonnegative terms,
@@ -291,8 +285,15 @@ def mode_entropy(nu) -> np.ndarray:
 
 
 def entropy_of_covariance(alpha: np.ndarray, space: PhaseSpace) -> float:
-    """Entropy of the Gaussian state with the given covariance, in nats."""
-    return float(_entropies(symplectic_eigenvalues(alpha, space)))
+    """Entropy of the Gaussian state with the given covariance, in nats.
+
+    A covariance whose admissibility its conditioning leaves undecidable is
+    refused, as by ``gaussian_state``.
+    """
+    alpha = _require_symmetric(alpha, space, DEFAULT_TOL)
+    nu, factor = _spectrum_and_factor(alpha, space, "covariance matrix")
+    _require_decidable(nu, DEFAULT_TOL, alpha, factor)
+    return float(_entropies(nu))
 
 
 def _entropies(nu: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ equivalently iff every symplectic eigenvalue of ``alpha`` is >= 1/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -106,10 +107,14 @@ def _cert(min_eig, abs_tol) -> HermitianCert:
 
 
 def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCert:
-    """Certify positive (semi)definiteness of a Hermitian matrix.
+    """Certify positive (semi)definiteness of a Hermitian matrix, on its diagonal scaling.
 
-    ``tol`` is relative; it is scaled by the spectral radius (floored at 1)
-    to obtain the absolute threshold reported in the certificate.
+    The certificate is that of D^-1 M D^-1 with D = diag(|M_jj|)^(1/2), a
+    zero diagonal entry scaled by 1: that matrix has the verdict of M and a
+    unit diagonal, so its least eigenvalue does not grow or shrink with the
+    scale of any one row. ``tol`` is relative; it is scaled by the spectral
+    radius of the scaled matrix (floored at 1) to obtain the absolute
+    threshold reported in the certificate.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -120,7 +125,10 @@ def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCer
         raise InadmissibleInputError(
             f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
         )
-    eigs = np.linalg.eigvalsh(0.5 * (M + adjoint))
+    herm = 0.5 * (M + adjoint)
+    scale = np.sqrt(np.abs(herm.diagonal().real))
+    scale[scale == 0.0] = 1.0
+    eigs = np.linalg.eigvalsh(herm / np.multiply.outer(scale, scale))
     return _cert(eigs[0], tol * max(1.0, np.abs(eigs).max()))
 
 
@@ -143,14 +151,24 @@ def _uncertainty_cert(nu: np.ndarray, tol: float) -> HermitianCert:
 def _require_symmetric(
     alpha: np.ndarray, space: PhaseSpace, tol: float, what: str = "covariance matrix"
 ) -> np.ndarray:
-    """Symmetrized copy of a 2s x 2s matrix, or of each matrix in a (B, 2s, 2s) stack."""
+    """Symmetrized copy of a finite 2s x 2s matrix, or of each matrix in a (B, 2s, 2s) stack."""
     alpha = np.asarray(alpha, dtype=float)
     n = 2 * space.s
     if alpha.shape[-2:] != (n, n) or alpha.ndim > 3:
         raise InadmissibleInputError(f"expected a {n}x{n} matrix, got {alpha.shape}")
+    # np.linalg.norm(., axis=(-2, -1)), in its own sums but without its dispatch
+    size = np.sqrt(np.add.reduce(alpha * alpha, axis=(-2, -1)))
+    # a nan or inf entry makes the size non-finite, and so may the overflow of finite entries
+    if not (math.isfinite(size) if size.ndim == 0 else np.isfinite(size).all()):
+        _refuse(
+            ~np.isfinite(alpha).all(axis=(-2, -1)),
+            InadmissibleInputError,
+            "{what} has an entry that is not a finite number",
+            what=what,
+        )
     transpose = alpha.swapaxes(-1, -2)  # of each matrix in a stack, as ndarray.mT in numpy 2
-    # np.linalg.norm(., axis=(-2, -1)) of both, in its own sums but without its dispatch
-    defect, size = (np.sqrt(np.add.reduce(M * M, axis=(-2, -1))) for M in (alpha - transpose, alpha))
+    asymmetry = alpha - transpose
+    defect = np.sqrt(np.add.reduce(asymmetry * asymmetry, axis=(-2, -1)))
     _refuse(
         defect > tol * np.maximum(size, 1.0),
         InadmissibleInputError,
@@ -161,27 +179,23 @@ def _require_symmetric(
     return 0.5 * (alpha + transpose)
 
 
-def _require_definite(w: np.ndarray, tol: float, what: str = "matrix") -> None:
-    """Refuse each ascending spectrum in w whose least eigenvalue is not above tol * max(1, largest)."""
-    if w.ndim == 1 and w[0].item() > tol * max(w[-1].item(), 1.0):
-        return  # one spectrum that passes, on Python floats
-    _refuse(
-        w[..., 0] <= tol * np.maximum(1.0, w[..., -1]),
-        InadmissibleInputError,
-        "{what} fails the test min eigenvalue > tol * max(1, max eigenvalue): "
-        "min eigenvalue {:.3e}, max eigenvalue {:.3e}, tol {tol:.3g}",
-        w[..., 0],
-        w[..., -1],
-        what=what,
-        tol=tol,
-    )
+def _factor(alpha: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Cholesky factor L, alpha = L L^T, of each matrix; a matrix that has none is refused.
 
-
-def _sym_sqrt(alpha: np.ndarray, tol: float, what: str = "matrix"):
-    """Eigenpairs and square root of each symmetric positive definite matrix."""
-    w, Q = np.linalg.eigh(alpha)
-    _require_definite(w, tol, what)
-    return w, Q, (Q * np.sqrt(w)[..., None, :]) @ Q.swapaxes(-1, -2)
+    On a stack numpy raises one error that names no matrix, so the first
+    matrix without a factor is looked for only then.
+    """
+    try:
+        return np.linalg.cholesky(alpha)
+    except np.linalg.LinAlgError:
+        pass
+    stack = alpha.reshape(-1, *alpha.shape[-2:])
+    for first, matrix in enumerate(stack):
+        try:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            break
+    _refuse(np.arange(len(stack)) == first, InadmissibleInputError, f"{what} is not positive definite")
 
 
 def _positive_half(ev: np.ndarray, s: int) -> np.ndarray:
@@ -201,22 +215,98 @@ def _positive_half(ev: np.ndarray, s: int) -> np.ndarray:
     return ev[..., ::-1][..., :s].copy()
 
 
-def _symplectic_spectrum(alpha: np.ndarray, space: PhaseSpace) -> np.ndarray:
-    """``symplectic_eigenvalues`` of an exactly symmetric matrix or stack, which it does not validate."""
-    _, _, root = _sym_sqrt(alpha, DEFAULT_TOL)
-    herm = -1j * (root @ space.delta @ root)  # i * delta^-1 conjugated by alpha^(1/2)
-    return _positive_half(np.linalg.eigvalsh(herm), space.s)
+def _spectrum_and_factor(alpha: np.ndarray, space: PhaseSpace, what: str):
+    """Symplectic spectrum and Cholesky factor of an exactly symmetric matrix or stack.
+
+    The matrix is not validated beyond its factorization.
+    """
+    factor = _factor(alpha, what)
+    herm = -1j * (factor.swapaxes(-1, -2) @ space.delta @ factor)  # similar to i delta^-1 alpha
+    return _positive_half(np.linalg.eigvalsh(herm), space.s), factor
 
 
 def symplectic_eigenvalues(alpha: np.ndarray, space: PhaseSpace) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric positive definite matrix, descending.
 
-    Computed as the positive spectrum of the Hermitian matrix
-    ``alpha^(1/2) (i delta^-1) alpha^(1/2)``, which is similar to
-    ``i delta^-1 alpha`` and therefore carries the pairs (+nu_j, -nu_j).
+    With the Cholesky factor alpha = L L^T they are the positive spectrum of
+    the Hermitian matrix ``-i L^T delta L``, which is similar to
+    ``i delta^-1 alpha`` and therefore carries the pairs (+nu_j, -nu_j). A
+    matrix without a Cholesky factor is refused as not positive definite.
     A (B, 2s, 2s) stack gives one row of eigenvalues per matrix.
     """
-    return _symplectic_spectrum(_require_symmetric(alpha, space, DEFAULT_TOL), space)
+    alpha = _require_symmetric(alpha, space, DEFAULT_TOL)
+    return _spectrum_and_factor(alpha, space, "covariance matrix")[0]
+
+
+# the unit roundoff u; eta = (n + 2) u bounds the relative error, per entry,
+# of the rounding of a matrix's entries and the backward error of its factor
+_ROUNDING = np.finfo(float).eps / 2
+
+
+def _decided(gap, lam, spread):
+    """True where nu_min, known to a relative eps = reach / lam, lies on one side of the threshold.
+
+    gap is nu_min minus the threshold and spread is reach * nu_min, so that
+    nu_min (1 - eps) >= threshold reads gap * lam >= spread, and
+    nu_min (1 + eps) < threshold reads -gap * lam > spread; neither holds for lam <= 0.
+    """
+    return (gap * lam >= spread) | (-gap * lam > spread)
+
+
+def _require_decidable(nu, tol: float, alpha, factor, what: str = "covariance matrix") -> None:
+    """Refuse each matrix whose admissibility verdict at ``tol`` its conditioning leaves open.
+
+    With D = diag(alpha)^(1/2) and A = D^-1 alpha D^-1, which has a unit
+    diagonal, a perturbation with |d alpha_ij| <= eta (alpha_ii alpha_jj)^(1/2)
+    lies between -eps alpha and eps alpha in the Loewner order, with
+    eps = n eta / lambda_min(A) (Demmel and Veselic, SIAM J. Matrix Anal. Appl.
+    13, 1204 (1992)); symplectic eigenvalues are monotone in that order
+    (Bhatia and Jain, J. Math. Phys. 56, 112201 (2015)), so each nu_j is known
+    to a relative eps. eta = (n + 2) u covers the rounding of the entries and
+    the backward error of the Cholesky factor. Against the threshold
+    t = 1/2 - tol max(1, nu_max + 1/2) of the certificate, alpha is admissible
+    when nu_min (1 - eps) >= t, inadmissible when nu_min (1 + eps) < t, and
+    refused as undecidable otherwise.
+
+    lambda_min(A) is first bounded below by det(A) ((n - 1)/n)^(n - 1), by
+    AM-GM on the other eigenvalues, whose sum is below tr A = n; det(A) is
+    prod_j L_jj^2 / alpha_jj, read off the factor. A values-only eigensolve of
+    A runs only where that bound leaves the verdict open. ``nu`` holds one
+    descending spectrum per matrix of ``alpha``; one is read on Python floats.
+    """
+    n = alpha.shape[-1]
+    reach = n * (n + 2) * _ROUNDING  # eps * lambda_min(A)
+    free = ((n - 1) / n) ** (n - 1)
+    if nu.ndim == 1 or len(nu) == 1:  # one spectrum, on Python floats
+        spectrum = nu.reshape(-1).tolist()
+        least = spectrum[-1]
+        pairs = zip(factor.reshape(n, n).diagonal().tolist(), alpha.reshape(n, n).diagonal().tolist())
+        gap = least - 0.5 + tol * max(1.0, spectrum[0] + 0.5)
+        if _decided(gap, free * math.prod(f * f / a for f, a in pairs), reach * least):
+            return
+    alpha = alpha.reshape(-1, n, n)
+    factor, nu = factor.reshape(alpha.shape), nu.reshape(len(alpha), -1)
+    least = nu[:, -1]
+    gap = least - 0.5 + tol * np.maximum(1.0, nu[:, 0] + 0.5)
+    diag, pivots = alpha.diagonal(0, -2, -1), factor.diagonal(0, -2, -1)
+    lam = free * np.prod(pivots * pivots / diag, axis=-1)
+    undecided = ~_decided(gap, lam, reach * least)
+    if not undecided.any():
+        return
+    d = np.sqrt(diag[undecided])
+    lam[undecided] = np.linalg.eigvalsh(alpha[undecided] / (d[:, :, None] * d[:, None, :]))[:, 0]
+    _refuse(
+        ~_decided(gap, lam, reach * least),
+        InadmissibleInputError,
+        "admissibility of the {what} is undecidable at this conditioning: "
+        "lambda_min(D^-1 alpha D^-1) = {:.3e}, D = diag(alpha)^(1/2), leaves min nu = {:.12g} "
+        "uncertain by a relative {:.3e}, too much for the threshold at tol {tol:.3g}",
+        lam,
+        least,
+        np.divide(reach, lam, out=np.full_like(lam, np.inf), where=lam > 0.0),
+        what=what,
+        tol=tol,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,18 +326,21 @@ def williamson(
 ) -> WilliamsonDecomposition:
     """Williamson normal form of a symmetric positive definite matrix.
 
-    Eigenvectors w_j of the Hermitian matrix alpha^(1/2) (i delta^-1) alpha^(1/2)
-    at eigenvalue +nu_j are pulled back to u_j = alpha^(-1/2) w_j; writing
-    u_j = x_j + i y_j, the columns (sqrt(2 nu_j) x_j, -sqrt(2 nu_j) y_j) are
-    symplectic and diagonalize alpha by congruence.
+    With the Cholesky factor alpha = L L^T, eigenvectors w_j of the Hermitian
+    matrix -i L^T delta L at eigenvalue +nu_j are pulled back to
+    u_j = L^-T w_j; writing u_j = x_j + i y_j, the columns
+    (sqrt(2 nu_j) x_j, -sqrt(2 nu_j) y_j) are symplectic and diagonalize alpha
+    by congruence. A matrix without a Cholesky factor is refused as not
+    positive definite, and one whose admissibility at ``tol`` its conditioning
+    leaves undecidable is refused too (see ``_require_decidable``).
     """
     alpha = _require_symmetric(alpha, space, tol)
-    eigenvalues, Q, root = _sym_sqrt(alpha, tol)
-    herm = -1j * (root @ space.delta @ root)
-    w, W = np.linalg.eigh(herm)
+    factor = _factor(alpha, "covariance matrix")
+    w, W = np.linalg.eigh(-1j * (factor.T @ space.delta @ factor))
     order = np.argsort(w)[::-1][: space.s]
     nu = w[order]
-    U = (Q / np.sqrt(eigenvalues)) @ Q.T @ W[:, order]  # alpha^(-1/2) W
+    _require_decidable(nu, tol, alpha, factor)
+    U = np.linalg.solve(factor.T, W[:, order])  # L^-T W
     n = 2 * space.s
     T = np.empty((n, n))
     scale = np.sqrt(2.0 * nu)

@@ -82,12 +82,12 @@ def rng():
 
 @pytest.fixture
 def count_eigensolves(monkeypatch):
-    """List that gains the solver's name at each np.linalg.eigh or eigvalsh call.
+    """List that gains the solver's name at each np.linalg.eigh, eigvalsh or cholesky call.
 
     Stacked calls count once. Clear the list to start a new count.
     """
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         solver = getattr(np.linalg, name)
 
         def counted(*args, _solver=solver, _name=name, **kwargs):

@@ -86,6 +86,39 @@ class TestPresets:
             make_channel(K, 0.1 * np.eye(2), space)
 
 
+# K = I/2 needs noise mu >= (3/8) i delta: mu = c R diag(e^2r, e^-2r) R^T is
+# admissible iff c >= 3/8, at every squeezing r and rotation R
+HALF = 0.5 * np.eye(2)
+
+
+class TestSqueezedNoise:
+    @pytest.mark.parametrize("r", range(1, 16))
+    def test_noise_along_the_axes_is_judged_alike_at_every_squeezing(self, r):
+        # D^-1 M D^-1 = I - (3 / 8c) i delta, least eigenvalue 1 - 3 / 8c
+        space = canonical_form(1)
+        with pytest.raises(InadmissibleInputError, match=r"bound: min eigenvalue -2.500e-01$"):
+            make_channel(HALF, squeezed_covariance(0.3, r), space)
+        cert = make_channel(HALF, squeezed_covariance(0.376, r), space).cert
+        assert cert.is_positive_definite
+        assert cert.min_eigenvalue == pytest.approx(1.0 - 0.375 / 0.376, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "r",
+        [r if r <= 5 else pytest.param(r, marks=pytest.mark.xfail(strict=True)) for r in range(1, 16)],
+    )
+    def test_rotated_noise_below_the_bound_is_refused(self, r):
+        # diag(mu) grows with the squeezing in both quadratures once mu is
+        # rotated, so the scaled least eigenvalue shrinks like e^-4r and falls
+        # within the tolerance from r = 6 on (CHANGES: FOUND)
+        with pytest.raises(InadmissibleInputError):
+            make_channel(HALF, squeezed_covariance(0.3, r, 0.3), canonical_form(1))
+
+    @pytest.mark.parametrize("r", range(1, 16))
+    def test_rotated_noise_above_the_bound_is_accepted(self, r):
+        cert = make_channel(HALF, squeezed_covariance(0.376, r, 0.3), canonical_form(1)).cert
+        assert cert.is_positive_semidefinite
+
+
 class TestGainAndBound:
     def test_non_regular_rejected(self):
         space = canonical_form(1)
@@ -250,6 +283,19 @@ class TestBetaSweep:
             assert np.array_equal(report.gains, gains)
             assert report.converged == converged
             assert (len(betas) > len(grid)) == extends
+        # the same channel short of noise, built past make_channel: its output
+        # at beta = 1 has no Cholesky factor, and the last beta is below the
+        # overflow floor, a check the stack meets first
+        out = channel.K.T @ gibbs_covariance(ham, 1.0) @ channel.K + channel.mu
+        mu = channel.mu - 1.5 * np.linalg.eigvalsh(out)[0] * np.eye(2 * modes)
+        short_of_noise = GaussianChannel(channel.space, channel.K, mu, channel.cert, strict=False)
+        failing = np.array([1.0, 0.5, 1e-2, 1e-120])
+        with pytest.raises(InadmissibleInputError) as looped:
+            reference_sweep(short_of_noise, ham, failing)
+        with pytest.raises(InadmissibleInputError) as stacked:
+            gain_beta_sweep(short_of_noise, ham, beta_grid=failing)
+        assert str(looped.value) == "channel output is not positive definite"
+        assert str(stacked.value) == str(looped.value)
 
     def test_refuses_first_beta_below_overflow_floor(self):
         channel = preset_channel("amplifier", 2.0)
@@ -288,9 +334,10 @@ class TestBetaSweep:
             counts.append(len(count_eigensolves))
         assert counts[0] == counts[1]
 
-    def test_sweep_converging_on_its_grid_solves_four_eigenproblems(self, count_eigensolves):
-        # the Gibbs spectra (2) and the output spectra (2), off which both
-        # admissibility checks are read; the Hamiltonian's normal modes come
+    def test_sweep_converging_on_its_grid_solves_two_stacked_spectra(self, count_eigensolves):
+        # the Gibbs spectra and the output spectra, each from a stacked
+        # Cholesky factor, off which both admissibility checks and their
+        # conditioning bounds are read; the Hamiltonian's normal modes come
         # from its build
         gen = np.random.default_rng(6)
         channel = random_regular_channel(gen, 3)
@@ -298,7 +345,18 @@ class TestBetaSweep:
         count_eigensolves.clear()
         report = gain_beta_sweep(channel, ham)
         assert report.converged and len(report.beta_grid) == len(default_beta_grid())
-        assert len(count_eigensolves) == 4
+        assert count_eigensolves == ["cholesky", "eigvalsh"] * 2
+
+    def test_default_grid_is_built_once(self, monkeypatch):
+        channel = preset_channel("amplifier", 2.0)
+        ham = quadratic_hamiltonian(canonical_form(1), np.eye(2))
+        given = gain_beta_sweep(channel, ham, beta_grid=default_beta_grid())
+        monkeypatch.setattr(np, "geomspace", None)  # neither built nor revalidated again
+        default = gain_beta_sweep(channel, ham)
+        assert np.array_equal(default.beta_grid, given.beta_grid)
+        assert np.array_equal(default.gains, given.gains)
+        default.beta_grid[0] = 2.0  # the report owns its grid
+        assert gain_beta_sweep(channel, ham).beta_grid[0] == 1.0
 
     def test_rejects_ascending_grid(self):
         channel = preset_channel("attenuator", 0.5)
@@ -365,9 +423,13 @@ class TestFrozenPhaseSpace:
         return np.array(numbers, dtype=float)
 
     def test_public_numbers_are_frozen_bit_for_bit(self):
-        # md5 taken before the per-call fast paths and kept constants existed
+        # md5 taken before the per-call fast paths and kept constants existed,
+        # frozen again when spectra came to be taken from Cholesky factors:
+        # every converged flag and grid length stayed, and the numbers moved
+        # by <= 6.4e-11 (2.0e-11 relative), the largest on gains near 3.2
+        # nats at beta = 1e-7, where each route is 3e-11 off a 50-digit value
         digest = hashlib.md5()
         for modes in range(1, 7):
             for seed in range(4):
                 digest.update(self.public_numbers(modes, seed).tobytes())
-        assert digest.hexdigest() == "47830c2baaee4308accbb614d2ac1ee6"
+        assert digest.hexdigest() == "2ca987b25456a9db781249834cf67586"

@@ -618,16 +618,17 @@ class TestProp3:
         assert stacks == []
 
     @pytest.mark.parametrize("name", ["classical_noise", "attenuator"])
-    def test_hypotheses_solve_four_eigenproblems(self, name, request, count_eigensolves):
-        # the input and output spectra (2 each), off which both nondegeneracy
-        # tests and the Gaussian gain are read, as one stack whatever the chunk's size
+    def test_hypotheses_solve_two_stacked_spectra(self, name, request, count_eigensolves):
+        # the input and output spectra, each from a Cholesky factor, off which
+        # both nondegeneracy tests and the Gaussian gain are read, as one stack
+        # whatever the chunk's size
         gch = request.getfixturevalue(name).gaussian_channel()
         chunk = fock._random_states(np.random.default_rng(7), 18, DIM, 10)[1]
         for states in ([thermal_state(1.0, DIM)], chunk):
             count_eigensolves.clear()
             references = fock._extremality_references(gch, states)
             assert len(references) == len(states)
-            assert len(count_eigensolves) == 4
+            assert count_eigensolves == ["cholesky", "eigvalsh"] * 2
 
 
 @pytest.fixture(scope="module")

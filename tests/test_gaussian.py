@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -28,10 +29,10 @@ from egain.symplectic import (
     VERDICT_INDEFINITE,
     HermitianCert,
     _positive_half,
-    _require_definite,
     _uncertainty_cert,
     canonical_form,
     symplectic_eigenvalues,
+    williamson,
 )
 
 # Frozen reference values, computed independently with mpmath at 50 digits.
@@ -66,6 +67,13 @@ class TestModeEntropy:
         with pytest.raises(InadmissibleInputError):
             mode_entropy(0.4)
 
+    @pytest.mark.parametrize(
+        "nu", [NAN, [0.7, NAN], [NAN, 0.7], [[1.0, 0.6], [NAN, 0.6]], math.inf, [0.7, math.inf]]
+    )
+    def test_rejects_non_finite(self, nu):
+        with pytest.raises(InadmissibleInputError, match="must be finite and >= 1/2"):
+            mode_entropy(nu)
+
 
 class TestGaussianState:
     def test_vacuum_is_degenerate_boundary(self):
@@ -99,6 +107,11 @@ class TestGaussianState:
         assert state.cert.is_positive_semidefinite
         assert abs(state.nu[0] - 0.5) <= 1e-9
 
+    def test_rejects_nan_covariance(self):
+        # every comparison with nan is False, so no certificate may see one
+        with pytest.raises(InadmissibleInputError, match="not a finite number"):
+            gaussian_state(canonical_form(1), np.zeros(2), np.array([[NAN, 0.0], [0.0, 1.0]]))
+
     def test_rejects_bad_mean_shape(self):
         space = canonical_form(1)
         with pytest.raises(InadmissibleInputError):
@@ -110,6 +123,86 @@ class TestGaussianState:
         state = gaussian_state(space, np.zeros(4), alpha)
         expected = mode_entropy(1.0) + mode_entropy(2.0)
         assert gaussian_entropy(state) == pytest.approx(expected, rel=1e-14)
+
+
+SQUEEZES = [(theta, r) for theta in (0.0, 0.3) for r in range(1, 16)]
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def scaled_least_eigenvalue(theta, r):
+    """lambda_min(D^-1 alpha D^-1), D = diag(alpha)^(1/2), of squeezed_covariance(nu, r, theta).
+
+    In closed form: the unit-diagonal 2 x 2 matrix has eigenvalues 1 +- |rho|
+    and determinant nu^2 / (alpha_11 alpha_22), a ratio that cancels nothing.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    up, down = math.exp(2.0 * r), math.exp(-2.0 * r)
+    det = 1.0 / ((c * c * up + s * s * down) * (s * s * up + c * c * down))
+    return det / (1.0 + math.sqrt(max(0.0, 1.0 - det)))
+
+
+def refusals(alpha):
+    """What gaussian_state, entropy_of_covariance and williamson say of alpha: None where they accept it."""
+    space = canonical_form(1)
+    uses = {
+        "state": lambda: gaussian_state(space, np.zeros(2), alpha),
+        "entropy": lambda: entropy_of_covariance(alpha, space),
+        "williamson": lambda: williamson(alpha, space).nu,
+    }
+    found = []
+    for name, use in uses.items():
+        try:
+            result = use()
+        except InadmissibleInputError as exc:
+            found.append(str(exc))
+            continue
+        indefinite = name == "williamson" and not _uncertainty_cert(result, 1e-9).is_positive_semidefinite
+        found.append("reported indefinite" if indefinite else None)
+    return found
+
+
+class TestStrongSqueezing:
+    """Verdicts on one-mode squeezed states at r = 1..15, along the axes and rotated by 0.3."""
+
+    @pytest.mark.parametrize("theta, r", SQUEEZES)
+    def test_vacuum_passes_wherever_its_conditioning_allows(self, theta, r):
+        # nu = 1/2 is decidable when eps = n (n + 2) u / lambda_min(A) keeps
+        # nu (1 - eps) above 1/2 - tol: at every r along the axes, and up to
+        # r = 4 rotated (README "Strong squeezing")
+        alpha = squeezed_covariance(0.5, r, theta)
+        lam = scaled_least_eigenvalue(theta, r)
+        allowed = 8 * UNIT_ROUNDOFF / lam <= 2e-9
+        assert allowed == (theta == 0.0 or r <= 4)
+        found = refusals(alpha)
+        if allowed:
+            assert found == [None, None, None]
+            space = canonical_form(1)
+            for nu in (symplectic_eigenvalues(alpha, space), williamson(alpha, space).nu):
+                assert abs(nu[0] - 0.5) <= 1e-9
+            return
+        for message in found:
+            assert re.search("undecidable at this conditioning|not positive definite", message)
+            named = re.search(r"D\^-1\) = (\S+),.* by a relative (\S+),", message)
+            if named and r <= 8:  # beyond, the stored matrix no longer holds lambda_min
+                assert float(named.group(1)) == pytest.approx(lam, rel=1e-2)
+                assert float(named.group(2)) == pytest.approx(8 * UNIT_ROUNDOFF / lam, rel=1e-2)
+
+    @pytest.mark.parametrize("theta, r", SQUEEZES)
+    def test_state_below_the_bound_is_never_accepted(self, theta, r):
+        assert None not in refusals(squeezed_covariance(0.5 - 1e-6, r, theta))
+
+    def test_scaled_matrix_is_solved_only_where_the_free_bound_leaves_the_verdict_open(
+        self, count_eigensolves
+    ):
+        # two rotated vacua at r = 3: det(A) is lambda_min^2 (2 - lambda_min)^2,
+        # too small to decide, while lambda_min = 3.9e-5 decides
+        one = squeezed_covariance(0.5, 3, 0.3)
+        two = np.kron(np.eye(2), one)
+        gaussian_state(canonical_form(1), np.zeros(2), one)
+        assert count_eigensolves == ["cholesky", "eigvalsh"]
+        count_eigensolves.clear()
+        gaussian_state(canonical_form(2), np.zeros(4), two)
+        assert count_eigensolves == ["cholesky", "eigvalsh", "eigvalsh"]
 
 
 class TestEntropyRoutes:
@@ -217,24 +310,27 @@ class TestSolvedOnce:
     def hamiltonian(self):
         return quadratic_hamiltonian(canonical_form(3), random_spd(np.random.default_rng(9), 6))
 
-    def test_build_solves_at_most_four_eigenproblems(self, count_eigensolves):
+    def test_build_factors_and_solves_the_normal_modes_once(self, count_eigensolves):
         quadratic_hamiltonian(canonical_form(3), random_spd(np.random.default_rng(9), 6))
-        assert len(count_eigensolves) <= 4
+        assert count_eigensolves == ["cholesky", "eigh"]
 
-    def test_gibbs_state_solves_at_most_three(self, hamiltonian, count_eigensolves):
+    def test_first_gibbs_state_also_solves_the_frequencies(self, hamiltonian, count_eigensolves):
+        # the Gibbs spectrum, then symplectic_eigenvalues(epsilon) for log_partition
         gibbs_state(hamiltonian, 0.3)
-        assert len(count_eigensolves) <= 3
+        assert count_eigensolves == ["cholesky", "eigvalsh"] * 2
 
-    def test_gaussian_state_solves_two_eigenproblems(self, count_eigensolves):
-        # the symplectic spectrum (2); the certificate is read off it
+    def test_gaussian_state_solves_one_spectrum(self, count_eigensolves):
+        # the symplectic spectrum from a Cholesky factor; the certificate is
+        # read off it and the conditioning bound off the factor's diagonal
         gaussian_state(canonical_form(3), np.zeros(6), np.eye(6))
-        assert len(count_eigensolves) == 2
+        assert count_eigensolves == ["cholesky", "eigvalsh"]
 
-    def test_gibbs_state_solves_two_eigenproblems(self, hamiltonian, count_eigensolves):
-        # the Gibbs spectra (2); the cone check and the certificate are read off them
+    def test_gibbs_state_solves_one_spectrum(self, hamiltonian, count_eigensolves):
+        # the Gibbs spectrum; the cone check and the certificate are read off it
+        gibbs_state(hamiltonian, 0.7)
         count_eigensolves.clear()
         gibbs_state(hamiltonian, 0.3)
-        assert len(count_eigensolves) == 2
+        assert count_eigensolves == ["cholesky", "eigvalsh"]
 
     def test_entropy_and_log_partition_solve_none(self, hamiltonian, count_eigensolves):
         state = gibbs_state(hamiltonian, 0.3)
@@ -260,20 +356,26 @@ class TestSolvedOnce:
 
     def test_values_are_frozen_bit_for_bit(self):
         # md5 of c_beta, the entropy and alpha as computed when every call
-        # solved the normal modes and spectra again; the kept ones must match
+        # solved the normal modes and spectra again; the kept ones must match.
+        # Frozen again when spectra and the cotangent's congruence came to be
+        # taken from Cholesky factors: the values moved by <= 6.0e-13
         digest = hashlib.md5()
         for modes in range(1, 7):
             for _, _, state in self.seeded_gibbs_states(modes):
                 digest.update(np.array([state.c_beta, gaussian_entropy(state.base)]).tobytes())
                 digest.update(state.base.alpha.tobytes())
-        assert digest.hexdigest() == "cc53f1450a5dfc04c35728efbdc2fa2f"
+        assert digest.hexdigest() == "caa5ebfa0226cecd8719024f37db696c"
 
-    def test_each_use_tests_the_hamiltonian_at_the_default_tol(self):
-        # built at a looser tolerance than the Gibbs checks apply
-        ham = quadratic_hamiltonian(canonical_form(1), np.diag([1.0, 1e-10]), tol=1e-12)
-        for use in (gibbs_state, gibbs_covariance, log_partition):
-            with pytest.raises(InadmissibleInputError, match="min eigenvalue 1.000e-10"):
-                use(ham, 1.0)
+    @pytest.mark.parametrize("stiffness", [1e-10, 1e10])
+    def test_stiff_hamiltonian_keeps_its_closed_forms(self, stiffness):
+        # a positive definite epsilon is accepted however badly scaled: its
+        # normal mode has frequency sqrt(stiffness) and alpha is diagonal
+        ham = quadratic_hamiltonian(canonical_form(1), np.diag([1.0, stiffness]))
+        m = math.sqrt(stiffness)
+        state = gibbs_state(ham, 1.0 / m)
+        assert ham.frequencies == pytest.approx([m], rel=1e-14)
+        assert state.c_beta == pytest.approx(C_BETA_ONE, rel=1e-12)
+        assert state.base.nu == pytest.approx([COTH_ONE_HALF], rel=1e-12)
 
     def test_stored_inputs_are_read_only(self, hamiltonian):
         state = gibbs_state(hamiltonian, 0.3)
@@ -332,14 +434,6 @@ class TestOneSpectrumOnFloats:
             assert all(map(same, parts(stacked, row), parts(one[1])))
 
     @pytest.mark.parametrize(
-        "w",
-        [[0.5, 2.0], [1e-9, 1.0], [1e-9, 0.5], [1.1e-9, 0.5], [-1.0, 3.0], [NAN, 1.0], [1.0, NAN]],
-    )
-    def test_require_definite(self, w):
-        check = partial(_require_definite, tol=1e-9, what="test matrix")
-        self.assert_stack_agrees(check, np.array(w), np.array([1.0, 2.0]))
-
-    @pytest.mark.parametrize(
         "ev", [[-2.0, 2.0], [-1.0, 1.0 + 5e-6], [-1.0, 1.0 + 3e-5], [-1.0, NAN], [NAN, 1.0]]
     )
     def test_positive_half(self, ev):
@@ -361,7 +455,7 @@ class TestOneSpectrumOnFloats:
     @pytest.mark.parametrize("beta", [0.3, 1e-100, 0.0, -1.0, NAN, 1e-101, 1e-120])
     @pytest.mark.parametrize("least", [0.1, 1e-10])
     def test_gibbs_covariances(self, beta, least):
-        # least = 1e-10 fails the default tolerance: a check between the two beta checks
-        ham = quadratic_hamiltonian(canonical_form(1), np.diag([1.0, least]), tol=1e-12)
+        # least = 1e-10: a stiff Hamiltonian, whose covariances are badly scaled
+        ham = quadratic_hamiltonian(canonical_form(1), np.diag([1.0, least]))
         check = partial(_gibbs_covariances, ham)
         self.assert_stack_agrees(check, np.float64(beta), np.float64(1.0))

@@ -63,12 +63,27 @@ class TestHermitianCert:
         assert cert.is_positive_semidefinite
 
     def test_indefinite_quarter_identity(self):
-        # (1/4)I + (i/2)Delta has eigenvalues 1/4 +- 1/2, so min is exactly -1/4:
-        # a covariance scaled below the vacuum fails the admissibility test.
+        # (1/4)I + (i/2)Delta scales to I + 2i Delta, whose eigenvalues are
+        # 1 +- 2, so min is exactly -1: a covariance scaled below the vacuum
+        # fails the admissibility test.
         space = canonical_form(1)
         cert = check_hermitian_psd(0.25 * np.eye(2) + 0.5j * space.delta)
         assert cert.verdict == "indefinite"
-        assert cert.min_eigenvalue == pytest.approx(-0.25, abs=1e-14)
+        assert cert.min_eigenvalue == pytest.approx(-1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("exponent", [-12, -3, 0, 3, 12])
+    def test_certificate_does_not_change_with_the_scale_of_a_row(self, exponent):
+        space = canonical_form(2)
+        M = np.diag([0.4, 0.4, 2.0, 2.0]) + 0.5j * space.delta
+        D = np.diag([10.0**exponent, 1.0, 10.0 ** (-exponent), 3.0])
+        plain, scaled = check_hermitian_psd(M), check_hermitian_psd(D @ M @ D)
+        assert scaled.verdict == plain.verdict == "indefinite"
+        assert scaled.min_eigenvalue == pytest.approx(plain.min_eigenvalue, rel=1e-12)
+
+    def test_zero_diagonal_needs_a_zero_row(self):
+        assert check_hermitian_psd(np.diag([1.0, 0.0])).is_positive_semidefinite
+        coupled = np.array([[1.0, 1e-3], [1e-3, 0.0]])
+        assert check_hermitian_psd(coupled).verdict == "indefinite"
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InadmissibleInputError):
@@ -100,8 +115,32 @@ class TestSymplecticEigenvalues:
 
     def test_rejects_non_positive(self):
         space = canonical_form(1)
-        with pytest.raises(InadmissibleInputError):
+        with pytest.raises(InadmissibleInputError, match="not positive definite"):
             symplectic_eigenvalues(np.diag([1.0, -1.0]), space)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a nan passes every comparison and np.linalg.cholesky factors it without raising
+        space = canonical_form(1)
+        for alpha in (np.array([[bad, 0.0], [0.0, 1.0]]), np.array([[1.0, bad], [bad, 1.0]])):
+            for solve in (symplectic_eigenvalues, williamson):
+                with pytest.raises(InadmissibleInputError, match="not a finite number"):
+                    solve(alpha, space)
+
+    def test_stack_names_its_first_matrix_without_a_factor(self):
+        # np.linalg.cholesky raises once for a whole stack, naming no matrix
+        space = canonical_form(1)
+        good, bad = np.eye(2), np.diag([1.0, -1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.stack([good, bad]))
+        for stack, first in [([bad, good], 0), ([good, bad, bad], 1), ([good, good, good, bad], 3)]:
+            with pytest.raises(InadmissibleInputError, match="not positive definite") as refused:
+                symplectic_eigenvalues(np.stack(stack), space)
+            assert refused.value.slice_index == first
+
+    def test_solves_no_eigh(self, count_eigensolves):
+        symplectic_eigenvalues(np.diag([2.0, 2.0, 0.7, 0.7]), canonical_form(2))
+        assert count_eigensolves == ["cholesky", "eigvalsh"]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), modes=st.integers(1, 3))
