@@ -56,10 +56,6 @@ def _xor_table(a, b):
     return a ^ b
 
 
-def _xor_vectorized(i, j):
-    return _xor_table(i - 1, j - 1) + 1
-
-
 def xor_family() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The XOR permutation table (i, j) -> n_j(i) of the positive integers.
 
@@ -67,7 +63,7 @@ def xor_family() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     tables passed where this one is expected must do the same, and be exact
     in the smallest unsigned dtype that ``doubly_stochastic_check`` uses.
     """
-    return _xor_vectorized
+    return lambda i, j: _xor_table(i - 1, j - 1) + 1
 
 
 def _raw_weight(n: np.ndarray) -> np.ndarray:

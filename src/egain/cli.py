@@ -133,10 +133,10 @@ def _resolve_channel(args: argparse.Namespace, tol: float) -> tuple[GaussianChan
             raise InadmissibleInputError("channel file must contain 'K' and 'mu' matrices")
         K = decode_array(data["K"])
         mu = decode_array(data["mu"])
-        if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2 != 0:
+        if K.shape[0] != K.shape[1] or K.shape[0] % 2 != 0:
             raise InadmissibleInputError("K must be square with even dimension")
         space = canonical_form(K.shape[0] // 2)
-        channel = make_channel(K.real, mu.real, space, tol=tol)
+        channel = make_channel(K, mu, space, tol=tol)
         source = {"channel_file": args.channel_file}
     elif args.preset:
         channel = preset_channel(args.preset, args.k, noise=args.noise, tol=tol)
@@ -170,7 +170,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     channel, source = _resolve_channel(args, tol)
     space = channel.space
     if args.epsilon_file:
-        epsilon = load_matrix(args.epsilon_file).real
+        epsilon = load_matrix(args.epsilon_file)
         source["epsilon_file"] = args.epsilon_file
     else:
         epsilon = np.eye(2 * space.s)
@@ -256,8 +256,8 @@ def cmd_classical(args: argparse.Namespace) -> int:
 
 def cmd_williamson(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
-    alpha = load_matrix(args.matrix_file).real
-    if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1] or alpha.shape[0] % 2 != 0:
+    alpha = load_matrix(args.matrix_file)
+    if alpha.shape[0] != alpha.shape[1] or alpha.shape[0] % 2 != 0:
         raise InadmissibleInputError("covariance matrix must be square with even dimension")
     space = canonical_form(alpha.shape[0] // 2)
     decomposition = williamson(alpha, space, tol=tol)

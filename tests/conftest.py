@@ -1,11 +1,26 @@
 """Shared helpers for the test suite."""
 
+import atexit
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from egain.matio import encode_array, write_json
 from egain.symplectic import canonical_form
+
+# Every property test draws the same examples on every run. Hypothesis keeps
+# no example database, and its cache of the package's source constants, which
+# it fills while tests are collected, lives in a temporary directory.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def random_symplectic(space, rng, scale=0.5):

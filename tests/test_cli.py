@@ -1,6 +1,7 @@
 """Tests for the command-line interface: reports, determinism, exit codes."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,10 +9,15 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import egain.cli as cli
 from conftest import BELOW_THE_BOUND, save_matrix, squeezed_covariance
@@ -770,3 +776,167 @@ def test_fresh_process_loads_no_scipy(tmp_path):
     )
     assert result.stdout.splitlines()[-1] == str([0] * len(runs))
     assert result.stderr == ""
+
+
+# The valid real matrix each file role holds, and a one-mode command that reads it.
+MATRIX_ROLES = {
+    "K": ("gain --channel-file {}", [[0.5, 0.0], [0.0, 0.5]]),
+    "mu": ("gain --channel-file {}", [[0.5, 0.0], [0.0, 0.5]]),
+    "epsilon": (
+        "sweep --preset attenuator --k 0.5 --beta-points 3 --epsilon-file {}",
+        [[1.0, 0.0], [0.0, 1.0]],
+    ),
+    "alpha": ("williamson {}", [[1.5, 0.0], [0.0, 1.5]]),
+}
+
+
+def _matrix_file(tmp_path, role, matrix):
+    """The file the command of ``role`` reads: ``matrix`` in that role, the valid one elsewhere."""
+    path = str(tmp_path / "matrix.json")
+    if role in ("K", "mu"):
+        write_json(path, {"K": MATRIX_ROLES["K"][1], "mu": MATRIX_ROLES["mu"][1], role: matrix})
+    else:
+        write_json(path, {"matrix": matrix})
+    return path
+
+
+@pytest.mark.parametrize("role", sorted(MATRIX_ROLES))
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        # each of these exited 0 before: the imaginary part, bool and string were coerced
+        pytest.param(
+            [[[0.5, 3.0], 0.0], [0.0, 0.5]],
+            "matrix entries must be real numbers, got [0.5, 3.0]",
+            id="re-im-pair",
+        ),
+        pytest.param(
+            [[True, False], [False, True]], "matrix entries must be real numbers, got true", id="bool"
+        ),
+        pytest.param(
+            [["1.5", 0.0], [0.0, 1.5]], 'matrix entries must be real numbers, got "1.5"', id="string"
+        ),
+        pytest.param(
+            [1.5, 1.5], "a matrix must be a non-empty JSON array of rows, got [1.5, 1.5]", id="1-d"
+        ),
+        pytest.param(
+            [[[1.5], [0.0]], [[0.0], [1.5]]],
+            "matrix entries must be real numbers, got [1.5]",
+            id="3-d",
+        ),
+    ],
+)
+def test_matrix_files_hold_real_numbers_only(role, matrix, message, tmp_path, capsys):
+    argv = MATRIX_ROLES[role][0].format(_matrix_file(tmp_path, role, matrix))
+    code, out, err = run(argv.split(), capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _mostly(sane, edge):
+    """Three draws in four from ``sane``, so most invocations get past the parser."""
+    return st.integers(0, 3).flatmap(lambda i: sane if i else edge)
+
+
+# Numbers at the edges of float parsing and of the computations behind each flag.
+EDGE_NUMBERS = ["nan", "inf", "-inf", "1e308", "-1e308", "-0", "0", "1e-300", "-1e-300", "5e-324",
+                "-1", str(10**30), str(-(10**30)), str(10**400), "half", ""]
+FUZZ_NUMBERS = _mostly(
+    st.sampled_from(["0.5", "0.7", "1", "1.5", "2", "0.3"]), st.sampled_from(EDGE_NUMBERS)
+)
+# --k values each preset admits
+PRESET_K = {"attenuator": ["0.5", "0.7"], "amplifier": ["1.5", "2"], "classical-noise": ["1"]}
+FUZZ_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 1, -1, 10**30, 10**400, True, False, None, "1.5", [0.5, 3.0], []]),
+)
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+FUZZ_MATRICES = _mostly(
+    st.one_of(
+        st.sampled_from([1.5 * np.eye(2), 0.5 * np.eye(2), np.eye(4), 2.0 * np.eye(2)]).map(
+            lambda m: m.tolist()
+        ),
+        st.sampled_from([1, 2, 4]).flatmap(lambda n: _square(n, st.floats(-3.0, 3.0))),
+    ),
+    st.one_of(
+        st.integers(1, 4).flatmap(lambda n: _square(n, FUZZ_ENTRIES)),
+        st.lists(st.lists(FUZZ_ENTRIES, max_size=3), max_size=3),  # ragged and empty
+        st.lists(FUZZ_ENTRIES, max_size=4),  # 1-d
+        st.just([[[1.5, 0.0], [0.0, 1.5]]]),  # 3-d
+        st.sampled_from([None, 1.5, "[[1.5]]", {}, {"matrix": None}]),
+    ),
+)
+
+
+@st.composite
+def _fuzz_invocations(draw):
+    """(argv, files) for one CLI call; files maps a name in argv to its JSON payload."""
+
+    def number():
+        return draw(FUZZ_NUMBERS)
+
+    def pick(sane, edge):
+        return draw(_mostly(st.sampled_from(sane), st.sampled_from(edge)))
+
+    command = draw(st.sampled_from(["gain", "sweep", "fock", "classical", "williamson"]))
+    argv, files = [command], {}
+    if command == "classical":
+        argv += ["--k", pick([str(k) for k in range(1, 9)], ["-1", "0", "2.5", "nan", str(10**30)])]
+        if draw(st.booleans()):
+            argv += ["--n-max", pick(["300", "100000"], ["0", "-5", "1e9", str(10**30)])]
+        return argv, files
+    if command == "williamson":
+        files["alpha.json"] = draw(FUZZ_MATRICES)
+        argv += ["alpha.json"]
+    elif command == "fock" or draw(st.booleans()):
+        preset = draw(st.sampled_from(sorted(PRESET_K)))
+        argv += ["--preset", preset, "--k", pick(PRESET_K[preset], EDGE_NUMBERS)]
+        if preset == "classical-noise" or not draw(st.integers(0, 3)):
+            argv += ["--noise", number()]
+    else:
+        files["channel.json"] = draw(
+            _mostly(st.fixed_dictionaries({"K": FUZZ_MATRICES, "mu": FUZZ_MATRICES}), FUZZ_MATRICES)
+        )
+        argv += ["--channel-file", "channel.json"]
+    if command == "fock":
+        argv += ["--dim", pick(["4", "8", "16", "24"], ["-1", "0", "2", "nan", str(10**30)])]
+        argv += ["--trials", pick(["1", "2", "3"], ["-1", "0", "1e308", str(10**30)])]
+        argv += ["--extremality"] if draw(st.booleans()) else []
+    elif draw(st.booleans()):
+        argv += ["--tol", number()]
+    if command == "sweep":
+        for flag in ("--beta-max", "--beta-min"):
+            argv += [flag, number()] if draw(st.booleans()) else []
+        argv += ["--beta-points", pick(["1", "5", "25"], ["-1", "0", "nan", str(10**30)])]
+        if draw(st.booleans()):
+            files["epsilon.json"] = draw(FUZZ_MATRICES)
+            argv += ["--epsilon-file", "epsilon.json"]
+    return argv, files
+
+
+@settings(max_examples=400, deadline=None)
+@given(invocation=_fuzz_invocations(), env_tol=st.none() | FUZZ_NUMBERS)
+def test_every_invocation_keeps_the_exit_code_contract(invocation, env_tol):
+    argv, files = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory, mock.patch.dict(os.environ):
+        os.environ.pop("EGAIN_TOL", None)
+        if env_tol is not None:
+            os.environ["EGAIN_TOL"] = env_tol
+        for name, payload in files.items():
+            write_json(os.path.join(directory, name), payload)
+        argv = [os.path.join(directory, a) if a in files else a for a in argv]
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a flag by exiting
+                code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()

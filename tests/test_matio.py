@@ -1,7 +1,7 @@
 """Tests for the JSON matrix interchange format."""
 
-import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -25,14 +25,6 @@ class TestRoundTrips:
         save_matrix(path, M)
         assert np.array_equal(load_matrix(path), M)
 
-    def test_complex_matrix(self, tmp_path):
-        path = str(tmp_path / "c.json")
-        M = np.array([[1.0 + 2.0j, 0.0], [-1.0j, 3.0]])
-        save_matrix(path, M)
-        out = load_matrix(path)
-        assert out.dtype.kind == "c"
-        assert np.array_equal(out, M)
-
     def test_matrix_object_form(self, tmp_path):
         path = str(tmp_path / "obj.json")
         write_json(path, {"matrix": [[1.0, 0.2], [0.2, 0.8]]})
@@ -44,13 +36,6 @@ class TestRoundTrips:
         with pytest.raises(InadmissibleInputError, match="matrix"):
             load_matrix(path)
 
-    def test_vector(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(decode_array(encode_array(v)), v)
-
-    def test_complex_entries_encode_as_pairs(self):
-        data = encode_array(np.array([[1.0 + 2.0j]]))
-        assert data == [[[1.0, 2.0]]]
 
 
 class TestValidation:
@@ -69,6 +54,54 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(InadmissibleInputError):
             decode_array([])
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            pytest.param([[[1.0, 2.0], 0.0], [0.0, 3.0]], "[1.0, 2.0]", id="re-im-pair"),
+            pytest.param([[True, False], [False, True]], "true", id="bool"),
+            pytest.param([[1.5, 0.0], [0.0, "1.5"]], '"1.5"', id="string"),
+            pytest.param([[None]], "null", id="null"),
+            pytest.param([[[1.5]]], "[1.5]", id="3-d"),
+        ],
+    )
+    def test_refuses_entries_that_are_not_numbers(self, data, named):
+        with pytest.raises(InadmissibleInputError) as exc:
+            decode_array(data)
+        assert str(exc.value) == f"matrix entries must be real numbers, got {named}"
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            pytest.param([1.0, 2.0], "[1.0, 2.0]", id="1-d"),
+            pytest.param([[1.0], 2.0], "[[1.0], 2.0]", id="mixed"),
+            pytest.param(1.5, "1.5", id="scalar"),
+            pytest.param({"re": [[1.0]]}, '{"re": [[1.0]]}', id="object"),
+        ],
+    )
+    def test_refuses_what_is_not_an_array_of_rows(self, data, named):
+        with pytest.raises(InadmissibleInputError) as exc:
+            decode_array(data)
+        assert str(exc.value) == f"a matrix must be a non-empty JSON array of rows, got {named}"
+
+    def test_integers_decode_as_floats(self):
+        out = decode_array([[1, 0], [0, 2]])
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.diag([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            pytest.param(np.array([[1.0 + 2.0j]]), id="complex"),
+            pytest.param(np.array([[1.0 + 0.0j]]), id="complex-real-valued"),
+            pytest.param(np.array([1.0, 2.0]), id="1-d"),
+            pytest.param(np.zeros((1, 1, 1)), id="3-d"),
+            pytest.param(np.array([[True]]), id="bool"),
+        ],
+    )
+    def test_encode_refuses_all_but_real_matrices(self, arr):
+        with pytest.raises(InadmissibleInputError, match="only finite real 2-d arrays"):
+            encode_array(arr)
 
 
 class TestFiles:
@@ -95,6 +128,32 @@ class TestFiles:
         save_matrix(path, np.eye(3))
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=oct)
+    def test_new_file_gets_the_mode_open_would_give(self, tmp_path, umask, mode):
+        path = tmp_path / "new.json"
+        previous = os.umask(umask)
+        try:
+            write_text(str(path), "x\n")
+            with open(tmp_path / "plain.json", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert stat.S_IMODE((tmp_path / "plain.json").stat().st_mode) == mode
+
+    @pytest.mark.parametrize("existing", [0o640, 0o604, 0o444], ids=oct)
+    def test_replaced_file_keeps_its_mode(self, tmp_path, existing):
+        path = tmp_path / "old.json"
+        path.write_text("old\n")
+        path.chmod(existing)
+        previous = os.umask(0o022)
+        try:
+            write_text(str(path), "new\n")
+        finally:
+            os.umask(previous)
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(path.stat().st_mode) == existing
 
     def test_failed_replace_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "t.csv"
