@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -143,7 +144,8 @@ class HeavyTailDistribution:
         total = 0.0
         for lo in range(1, N + 1, _CHUNK):
             hi = min(N, lo + _CHUNK - 1)
-            q = self.weight(np.arange(lo, hi + 1, dtype=np.float64))
+            # lo..hi lie in [1, n_max] by the check above: weight()'s range tests cannot fail
+            q = _raw_weight(np.arange(lo, hi + 1, dtype=np.float64)) / self.normalizer
             total += float(-(q * np.log(q)).sum())
         return total
 
@@ -188,16 +190,26 @@ def _block_form(table: Callable[..., np.ndarray], k: int, origin: int) -> bool:
 
     ``table(rows, cols)`` evaluates t on the broadcast grid of a column of
     row indices and a row of column indices, in the smallest unsigned dtype
-    that holds 2^k - 1 + o (uint16 for k = 16 from 0, uint32 from 1). Scales
-    run upwards, so t(a, b) < o + h is already certified when scale h is
-    checked and t(a, b) + h <= 2^k - 1 + o cannot overflow. Each scale is
-    swept in stripes of _STRIPE rows, and the first mismatch returns False.
+    that holds 2^k - 1 + o (uint16 for k = 16 from 0, uint32 from 1).
+
+    The first call evaluates t on the leading block {o..o+s-1}^2 of side
+    s = min(2^k, _STRIPE) and compares it entry by entry with the shifted
+    XOR table ((a - o) XOR (b - o)) + o. The corner t(o, o) = o and the
+    identities at the scales h = 1..s/2 fix every entry of that block, scale
+    by scale from the corner, and the shifted XOR table satisfies them; so
+    equality there is exactly the block form at every scale the block holds,
+    the corner included. The scales h = s..2^(k-1) run upwards, each swept in
+    stripes of _STRIPE rows through its quadrant identities, and the first
+    mismatch returns False. Since t(a, b) < o + h is already certified when
+    scale h is checked, t(a, b) + h <= 2^k - 1 + o cannot overflow.
     """
     dtype = np.min_scalar_type((1 << k) - 1 + origin)
-    corner = np.full(1, origin, dtype=dtype)
-    if table(corner[:, None], corner).item() != origin:
+    side = min(1 << k, _STRIPE)
+    lead = np.arange(side, dtype=dtype)
+    expected = (lead[:, None] ^ lead) + origin
+    if not np.array_equal(table(lead[:, None] + origin, lead + origin), expected):
         return False
-    for j in range(1, k + 1):
+    for j in range(side.bit_length(), k + 1):
         h = 1 << (j - 1)
         cols = np.arange(origin, origin + h, dtype=dtype)
         right = cols + h
@@ -215,6 +227,17 @@ def _block_form(table: Callable[..., np.ndarray], k: int, origin: int) -> bool:
     return True
 
 
+def _prefix_exponent(k) -> int:
+    """The prefix exponent k as a nonnegative int; anything else is refused by name."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InadmissibleInputError(f"prefix exponent must be an integer, got {k!r}") from None
+    if k < 0:
+        raise InadmissibleInputError(f"prefix exponent must be nonnegative, got {k}")
+    return k
+
+
 def doubly_stochastic_check(perms: Callable, dist: HeavyTailDistribution, k: int) -> bool:
     """Certify that the 2^k x 2^k truncation is doubly stochastic after renormalization.
 
@@ -226,8 +249,7 @@ def doubly_stochastic_check(perms: Callable, dist: HeavyTailDistribution, k: int
     XOR block form", and a doubly stochastic table of another form, such as
     the cyclic ((i-1) + (j-1)) mod 2^k + 1, gets False too.
     """
-    if k < 0:
-        raise InadmissibleInputError("k must be nonnegative")
+    k = _prefix_exponent(k)
     if (1 << k) > dist.n_max:
         raise InadmissibleInputError("prefix exceeds the distribution support")
     return _block_form(perms, k, 1)
@@ -238,7 +260,7 @@ def prefix_bijections_exhaustive(k_max: int = 16) -> bool:
     bijection of every prefix {1..2^k}, k <= k_max, through the block form of
     ``_xor_table``, which implies them by the induction in ``_block_form``.
     """
-    return _block_form(_xor_table, k_max, 0)
+    return _block_form(_xor_table, _prefix_exponent(k_max), 0)
 
 
 def block_recursion_exhaustive(k_max: int = 16) -> bool:
@@ -246,4 +268,4 @@ def block_recursion_exhaustive(k_max: int = 16) -> bool:
     scale h = 2^(k-1), k <= k_max: the block form of ``_xor_table``, the
     certificate that ``prefix_bijections_exhaustive`` also uses.
     """
-    return _block_form(_xor_table, k_max, 0)
+    return _block_form(_xor_table, _prefix_exponent(k_max), 0)

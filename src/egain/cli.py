@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -291,8 +292,23 @@ def _add_channel_flags(parser: argparse.ArgumentParser, fock: bool = False) -> N
     parser.add_argument("--out", help="output path (stdout when omitted)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative number as a value, not an option.
+
+    argparse's own pattern for negative numbers has no exponent and no
+    infinity, so ``--k -1e308`` or ``--k -inf`` would be refused as a missing
+    argument before ``_finite`` could name the value. Subparsers inherit the
+    class. No option of this CLI is spelled as a dash followed by a digit,
+    ``.``, ``inf`` or ``nan``, so none is mistaken for a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="egain",
         description="Minimal entropy gain of bosonic Gaussian channels.",
     )

@@ -161,6 +161,19 @@ class TestDoublyStochasticEvaluation:
         assert not doubly_stochastic_check(spy, heavy_tail(1 << k), k)
         assert seen == [(np.dtype(dtype), np.dtype(dtype))]
 
+    @pytest.mark.parametrize("k, calls", [(0, 1), (1, 1), (3, 1), (6, 1), (7, 5)])
+    def test_leading_block_is_one_call(self, k, calls):
+        # the scales inside the leading _STRIPE block take one call; k = 7 adds
+        # one stripe of the scale h = 64, four calls
+        seen = []
+
+        def spy(i, j):
+            seen.append(i.shape[0])
+            return xor_family()(i, j)
+
+        assert doubly_stochastic_check(spy, heavy_tail(1 << k), k)
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("k", [7, 8, 12])
     def test_last_entry_of_the_prefix_is_checked(self, k):
         # the XOR table with t(2^k, 2^k) moved from 1 to 2, in the last stripe
@@ -170,6 +183,26 @@ class TestDoublyStochasticEvaluation:
             return xor_family()(i, j) + ((i == n) & (j == n))
 
         assert not doubly_stochastic_check(last_entry_moved, heavy_tail(n), k)
+
+
+class TestPrefixExponent:
+    CERTIFICATES = {
+        "doubly_stochastic_check": lambda k: doubly_stochastic_check(
+            xor_family(), heavy_tail(1 << 10), k
+        ),
+        "prefix_bijections_exhaustive": prefix_bijections_exhaustive,
+        "block_recursion_exhaustive": block_recursion_exhaustive,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATES))
+    @pytest.mark.parametrize("k, named", [(-1, "-1"), (2.5, "2.5"), ("3", "'3'")])
+    def test_bad_exponent_is_refused_by_name(self, name, k, named):
+        with pytest.raises(InadmissibleInputError, match=f"got {named}$"):
+            self.CERTIFICATES[name](k)
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATES))
+    def test_integer_types_are_exponents(self, name):
+        assert self.CERTIFICATES[name](np.int64(3))
 
 
 class TestExhaustive:
@@ -211,7 +244,40 @@ def _verdicts(k):
     )
 
 
+def _one_entry_moved(a0, b0, flip):
+    """0-based and 1-based XOR tables with u(a0, b0) XORed with ``flip`` > 0."""
+
+    def table(a, b):
+        return (a ^ b) ^ (flip * ((a == a0) & (b == b0))).astype(a.dtype)
+
+    def family(i, j):
+        return table(i - 1, j - 1) + 1
+
+    return table, family
+
+
 class TestChecksCanFail:
+    # (40, 50) lies in the bottom-right quadrant of the scale h = 32, the
+    # deepest the leading 64 x 64 block holds; (63, 63) is its last entry
+    @pytest.mark.parametrize("k", [6, 12])
+    @pytest.mark.parametrize("a, b", [(40, 50), (63, 63)])
+    def test_one_entry_in_the_leading_block_fails(self, k, a, b, monkeypatch):
+        table, family = _one_entry_moved(a, b, 1)
+        assert not doubly_stochastic_check(family, heavy_tail(1 << k), k)
+        monkeypatch.setattr(classical, "_xor_table", table)
+        assert not prefix_bijections_exhaustive(k)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(1, 9))
+    def test_any_one_entry_moved_fails(self, data, k):
+        n = 1 << k
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table, family = _one_entry_moved(a, b, data.draw(st.integers(1, n - 1)))
+        assert not doubly_stochastic_check(family, heavy_tail(n), k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classical, "_xor_table", table)
+            assert not prefix_bijections_exhaustive(k)
+
     def test_one_swapped_pair_fails_every_check(self, monkeypatch):
         monkeypatch.setattr(classical, "_xor_table", _swap_one_pair)
         column = xor_family()(np.arange(1, 1025), 601)

@@ -602,6 +602,19 @@ class TestTolerancePlumbing:
             "dim = 8 is 3.232e-309, not a positive normal float",
             id="fock-k-1e154",
         ),
+        # negative values with an exponent or an infinity are values, not options
+        pytest.param(
+            "gain --preset attenuator --k -1e308",
+            None,
+            "attenuator requires 0 < k < 1",
+            id="k-negative-exponent",
+        ),
+        pytest.param(
+            "fock --preset attenuator --k -inf",
+            None,
+            "--k: must be finite, got '-inf'",
+            id="fock-k-negative-inf",
+        ),
     ],
 )
 def test_bad_numbers_exit_2_cleanly(argv, env_tol, message, capsys, monkeypatch):
