@@ -132,17 +132,17 @@ def preset_channel(
     eye = np.eye(2)
     if name == "attenuator":
         if not 0.0 < k < 1.0:
-            raise InadmissibleInputError("attenuator requires 0 < k < 1")
+            raise InadmissibleInputError(f"attenuator requires 0 < k < 1, got k = {float(k)!r}")
         if k * k < np.finfo(float).tiny:  # every larger k keeps K = k I regular
             raise InadmissibleInputError(f"k = {k:.3g} is too small: k^2 underflows")
         mu = (0.5 * (1.0 - k * k) + noise) * eye
     elif name == "amplifier":
         if not k > 1.0:
-            raise InadmissibleInputError("amplifier requires k > 1")
+            raise InadmissibleInputError(f"amplifier requires k > 1, got k = {float(k)!r}")
         mu = (0.5 * (k * k - 1.0) + noise) * eye
     elif name == "classical-noise":
         if k != 1.0:
-            raise InadmissibleInputError("classical-noise requires k = 1")
+            raise InadmissibleInputError(f"classical-noise requires k = 1, got k = {float(k)!r}")
         mu = noise * eye
     else:
         raise InadmissibleInputError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

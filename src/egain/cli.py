@@ -19,11 +19,11 @@ truncation beyond threshold.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -70,14 +70,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write a report to stdout, or atomically to ``out``."""
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        write_text(out, text)
-
-
 def _finite(text: str) -> float:
     """argparse type: a finite float, refused before any numpy call sees it."""
     try:
@@ -112,21 +104,19 @@ def _at_most(limit: int):
     return parse
 
 
-def _resolve_tol(args: argparse.Namespace) -> float:
-    if args.tol is not None:
-        return args.tol
+def _env_tol() -> float:
     env = os.environ.get("EGAIN_TOL")
-    if env is not None:
-        try:
-            return _tolerance(env)
-        except argparse.ArgumentTypeError as exc:
-            raise InadmissibleInputError(
-                f"EGAIN_TOL must be a finite positive number, got {env!r}"
-            ) from exc
-    return DEFAULT_TOL
+    if env is None:
+        return DEFAULT_TOL
+    try:
+        return _tolerance(env)
+    except argparse.ArgumentTypeError as exc:
+        raise InadmissibleInputError(
+            f"EGAIN_TOL must be a finite positive number, got {env!r}"
+        ) from exc
 
 
-def _resolve_channel(args: argparse.Namespace, tol: float) -> tuple[GaussianChannel, dict]:
+def _resolve_channel(args: argparse.Namespace) -> tuple[GaussianChannel, dict]:
     """Build the channel named on the command line, plus its report stanza."""
     if args.channel_file:
         data = read_json(args.channel_file)
@@ -137,45 +127,42 @@ def _resolve_channel(args: argparse.Namespace, tol: float) -> tuple[GaussianChan
         if K.shape[0] != K.shape[1] or K.shape[0] % 2 != 0:
             raise InadmissibleInputError("K must be square with even dimension")
         space = canonical_form(K.shape[0] // 2)
-        channel = make_channel(K, mu, space, tol=tol)
+        channel = make_channel(K, mu, space, tol=args.tol)
         source = {"channel_file": args.channel_file}
     elif args.preset:
-        channel = preset_channel(args.preset, args.k, noise=args.noise, tol=tol)
+        channel = preset_channel(args.preset, args.k, noise=args.noise, tol=args.tol)
         source = {"preset": args.preset, "k": float(args.k), "noise": float(args.noise)}
     else:
         raise InadmissibleInputError("provide --preset with --k, or --channel-file")
     return channel, source
 
 
-def cmd_gain(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
-    channel, source = _resolve_channel(args, tol)
+def cmd_gain(args: argparse.Namespace) -> tuple[dict, int]:
+    channel, source = _resolve_channel(args)
+    cert = channel.cert
     gain = minimal_entropy_gain(channel)
     report = {
         "command": "gain",
         "seed": None,
         "source": source,
         "modes": channel.space.s,
-        "admissibility": dict(dataclasses.asdict(channel.cert), strict=bool(channel.strict)),
+        "admissibility": dict(asdict(cert), verdict=cert.verdict, strict=bool(channel.strict)),
         "regular": bool(channel.regular),
         "gain_closed_form": gain,
         # the general bound -log ||Phi[I]|| is log |det K|, the closed form itself
         "lower_bound_general": gain,
     }
-    _emit(_json_text(report), args.out)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
-    channel, source = _resolve_channel(args, tol)
-    space = channel.space
+def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
+    channel, source = _resolve_channel(args)
     if args.epsilon_file:
         epsilon = load_matrix(args.epsilon_file)
         source["epsilon_file"] = args.epsilon_file
     else:
-        epsilon = np.eye(2 * space.s)
-    hamiltonian = quadratic_hamiltonian(space, epsilon, tol=tol)
+        epsilon = np.eye(2 * channel.space.s)
+    hamiltonian = quadratic_hamiltonian(channel.space, epsilon, tol=args.tol)
     grid = default_beta_grid(args.beta_max, args.beta_min, args.beta_points)
     report = gain_beta_sweep(channel, hamiltonian, beta_grid=grid)
     lines = ["# seed: none"]
@@ -191,11 +178,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines.append("beta,gain,gap_to_closed_form")
     for beta, gain in zip(report.beta_grid, report.gains):
         lines.append(f"{_fmt(beta)},{_fmt(gain)},{_fmt(gain - report.closed_form)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_fock(args: argparse.Namespace) -> int:
+def cmd_fock(args: argparse.Namespace) -> tuple[dict, int]:
     if not args.preset:
         raise InadmissibleInputError("fock campaigns require --preset")
     kind = args.preset.replace("-", "_")
@@ -230,13 +216,11 @@ def cmd_fock(args: argparse.Namespace) -> int:
         "reliability_threshold": RELIABILITY_THRESHOLD,
         "records": records,
     }
-    _emit(_json_text(report), args.out)
-    if summary["reliable_count"] < RELIABLE_FRACTION_FLOOR * args.trials:
-        return EXIT_UNRELIABLE
-    return EXIT_OK
+    unreliable = summary["reliable_count"] < RELIABLE_FRACTION_FLOOR * args.trials
+    return report, EXIT_UNRELIABLE if unreliable else EXIT_OK
 
 
-def cmd_classical(args: argparse.Namespace) -> int:
+def cmd_classical(args: argparse.Namespace) -> tuple[str, int]:
     k_max = args.k
     if not 1 <= k_max <= CLASSICAL_K_MAX:
         raise InadmissibleInputError(
@@ -251,17 +235,16 @@ def cmd_classical(args: argparse.Namespace) -> int:
         entropy = dist.truncated_entropy(1 << k)
         verdict = doubly_stochastic_check(family, dist, k)
         lines.append(f"{k},{_fmt(entropy)},{str(verdict).lower()}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_williamson(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
+def cmd_williamson(args: argparse.Namespace) -> tuple[dict, int]:
     alpha = load_matrix(args.matrix_file)
     if alpha.shape[0] != alpha.shape[1] or alpha.shape[0] % 2 != 0:
         raise InadmissibleInputError("covariance matrix must be square with even dimension")
     space = canonical_form(alpha.shape[0] // 2)
-    decomposition = williamson(alpha, space, tol=tol)
+    decomposition = williamson(alpha, space, tol=args.tol)
+    cert = _uncertainty_cert(decomposition.nu, args.tol)
     report = {
         "command": "williamson",
         "seed": None,
@@ -269,10 +252,9 @@ def cmd_williamson(args: argparse.Namespace) -> int:
         "modes": space.s,
         "symplectic_eigenvalues": [float(nu) for nu in decomposition.nu],
         "T": encode_array(decomposition.T),
-        "admissibility": dataclasses.asdict(_uncertainty_cert(decomposition.nu, tol)),
+        "admissibility": dict(asdict(cert), verdict=cert.verdict),
     }
-    _emit(_json_text(report), args.out)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser, fock: bool = False) -> None:
@@ -289,7 +271,6 @@ def _add_channel_flags(parser: argparse.ArgumentParser, fock: bool = False) -> N
     if not fock:
         source.add_argument("--channel-file", help="JSON file holding matrices K and mu")
         parser.add_argument("--tol", type=_tolerance, default=None, help="certificate tolerance")
-    parser.add_argument("--out", help="output path (stdout when omitted)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,12 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimal entropy gain of bosonic Gaussian channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path (stdout when omitted)")
 
-    p_gain = sub.add_parser("gain", help="closed-form minimal entropy gain")
+    p_gain = sub.add_parser("gain", parents=[out], help="closed-form minimal entropy gain")
     _add_channel_flags(p_gain)
     p_gain.set_defaults(func=cmd_gain)
 
-    p_sweep = sub.add_parser("sweep", help="Gibbs-state gain along a beta grid")
+    p_sweep = sub.add_parser("sweep", parents=[out], help="Gibbs-state gain along a beta grid")
     _add_channel_flags(p_sweep)
     p_sweep.add_argument("--epsilon-file", help="JSON matrix file for the Hamiltonian")
     p_sweep.add_argument("--beta-max", type=_finite, default=1.0)
@@ -326,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--beta-points", type=_at_most(BETA_POINTS_MAX), default=25)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fock = sub.add_parser("fock", help="randomized Kraus-oracle bound campaign")
+    p_fock = sub.add_parser("fock", parents=[out], help="randomized Kraus-oracle bound campaign")
     _add_channel_flags(p_fock, fock=True)
     p_fock.add_argument(
         "--dim", type=_at_most(FOCK_DIM_MAX), default=60, help="Fock-space cutoff"
@@ -340,20 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fock.set_defaults(func=cmd_fock)
 
-    p_classical = sub.add_parser("classical", help="classical counterexample table")
+    p_classical = sub.add_parser("classical", parents=[out], help="classical counterexample table")
     p_classical.add_argument(
         "--k", type=int, default=14, help="largest prefix exponent to tabulate"
     )
     p_classical.add_argument(
         "--n-max", type=int, default=10_000_000, help="distribution truncation, at least 2^k"
     )
-    p_classical.add_argument("--out", help="output path (stdout when omitted)")
     p_classical.set_defaults(func=cmd_classical)
 
-    p_will = sub.add_parser("williamson", help="normal form of a covariance file")
+    p_will = sub.add_parser("williamson", parents=[out], help="normal form of a covariance file")
     p_will.add_argument("matrix_file", help="JSON matrix file")
     p_will.add_argument("--tol", type=_tolerance, default=None)
-    p_will.add_argument("--out", help="output path (stdout when omitted)")
     p_will.set_defaults(func=cmd_williamson)
 
     return parser
@@ -363,11 +344,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "tol" in args and args.tol is None:  # before any file is read
+            args.tol = _env_tol()
         # numpy overflow, division by zero and invalid values raise instead of
         # warning, so a finite but out-of-range number ends in exit 2, as does
         # a float OverflowError (an amplifier k whose square overflows)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return int(args.func(args))
+            report, code = args.func(args)
+        text = report if isinstance(report, str) else _json_text(report)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            write_text(args.out, text)
+        return code
     except HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

@@ -259,9 +259,9 @@ def build_dilation(
     if dim < 4:
         raise InadmissibleInputError("dim must be at least 4")
     if kind == "attenuator" and not 0.0 < k < 1.0:
-        raise InadmissibleInputError("attenuator requires 0 < k < 1")
+        raise InadmissibleInputError(f"attenuator requires 0 < k < 1, got k = {float(k)!r}")
     if kind == "amplifier" and not k > 1.0:
-        raise InadmissibleInputError("amplifier requires k > 1")
+        raise InadmissibleInputError(f"amplifier requires k > 1, got k = {float(k)!r}")
     if kind == "amplifier" and math.isinf(k * k):
         # its phase-space counterpart adds noise (k^2 - 1)/2, which is no float
         raise OverflowError(f"amplifier k = {k:g}: k**2 overflows")
@@ -272,7 +272,7 @@ def build_dilation(
     if kind != "classical_noise":
         raise InadmissibleInputError(f"unknown kind {kind!r}; choose from {DILATION_KINDS}")
     if k != 1.0:
-        raise InadmissibleInputError("classical_noise requires k = 1")
+        raise InadmissibleInputError(f"classical_noise requires k = 1, got k = {float(k)!r}")
     if not noise > 0.0:
         raise InadmissibleInputError("classical_noise requires noise > 0")
     root_gain = math.sqrt(1.0 + noise)

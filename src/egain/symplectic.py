@@ -55,23 +55,29 @@ def _phase_space(s: int) -> PhaseSpace:
 class HermitianCert:
     """Outcome of a positivity check on a Hermitian matrix.
 
-    ``tolerance`` is the absolute eigenvalue threshold actually applied:
-    the verdict is ``positive_definite`` iff min_eigenvalue > tolerance and
-    ``positive_semidefinite`` iff min_eigenvalue >= -tolerance. A certificate
-    of a stack of matrices holds one array entry per matrix in each field.
+    ``tolerance`` is the absolute eigenvalue threshold actually applied: the
+    matrix is positive definite iff min_eigenvalue > tolerance and positive
+    semidefinite iff min_eigenvalue >= -tolerance, so a nan is indefinite.
+    A certificate of a stack holds one array entry per matrix in each field,
+    and answers, ``verdict`` included, with one array entry per matrix.
     """
 
     min_eigenvalue: float
     tolerance: float
-    verdict: str
 
     @property
     def is_positive_definite(self) -> bool:
-        return self.verdict == VERDICT_PD
+        return self.min_eigenvalue > self.tolerance
 
     @property
     def is_positive_semidefinite(self) -> bool:
-        return self.verdict != VERDICT_INDEFINITE
+        return self.min_eigenvalue >= -self.tolerance
+
+    @property
+    def verdict(self) -> str:
+        psd = np.where(self.is_positive_semidefinite, VERDICT_PSD, VERDICT_INDEFINITE)
+        verdict = np.where(self.is_positive_definite, VERDICT_PD, psd)
+        return verdict if verdict.ndim else str(verdict)
 
 
 def _refuse(bad, error: type, message: str, *values, **constants) -> None:
@@ -90,20 +96,6 @@ def _refuse(bad, error: type, message: str, *values, **constants) -> None:
     exc = error(message.format(*(np.atleast_1d(v)[i] for v in values), **constants))
     exc.slice_index = i
     raise exc
-
-
-def _cert(min_eig, abs_tol) -> HermitianCert:
-    """Certificate of a least eigenvalue against its absolute threshold, or of a stack of them."""
-    if getattr(min_eig, "ndim", 0) == 0:
-        least, tol = float(min_eig), float(abs_tol)
-        verdict = VERDICT_PD if least > tol else VERDICT_PSD if least >= -tol else VERDICT_INDEFINITE
-        return HermitianCert(least, tol, verdict)
-    verdict = np.where(
-        min_eig > abs_tol,
-        VERDICT_PD,
-        np.where(min_eig >= -abs_tol, VERDICT_PSD, VERDICT_INDEFINITE),
-    )
-    return HermitianCert(min_eig, abs_tol, verdict)
 
 
 def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCert:
@@ -129,7 +121,7 @@ def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCer
     scale = np.sqrt(np.abs(herm.diagonal().real))
     scale[scale == 0.0] = 1.0
     eigs = np.linalg.eigvalsh(herm / np.multiply.outer(scale, scale))
-    return _cert(eigs[0], tol * max(1.0, np.abs(eigs).max()))
+    return HermitianCert(float(eigs[0]), float(tol * max(1.0, np.abs(eigs).max())))
 
 
 def _uncertainty_cert(nu: np.ndarray, tol: float) -> HermitianCert:
@@ -144,8 +136,8 @@ def _uncertainty_cert(nu: np.ndarray, tol: float) -> HermitianCert:
     or a stack of them, one per row; one is read on Python floats.
     """
     if nu.ndim == 1:
-        return _cert(nu[-1].item() - 0.5, tol * max(nu[0].item() + 0.5, 1.0))
-    return _cert(nu[..., -1] - 0.5, tol * np.maximum(1.0, nu[..., 0] + 0.5))
+        return HermitianCert(nu[-1].item() - 0.5, float(tol * max(nu[0].item() + 0.5, 1.0)))
+    return HermitianCert(nu[..., -1] - 0.5, tol * np.maximum(1.0, nu[..., 0] + 0.5))
 
 
 def _require_symmetric(

@@ -175,46 +175,6 @@ class TestFock:
         capsys.readouterr()
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
-    # md5 of the reports of the closed-form Kraus tables, frozen after the
-    # holds and reliable counts were checked against the exponentiated
-    # dilation's, and their numbers against full d x d eigensolves and dense
-    # moments (within 1.3e-14); stacked campaigns reproduce one-trial-at-a-time
-    # runs byte for byte. The extremality digests were frozen again when the
-    # Gaussian references took their spectra from Cholesky factors: every
-    # holds and reliable count stayed, and gaussian_gain moved by <= 1.3e-15
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            pytest.param(
-                "fock --preset amplifier --k 1.5 --trials 20 --seed 3",
-                "794447b3ef851ca0c668a9d731b2c074",
-                id="amplifier-lower-bound",
-            ),
-            pytest.param(
-                "fock --preset classical-noise --k 1 --noise 0.3 --extremality --trials 10 --seed 3",
-                "fd6d4dd4c99792aef02759682026c9c3",
-                id="classical-noise-extremality",
-            ),
-            # three chunks at d = 60: each chunk's references are taken as one stack
-            pytest.param(
-                "fock --preset classical-noise --k 1 --noise 0.3 --extremality --trials 40 --seed 3",
-                "625ecdf2493157994d3b21e4ccb58edf",
-                id="classical-noise-extremality-three-chunks",
-            ),
-            # attenuator outputs occupy fewer than dim levels
-            pytest.param(
-                "fock --preset attenuator --k 0.7 --trials 20 --seed 3",
-                "5ebc42e3b09fd41baf7bfd7400635eb1",
-                id="attenuator-lower-bound",
-            ),
-        ],
-    )
-    def test_report_is_byte_identical_to_the_frozen_digest(self, argv, digest, capsys):
-        code, out, err = run(argv.split(), capsys)
-        assert code == 0
-        assert err == ""
-        assert hashlib.md5(out.encode()).hexdigest() == digest
-
     def test_tiny_dim_exits_4_but_reports(self, tmp_path, capsys):
         out_path = str(tmp_path / "tiny.json")
         code, _, _ = run(
@@ -319,6 +279,138 @@ class TestFock:
         assert code == 2
         assert out == ""
         assert err == "error: trials must be >= 1\n"
+
+
+# Input files of the frozen-digest cases, named by relative paths so that the
+# reports, which quote them, do not depend on the test's temporary directory.
+FROZEN_INPUTS = {
+    "channel.json": {
+        "K": [[1.2, 0.3, 0.0, 0.0], [0.0, 1.1, 0.0, 0.2], [0.0, 0.0, 0.9, 0.0], [0.1, 0.0, 0.0, 1.3]],
+        "mu": (2.0 * np.eye(4)).tolist(),
+    },
+    "epsilon.json": {
+        "matrix": [[1.0, 0.2, 0.0, 0.0], [0.2, 0.8, 0.0, 0.0], [0.0, 0.0, 1.5, 0.1], [0.0, 0.0, 0.1, 0.6]]
+    },
+    "alpha.json": {
+        "matrix": [[2.0, 0.3, 0.1, 0.0], [0.3, 1.5, 0.0, 0.2], [0.1, 0.0, 1.2, 0.0], [0.0, 0.2, 0.0, 0.9]]
+    },
+}
+
+
+# md5 of the reports of the closed-form Kraus tables, frozen after the
+# holds and reliable counts were checked against the exponentiated
+# dilation's, and their numbers against full d x d eigensolves and dense
+# moments (within 1.3e-14); stacked campaigns reproduce one-trial-at-a-time
+# runs byte for byte. The extremality digests were frozen again when the
+# Gaussian references took their spectra from Cholesky factors: every
+# holds and reliable count stayed, and gaussian_gain moved by <= 1.3e-15.
+# The gain, sweep, williamson and exit-4 digests were frozen before every
+# report came to be written from one place in ``main``.
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        pytest.param(
+            "fock --preset amplifier --k 1.5 --trials 20 --seed 3",
+            0,
+            "794447b3ef851ca0c668a9d731b2c074",
+            id="amplifier-lower-bound",
+        ),
+        pytest.param(
+            "fock --preset classical-noise --k 1 --noise 0.3 --extremality --trials 10 --seed 3",
+            0,
+            "fd6d4dd4c99792aef02759682026c9c3",
+            id="classical-noise-extremality",
+        ),
+        # three chunks at d = 60: each chunk's references are taken as one stack
+        pytest.param(
+            "fock --preset classical-noise --k 1 --noise 0.3 --extremality --trials 40 --seed 3",
+            0,
+            "625ecdf2493157994d3b21e4ccb58edf",
+            id="classical-noise-extremality-three-chunks",
+        ),
+        # attenuator outputs occupy fewer than dim levels
+        pytest.param(
+            "fock --preset attenuator --k 0.7 --trials 20 --seed 3",
+            0,
+            "5ebc42e3b09fd41baf7bfd7400635eb1",
+            id="attenuator-lower-bound",
+        ),
+        # too few reliable trials: the report is written and the exit code is 4
+        pytest.param(
+            "fock --preset amplifier --k 3 --dim 16 --trials 4 --seed 1",
+            4,
+            "e80b39852778d75b9e2d40074f618635",
+            id="amplifier-unreliable",
+        ),
+        pytest.param(
+            "gain --preset attenuator --k 0.5",
+            0,
+            "0dd82b15f9b3b525b0292000a216252d",
+            id="gain-preset",
+        ),
+        pytest.param(
+            "gain --channel-file channel.json",
+            0,
+            "cf381154660696755195bc2bdc375ea4",
+            id="gain-channel-file",
+        ),
+        pytest.param(
+            "sweep --preset amplifier --k 2",
+            0,
+            "8baaab2df03dc2034fbb9aafe3e7f123",
+            id="sweep-preset",
+        ),
+        pytest.param(
+            "sweep --channel-file channel.json --epsilon-file epsilon.json",
+            0,
+            "8affc7a6cc62a0daddaab379e7502f19",
+            id="sweep-files",
+        ),
+        pytest.param(
+            "williamson alpha.json",
+            0,
+            "17ddfbc8f663f7e78710feac194d20d7",
+            id="williamson",
+        ),
+    ],
+)
+def test_report_is_byte_identical_to_the_frozen_digest(
+    argv, code, digest, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("EGAIN_TOL", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for name, payload in FROZEN_INPUTS.items():
+        write_json(name, payload)
+    returned, out, err = run(argv.split(), capsys)
+    assert (returned, err) == (code, "")
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+    # the same bytes with --out, and nothing on stdout
+    assert run([*argv.split(), "--out", "report.out"], capsys) == (code, "", "")
+    assert hashlib.md5(pathlib.Path("report.out").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, env_tol",
+    [
+        pytest.param("gain --preset attenuator --k 2", None, id="refused-preset"),
+        pytest.param("williamson missing.json", None, id="missing-file"),
+        pytest.param("sweep --preset amplifier --k 2", "banana", id="bad-env-tol"),
+    ],
+)
+def test_failing_invocation_leaves_an_existing_out_file_untouched(
+    argv, env_tol, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    if env_tol is None:
+        monkeypatch.delenv("EGAIN_TOL", raising=False)
+    else:
+        monkeypatch.setenv("EGAIN_TOL", env_tol)
+    pathlib.Path("report.out").write_text("an earlier report\n")
+    code, out, err = run([*argv.split(), "--out", "report.out"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert os.listdir() == ["report.out"]
+    assert pathlib.Path("report.out").read_text() == "an earlier report\n"
 
 
 # Frozen stdout of `egain classical --k 10`: the CSV must stay byte-identical.
@@ -608,6 +700,25 @@ class TestTolerancePlumbing:
             None,
             "attenuator requires 0 < k < 1",
             id="k-negative-exponent",
+        ),
+        # a preset refusal names the refused k
+        pytest.param(
+            "gain --preset attenuator --k -1e308",
+            None,
+            "attenuator requires 0 < k < 1, got k = -1e+308\n",
+            id="preset-attenuator-names-k",
+        ),
+        pytest.param(
+            "gain --preset amplifier --k -1.5",
+            None,
+            "amplifier requires k > 1, got k = -1.5\n",
+            id="preset-amplifier-names-k",
+        ),
+        pytest.param(
+            "fock --preset attenuator --k 2",
+            None,
+            "attenuator requires 0 < k < 1, got k = 2.0\n",
+            id="fock-attenuator-names-k",
         ),
         pytest.param(
             "fock --preset attenuator --k -inf",

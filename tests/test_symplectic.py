@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_covariance, random_symplectic
 from egain.errors import InadmissibleInputError
 from egain.symplectic import (
-    _cert,
+    HermitianCert,
     canonical_form,
     check_hermitian_psd,
     symplectic_eigenvalues,
@@ -91,13 +91,19 @@ class TestHermitianCert:
 
     @pytest.mark.parametrize("least", [1.0, 1e-9, 0.0, -1e-9, -1.0, math.nan])
     def test_scalar_certificate_equals_the_stacked_one(self, least):
-        scalar = _cert(np.float64(least), np.float64(1e-9))
-        stacked = _cert(np.array([least]), np.array([1e-9]))
-        assert type(scalar.min_eigenvalue) is float and type(scalar.tolerance) is float
-        assert type(scalar.verdict) is str
-        assert scalar.verdict == stacked.verdict[0]
-        assert np.array_equal(scalar.min_eigenvalue, stacked.min_eigenvalue[0], equal_nan=True)
-        assert scalar.tolerance == stacked.tolerance[0]
+        leasts = [least, 1.0, -1.0]
+        stacked = HermitianCert(np.array(leasts), np.full(3, 1e-9))
+        for row, value in enumerate(leasts):
+            scalar = HermitianCert(value, 1e-9)
+            assert type(scalar.verdict) is str
+            assert scalar.verdict == stacked.verdict[row]
+            for answer in ("is_positive_definite", "is_positive_semidefinite"):
+                answers = getattr(stacked, answer)
+                assert answers.dtype == bool and answers.shape == (3,)
+                assert type(getattr(scalar, answer)) is bool
+                assert answers[row] == getattr(scalar, answer)
+        if math.isnan(least):
+            assert stacked.verdict[0] == "indefinite"
 
 
 class TestSymplecticEigenvalues:
