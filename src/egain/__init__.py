@@ -16,7 +16,6 @@ from .symplectic import (
     PhaseSpace,
     WilliamsonDecomposition,
     canonical_form,
-    check_hermitian_psd,
     symplectic_eigenvalues,
     williamson,
 )

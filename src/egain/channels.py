@@ -30,12 +30,8 @@ from .symplectic import (
     HermitianCert,
     PhaseSpace,
     canonical_form,
-    check_hermitian_psd,
-    _refuse,
-    _require_decidable,
+    _certified,
     _require_symmetric,
-    _spectrum_and_factor,
-    _uncertainty_cert,
 )
 
 __all__ = [
@@ -92,19 +88,31 @@ def make_channel(
 ) -> GaussianChannel:
     """Validate (K, mu) against the channel positivity condition.
 
-    The noise bound M = mu - (i/2)(delta - K.T delta K) is certified on
-    D^-1 M D^-1, D = diag(mu_jj)^(1/2), by ``check_hermitian_psd``: the
-    diagonal of the second term is zero, so that matrix has a unit diagonal
+    K is refused for an entry that is not a finite number before any
+    arithmetic, as mu is by ``_require_symmetric``. The noise bound
+    M = mu - (i/2)(delta - K.T delta K) is certified on its Hermitian part H
+    scaled to D^-1 H D^-1, D = diag(|H_jj|)^(1/2) with a zero entry scaled
+    by 1, a congruence that keeps the verdict. The diagonal of the second
+    term is zero, so the scaled matrix has a unit diagonal where mu_jj > 0
     and a least eigenvalue that does not change with a squeezing of mu along
-    the axes.
+    the axes. M is built here, Hermitian up to the rounding of K.T delta K,
+    so no Hermitian defect is tested. ``tol`` is relative; times the
+    spectral radius of the scaled matrix (floored at 1) it is the absolute
+    threshold reported in the certificate.
     """
     K = np.array(K, dtype=float)
     n = 2 * space.s
     if K.shape != (n, n):
         raise InadmissibleInputError(f"K must be {n}x{n}, got {K.shape}")
+    if not np.isfinite(K).all():
+        raise InadmissibleInputError("channel matrix K has an entry that is not a finite number")
     mu = _require_symmetric(mu, space, tol, "channel noise mu")
     noise_bound = mu - 0.5j * (space.delta - K.T @ space.delta @ K)
-    cert = check_hermitian_psd(noise_bound, tol)
+    herm = 0.5 * (noise_bound + noise_bound.T.conj())
+    scale = np.sqrt(np.abs(herm.diagonal().real))
+    scale[scale == 0.0] = 1.0
+    eigs = np.linalg.eigvalsh(herm / np.multiply.outer(scale, scale))
+    cert = HermitianCert(float(eigs[0]), float(tol * max(1.0, np.abs(eigs).max())))
     if not cert.is_positive_semidefinite:
         raise InadmissibleInputError(
             "channel noise is below the admissibility bound: min eigenvalue "
@@ -175,17 +183,7 @@ def _apply(channel: GaussianChannel, alpha: np.ndarray) -> tuple[np.ndarray, np.
     """
     out = channel.K.T @ alpha @ channel.K + channel.mu
     out = 0.5 * (out + out.swapaxes(-1, -2))
-    nu, factor = _spectrum_and_factor(out, channel.space, "channel output")
-    _require_decidable(nu, DEFAULT_TOL, out, factor, "channel output")
-    cert = _uncertainty_cert(nu, DEFAULT_TOL)
-    _refuse(
-        np.logical_not(cert.is_positive_semidefinite),
-        RuntimeError,
-        "channel output violated admissibility, min eigenvalue {:.3e}; "
-        "input covariance was likely inadmissible",
-        cert.min_eigenvalue,
-    )
-    return out, nu
+    return out, _certified(out, channel.space, "channel output")[0]
 
 
 def minimal_entropy_gain(channel: GaussianChannel) -> float:

@@ -28,11 +28,10 @@ from .symplectic import (
     DEFAULT_TOL,
     HermitianCert,
     PhaseSpace,
+    _certified,
     _factor,
     _refuse,
-    _require_decidable,
     _require_symmetric,
-    _spectrum_and_factor,
     _uncertainty_cert,
     symplectic_eigenvalues,
 )
@@ -78,35 +77,19 @@ class GaussianState:
 def gaussian_state(space: PhaseSpace, mean: np.ndarray, alpha: np.ndarray) -> GaussianState:
     """Validate moments and assemble a Gaussian state with its symplectic spectrum.
 
-    Rejects covariances for which alpha + (i/2) delta is indefinite.
+    Rejects a mean with an entry that is not a finite number, and a
+    covariance for which alpha + (i/2) delta is indefinite or whose verdict
+    its conditioning leaves undecidable. alpha becomes read-only.
     """
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (2 * space.s,):
         raise InadmissibleInputError(
             f"mean must have length {2 * space.s}, got shape {mean.shape}"
         )
-    return _admissible_state(space, mean, _require_symmetric(alpha, space, DEFAULT_TOL))
-
-
-def _admissible_state(
-    space: PhaseSpace, mean: np.ndarray, alpha: np.ndarray, nu=None
-) -> GaussianState:
-    """State of an exactly symmetric alpha that passes the uncertainty bound.
-
-    ``nu`` is the symplectic spectrum of alpha when the caller has it and has
-    found the verdict at the default tolerance decidable; otherwise it is
-    solved for here and the verdict checked to be decidable at alpha's
-    conditioning. The certificate is read off nu. alpha becomes read-only.
-    """
-    if nu is None:
-        nu, factor = _spectrum_and_factor(alpha, space, "covariance matrix")
-        _require_decidable(nu, DEFAULT_TOL, alpha, factor)
-    cert = _uncertainty_cert(nu, DEFAULT_TOL)
-    if not cert.is_positive_semidefinite:
-        raise InadmissibleInputError(
-            "covariance fails the uncertainty bound: min eigenvalue of "
-            f"alpha + (i/2) delta in Williamson coordinates is {cert.min_eigenvalue:.3e}"
-        )
+    if not all(map(math.isfinite, mean.tolist())):
+        raise InadmissibleInputError("mean has an entry that is not a finite number")
+    alpha = _require_symmetric(alpha, space, DEFAULT_TOL)
+    nu, cert = _certified(alpha, space, "covariance matrix")
     alpha.flags.writeable = False
     return GaussianState(space=space, mean=mean, alpha=alpha, cert=cert, nu=nu)
 
@@ -189,8 +172,9 @@ def gibbs_covariance(hamiltonian: QuadraticHamiltonian, beta: float) -> np.ndarr
 def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas):
     """Gibbs covariances at each beta (a scalar or a 1-d stack) and their symplectic spectra.
 
-    The spectra are those of the cone check, returned so that an entropy of
-    the same covariances need not solve for them again.
+    The spectra are those the covariances are certified by (``_certified``),
+    returned so that an entropy of the same covariances need not solve for
+    them again.
     """
     betas = np.asarray(betas, dtype=float)
     space, factor, inv_factor = hamiltonian.space, hamiltonian.factor, hamiltonian.inv_factor
@@ -224,18 +208,10 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas):
     asym = np.abs(alpha - alpha.swapaxes(-1, -2)).max(axis=(-2, -1))
     _refuse(asym > 1e-9 * scale, RuntimeError, "matrix cotangent result asymmetric by {:.3e}", asym)
     alpha = 0.5 * (alpha + alpha.swapaxes(-1, -2))
-    nu, alpha_factor = _spectrum_and_factor(alpha, space, "Gibbs covariance")
-    _require_decidable(nu, DEFAULT_TOL, alpha, alpha_factor, "Gibbs covariance")
     # The exact result is nondegenerate for every beta > 0; in floating point
     # coth saturates for very large beta and nu rounds down to exactly 1/2,
-    # so only genuine admissibility failures are treated as errors here.
-    _refuse(
-        np.logical_not(_uncertainty_cert(nu, DEFAULT_TOL).is_positive_semidefinite),
-        RuntimeError,
-        "Gibbs covariance left the admissible cone, min nu {:.6e}",
-        nu[..., -1],
-    )
-    return alpha, nu
+    # which the certificate accepts, so only genuine failures are refused.
+    return alpha, _certified(alpha, space, "Gibbs covariance")[0]
 
 
 def log_partition(hamiltonian: QuadraticHamiltonian, beta: float) -> float:
@@ -259,15 +235,19 @@ def gibbs_state(hamiltonian: QuadraticHamiltonian, beta: float) -> GibbsState:
     alpha, nu = _gibbs_covariances(hamiltonian, beta)
     c_beta = log_partition(hamiltonian, beta)
     space = hamiltonian.space
-    base = _admissible_state(space, np.zeros(2 * space.s), alpha, nu)
+    alpha.flags.writeable = False
+    cert = _uncertainty_cert(nu, DEFAULT_TOL)
+    base = GaussianState(space, np.zeros(2 * space.s), alpha, cert, nu)
     return GibbsState(base=base, beta=float(beta), hamiltonian=hamiltonian, c_beta=c_beta)
 
 
 def mode_entropy(nu) -> np.ndarray:
     """Single-mode entropy g(nu), continuously extended by g(1/2) = 0.
 
-    A 2-d ``nu`` holds one spectrum per row, each checked on its own; a nan
-    or an infinity is refused as a value below 1/2 is.
+    ``nu`` is given from outside and checked: a 2-d ``nu`` holds one
+    spectrum per row, each checked on its own, and a nan or an infinity is
+    refused as a value below 1/2 is. The package's own entropies read
+    certified spectra instead (``_entropies``).
     """
     nu = np.asarray(nu, dtype=float)
     if nu.ndim != 1 or not all(0.5 - 1e-9 <= v < math.inf for v in nu.tolist()):  # on floats
@@ -278,6 +258,11 @@ def mode_entropy(nu) -> np.ndarray:
             "symplectic eigenvalues must be finite and >= 1/2, got {}",
             rows,
         )
+    return _g(nu)
+
+
+def _g(nu: np.ndarray) -> np.ndarray:
+    """g(nu) of each entry, with no check: an entry below 1/2 reads as 1/2, so g = 0."""
     # with x = nu - 1/2, g = log1p(x) + x log1p(1/x): two nonnegative terms,
     # so nothing cancels for x near 0 or for the large x of small beta
     x = np.maximum(nu - 0.5, 0.0)
@@ -287,18 +272,20 @@ def mode_entropy(nu) -> np.ndarray:
 def entropy_of_covariance(alpha: np.ndarray, space: PhaseSpace) -> float:
     """Entropy of the Gaussian state with the given covariance, in nats.
 
-    A covariance whose admissibility its conditioning leaves undecidable is
-    refused, as by ``gaussian_state``.
+    The covariance is refused where ``gaussian_state`` refuses it, and the
+    entropy is read off the spectrum it is certified by.
     """
     alpha = _require_symmetric(alpha, space, DEFAULT_TOL)
-    nu, factor = _spectrum_and_factor(alpha, space, "covariance matrix")
-    _require_decidable(nu, DEFAULT_TOL, alpha, factor)
-    return float(_entropies(nu))
+    return float(_entropies(_certified(alpha, space, "covariance matrix")[0]))
 
 
 def _entropies(nu: np.ndarray) -> np.ndarray:
-    """Entropy sum_j g(nu_j) of each spectrum along the last axis of nu."""
-    return np.sum(mode_entropy(nu), axis=-1)
+    """Entropy sum_j g(nu_j) of each certified spectrum along the last axis of nu.
+
+    A certified spectrum passes the uncertainty bound within its tolerance,
+    so an nu_j below 1/2 is rounding and counts as g(1/2) = 0.
+    """
+    return np.sum(_g(nu), axis=-1)
 
 
 def gaussian_entropy(state: GaussianState) -> float:

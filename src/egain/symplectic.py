@@ -98,42 +98,17 @@ def _refuse(bad, error: type, message: str, *values, **constants) -> None:
     raise exc
 
 
-def check_hermitian_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianCert:
-    """Certify positive (semi)definiteness of a Hermitian matrix, on its diagonal scaling.
-
-    The certificate is that of D^-1 M D^-1 with D = diag(|M_jj|)^(1/2), a
-    zero diagonal entry scaled by 1: that matrix has the verdict of M and a
-    unit diagonal, so its least eigenvalue does not grow or shrink with the
-    scale of any one row. ``tol`` is relative; it is scaled by the spectral
-    radius of the scaled matrix (floored at 1) to obtain the absolute
-    threshold reported in the certificate.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InadmissibleInputError("expected a square matrix")
-    adjoint = M.T.conj()
-    defect = np.linalg.norm(M - adjoint)
-    if defect > tol * max(np.linalg.norm(M), 1.0):
-        raise InadmissibleInputError(
-            f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
-        )
-    herm = 0.5 * (M + adjoint)
-    scale = np.sqrt(np.abs(herm.diagonal().real))
-    scale[scale == 0.0] = 1.0
-    eigs = np.linalg.eigvalsh(herm / np.multiply.outer(scale, scale))
-    return HermitianCert(float(eigs[0]), float(tol * max(1.0, np.abs(eigs).max())))
-
-
 def _uncertainty_cert(nu: np.ndarray, tol: float) -> HermitianCert:
     """Certificate of alpha + (i/2) delta read off alpha's descending symplectic spectrum nu.
 
     A Williamson congruence takes alpha + (i/2) delta to D + (i/2) delta,
     D = diag(nu_1, nu_1, ..., nu_s, nu_s), whose eigenvalues are nu_j +- 1/2;
-    congruence keeps the verdict, and ``check_hermitian_psd``'s rule applied
-    to that form needs no eigensolve. Its absolute threshold does not grow
-    with the squeezing of alpha, so it refuses a squeezed state below the
-    uncertainty bound however strongly squeezed. ``nu`` may be one spectrum
-    or a stack of them, one per row; one is read on Python floats.
+    congruence keeps the verdict, and the diagonal-scaling rule of
+    ``channels.make_channel`` applied to that form needs no eigensolve. Its
+    absolute threshold does not grow with the squeezing of alpha, so it
+    refuses a squeezed state below the uncertainty bound however strongly
+    squeezed. ``nu`` may be one spectrum or a stack of them, one per row;
+    one is read on Python floats.
     """
     if nu.ndim == 1:
         return HermitianCert(nu[-1].item() - 0.5, float(tol * max(nu[0].item() + 0.5, 1.0)))
@@ -299,6 +274,28 @@ def _require_decidable(nu, tol: float, alpha, factor, what: str = "covariance ma
         what=what,
         tol=tol,
     )
+
+
+def _certified(alpha: np.ndarray, space: PhaseSpace, what: str):
+    """Symplectic spectrum and uncertainty certificate of an exactly symmetric matrix or stack.
+
+    The spectrum is read off the Cholesky factor, the verdict at the default
+    tolerance is checked to be decidable at alpha's conditioning, and a
+    matrix below the uncertainty bound is refused. Each check runs on the
+    whole stack before the next, and names the first matrix it refuses.
+    """
+    nu, factor = _spectrum_and_factor(alpha, space, what)
+    _require_decidable(nu, DEFAULT_TOL, alpha, factor, what)
+    cert = _uncertainty_cert(nu, DEFAULT_TOL)
+    _refuse(
+        np.logical_not(cert.is_positive_semidefinite),
+        InadmissibleInputError,
+        "{what} fails the uncertainty bound: min eigenvalue of "
+        "alpha + (i/2) delta in Williamson coordinates is {:.3e}",
+        cert.min_eigenvalue,
+        what=what,
+    )
+    return nu, cert
 
 
 @dataclass(frozen=True, eq=False)

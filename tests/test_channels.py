@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,13 +33,14 @@ from egain.gaussian import (
     entropy_matrix_form,
     entropy_of_covariance,
     gaussian_entropy,
+    gaussian_state,
     gibbs_covariance,
     gibbs_state,
     mean_energy,
     mode_entropy,
     quadratic_hamiltonian,
 )
-from egain.symplectic import canonical_form, check_hermitian_psd, williamson
+from egain.symplectic import HermitianCert, canonical_form, williamson
 
 
 class TestPresets:
@@ -117,6 +119,50 @@ class TestSqueezedNoise:
     def test_rotated_noise_above_the_bound_is_accepted(self, r):
         cert = make_channel(HALF, squeezed_covariance(0.376, r, 0.3), canonical_form(1)).cert
         assert cert.is_positive_semidefinite
+
+
+class TestNoiseCert:
+    """The noise bound mu - (i/2)(delta - K.T delta K), certified on its diagonal scaling."""
+
+    def test_positive_definite(self):
+        channel = make_channel(np.eye(2), 0.5 * np.eye(2), canonical_form(1))
+        assert channel.cert.verdict == "positive_definite" and channel.strict
+        assert channel.cert.min_eigenvalue == pytest.approx(1.0)
+
+    def test_saturating_is_semidefinite_only(self):
+        channel = make_channel(np.eye(2), np.diag([1.0, 0.0]), canonical_form(1))
+        assert channel.cert.verdict == "positive_semidefinite"
+        assert channel.cert.is_positive_semidefinite and not channel.strict
+
+    def test_indefinite_quarter_identity(self):
+        # (1/4)I + (i/2)delta scales to I + 2i delta, whose eigenvalues are
+        # 1 +- 2, so min is exactly -1: noise below the vacuum is refused
+        with pytest.raises(InadmissibleInputError, match=r"min eigenvalue -1.000e\+00$"):
+            make_channel(np.zeros((2, 2)), 0.25 * np.eye(2), canonical_form(1))
+
+    def test_zero_diagonal_needs_a_zero_row(self):
+        coupled = np.array([[1.0, 1e-3], [1e-3, 0.0]])
+        with pytest.raises(InadmissibleInputError, match="below the admissibility bound"):
+            make_channel(np.eye(2), coupled, canonical_form(1))
+
+    def test_rounding_of_k_t_delta_k_is_no_refusal(self):
+        # the skew part of the bound is built here, so its rounding is not a
+        # defect to test, however small the tolerance
+        space = canonical_form(2)
+        K = np.random.default_rng(0).standard_normal((4, 4))
+        product = K.T @ space.delta @ K
+        assert not np.array_equal(product, -product.T)
+        channel = make_channel(K, 50.0 * np.eye(4), space, tol=1e-18)
+        assert channel.strict and channel.cert.tolerance < 1e-16
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_k_that_is_not_finite_before_any_arithmetic(self, bad):
+        K = np.eye(2)
+        K[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InadmissibleInputError, match="^channel matrix K has an entry"):
+                make_channel(K, np.eye(2), canonical_form(1))
 
 
 class TestGainAndBound:
@@ -209,6 +255,22 @@ class TestApplyToCovariance:
         # certificate of the input can refuse them
         with pytest.raises(InadmissibleInputError, match="uncertainty bound"):
             gaussian_gain(preset_channel("attenuator", 0.5), squeezed_covariance(nu, r))
+
+
+class TestCertifiedSpectra:
+    def test_one_state_has_one_threshold(self):
+        # nu = (1000, 1/2 - 1e-7): the certificate reads -1e-7 against the
+        # tolerance 1e-9 (1000 + 1/2), and every entropy reads the second
+        # mode as g(1/2) = 0
+        space = canonical_form(2)
+        alpha = np.diag([1000.0, 1000.0, 0.5 - 1e-7, 0.5 - 1e-7])
+        state = gaussian_state(space, np.zeros(4), alpha)
+        assert state.cert.min_eigenvalue == pytest.approx(-1e-7, rel=1e-6)
+        assert state.cert.is_positive_semidefinite
+        expected = float(mode_entropy(state.nu[0]))
+        assert gaussian_entropy(state) == entropy_of_covariance(alpha, space) == expected
+        identity = make_channel(np.eye(4), np.zeros((4, 4)), space)
+        assert gaussian_gain(identity, alpha) == 0.0
 
 
 def reference_sweep(channel, ham, grid, tol=1e-3, beta_floor=1e-12):
@@ -310,15 +372,15 @@ class TestBetaSweep:
         # after the overflow floor that the last beta fails
         space = canonical_form(1)
         K, mu = 0.5 * np.eye(2), np.zeros((2, 2))
-        cert = check_hermitian_psd(mu - 0.5j * (space.delta - K.T @ space.delta @ K))
+        cert = HermitianCert(-0.375, 1e-9)  # mu - (i/2)(delta - K.T delta K) = -(3/8) i delta
         channel = GaussianChannel(space=space, K=K, mu=mu, cert=cert, strict=False)
         ham = quadratic_hamiltonian(space, np.eye(2))
         grid = np.array([1.0, 1e-3, 1e-120])
-        with pytest.raises(RuntimeError) as looped:
+        with pytest.raises(InadmissibleInputError) as looped:
             reference_sweep(channel, ham, grid)
-        with pytest.raises(RuntimeError) as stacked:
+        with pytest.raises(InadmissibleInputError) as stacked:
             gain_beta_sweep(channel, ham, beta_grid=grid)
-        assert "channel output violated admissibility" in str(looped.value)
+        assert "channel output fails the uncertainty bound" in str(looped.value)
         assert str(stacked.value) == str(looped.value)
 
     def test_eigensolve_count_does_not_grow_with_the_grid(self, count_eigensolves):

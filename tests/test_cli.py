@@ -535,6 +535,15 @@ class TestTolerancePlumbing:
         code, _, _ = run(["gain", "--channel-file", path, "--tol", "1e-3"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["gain", "sweep"])
+    def test_tiny_tol_is_no_refusal_of_a_channel_file(self, command, tmp_path, capsys):
+        # K.T delta K of this K is skew only up to rounding, which make_channel does not test
+        K = np.random.default_rng(0).standard_normal((4, 4))
+        path = str(tmp_path / "channel.json")
+        write_json(path, {"K": K.tolist(), "mu": (50.0 * np.eye(4)).tolist()})
+        code, _, err = run([command, "--channel-file", path, "--tol", "1e-18"], capsys)
+        assert (code, err) == (0, "")
+
     def test_bad_env_var_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("EGAIN_TOL", "banana")
         code, _, err = run(["gain", "--preset", "attenuator", "--k", "0.5"], capsys)

@@ -112,6 +112,12 @@ class TestGaussianState:
         with pytest.raises(InadmissibleInputError, match="not a finite number"):
             gaussian_state(canonical_form(1), np.zeros(2), np.array([[NAN, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [NAN, math.inf])
+    def test_rejects_mean_that_is_not_finite(self, bad):
+        # mean_energy would read a nan mean as a nan energy
+        with pytest.raises(InadmissibleInputError, match="^mean has an entry that is not a finite"):
+            gaussian_state(canonical_form(1), np.array([bad, 0.0]), np.eye(2))
+
     def test_rejects_bad_mean_shape(self):
         space = canonical_form(1)
         with pytest.raises(InadmissibleInputError):

@@ -1,0 +1,45 @@
+"""Import boundaries between the package's modules, read from their sources with ast."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import egain
+
+SOURCES = Path(egain.__file__).parent
+MODULES = sorted(path.stem for path in SOURCES.glob("*.py"))
+# the certificate's parts, which only symplectic._certified puts together
+CERTIFICATE_PARTS = {"_spectrum_and_factor", "_require_decidable"}
+
+
+def imports(module):
+    """(module, name) for each name the module imports; a plain ``import x`` gives (x, None)."""
+    tree = ast.parse((SOURCES / f"{module}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:  # a relative import names a module of this package
+                source = f"egain.{source}" if source else "egain"
+            found += [(source, alias.name) for alias in node.names]
+    return found
+
+
+def test_every_module_is_read():
+    assert {"symplectic", "gaussian", "channels", "fock", "classical", "cli"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", ["symplectic", "gaussian", "channels"])
+def test_phase_space_core_imports_no_oracle_and_no_cli(module):
+    banned = {f"egain.{name}" for name in ("fock", "classical", "cli")}
+    for source, name in imports(module):
+        assert source not in banned, (module, source)
+        assert not (source == "egain" and f"egain.{name}" in banned), (module, name)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "symplectic"])
+def test_only_symplectic_assembles_a_certificate(module):
+    assert not {name for _, name in imports(module)} & CERTIFICATE_PARTS, module

@@ -12,7 +12,6 @@ from egain.errors import InadmissibleInputError
 from egain.symplectic import (
     HermitianCert,
     canonical_form,
-    check_hermitian_psd,
     symplectic_eigenvalues,
     williamson,
 )
@@ -50,45 +49,6 @@ class TestCanonicalForm:
 
 
 class TestHermitianCert:
-    def test_positive_definite(self):
-        cert = check_hermitian_psd(np.diag([2.0, 1.0]))
-        assert cert.verdict == "positive_definite"
-        assert cert.is_positive_definite and cert.is_positive_semidefinite
-        assert cert.min_eigenvalue == pytest.approx(1.0)
-
-    def test_saturating_is_semidefinite_only(self):
-        cert = check_hermitian_psd(np.diag([1.0, 0.0]))
-        assert cert.verdict == "positive_semidefinite"
-        assert not cert.is_positive_definite
-        assert cert.is_positive_semidefinite
-
-    def test_indefinite_quarter_identity(self):
-        # (1/4)I + (i/2)Delta scales to I + 2i Delta, whose eigenvalues are
-        # 1 +- 2, so min is exactly -1: a covariance scaled below the vacuum
-        # fails the admissibility test.
-        space = canonical_form(1)
-        cert = check_hermitian_psd(0.25 * np.eye(2) + 0.5j * space.delta)
-        assert cert.verdict == "indefinite"
-        assert cert.min_eigenvalue == pytest.approx(-1.0, abs=1e-14)
-
-    @pytest.mark.parametrize("exponent", [-12, -3, 0, 3, 12])
-    def test_certificate_does_not_change_with_the_scale_of_a_row(self, exponent):
-        space = canonical_form(2)
-        M = np.diag([0.4, 0.4, 2.0, 2.0]) + 0.5j * space.delta
-        D = np.diag([10.0**exponent, 1.0, 10.0 ** (-exponent), 3.0])
-        plain, scaled = check_hermitian_psd(M), check_hermitian_psd(D @ M @ D)
-        assert scaled.verdict == plain.verdict == "indefinite"
-        assert scaled.min_eigenvalue == pytest.approx(plain.min_eigenvalue, rel=1e-12)
-
-    def test_zero_diagonal_needs_a_zero_row(self):
-        assert check_hermitian_psd(np.diag([1.0, 0.0])).is_positive_semidefinite
-        coupled = np.array([[1.0, 1e-3], [1e-3, 0.0]])
-        assert check_hermitian_psd(coupled).verdict == "indefinite"
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InadmissibleInputError):
-            check_hermitian_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
     @pytest.mark.parametrize("least", [1.0, 1e-9, 0.0, -1e-9, -1.0, math.nan])
     def test_scalar_certificate_equals_the_stacked_one(self, least):
         leasts = [least, 1.0, -1.0]
