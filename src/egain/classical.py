@@ -10,7 +10,8 @@ permutation table used here is the XOR table
 which satisfies n_1(i) = i, n_j(1) = j and has the block form
 A_k = [[A_{k-1}, A_{k-1} + h], [A_{k-1} + h, A_{k-1}]], h = 2^(k-1), from
 A_0 = [1]. By induction each row and column restricts to a bijection of
-every power-of-two prefix {1..2^k}; the checks below certify this form.
+every power-of-two prefix {1..2^k}; the checks below certify this form by
+comparing a table with the XOR table once per cell, which is the same test.
 Consequently the 2^k x 2^k truncations are doubly stochastic up to
 renormalization, every row carries the same truncated entropy
 
@@ -39,6 +40,7 @@ __all__ = [
     "heavy_tail",
     "normalizer",
     "channel_row_entropy",
+    "first_failing_prefix",
     "doubly_stochastic_check",
     "prefix_bijections_exhaustive",
     "block_recursion_exhaustive",
@@ -49,7 +51,7 @@ _NORMALIZER_CUTOFF = 10**8
 _HEAD_CUTOFF = 10**5
 _TAIL_PANELS = 8
 _TAIL_NODES = 64
-_STRIPE = 64
+_STRIPE_CELLS = 1 << 17
 
 
 def _xor_table(a, b):
@@ -64,7 +66,7 @@ def xor_family() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     tables passed where this one is expected must do the same, and be exact
     in the smallest unsigned dtype that ``doubly_stochastic_check`` uses.
     """
-    return lambda i, j: _xor_table(i - 1, j - 1) + 1
+    return lambda i, j: operator.iadd(_xor_table(i - 1, j - 1), 1)  # no second temporary
 
 
 def _raw_weight(n: np.ndarray) -> np.ndarray:
@@ -175,58 +177,6 @@ def channel_row_entropy(dist: HeavyTailDistribution, perms: Callable, i: int, N:
     return float(-(q * np.log(q)).sum())
 
 
-def _block_form(table: Callable[..., np.ndarray], k: int, origin: int) -> bool:
-    """True iff the table t on the 2^k prefix from ``origin`` has the XOR block form.
-
-    Indices and values run from o = ``origin`` (0 for ``_xor_table``, 1 for a
-    family). The form is t(o, o) = o and, at every scale h = 2^(j-1),
-    j = 1..k, for all o <= a, b < o + h: t(a, b+h) = t(a+h, b) = t(a, b) + h
-    and t(a+h, b+h) = t(a, b). That is A_j = [[A, A+h], [A+h, A]] with
-    A = A_{j-1}, from A_0 = [o]; shifting every index and value by one maps
-    the 0-based identities onto the 1-based ones. If every row and column of
-    A is a bijection of {o..o+h-1}, every row of A_j is such a row beside
-    that row plus h, a bijection of {o..o+2h-1}, and so is every column; by
-    induction every 2^j prefix is a table of bijections.
-
-    ``table(rows, cols)`` evaluates t on the broadcast grid of a column of
-    row indices and a row of column indices, in the smallest unsigned dtype
-    that holds 2^k - 1 + o (uint16 for k = 16 from 0, uint32 from 1).
-
-    The first call evaluates t on the leading block {o..o+s-1}^2 of side
-    s = min(2^k, _STRIPE) and compares it entry by entry with the shifted
-    XOR table ((a - o) XOR (b - o)) + o. The corner t(o, o) = o and the
-    identities at the scales h = 1..s/2 fix every entry of that block, scale
-    by scale from the corner, and the shifted XOR table satisfies them; so
-    equality there is exactly the block form at every scale the block holds,
-    the corner included. The scales h = s..2^(k-1) run upwards, each swept in
-    stripes of _STRIPE rows through its quadrant identities, and the first
-    mismatch returns False. Since t(a, b) < o + h is already certified when
-    scale h is checked, t(a, b) + h <= 2^k - 1 + o cannot overflow.
-    """
-    dtype = np.min_scalar_type((1 << k) - 1 + origin)
-    side = min(1 << k, _STRIPE)
-    lead = np.arange(side, dtype=dtype)
-    expected = (lead[:, None] ^ lead) + origin
-    if not np.array_equal(table(lead[:, None] + origin, lead + origin), expected):
-        return False
-    for j in range(side.bit_length(), k + 1):
-        h = 1 << (j - 1)
-        cols = np.arange(origin, origin + h, dtype=dtype)
-        right = cols + h
-        for lo in range(origin, origin + h, _STRIPE):
-            rows = np.arange(lo, min(lo + _STRIPE, origin + h), dtype=dtype)[:, None]
-            low = rows + h
-            base = table(rows, cols)
-            shifted = base + h
-            if not (
-                np.array_equal(table(rows, right), shifted)
-                and np.array_equal(table(low, cols), shifted)
-                and np.array_equal(table(low, right), base)
-            ):
-                return False
-    return True
-
-
 def _prefix_exponent(k) -> int:
     """The prefix exponent k as a nonnegative int; anything else is refused by name."""
     try:
@@ -238,34 +188,81 @@ def _prefix_exponent(k) -> int:
     return k
 
 
-def doubly_stochastic_check(perms: Callable, dist: HeavyTailDistribution, k: int) -> bool:
-    """Certify that the 2^k x 2^k truncation is doubly stochastic after renormalization.
+def _block_form(table: Callable[..., np.ndarray], k: int, origin: int) -> int:
+    """The least j <= k at which the table t from ``origin`` leaves the XOR
+    block form on the 2^j prefix, or k + 1 if it keeps the form on 2^k.
 
-    True iff the table ``perms`` on the prefix {1..2^k}, in
-    uint8 to k = 7, uint16 to k = 15 and uint32 at k = 16, has the 1-based
-    XOR block form of ``_block_form``. Every row and column is then a
-    bijection of the prefix, so each carries the weight multiset {q_1, ...,
-    q_{2^k}}. The form is sufficient, not necessary: False means "not of the
-    XOR block form", and a doubly stochastic table of another form, such as
-    the cyclic ((i-1) + (j-1)) mod 2^k + 1, gets False too.
+    Indices and values run from o = ``origin`` (0 for ``_xor_table``, 1 for a
+    family). The form is t(o, o) = o and, at every scale h = 2^(j-1), for all
+    o <= a, b < o + h: t(a, b+h) = t(a+h, b) = t(a, b) + h and
+    t(a+h, b+h) = t(a, b); so A_j = [[A, A+h], [A+h, A]] from A_0 = [o], and
+    by induction every row and column of a 2^j prefix is a bijection of it.
+    The corner and the identities fix every entry scale by scale, and the
+    shifted XOR table ((a-o) XOR (b-o)) + o satisfies them, so t has the form
+    on a prefix exactly when it equals that table there: j is the bit length
+    of the least max(a-o, b-o) over mismatched cells.
+
+    ``table(rows, cols)`` gets a column of row indices and a row of column
+    indices in the smallest unsigned dtype holding 2^k - 1 + o, one row stripe
+    of at most _STRIPE_CELLS cells per call, so a passing table is evaluated on
+    each cell once; a stripe of the wrong shape or dtype fails throughout.
     """
     k = _prefix_exponent(k)
-    if (1 << k) > dist.n_max:
+    n = 1 << k
+    dtype = np.min_scalar_type(n - 1 + origin)
+    index = np.arange(n, dtype=dtype)
+    shifted = index + origin
+    stripe = min(n, max(1, _STRIPE_CELLS >> k))
+    buffer = np.empty((stripe, n), dtype)
+    least = n
+    for lo in range(0, n, stripe):
+        if lo >= least:
+            break
+        expected = np.bitwise_xor(index[lo : lo + stripe, None], index, out=buffer)
+        if origin:
+            expected += origin
+        got = table(shifted[lo : lo + stripe, None], shifted)
+        if not isinstance(got, np.ndarray) or got.shape != expected.shape or got.dtype != dtype:
+            return lo.bit_length()
+        pair = (got, expected)
+        if got.flags.c_contiguous and n * buffer.itemsize % 8 == 0:
+            pair = (got.view(np.uint64), expected.view(np.uint64))
+        if not np.array_equal(*pair):
+            rows, cols = np.nonzero(got != expected)
+            least = min(least, int(np.maximum(rows + lo, cols).min()))
+    return least.bit_length()
+
+
+def first_failing_prefix(perms: Callable, dist: HeavyTailDistribution, k: int) -> int:
+    """The least k' <= k whose 2^k' x 2^k' truncation is not certified doubly
+    stochastic after renormalization, or k + 1.
+
+    The 2^k' truncation is certified iff the table ``perms`` on the prefix
+    {1..2^k'} equals the 1-based XOR table: the block form of ``_block_form``.
+    Every row and column is then a bijection of the prefix, so each carries
+    the weight multiset {q_1, ..., q_{2^k'}}. The form is sufficient, not
+    necessary: the doubly stochastic cyclic ((i-1) + (j-1)) mod 2^k + 1 is
+    not of it. One pass evaluates ``perms`` on the 2^k prefix in uint8 to
+    k = 7, uint16 to k = 15 and uint32 at k = 16, and answers every k' <= k.
+    """
+    if (1 << _prefix_exponent(k)) > dist.n_max:
         raise InadmissibleInputError("prefix exceeds the distribution support")
     return _block_form(perms, k, 1)
 
 
+def doubly_stochastic_check(perms: Callable, dist: HeavyTailDistribution, k: int) -> bool:
+    """Certify that the 2^k x 2^k truncation is doubly stochastic after
+    renormalization: True iff ``first_failing_prefix`` exceeds k."""
+    return bool(first_failing_prefix(perms, dist, k) > k)
+
+
 def prefix_bijections_exhaustive(k_max: int = 16) -> bool:
-    """Verify that each row and column of the XOR table restricts to a
-    bijection of every prefix {1..2^k}, k <= k_max, through the block form of
-    ``_xor_table``, which implies them by the induction in ``_block_form``.
-    """
-    return _block_form(_xor_table, _prefix_exponent(k_max), 0)
+    """Verify that each row and column of the XOR table restricts to a bijection of
+    every prefix {1..2^k}, k <= k_max, which the block form of ``_xor_table`` implies."""
+    return bool(_block_form(_xor_table, k_max, 0) > k_max)
 
 
 def block_recursion_exhaustive(k_max: int = 16) -> bool:
-    """Verify that the XOR table has the form [[A, A+h], [A+h, A]] at every
-    scale h = 2^(k-1), k <= k_max: the block form of ``_xor_table``, the
-    certificate that ``prefix_bijections_exhaustive`` also uses.
-    """
-    return _block_form(_xor_table, _prefix_exponent(k_max), 0)
+    """Verify that the XOR table has the form [[A, A+h], [A+h, A]] at every scale
+    h = 2^(k-1), k <= k_max: ``_block_form``, as ``prefix_bijections_exhaustive``."""
+    return bool(_block_form(_xor_table, k_max, 0) > k_max)

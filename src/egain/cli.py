@@ -36,7 +36,7 @@ from .channels import (
     minimal_entropy_gain,
     preset_channel,
 )
-from .classical import doubly_stochastic_check, heavy_tail, xor_family
+from .classical import first_failing_prefix, heavy_tail, xor_family
 from .errors import HypothesisViolationError, InadmissibleInputError
 from .fock import (
     RELIABILITY_THRESHOLD,
@@ -229,12 +229,11 @@ def cmd_classical(args: argparse.Namespace) -> tuple[str, int]:
     if args.n_max < 1 << k_max:
         raise InadmissibleInputError(f"--n-max must be at least 2^k = {1 << k_max}")
     dist = heavy_tail(args.n_max)
-    family = xor_family()
     lines = ["# seed: none", f"# n_max: {dist.n_max}", "k,H,doubly_stochastic"]
+    failing = first_failing_prefix(xor_family(), dist, k_max)
     for k in range(1, k_max + 1):
         entropy = dist.truncated_entropy(1 << k)
-        verdict = doubly_stochastic_check(family, dist, k)
-        lines.append(f"{k},{_fmt(entropy)},{str(verdict).lower()}")
+        lines.append(f"{k},{_fmt(entropy)},{str(k < failing).lower()}")
     return "\n".join(lines) + "\n", EXIT_OK
 
 

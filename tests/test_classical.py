@@ -161,18 +161,34 @@ class TestDoublyStochasticEvaluation:
         assert not doubly_stochastic_check(spy, heavy_tail(1 << k), k)
         assert seen == [(np.dtype(dtype), np.dtype(dtype))]
 
-    @pytest.mark.parametrize("k, calls", [(0, 1), (1, 1), (3, 1), (6, 1), (7, 5)])
-    def test_leading_block_is_one_call(self, k, calls):
-        # the scales inside the leading _STRIPE block take one call; k = 7 adds
-        # one stripe of the scale h = 64, four calls
+    @pytest.mark.parametrize("k", [0, 1, 3, 7, 8, 12])
+    def test_passing_table_is_evaluated_once_per_cell_in_bounded_stripes(self, k):
         seen = []
 
         def spy(i, j):
-            seen.append(i.shape[0])
+            seen.append((i.dtype, j.dtype, i.shape[0] * j.shape[-1]))
             return xor_family()(i, j)
 
         assert doubly_stochastic_check(spy, heavy_tail(1 << k), k)
-        assert len(seen) == calls
+        dtype = np.dtype(np.min_scalar_type(1 << k))
+        assert {(a, b) for a, b, _ in seen} == {(dtype, dtype)}
+        assert sum(cells for _, _, cells in seen) == 4**k
+        assert max(cells for _, _, cells in seen) <= classical._STRIPE_CELLS
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda t: t.astype(np.int64), lambda t: t[:, :-1], lambda t: t.tolist(), lambda t: 1],
+        ids=["int64", "one-column-short", "list", "scalar"],
+    )
+    @pytest.mark.parametrize("k", [0, 5, 12])
+    def test_table_of_the_wrong_shape_or_dtype_fails(self, spoil, k, monkeypatch):
+        def family(i, j):
+            return spoil(((i - 1) ^ (j - 1)) + 1)
+
+        assert classical.first_failing_prefix(family, heavy_tail(1 << k), k) == 0
+        assert not doubly_stochastic_check(family, heavy_tail(1 << k), k)
+        monkeypatch.setattr(classical, "_xor_table", lambda a, b: spoil(a ^ b))
+        assert not prefix_bijections_exhaustive(k)
 
     @pytest.mark.parametrize("k", [7, 8, 12])
     def test_last_entry_of_the_prefix_is_checked(self, k):
@@ -213,17 +229,18 @@ class TestExhaustive:
         assert block_recursion_exhaustive(8)
 
     @pytest.mark.parametrize("k_max, dtype", [(8, np.uint8), (9, np.uint16), (12, np.uint16)])
-    def test_table_is_evaluated_in_stripes_of_the_smallest_dtype(self, k_max, dtype, monkeypatch):
+    def test_table_is_evaluated_once_per_cell_in_the_smallest_dtype(self, k_max, dtype, monkeypatch):
         seen = []
 
         def spy(a, b):
-            seen.append((a.dtype, b.dtype, a.shape[0]))
+            seen.append((a.dtype, b.dtype, a.shape[0] * b.shape[-1]))
             return a ^ b
 
         monkeypatch.setattr(classical, "_xor_table", spy)
         assert prefix_bijections_exhaustive(k_max)
         assert {(a, b) for a, b, _ in seen} == {(np.dtype(dtype), np.dtype(dtype))}
-        assert max(rows for _, _, rows in seen) == classical._STRIPE
+        assert sum(cells for _, _, cells in seen) == 4**k_max
+        assert max(cells for _, _, cells in seen) <= classical._STRIPE_CELLS
 
 
 def _swap_one_pair(a, b):
@@ -257,8 +274,8 @@ def _one_entry_moved(a0, b0, flip):
 
 
 class TestChecksCanFail:
-    # (40, 50) lies in the bottom-right quadrant of the scale h = 32, the
-    # deepest the leading 64 x 64 block holds; (63, 63) is its last entry
+    # (40, 50) lies in the bottom-right quadrant of the scale h = 32, and
+    # (63, 63) is the last entry of the 2^6 prefix
     @pytest.mark.parametrize("k", [6, 12])
     @pytest.mark.parametrize("a, b", [(40, 50), (63, 63)])
     def test_one_entry_in_the_leading_block_fails(self, k, a, b, monkeypatch):
@@ -273,6 +290,7 @@ class TestChecksCanFail:
         n = 1 << k
         a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         table, family = _one_entry_moved(a, b, data.draw(st.integers(1, n - 1)))
+        assert classical.first_failing_prefix(family, heavy_tail(n), k) == max(a, b).bit_length()
         assert not doubly_stochastic_check(family, heavy_tail(n), k)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classical, "_xor_table", table)

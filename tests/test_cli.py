@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import egain.cli as cli
+from egain import classical
 from conftest import BELOW_THE_BOUND, save_matrix, squeezed_covariance
 from egain.cli import main
 from egain.errors import HypothesisViolationError
@@ -453,6 +454,24 @@ class TestClassical:
         assert code == 0
         assert err == ""
         assert out == CLASSICAL_K14_CSV
+
+    @pytest.mark.parametrize("a, b, scale", [(20, 25, 5), (300, 100, 9)])
+    def test_one_call_gives_the_verdicts_of_the_per_k_checks(self, a, b, scale, capsys, monkeypatch):
+        # the XOR table with one entry moved first fails at the prefix 2^scale
+        def moved(u, v):
+            return (u ^ v) ^ ((u == a) & (v == b)).astype(u.dtype)
+
+        monkeypatch.setattr(classical, "_xor_table", moved)
+        dist, family = classical.heavy_tail(), classical.xor_family()
+        verdicts = [classical.doubly_stochastic_check(family, dist, k) for k in range(1, 11)]
+        assert verdicts == [k < scale for k in range(1, 11)]
+        head, rows = CLASSICAL_K10_CSV.split("k,H,doubly_stochastic\n")
+        expected = head + "k,H,doubly_stochastic\n" + "".join(
+            f"{row.rsplit(',', 1)[0]},{str(verdict).lower()}\n"
+            for row, verdict in zip(rows.splitlines(), verdicts)
+        )
+        code, out, err = run(["classical", "--k", "10"], capsys)
+        assert (code, out, err) == (0, expected, "")
 
     def test_k_beyond_the_limit_exits_2(self, capsys):
         code, out, err = run(["classical", "--k", "17"], capsys)
