@@ -15,11 +15,10 @@ trials in chunks of at most ``_STACK_BYTES`` as (B, d, d) stacks, from input
 draw to record: a chunk's inputs are drawn in trial order with the generator
 calls of B successive ``random_low_support_state`` draws and validated as one
 (B, s, s) block, its references are solved as one (B, 2, 2) covariance stack
-before its Kraus sums run, a raising stage weights its Kraus operators in
-broadcasts of at most ``_STACK_BYTES`` each, adding them in l order, and its
-occupancies and top-band masses are read off whole stacks. A stack gives each
-state the bits it gives alone, and ``_record`` builds every trial's record, so
-campaign records equal ``verify_*``'s.
+before its Kraus sums run, which cost numpy calls per occupied level rather
+than per Kraus operator, and its occupancies and top-band masses are read off
+whole stacks. A stack gives each state the bits it gives alone, and
+``_record`` builds every trial's record, so campaign records equal ``verify_*``'s.
 
 Truncation policy: results carry a ``trace_deficit``, which includes the
 mass a channel moves past the cutoff, and a trial whose states' deficits or
@@ -96,6 +95,8 @@ def fock_density(rho: np.ndarray) -> FockDensityMatrix:
 
 def _levels(rho: np.ndarray, hermitian: bool = False) -> np.ndarray:
     """Per matrix of a (..., d, d) stack, one past its last nonzero row or column, or 0."""
+    if hermitian and (rho[..., -1, :].view(float) != 0).any(axis=-1).all():
+        return np.full(rho.shape[:-2], rho.shape[-1])  # every last row occupied: no scan needed
     nz = rho.view(float) != 0  # half the cost of comparing complex entries
     occupied = nz.any(axis=-1)
     if not hermitian:  # Hermitian up to signed zeros: nonzero columns lie on nonzero rows
@@ -163,29 +164,39 @@ def _normalized(rho: np.ndarray, deficits, levels: np.ndarray, refusals) -> list
     return [FockDensityMatrix(rho.shape[1], m, float(t), v) for m, t, v in zip(rho, deficits, w)]
 
 
+def _whole(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as an int, refused by name unless it is a whole number in [low, high)."""
+    if not low <= value < high or value % 1:
+        below = f" and < {high}" if high < math.inf else ""
+        raise InadmissibleInputError(f"{name} must be an integer >= {low}{below}, got {value!r}")
+    return int(value)
+
+
 def number_state(n: int, dim: int) -> FockDensityMatrix:
     """Pure number state |n><n|."""
-    if not 0 <= n < dim:
-        raise InadmissibleInputError("need 0 <= n < dim")
+    dim = _whole("dim", dim, 1)
     pops = np.zeros(dim)
-    pops[n] = 1.0
+    pops[_whole("n", n, 0, dim)] = 1.0
     return FockDensityMatrix(dim, np.diag(pops).astype(complex), 0.0, pops)
 
 
 def thermal_state(nu: float, dim: int = DEFAULT_DIM) -> FockDensityMatrix:
-    """Thermal state with symplectic eigenvalue nu >= 1/2.
+    """Thermal state with finite symplectic eigenvalue nu >= 1/2.
 
     Level populations are proportional to ((nu - 1/2)/(nu + 1/2))^n; the
     geometric tail beyond the cutoff gives trace_deficit = ratio^dim
     exactly, and the kept populations are renormalized.
     """
-    if nu < 0.5:
-        raise InadmissibleInputError("thermal state requires nu >= 1/2")
+    if not 0.5 <= nu < math.inf:
+        raise InadmissibleInputError(f"thermal state requires finite nu >= 1/2, got {nu!r}")
+    dim = _whole("dim", dim, 1)
     if nu == 0.5:
         return number_state(0, dim)
     ratio = (nu - 0.5) / (nu + 0.5)
     raw = np.exp(np.arange(dim) * math.log(ratio)) / (nu + 0.5)
     deficit = ratio**dim
+    if not 1.0 - deficit >= np.finfo(float).tiny:  # ratio rounds to 1: nothing left to renormalize
+        raise InadmissibleInputError(f"thermal state nu = {nu:g} keeps no mass below dim = {dim}")
     pops = raw / (1.0 - deficit)
     return FockDensityMatrix(dim, np.diag(pops).astype(complex), float(deficit), pops)
 
@@ -240,7 +251,11 @@ class DilationChannel:
     first: Optional[np.ndarray] = None
 
     def gaussian_channel(self) -> GaussianChannel:
-        """Exact phase-space counterpart (K, mu) of this dilation."""
+        """Exact phase-space counterpart (K, mu) of this dilation, solved on first use."""
+        return self._gaussian
+
+    @functools.cached_property
+    def _gaussian(self) -> GaussianChannel:
         return preset_channel(self.kind.replace("_", "-"), self.k, noise=self.noise)
 
 
@@ -293,10 +308,10 @@ def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
     Only the s leading levels move, s the most levels any input matrix
     occupies (``_levels`` on rows: inputs are Hermitian, and each stage's real,
     symmetric weights keep them so up to signed zeros), and a lowering stage
-    keeps them there: it stops at l = s, a raising stage moves s x s blocks.
-    The skipped terms are exact zeros. A raising stage weights the block for
-    many l in one broadcast, at most ``_STACK_BYTES`` of terms at a time, and
-    adds them in l order, so every sum rounds as in a loop over l.
+    keeps them there: it stops at l = s. The skipped terms are exact zeros.
+    A raising stage adds block row i for all l <= d - s along the output
+    diagonal (i + l, j + l), i from s - 1 down, then each V_l, l > d - s, on
+    its d - l levels: every sum takes its terms in l order, as a loop over l.
     """
     s = int(_levels(rho, hermitian=True).max(initial=0))
     for amps, lowering in ((channel.first, True), (channel.kraus, channel.kind == "attenuator")):
@@ -305,20 +320,15 @@ def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
         out = np.zeros_like(rho, dtype=complex)
         if lowering:
             for l, row in enumerate(amps[:s]):
-                v = row[l:s]
-                out[..., : s - l, : s - l] += np.outer(v, v.conj()) * rho[..., l:s, l:s]
+                out[..., : s - l, : s - l] += np.outer(row[l:s], row[l:s]) * rho[..., l:s, l:s]
         else:
-            d = len(amps)
-            step = max(1, _STACK_BYTES // (16 * max(1, rho[..., :s, :s].size)))
-            for start in range(0, d, step):
-                b = min(s, d - start)  # from l = d - s on, V_l moves only d - l levels
-                v = amps[start : start + step, :b]
-                weights = v[:, :, None] * v[:, None, :].conj()
-                terms = weights.reshape(len(v), *(1,) * (rho.ndim - 2), b, b) * rho[..., :b, :b]
-                for l, term in zip(range(start, d), terms):
-                    c = min(b, d - l)
-                    out[..., l : l + c, l : l + c] += term[..., :c, :c]
-                del weights, terms, term  # freed before the next chunk's are built
+            d, m = len(amps), len(amps) - s + 1  # V_0 .. V_{d-s} move the whole s x s block
+            strides = (*out.strides[:-2], sum(out.strides[-2:]), out.strides[-1])  # l steps down and right
+            for i in range(s - 1, -1, -1):  # row i lands on entries (i + l, j + l): descending i, ascending l
+                diagonal = np.lib.stride_tricks.as_strided(out[..., i:, :], (*out.shape[:-2], m, s), strides)
+                diagonal += amps[:m, i, None] * amps[:m, :s] * rho[..., i, None, :s]
+            for l in range(m, d):  # V_l moves only the d - l levels it keeps
+                out[..., l:, l:] += np.outer(amps[l, : d - l], amps[l, : d - l]) * rho[..., : d - l, : d - l]
         rho = out
     return rho
 
@@ -376,8 +386,7 @@ def random_low_support_state(
     rng: np.random.Generator, dim: int = DEFAULT_DIM, support: int = 10
 ) -> FockDensityMatrix:
     """Random mixture of one to five pure states, validated on the lowest levels."""
-    if not support >= 1 or support % 1:
-        raise InadmissibleInputError(f"support must be an integer >= 1, got {support!r}")
+    _whole("support", support, 1)
     return _random_states(rng, 1, dim, support)[1][0]
 
 
@@ -387,18 +396,19 @@ def _random_states(
     """``count`` successive ``random_low_support_state`` draws, as a (count, d, d) stack and its states.
 
     Each trial draws its component count, its weights, then the real and
-    imaginary parts of each component, as one draw alone does; the (count,
-    s, s) block of the stack they fill is validated at once.
+    imaginary parts of each component, as one draw alone does. Slot c of every
+    trial is added in one call, and the (count, s, s) block validated at once.
     """
     support = min(int(support), int(dim))  # small cutoffs get full-support states
     rho = np.zeros((count, dim, dim), dtype=complex)
     blocks = rho[:, :support, :support]
-    for block in blocks:
-        ncomp = int(rng.integers(1, 6))
-        for w in rng.dirichlet(np.ones(ncomp)):
-            psi = rng.normal(size=support) + 1j * rng.normal(size=support)
-            psi /= math.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))  # np.linalg.norm's sums
-            block += w * (psi[:, None] * psi.conj())
+    mixtures = (rng.dirichlet(np.ones(int(rng.integers(1, 6)))) for _ in range(count))  # drawn as consumed
+    draws = [list(zip(w, rng.normal(size=(len(w), 2, support)))) for w in mixtures]  # weight, real, imaginary
+    for c in range(max(map(len, draws))):  # component slot c of every trial that has one
+        live, weights, parts = map(np.array, zip(*[(t, *d[c]) for t, d in enumerate(draws) if c < len(d)]))
+        psi = parts[:, 0] + 1j * parts[:, 1]  # normalized by np.linalg.norm's sums, a dot per row
+        psi /= np.sqrt(psi.real[:, None] @ psi.real[..., None] + psi.imag[:, None] @ psi.imag[..., None])[:, 0]
+        blocks[live] += weights[:, None, None] * (psi[:, :, None] * psi.conj()[:, None, :])
     pad = np.zeros(dim - support)
     spectra = [np.concatenate((pad, b.spectrum)) for b in _validated(blocks, [0.0] * count)]
     return rho, [FockDensityMatrix(dim, m, 0.0, w) for m, w in zip(rho, spectra)]

@@ -338,6 +338,50 @@ class TestThermalState:
         with pytest.raises(InadmissibleInputError):
             thermal_state(0.4, 10)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_rejects_a_nu_that_is_not_finite(self, nu):
+        # NaN populations would otherwise give the entropy -0.0
+        expected = rf"^thermal state requires finite nu >= 1/2, got {nu!r}$"
+        with pytest.raises(InadmissibleInputError, match=expected):
+            thermal_state(nu, DIM)
+
+    def test_rejects_a_nu_whose_level_ratio_rounds_to_one(self):
+        # ratio = (nu - 1/2)/(nu + 1/2) is 1.0 in floats, so no mass is kept below the cutoff
+        expected = r"^thermal state nu = 1e\+16 keeps no mass below dim = 60$"
+        with pytest.raises(InadmissibleInputError, match=expected):
+            thermal_state(1e16, DIM)
+
+    @pytest.mark.parametrize("dim", [0, 2.5, -3, math.inf, math.nan])
+    def test_rejects_a_dim_that_is_no_positive_integer(self, dim):
+        # dim = 0 gave a 0 x 0 state and dim = 2.5 a 3-level one
+        for nu in (0.5, 1.0):
+            with pytest.raises(InadmissibleInputError, match=rf"^dim must be an integer >= 1, got {dim!r}$"):
+                thermal_state(nu, dim)
+
+    def test_takes_an_integral_float_dim(self):
+        drawn = [thermal_state(1.0, dim) for dim in (8, 8.0)]
+        assert drawn[1].dim == 8 and isinstance(drawn[1].dim, int)
+        assert np.array_equal(drawn[0].rho, drawn[1].rho)
+
+
+class TestNumberState:
+    @pytest.mark.parametrize("n", [1.5, -1, 4, math.nan])
+    def test_rejects_a_level_that_is_not_below_dim(self, n):
+        # n = 1.5 raised numpy's IndexError
+        with pytest.raises(InadmissibleInputError, match=rf"^n must be an integer >= 0 and < 4, got {n!r}$"):
+            number_state(n, 4)
+
+    @pytest.mark.parametrize("dim", [4.5, 0, math.inf])
+    def test_rejects_a_dim_that_is_no_positive_integer(self, dim):
+        # dim = 4.5 raised a TypeError
+        with pytest.raises(InadmissibleInputError, match=rf"^dim must be an integer >= 1, got {dim!r}$"):
+            number_state(1, dim)
+
+    def test_takes_integral_floats(self):
+        state = number_state(2.0, 4.0)
+        assert state.dim == 4 and isinstance(state.dim, int)
+        assert np.array_equal(state.rho, number_state(2, 4).rho)
+
 
 class TestDilations:
     def test_kraus_completeness(self, attenuator, amplifier, classical_noise):
@@ -761,6 +805,15 @@ class TestOccupiedLevels:
             assert np.array_equal(scan(out, hermitian=True), scan(out))
         chunks = math.ceil(20 / (fock._STACK_BYTES // (16 * dim * dim)))  # 1 at d = 20, 2 at d = 60
         assert len(scanned) == 3 * (2 * chunks + 1)  # each chunk's inputs and outputs, then the pair's input
+        # the row scan ends early when every last row is occupied; these stacks take both ways
+        top = number_state(dim - 1, dim).rho
+        mixed = np.stack([number_state(0, dim).rho, top, imaginary])  # last row occupied in one matrix only
+        zero = np.zeros((dim, dim), dtype=complex)
+        cases = [(mixed, [1, dim, 6]), (top[None], [dim]), (zero[None], [0]), (zero, 0), (top, dim)]
+        for rho, levels in cases:
+            assert np.array_equal(scan(rho, hermitian=True), levels)
+            assert np.array_equal(scan(rho), levels)
+            assert scan(rho, hermitian=True).shape == scan(rho).shape == np.shape(levels)
 
     def test_raw_input_is_scanned_on_rows_and_columns(self):
         # level 3 of this raw matrix is occupied by its column alone; fock_density
@@ -769,6 +822,22 @@ class TestOccupiedLevels:
         raw[0, 3] = 0.4
         assert fock._levels(raw) == 4
         assert fock._levels(raw, hermitian=True) == 2
+
+    @pytest.mark.parametrize("dim", [4, 5, 8])
+    def test_raising_stage_equals_the_full_block_sum_at_every_occupancy(self, dim):
+        # the raising stage adds V_0 .. V_{d-s} along diagonals and the rest as slices:
+        # s = d leaves one diagonal operator, s = 1 none of the slices
+        rng = np.random.default_rng(dim)
+        amplifier = build_dilation("amplifier", 1.5, dim=dim)
+        for channel in (amplifier, build_dilation("classical_noise", 1.0, dim=dim, noise=0.3)):
+            for s in range(1, dim + 1):
+                alone = random_low_support_state(rng, dim=dim, support=s).rho
+                supports = (1, s, -(-s // 2))  # the widest second, so the stack's occupancy is not the first's
+                stack = np.stack([random_low_support_state(rng, dim=dim, support=t).rho for t in supports])
+                assert np.array_equal(fock._kraus_sums(channel, alone), full_block_kraus_sums(channel, alone))
+                for rho in (alone[None], stack):
+                    for summed, m in zip(fock._kraus_sums(channel, rho), rho):
+                        assert np.array_equal(summed, full_block_kraus_sums(channel, m))
 
     def test_channel_on_identity_is_the_full_block_sum(self, small_dilations):
         for channel in small_dilations:
@@ -832,6 +901,20 @@ class TestStackedCampaigns:
             extremality_campaign(classical_noise, self.TRIALS, np.random.default_rng(7))
         assert stacks == [18]
         assert len(drawn) == 36
+
+    def test_gaussian_counterpart_is_solved_once(self, monkeypatch):
+        solve, calls = fock.preset_channel, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "preset_channel", counted)
+        channel = build_dilation("classical_noise", 1.0, dim=20, noise=0.3)
+        for seed in (7, 8):
+            extremality_campaign(channel, 5, np.random.default_rng(seed))
+        assert calls == [("classical-noise", 1.0)]
+        assert channel.gaussian_channel() is channel.gaussian_channel()
 
     def test_stacks_stay_within_the_byte_budget(self, classical_noise, monkeypatch):
         kernel, sizes = fock._kraus_sums, []
