@@ -18,13 +18,14 @@ the same number because Phi[I] = |det K|^-1 I.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InadmissibleInputError, NonRegularChannelError
 from .gaussian import QuadraticHamiltonian, _entropies, _gibbs_covariances, gaussian_state
+from .records import ByIdentity
 from .symplectic import (
     DEFAULT_TOL,
     HermitianCert,
@@ -53,8 +54,7 @@ _SWEEP_TOL = 1e-3
 _BETA_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianChannel:
+class GaussianChannel(ByIdentity, namedtuple("GaussianChannel", "space K mu cert strict")):
     """Admissible Gaussian channel with its positivity certificate.
 
     slogdet(K) and ``regular`` are solved once, on first use; ``make_channel``
@@ -226,10 +226,10 @@ _DEFAULT_GRID = default_beta_grid()  # built and validated once; read-only
 _DEFAULT_GRID.flags.writeable = False
 
 
-@dataclass(frozen=True, eq=False)
-class GainReport:
+class GainReport(ByIdentity, namedtuple("GainReport", "beta_grid gains closed_form converged")):
     """Gibbs-state entropy gains along a descending beta grid."""
 
+    __slots__ = ()
     beta_grid: np.ndarray
     gains: np.ndarray
     closed_form: float

@@ -27,12 +27,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
 
 from .errors import InadmissibleInputError
+from .records import ByIdentity
 
 __all__ = [
     "HeavyTailDistribution",
@@ -120,10 +121,12 @@ def normalizer() -> tuple[float, float]:
     return _partial_sum(N) + 0.5 * (tail_lo + tail_hi), 0.5 * (tail_hi - tail_lo)
 
 
-@dataclass(frozen=True, eq=False)
-class HeavyTailDistribution:
+class HeavyTailDistribution(
+    ByIdentity, namedtuple("HeavyTailDistribution", "n_max normalizer normalizer_uncertainty")
+):
     """Normalized heavy-tail weights q_n = 1/(Z n log^2(n+1)), evaluated lazily."""
 
+    __slots__ = ()
     n_max: int
     normalizer: float
     normalizer_uncertainty: float

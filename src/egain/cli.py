@@ -23,7 +23,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -146,7 +145,7 @@ def cmd_gain(args: argparse.Namespace) -> tuple[dict, int]:
         "seed": None,
         "source": source,
         "modes": channel.space.s,
-        "admissibility": dict(asdict(cert), verdict=cert.verdict, strict=bool(channel.strict)),
+        "admissibility": dict(cert._asdict(), verdict=cert.verdict, strict=bool(channel.strict)),
         "regular": bool(channel.regular),
         "gain_closed_form": gain,
         # the general bound -log ||Phi[I]|| is log |det K|, the closed form itself
@@ -251,7 +250,7 @@ def cmd_williamson(args: argparse.Namespace) -> tuple[dict, int]:
         "modes": space.s,
         "symplectic_eigenvalues": [float(nu) for nu in decomposition.nu],
         "T": encode_array(decomposition.T),
-        "admissibility": dict(asdict(cert), verdict=cert.verdict),
+        "admissibility": dict(cert._asdict(), verdict=cert.verdict),
     }
     return report, EXIT_OK
 

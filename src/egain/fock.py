@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 import numpy as np
 
 from .channels import GaussianChannel, _apply, preset_channel
 from .errors import HypothesisViolationError, InadmissibleInputError
 from .gaussian import _entropies
+from .records import ByIdentity
 from .symplectic import DEFAULT_TOL, _uncertainty_cert, symplectic_eigenvalues
 
 __all__ = [
@@ -71,8 +71,7 @@ _EIGENVALUE_FLOOR = -1e-10
 DILATION_KINDS = ("attenuator", "amplifier", "classical_noise")
 
 
-@dataclass(frozen=True, eq=False)
-class FockDensityMatrix:
+class FockDensityMatrix(ByIdentity, namedtuple("FockDensityMatrix", "dim rho trace_deficit spectrum")):
     """Validated density matrix in the truncated number basis.
 
     ``trace_deficit`` records probability mass lost to the cutoff, both by
@@ -82,6 +81,7 @@ class FockDensityMatrix:
     outside the occupied block contribute exact zeros.
     """
 
+    __slots__ = ()
     dim: int
     rho: np.ndarray
     trace_deficit: float
@@ -233,22 +233,22 @@ def _amplitudes(k: float, dim: int) -> np.ndarray:
     return amps
 
 
-@dataclass(frozen=True, eq=False)
-class DilationChannel:
+class DilationChannel(
+    ByIdentity, namedtuple("DilationChannel", "kind k dim kraus noise first", defaults=(0.0, None))
+):
     """One-mode channel in the number basis, one Kraus amplitude table per stage.
 
-    Each table is the closed form of ``_amplitudes``: row l is V_l's diagonal,
-    column n its input level. ``kraus`` lowers photon number for the
-    attenuator and raises it otherwise; ``first``, applied
-    before it, is the attenuator half of classical noise, else None.
+    Each table is the closed form of ``_amplitudes``: row l is V_l's diagonal, column n its input
+    level. ``kraus`` lowers photon number for the attenuator and raises it otherwise; ``first``,
+    applied before it, is the attenuator half of classical noise, else None.
     """
 
     kind: str
     k: float
     dim: int
     kraus: np.ndarray
-    noise: float = 0.0
-    first: Optional[np.ndarray] = None
+    noise: float  # default 0.0
+    first: np.ndarray | None  # default None
 
     def gaussian_channel(self) -> GaussianChannel:
         """Exact phase-space counterpart (K, mu) of this dilation, solved on first use."""
@@ -317,7 +317,8 @@ def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
     for amps, lowering in ((channel.first, True), (channel.kraus, channel.kind == "attenuator")):
         if amps is None:
             continue
-        out = np.zeros_like(rho, dtype=complex)
+        n = s if amps is channel.first else channel.dim  # as first: only the s x s block kraus reads
+        out = np.zeros_like(rho, dtype=complex, shape=(*rho.shape[:-2], n, n))
         if lowering:
             for l, row in enumerate(amps[:s]):
                 out[..., : s - l, : s - l] += np.outer(row[l:s], row[l:s]) * rho[..., l:s, l:s]

@@ -18,12 +18,13 @@ symplectic eigenvalues of alpha_beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InadmissibleInputError
+from .records import ByIdentity
 from .symplectic import (
     DEFAULT_TOL,
     HermitianCert,
@@ -53,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianState:
+class GaussianState(ByIdentity, namedtuple("GaussianState", "space mean alpha cert nu")):
     """Gaussian state given by mean vector, covariance and its admissibility cert.
 
     ``nu`` holds the symplectic eigenvalues of ``alpha`` (descending), kept
@@ -62,6 +62,7 @@ class GaussianState:
     read-only so that they cannot go stale.
     """
 
+    __slots__ = ()
     space: PhaseSpace
     mean: np.ndarray
     alpha: np.ndarray
@@ -94,8 +95,9 @@ def gaussian_state(space: PhaseSpace, mean: np.ndarray, alpha: np.ndarray) -> Ga
     return GaussianState(space=space, mean=mean, alpha=alpha, cert=cert, nu=nu)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticHamiltonian:
+class QuadraticHamiltonian(
+    ByIdentity, namedtuple("QuadraticHamiltonian", "space epsilon factor inv_factor w U U_H least_frequency")
+):
     """Positive definite quadratic Hamiltonian, with its normal modes solved once.
 
     ``factor`` is the Cholesky factor L of the read-only ``epsilon``
@@ -134,10 +136,10 @@ def quadratic_hamiltonian(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class GibbsState:
+class GibbsState(ByIdentity, namedtuple("GibbsState", "base beta hamiltonian c_beta")):
     """Gibbs state of a quadratic Hamiltonian at inverse temperature beta."""
 
+    __slots__ = ()
     base: GaussianState
     beta: float
     hamiltonian: QuadraticHamiltonian

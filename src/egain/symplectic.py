@@ -13,12 +13,13 @@ equivalently iff every symplectic eigenvalue of ``alpha`` is >= 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InadmissibleInputError
+from .records import ByIdentity
 
 DEFAULT_TOL = 1e-9
 
@@ -29,10 +30,10 @@ VERDICT_INDEFINITE = "indefinite"
 _BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseSpace:
+class PhaseSpace(ByIdentity, namedtuple("PhaseSpace", "s delta")):
     """Mode count together with the canonical commutation matrix."""
 
+    __slots__ = ()
     s: int
     delta: np.ndarray
 
@@ -51,8 +52,7 @@ def _phase_space(s: int) -> PhaseSpace:
     return PhaseSpace(s=s, delta=delta)
 
 
-@dataclass(frozen=True)
-class HermitianCert:
+class HermitianCert(namedtuple("HermitianCert", "min_eigenvalue tolerance")):
     """Outcome of a positivity check on a Hermitian matrix.
 
     ``tolerance`` is the absolute eigenvalue threshold actually applied: the
@@ -62,6 +62,7 @@ class HermitianCert:
     and answers, ``verdict`` included, with one array entry per matrix.
     """
 
+    __slots__ = ()
     min_eigenvalue: float
     tolerance: float
 
@@ -298,14 +299,14 @@ def _certified(alpha: np.ndarray, space: PhaseSpace, what: str):
     return nu, cert
 
 
-@dataclass(frozen=True, eq=False)
-class WilliamsonDecomposition:
+class WilliamsonDecomposition(ByIdentity, namedtuple("WilliamsonDecomposition", "T nu")):
     """Symplectic congruence T and symplectic eigenvalues nu (descending).
 
     ``T.T @ alpha @ T`` equals ``diag(nu_1, nu_1, ..., nu_s, nu_s)`` and
     ``T.T @ delta @ T`` equals ``delta``.
     """
 
+    __slots__ = ()
     T: np.ndarray
     nu: np.ndarray
 

@@ -901,13 +901,15 @@ def test_readme_experiment_commands_parse():
 
 
 def test_fresh_process_loads_no_scipy(tmp_path):
-    # numpy is the only run-time dependency: every subcommand runs with scipy unimportable
+    # numpy is the only run-time dependency: every subcommand runs with scipy unimportable,
+    # and none loads dataclasses, whose record classes cost about 1 ms each to build at import
     matrix = tmp_path / "alpha.json"
     write_json(str(matrix), [[1.5, 0.0], [0.0, 1.5]])
     runs = [
         "gain --preset attenuator --k 0.5",
         "sweep --preset amplifier --k 2 --beta-points 5",
         "fock --preset attenuator --k 0.7 --dim 20 --trials 2",
+        "fock --preset classical-noise --k 1 --noise 0.3 --dim 40 --trials 2 --extremality",
         "classical --k 3",
         f"williamson {matrix}",
     ]
@@ -917,6 +919,7 @@ def test_fresh_process_loads_no_scipy(tmp_path):
         "sys.modules['scipy'] = None  # every import of scipy now raises ImportError\n"
         "import egain.cli\n"
         f"print([egain.cli.main(argv) for argv in {argvs!r}])\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
     )
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     result = subprocess.run(

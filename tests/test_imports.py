@@ -43,3 +43,9 @@ def test_phase_space_core_imports_no_oracle_and_no_cli(module):
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "symplectic"])
 def test_only_symplectic_assembles_a_certificate(module):
     assert not {name for _, name in imports(module)} & CERTIFICATE_PARTS, module
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_dataclasses(module):
+    # records are named tuples: a dataclass costs about 1 ms of start-up to build at import
+    assert "dataclasses" not in {source for source, _ in imports(module)}, module
