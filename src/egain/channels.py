@@ -32,6 +32,7 @@ from .symplectic import (
     PhaseSpace,
     canonical_form,
     _certified,
+    _noise_certified,
     _require_symmetric,
 )
 
@@ -89,16 +90,9 @@ def make_channel(
     """Validate (K, mu) against the channel positivity condition.
 
     K is refused for an entry that is not a finite number before any
-    arithmetic, as mu is by ``_require_symmetric``. The noise bound
-    M = mu - (i/2)(delta - K.T delta K) is certified on its Hermitian part H
-    scaled to D^-1 H D^-1, D = diag(|H_jj|)^(1/2) with a zero entry scaled
-    by 1, a congruence that keeps the verdict. The diagonal of the second
-    term is zero, so the scaled matrix has a unit diagonal where mu_jj > 0
-    and a least eigenvalue that does not change with a squeezing of mu along
-    the axes. M is built here, Hermitian up to the rounding of K.T delta K,
-    so no Hermitian defect is tested. ``tol`` is relative; times the
-    spectral radius of the scaled matrix (floored at 1) it is the absolute
-    threshold reported in the certificate.
+    arithmetic, as mu is by ``_require_symmetric``. The noise bound is then
+    certified by ``symplectic._noise_certified``, which builds it, Hermitian up
+    to the rounding of K.T delta K, so no Hermitian defect is tested.
     """
     K = np.array(K, dtype=float)
     n = 2 * space.s
@@ -107,21 +101,9 @@ def make_channel(
     if not np.isfinite(K).all():
         raise InadmissibleInputError("channel matrix K has an entry that is not a finite number")
     mu = _require_symmetric(mu, space, tol, "channel noise mu")
-    noise_bound = mu - 0.5j * (space.delta - K.T @ space.delta @ K)
-    herm = 0.5 * (noise_bound + noise_bound.T.conj())
-    scale = np.sqrt(np.abs(herm.diagonal().real))
-    scale[scale == 0.0] = 1.0
-    eigs = np.linalg.eigvalsh(herm / np.multiply.outer(scale, scale))
-    cert = HermitianCert(float(eigs[0]), float(tol * max(1.0, np.abs(eigs).max())))
-    if not cert.is_positive_semidefinite:
-        raise InadmissibleInputError(
-            "channel noise is below the admissibility bound: min eigenvalue "
-            f"{cert.min_eigenvalue:.3e}"
-        )
+    cert = _noise_certified(K, mu, space, tol)
     K.flags.writeable = mu.flags.writeable = False
-    return GaussianChannel(
-        space=space, K=K, mu=mu, cert=cert, strict=cert.is_positive_definite
-    )
+    return GaussianChannel(space=space, K=K, mu=mu, cert=cert, strict=cert.is_positive_definite)
 
 
 def preset_channel(

@@ -12,8 +12,8 @@ library call. Reports are JSON (sorted keys) or CSV, written atomically, and
 byte-identical for identical configuration and seed.
 
 Exit codes: 0 success; 2 inadmissible input (including numbers so large or
-small that the computation overflows); 3 hypothesis violation; 4 unreliable
-truncation beyond threshold.
+small that the computation overflows) or a failed internal numerical check;
+3 hypothesis violation; 4 unreliable truncation beyond threshold.
 """
 
 from __future__ import annotations
@@ -358,11 +358,13 @@ def main(argv: list[str] | None = None) -> int:
     except HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    # InadmissibleInputError and json.JSONDecodeError are ValueErrors
-    except (FloatingPointError, OverflowError, OSError, KeyError, ValueError) as exc:
+    # InadmissibleInputError and json.JSONDecodeError are ValueErrors; RuntimeError a failed self-check
+    except (FloatingPointError, OverflowError, OSError, KeyError, ValueError, RuntimeError) as exc:
         message = str(exc)
         if isinstance(exc, (FloatingPointError, OverflowError)):
             message = f"numeric overflow: {message}; input out of range"
+        elif isinstance(exc, RuntimeError):
+            message = f"internal numerical check failed: {message}"
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INADMISSIBLE
 

@@ -103,16 +103,15 @@ def _uncertainty_cert(nu: np.ndarray, tol: float) -> HermitianCert:
     """Certificate of alpha + (i/2) delta read off alpha's descending symplectic spectrum nu.
 
     A Williamson congruence takes alpha + (i/2) delta to D + (i/2) delta,
-    D = diag(nu_1, nu_1, ..., nu_s, nu_s), whose eigenvalues are nu_j +- 1/2;
-    congruence keeps the verdict, and the diagonal-scaling rule of
-    ``channels.make_channel`` applied to that form needs no eigensolve. Its
-    absolute threshold does not grow with the squeezing of alpha, so it
-    refuses a squeezed state below the uncertainty bound however strongly
-    squeezed. ``nu`` may be one spectrum or a stack of them, one per row;
-    one is read on Python floats.
+    D = diag(nu_1, nu_1, ..., nu_s, nu_s), whose eigenvalues are nu_j +- 1/2,
+    with the same verdict. Its threshold, ``tol`` times the spectral radius
+    (floored at 1), does not grow with the squeezing of alpha, so a state below
+    the uncertainty bound is refused however squeezed. ``nu`` is one spectrum,
+    read on Python floats, or a stack of them, one per row.
     """
     if nu.ndim == 1:
-        return HermitianCert(nu[-1].item() - 0.5, float(tol * max(nu[0].item() + 0.5, 1.0)))
+        spectrum = nu.tolist()
+        return HermitianCert(spectrum[-1] - 0.5, float(tol * max(spectrum[0] + 0.5, 1.0)))
     return HermitianCert(nu[..., -1] - 0.5, tol * np.maximum(1.0, nu[..., 0] + 0.5))
 
 
@@ -212,68 +211,56 @@ _ROUNDING = np.finfo(float).eps / 2
 
 
 def _decided(gap, lam, spread):
-    """True where nu_min, known to a relative eps = reach / lam, lies on one side of the threshold.
-
-    gap is nu_min minus the threshold and spread is reach * nu_min, so that
-    nu_min (1 - eps) >= threshold reads gap * lam >= spread, and
-    nu_min (1 + eps) < threshold reads -gap * lam > spread; neither holds for lam <= 0.
-    """
+    """True where gap, known to within eps size = spread / lam with eps = reach / lam, has a sure sign."""
     return (gap * lam >= spread) | (-gap * lam > spread)
 
 
-def _require_decidable(nu, tol: float, alpha, factor, what: str = "covariance matrix") -> None:
-    """Refuse each matrix whose admissibility verdict at ``tol`` its conditioning leaves open.
+def _require_decidable(gap, size, alpha, factor, what: str, symbol: str = "alpha") -> None:
+    """Refuse each matrix whose certificate's margin ``gap`` its conditioning leaves of unsure sign.
 
-    With D = diag(alpha)^(1/2) and A = D^-1 alpha D^-1, which has a unit
-    diagonal, a perturbation with |d alpha_ij| <= eta (alpha_ii alpha_jj)^(1/2)
-    lies between -eps alpha and eps alpha in the Loewner order, with
-    eps = n eta / lambda_min(A) (Demmel and Veselic, SIAM J. Matrix Anal. Appl.
-    13, 1204 (1992)); symplectic eigenvalues are monotone in that order
-    (Bhatia and Jain, J. Math. Phys. 56, 112201 (2015)), so each nu_j is known
-    to a relative eps. eta = (n + 2) u covers the rounding of the entries and
-    the backward error of the Cholesky factor. Against the threshold
-    t = 1/2 - tol max(1, nu_max + 1/2) of the certificate, alpha is admissible
-    when nu_min (1 - eps) >= t, inadmissible when nu_min (1 + eps) < t, and
-    refused as undecidable otherwise.
-
-    lambda_min(A) is first bounded below by det(A) ((n - 1)/n)^(n - 1), by
-    AM-GM on the other eigenvalues, whose sum is below tr A = n; det(A) is
-    prod_j L_jj^2 / alpha_jj, read off the factor. A values-only eigensolve of
-    A runs only where that bound leaves the verdict open. ``nu`` holds one
-    descending spectrum per matrix of ``alpha``; one is read on Python floats.
+    gap = min_eigenvalue + tolerance, whose sign is the verdict, moves by at
+    most eps ``size`` when the factored ``alpha`` (``symbol`` in the message)
+    moves by a relative eps, one entry each per matrix. With D = diag(alpha)^(1/2)
+    and A = D^-1 alpha D^-1, the rounding of alpha's entries and the backward
+    error of its factor, |d alpha_ij| <= (n + 2) u (alpha_ii alpha_jj)^(1/2),
+    lie between -eps alpha and eps alpha in the Loewner order with
+    eps = n (n + 2) u / lambda_min(A) (Demmel and Veselic, SIAM J. Matrix Anal.
+    Appl. 13, 1204 (1992)). Symplectic eigenvalues are monotone in that order
+    (Bhatia and Jain, J. Math. Phys. 56, 112201 (2015)), so a covariance's size
+    is nu_min; a noise bound's congruence by the factor moves by eps I, size 1.
+    lambda_min(A) >= det(A) ((n - 1)/n)^(n - 1) by AM-GM on the other
+    eigenvalues, whose sum is below tr A = n, with det(A) = prod_j L_jj^2 / alpha_jj
+    read off the factor; A is solved for only where that bound leaves the verdict
+    open. One matrix is read on Python floats.
     """
     n = alpha.shape[-1]
     reach = n * (n + 2) * _ROUNDING  # eps * lambda_min(A)
     free = ((n - 1) / n) ** (n - 1)
-    if nu.ndim == 1 or len(nu) == 1:  # one spectrum, on Python floats
-        spectrum = nu.reshape(-1).tolist()
-        least = spectrum[-1]
+    if alpha.ndim == 2 or len(alpha) == 1:  # one matrix, on Python floats
         pairs = zip(factor.reshape(n, n).diagonal().tolist(), alpha.reshape(n, n).diagonal().tolist())
-        gap = least - 0.5 + tol * max(1.0, spectrum[0] + 0.5)
-        if _decided(gap, free * math.prod(f * f / a for f, a in pairs), reach * least):
+        lam = free * math.prod(f * f / a for f, a in pairs)
+        if _decided(np.asarray(gap).item(), lam, reach * np.asarray(size).item()):
             return
-    alpha = alpha.reshape(-1, n, n)
-    factor, nu = factor.reshape(alpha.shape), nu.reshape(len(alpha), -1)
-    least = nu[:, -1]
-    gap = least - 0.5 + tol * np.maximum(1.0, nu[:, 0] + 0.5)
+    alpha, factor = alpha.reshape(-1, n, n), factor.reshape(-1, n, n)
+    gap, spread = np.reshape(gap, -1), reach * np.reshape(size, -1)
     diag, pivots = alpha.diagonal(0, -2, -1), factor.diagonal(0, -2, -1)
     lam = free * np.prod(pivots * pivots / diag, axis=-1)
-    undecided = ~_decided(gap, lam, reach * least)
+    undecided = ~_decided(gap, lam, spread)
     if not undecided.any():
         return
     d = np.sqrt(diag[undecided])
     lam[undecided] = np.linalg.eigvalsh(alpha[undecided] / (d[:, :, None] * d[:, None, :]))[:, 0]
     _refuse(
-        ~_decided(gap, lam, reach * least),
+        ~_decided(gap, lam, spread),
         InadmissibleInputError,
         "admissibility of the {what} is undecidable at this conditioning: "
-        "lambda_min(D^-1 alpha D^-1) = {:.3e}, D = diag(alpha)^(1/2), leaves min nu = {:.12g} "
-        "uncertain by a relative {:.3e}, too much for the threshold at tol {tol:.3g}",
+        "lambda_min(D^-1 {m} D^-1) = {:.3e}, D = diag({m})^(1/2), leaves {m} uncertain "
+        "by a relative {:.3e}, too much for the margin {:.3e} of its certificate",
         lam,
-        least,
         np.divide(reach, lam, out=np.full_like(lam, np.inf), where=lam > 0.0),
+        gap,
         what=what,
-        tol=tol,
+        m=symbol,
     )
 
 
@@ -286,8 +273,8 @@ def _certified(alpha: np.ndarray, space: PhaseSpace, what: str):
     whole stack before the next, and names the first matrix it refuses.
     """
     nu, factor = _spectrum_and_factor(alpha, space, what)
-    _require_decidable(nu, DEFAULT_TOL, alpha, factor, what)
     cert = _uncertainty_cert(nu, DEFAULT_TOL)
+    _require_decidable(cert.min_eigenvalue + cert.tolerance, nu[..., -1], alpha, factor, what)
     _refuse(
         np.logical_not(cert.is_positive_semidefinite),
         InadmissibleInputError,
@@ -297,6 +284,34 @@ def _certified(alpha: np.ndarray, space: PhaseSpace, what: str):
         what=what,
     )
     return nu, cert
+
+
+def _noise_certified(K: np.ndarray, mu: np.ndarray, space: PhaseSpace, tol: float) -> HermitianCert:
+    """Certificate of a channel's noise bound M = mu - (i/2)(delta - K.T delta K); noise below it is refused.
+
+    M is read in its congruence by L^-1, L the Cholesky factor of mu + Z, Z putting 1 on each
+    zero mu_jj (whose row of M must then be zero): its least eigenvalue does not change with any
+    squeezing of mu, and ``tol`` times its spectral radius (floored at 1) is the threshold. The
+    verdict must be decidable at the conditioning of mu + Z, which must have a Cholesky factor
+    even where M is semidefinite.
+    """
+    base = mu + np.diag(mu.diagonal() == 0.0) if 0.0 in mu.diagonal().tolist() else mu
+    factor = _factor(base, "channel noise mu")
+    # L = D U, D = diag(L): M is scaled by D^-1, times reciprocals to keep the certificates of
+    # diagonal mu bit for bit, then taken by U^-1 unless U = I
+    pivots = factor.diagonal()
+    herm = (mu - 0.5j * (space.delta - K.T @ space.delta @ K)) * (1.0 / np.multiply.outer(pivots, pivots))
+    if np.count_nonzero(factor) > len(factor):
+        inverse = np.linalg.inv(factor / pivots[:, None])
+        herm = inverse @ herm @ inverse.T
+    least, *_, top = np.linalg.eigvalsh(herm).tolist()
+    cert = HermitianCert(least, tol * max(1.0, -least, top))
+    _require_decidable(least + cert.tolerance, 1.0, base, factor, "channel noise mu", "mu")
+    if not cert.is_positive_semidefinite:
+        raise InadmissibleInputError(
+            f"channel noise is below the admissibility bound: min eigenvalue {least:.3e}"
+        )
+    return cert
 
 
 class WilliamsonDecomposition(ByIdentity, namedtuple("WilliamsonDecomposition", "T nu")):
@@ -329,7 +344,8 @@ def williamson(
     w, W = np.linalg.eigh(-1j * (factor.T @ space.delta @ factor))
     order = np.argsort(w)[::-1][: space.s]
     nu = w[order]
-    _require_decidable(nu, tol, alpha, factor)
+    cert = _uncertainty_cert(nu, tol)
+    _require_decidable(cert.min_eigenvalue + cert.tolerance, nu[-1], alpha, factor, "covariance matrix")
     U = np.linalg.solve(factor.T, W[:, order])  # L^-T W
     n = 2 * space.s
     T = np.empty((n, n))

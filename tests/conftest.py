@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import atexit
+import math
 import shutil
 import tempfile
 
@@ -64,6 +65,21 @@ def squeezed_covariance(nu, r, theta=0.0):
     R = np.array([[c, -s], [s, c]])
     alpha = nu * R @ np.diag([np.exp(2.0 * r), np.exp(-2.0 * r)]) @ R.T
     return 0.5 * (alpha + alpha.T)
+
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def scaled_least_eigenvalue(theta, r):
+    """lambda_min(D^-1 alpha D^-1), D = diag(alpha)^(1/2), of squeezed_covariance(nu, r, theta).
+
+    In closed form: the unit-diagonal 2 x 2 matrix has eigenvalues 1 +- |rho|
+    and determinant nu^2 / (alpha_11 alpha_22), a ratio that cancels nothing.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    up, down = math.exp(2.0 * r), math.exp(-2.0 * r)
+    det = 1.0 / ((c * c * up + s * s * down) * (s * s * up + c * c * down))
+    return det / (1.0 + math.sqrt(max(0.0, 1.0 - det)))
 
 
 # inadmissible squeezed states that a certificate scaled by the spectral

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import sys
 import warnings
 
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     BELOW_THE_BOUND,
+    UNIT_ROUNDOFF,
     random_covariance,
     random_regular_channel,
     random_spd,
+    scaled_least_eigenvalue,
     squeezed_covariance,
 )
 from egain.channels import (
@@ -104,25 +107,38 @@ class TestSqueezedNoise:
         assert cert.is_positive_definite
         assert cert.min_eigenvalue == pytest.approx(1.0 - 0.375 / 0.376, rel=1e-9)
 
-    @pytest.mark.parametrize(
-        "r",
-        [r if r <= 5 else pytest.param(r, marks=pytest.mark.xfail(strict=True)) for r in range(1, 16)],
-    )
+    @pytest.mark.parametrize("r", range(1, 16))
     def test_rotated_noise_below_the_bound_is_refused(self, r):
-        # diag(mu) grows with the squeezing in both quadratures once mu is
-        # rotated, so the scaled least eigenvalue shrinks like e^-4r and falls
-        # within the tolerance from r = 6 on (CHANGES: FOUND)
-        with pytest.raises(InadmissibleInputError):
+        # the congruence by cholesky(mu) reads -1/4 at every rotation; once
+        # the rounding of mu, a relative eps of it, could move that by 1/4, the
+        # channel is refused as undecidable or, when the stored mu has lost
+        # its small eigenvalue, as not positive definite
+        eps = 8 * UNIT_ROUNDOFF / scaled_least_eigenvalue(0.3, r)
+        with pytest.raises(InadmissibleInputError) as refused:
             make_channel(HALF, squeezed_covariance(0.3, r, 0.3), canonical_form(1))
+        if eps < 0.25:
+            assert "below the admissibility bound" in str(refused.value)
+        else:
+            assert re.search("undecidable at this conditioning|not positive definite", str(refused.value))
 
     @pytest.mark.parametrize("r", range(1, 16))
     def test_rotated_noise_above_the_bound_is_accepted(self, r):
-        cert = make_channel(HALF, squeezed_covariance(0.376, r, 0.3), canonical_form(1)).cert
-        assert cert.is_positive_semidefinite
+        # accepted wherever the rounding of mu cannot flip the verdict (r <= 7),
+        # its least eigenvalue within eps of 1 - 3 / 8c; never refused as below the bound
+        margin = 1.0 - 0.375 / 0.376
+        eps = 8 * UNIT_ROUNDOFF / scaled_least_eigenvalue(0.3, r)
+        try:
+            cert = make_channel(HALF, squeezed_covariance(0.376, r, 0.3), canonical_form(1)).cert
+        except InadmissibleInputError as exc:
+            assert eps > margin
+            assert re.search("undecidable at this conditioning|not positive definite", str(exc))
+            return
+        assert eps < margin and cert.is_positive_definite
+        assert abs(cert.min_eigenvalue - margin) <= eps
 
 
 class TestNoiseCert:
-    """The noise bound mu - (i/2)(delta - K.T delta K), certified on its diagonal scaling."""
+    """The noise bound mu - (i/2)(delta - K.T delta K), certified on its congruence by cholesky(mu)."""
 
     def test_positive_definite(self):
         channel = make_channel(np.eye(2), 0.5 * np.eye(2), canonical_form(1))
@@ -144,6 +160,37 @@ class TestNoiseCert:
         coupled = np.array([[1.0, 1e-3], [1e-3, 0.0]])
         with pytest.raises(InadmissibleInputError, match="below the admissibility bound"):
             make_channel(np.eye(2), coupled, canonical_form(1))
+
+    @pytest.mark.parametrize(
+        "build, cert",
+        [
+            (lambda: preset_channel("classical-noise", 1.0), (0.0, 1e-9)),
+            (lambda: make_channel(np.eye(2), np.diag([1.0, 0.0]), canonical_form(1)), (0.0, 1e-9)),
+            (
+                lambda: tensor_channels(
+                    preset_channel("classical-noise", 1.0), preset_channel("attenuator", 0.5)
+                ),
+                (0.0, 2e-9),
+            ),
+        ],
+        ids=["mu-zero", "zero-row", "identity-with-attenuator"],
+    )
+    def test_noise_with_zero_rows_keeps_its_certificate(self, build, cert):
+        # a zero mu_jj is factored as 1; these certificates are frozen bit for bit
+        assert tuple(build().cert) == cert
+
+    def test_singular_noise_off_its_zero_rows_is_refused(self):
+        # M = mu is semidefinite, but mu has no Cholesky factor and no zero row
+        with pytest.raises(InadmissibleInputError, match="^channel noise mu is not positive definite$"):
+            make_channel(np.eye(2), np.ones((2, 2)), canonical_form(1))
+
+    @pytest.mark.parametrize("modes", [1, 3, 6])
+    def test_isotropic_noise_costs_one_factor_and_one_eigensolve(self, modes, count_eigensolves):
+        # the AM-GM bound on lambda_min(D^-1 mu D^-1) decides without a second solve
+        channel = random_regular_channel(np.random.default_rng(modes), modes)
+        count_eigensolves.clear()
+        make_channel(channel.K, channel.mu, channel.space)
+        assert count_eigensolves == ["cholesky", "eigvalsh"]
 
     def test_rounding_of_k_t_delta_k_is_no_refusal(self):
         # the skew part of the bound is built here, so its rounding is not a

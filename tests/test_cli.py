@@ -80,6 +80,16 @@ class TestGain:
         assert code == 2
         assert "preset" in err
 
+    def test_rotated_noise_below_the_bound_exits_2(self, tmp_path, capsys):
+        # a rotated squeeze of mu does not blur its certificate (README, Strong squeezing)
+        path = str(tmp_path / "rotated.json")
+        write_json(path, {"K": (0.5 * np.eye(2)).tolist(), "mu": squeezed_covariance(0.3, 6, 0.3).tolist()})
+        assert run(["gain", "--channel-file", path], capsys) == (
+            2,
+            "",
+            "error: channel noise is below the admissibility bound: min eigenvalue -2.500e-01\n",
+        )
+
 
 class TestSweep:
     def test_csv_shape_and_convergence(self, tmp_path, capsys):
@@ -530,6 +540,19 @@ class TestWilliamson:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(["williamson", "/no/such/file.json"], capsys)
         assert code == 2
+
+    def test_failed_internal_check_exits_2_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        def defect(*args, **kwargs):
+            raise RuntimeError("symplectic defect 1.000e-03 exceeds tolerance")
+
+        monkeypatch.setattr(cli, "williamson", defect)
+        path = str(tmp_path / "alpha.json")
+        save_matrix(path, np.eye(2))
+        assert run(["williamson", path], capsys) == (
+            2,
+            "",
+            "error: internal numerical check failed: symplectic defect 1.000e-03 exceeds tolerance\n",
+        )
 
 
 class TestTolerancePlumbing:
@@ -1093,5 +1116,7 @@ def test_every_invocation_keeps_the_exit_code_contract(invocation, env_tol):
                 code = exc.code
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # exit 2 also covers a failed self-check of the numerics, which no input may reach
+    assert "internal numerical check failed" not in err.getvalue(), argv
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BELOW_THE_BOUND, random_covariance, random_spd, squeezed_covariance
+from conftest import (
+    BELOW_THE_BOUND,
+    UNIT_ROUNDOFF,
+    random_covariance,
+    random_spd,
+    scaled_least_eigenvalue,
+    squeezed_covariance,
+)
 from egain.errors import InadmissibleInputError
 from egain.gaussian import (
     entropy_matrix_form,
@@ -132,19 +139,6 @@ class TestGaussianState:
 
 
 SQUEEZES = [(theta, r) for theta in (0.0, 0.3) for r in range(1, 16)]
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
-
-
-def scaled_least_eigenvalue(theta, r):
-    """lambda_min(D^-1 alpha D^-1), D = diag(alpha)^(1/2), of squeezed_covariance(nu, r, theta).
-
-    In closed form: the unit-diagonal 2 x 2 matrix has eigenvalues 1 +- |rho|
-    and determinant nu^2 / (alpha_11 alpha_22), a ratio that cancels nothing.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    up, down = math.exp(2.0 * r), math.exp(-2.0 * r)
-    det = 1.0 / ((c * c * up + s * s * down) * (s * s * up + c * c * down))
-    return det / (1.0 + math.sqrt(max(0.0, 1.0 - det)))
 
 
 def refusals(alpha):

@@ -45,6 +45,22 @@ def test_only_symplectic_assembles_a_certificate(module):
     assert not {name for _, name in imports(module)} & CERTIFICATE_PARTS, module
 
 
+def called_names(module):
+    """Names the module calls, as ``name(...)`` or as ``anything.name(...)``."""
+    tree = ast.parse((SOURCES / f"{module}.py").read_text())
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return {getattr(func, "id", getattr(func, "attr", None)) for func in calls}
+
+
+def test_symplectic_builds_certificates():
+    assert "HermitianCert" in called_names("symplectic")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "symplectic"])
+def test_only_symplectic_builds_a_certificate(module):
+    assert "HermitianCert" not in called_names(module), module
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_dataclasses(module):
     # records are named tuples: a dataclass costs about 1 ms of start-up to build at import
