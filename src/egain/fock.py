@@ -12,13 +12,18 @@ package's main numerical evidence.
 Each matrix is validated on the s leading levels it occupies, so random states
 and attenuator outputs cost O(s^3) whatever the cutoff. Campaigns run their
 trials in chunks of at most ``_STACK_BYTES`` as (B, d, d) stacks, from input
-draw to record: a chunk's inputs are drawn in trial order with the generator
-calls of B successive ``random_low_support_state`` draws and validated as one
-(B, s, s) block, its references are solved as one (B, 2, 2) covariance stack
-before its Kraus sums run, which cost numpy calls per occupied level rather
-than per Kraus operator, and its occupancies and top-band masses are read off
-whole stacks. A stack gives each state the bits it gives alone, and
-``_record`` builds every trial's record, so campaign records equal ``verify_*``'s.
+draw to record: a chunk's inputs are drawn in trial order, in one loop over the
+generator calls of B successive ``random_low_support_state`` draws, and
+validated as one (B, s, s) block; its references are solved as one (B, 2, 2)
+covariance stack before its Kraus sums run, which cost numpy calls per occupied
+level rather than per Kraus operator and scan only the levels the inputs were
+drawn on; an attenuator's outputs are scanned on the s x s block the sums
+wrote. ``apply_channel`` renormalizes its output twice, by the mass kept and
+then by the block trace; a campaign applies the second division only to what
+its records read, each output's spectrum and top-band diagonal, and reads the
+entropies of a chunk's inputs and outputs off one log. A stack gives each
+state the bits it gives alone, and ``_records`` builds campaign and
+``verify_*`` records alike, so campaign records equal ``verify_*``'s.
 
 Truncation policy: results carry a ``trace_deficit``, which includes the
 mass a channel moves past the cutoff, and a trial whose states' deficits or
@@ -104,12 +109,12 @@ def _levels(rho: np.ndarray, hermitian: bool = False) -> np.ndarray:
     return np.where(occupied.any(axis=-1), rho.shape[-1] - occupied[..., ::-1].argmax(axis=-1), 0)
 
 
-def _validated(rho: np.ndarray, deficits) -> list[FockDensityMatrix]:
+def _validated(rho: np.ndarray, deficits, width: int | None = None) -> list[FockDensityMatrix]:
     """``fock_density`` on a (B, d, d) stack, in place, each matrix on its occupied block.
 
-    Matrices on the same s levels are checked and solved as one (n, s, s)
-    stack: each is symmetrized and handed to ``_normalized`` with the refusal
-    of its Hermitian check, if it failed.
+    Matrices on the same s levels are checked and solved as one (n, s, s) stack: each is
+    symmetrized and handed to ``_normalized`` with the refusal of its finiteness or
+    Hermitian check, if it failed. Spectra are padded to ``width`` levels, d by default.
     """
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2] or not rho.shape[1]:
         raise InadmissibleInputError(f"density matrix must be square and nonempty, not {rho.shape[1:]}")
@@ -123,10 +128,13 @@ def _validated(rho: np.ndarray, deficits) -> list[FockDensityMatrix]:
         block *= 0.5
         rho[group, :s, :s] = block
     refusals = [
-        f"density matrix not Hermitian (defect {defect:.3e})" if defect > 1e-12 * size else ""
+        "" if defect <= 1e-12 * size  # false for nan, which the eigenvalue and trace checks would pass
+        else f"density matrix not Hermitian (defect {defect:.3e})" if size < math.inf
+        else "density matrix entries must be finite"
         for defect, size in zip(herm, np.maximum(1.0, scale))
     ]
-    return _normalized(rho, deficits, levels, refusals)
+    spectra = _normalized(rho, levels, refusals, width or rho.shape[-1])
+    return [FockDensityMatrix(rho.shape[1], m, float(t), w) for m, t, w in zip(rho, deficits, spectra)]
 
 
 def _groups(levels: np.ndarray):
@@ -135,15 +143,15 @@ def _groups(levels: np.ndarray):
         yield (levels == s if np.ptp(levels) else slice(None)), s  # one occupancy: views, no copies
 
 
-def _normalized(rho: np.ndarray, deficits, levels: np.ndarray, refusals) -> list[FockDensityMatrix]:
-    """Hermitian (B, d, d) stack with occupancies ``levels``, checked and renormalized in place.
+def _spectra(rho: np.ndarray, levels: np.ndarray, refusals, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checked spectra and traces of a Hermitian (B, d, d) stack with occupancies ``levels``.
 
-    A spectrum is d - s zeros, then the block's eigenvalues. The first matrix
-    that fails a check raises: its nonempty entry of ``refusals``, else its
-    eigenvalue or trace message.
+    A spectrum is ``width`` - s zeros, then the eigenvalues of the matrix's s x s block; the
+    blocks on s levels are solved as one (n, s, s) stack. The first matrix that fails a check
+    raises: its nonempty entry of ``refusals``, else its eigenvalue or trace message.
     """
     low, tr = np.zeros(len(rho)), np.zeros(len(rho))  # a zero matrix fails on tr
-    w = np.zeros(rho.shape[:2])
+    w = np.zeros((len(rho), width))
     for group, s in _groups(levels):
         block = rho[group, :s, :s]
         w[group, -s:] = np.linalg.eigvalsh(block)
@@ -158,10 +166,16 @@ def _normalized(rho: np.ndarray, deficits, levels: np.ndarray, refusals) -> list
             )
         if t <= 0.5:
             raise InadmissibleInputError(f"density matrix trace {t:.3e} too far from 1")
+    return w, tr
+
+
+def _normalized(rho: np.ndarray, levels: np.ndarray, refusals, width: int) -> np.ndarray:
+    """``_spectra`` of a stack that is renormalized in place: its spectra, renormalized alike."""
+    w, tr = _spectra(rho, levels, refusals, width)
     top = levels.max()  # past every matrix's block lie zeros, which renormalizing leaves zeros
     rho[:, :top, :top] /= tr[:, None, None]
     w /= tr[:, None]
-    return [FockDensityMatrix(rho.shape[1], m, float(t), v) for m, t, v in zip(rho, deficits, w)]
+    return w
 
 
 def _whole(name: str, value, low: int, high: float = math.inf) -> int:
@@ -203,8 +217,20 @@ def thermal_state(nu: float, dim: int = DEFAULT_DIM) -> FockDensityMatrix:
 
 def von_neumann_entropy(state: FockDensityMatrix) -> float:
     """Entropy -tr(rho log rho) in nats, with 0 log 0 = 0."""
-    w = state.spectrum[state.spectrum > 0.0]
-    return float(-(w * np.log(w)).sum())
+    return float(_entropies_of(state.spectrum[None])[0])
+
+
+def _entropies_of(spectra: np.ndarray) -> np.ndarray:
+    """``von_neumann_entropy`` of each spectrum of a (B, d) stack, from one log over all of them.
+
+    Each spectrum's terms w log w, w > 0, lie contiguous in the one array of terms, in the
+    order that spectrum alone gives them, so each entropy is the sum it would be alone.
+    """
+    positive = spectra > 0.0
+    w = spectra[positive]
+    terms = w * np.log(w)
+    ends = np.cumsum(np.count_nonzero(positive, axis=1)).tolist()
+    return np.array([-terms[start:end].sum() for start, end in zip([0, *ends], ends)])
 
 
 def _amplitudes(k: float, dim: int) -> np.ndarray:
@@ -273,6 +299,7 @@ def build_dilation(
     """
     if dim < 4:
         raise InadmissibleInputError("dim must be at least 4")
+    dim = _whole("dim", dim, 4)
     if kind == "attenuator" and not 0.0 < k < 1.0:
         raise InadmissibleInputError(f"attenuator requires 0 < k < 1, got k = {float(k)!r}")
     if kind == "amplifier" and not k > 1.0:
@@ -300,8 +327,12 @@ def build_dilation(
     return DilationChannel(kind, 1.0, dim, _amplitudes(root_gain, dim), float(noise), first)
 
 
-def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
+def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> tuple[np.ndarray, int]:
     """Each stage's sum_l V_l rho V_l† in turn, ``first`` before ``kraus``, on a stack.
+
+    ``rho`` may hold only the leading levels of its matrices, zero past them: a (B, s', s')
+    stack, s' <= d. Returns the (B, d, d) output stack and the n leading levels that hold all
+    of it: s after a lowering stage, d after a raising one.
 
     V_l rho V_l† moves a block of rho l levels down (``first``, attenuator) or
     up (amplifier stages), weighted by the outer product of V_l's diagonal.
@@ -318,7 +349,10 @@ def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
         if amps is None:
             continue
         n = s if amps is channel.first else channel.dim  # as first: only the s x s block kraus reads
-        out = np.zeros_like(rho, dtype=complex, shape=(*rho.shape[:-2], n, n))
+        shape = (*rho.shape[:-2], n, n)
+        # a lowering stage writes its s x s block alone, so its output is left to calloc's zero
+        # pages; a raising stage writes along every row, where zeros_like's fill measured faster
+        out = np.zeros(shape, dtype=complex) if lowering else np.zeros_like(rho, dtype=complex, shape=shape)
         if lowering:
             for l, row in enumerate(amps[:s]):
                 out[..., : s - l, : s - l] += np.outer(row[l:s], row[l:s]) * rho[..., l:s, l:s]
@@ -331,12 +365,16 @@ def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> np.ndarray:
             for l in range(m, d):  # V_l moves only the d - l levels it keeps
                 out[..., l:, l:] += np.outer(amps[l, : d - l], amps[l, : d - l]) * rho[..., : d - l, : d - l]
         rho = out
-    return rho
+    return rho, s if lowering else channel.dim
 
 
-def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[np.ndarray, list]:
-    """``apply_channel`` on a (B, d, d) stack given its deficits: the output stack and its states."""
-    out = _kraus_sums(channel, rho)
+def _kept(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[np.ndarray, np.ndarray, list]:
+    """Kraus sums of a stack divided by the mass each keeps: the stack, its occupancies and deficits.
+
+    The stack is Hermitian up to signed zeros, as ``_kraus_sums`` keeps it, so ``_spectra``
+    needs no symmetrizing or check; its occupancies are scanned on the levels the sums wrote.
+    """
+    out, n = _kraus_sums(channel, rho)
     tr = np.trace(out, axis1=1, axis2=2).real  # over all d levels: a block sum adds in another order
     for t in tr:
         if not t >= np.finfo(float).tiny:  # a subnormal or zero mass cannot be renormalized
@@ -344,10 +382,22 @@ def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[n
                 f"output mass kept below the cutoff dim = {channel.dim} is {t:.3e}, "
                 "not a positive normal float"
             )
-    levels = _levels(out, hermitian=True)  # Hermitian up to signed zeros, as _kraus_sums keeps it:
-    out[:, : levels.max(), : levels.max()] /= tr[:, None, None]  # no symmetrizing or check needed
-    deficits = [deficit + max(0.0, 1.0 - t) for deficit, t in zip(deficits, tr)]
-    return out, _normalized(out, deficits, levels, [""] * len(out))
+    levels = _levels(out[:, :n, :n], hermitian=True)
+    # out /= tr bit for bit, at a fraction of its cost: numpy divides a + ib by a real t as
+    # (a + 0b)(1/t) + i(b - 0a)(1/t), which is a(1/t) + ib(1/t) on parts that are not -0.0,
+    # and Kraus sums hold none (each entry starts at +0.0 and only has terms added)
+    out.view(float)[:, : levels.max(), : 2 * levels.max()] *= (1.0 / tr)[:, None, None]
+    return out, levels, [deficit + max(0.0, 1.0 - t) for deficit, t in zip(deficits, tr)]
+
+
+def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[np.ndarray, list]:
+    """``apply_channel`` on a (B, d, d) stack given its deficits: the output stack and its states.
+
+    ``_kept`` outputs renormalized once more, by their block traces, as ``fock_density`` would.
+    """
+    out, levels, deficits = _kept(channel, rho, deficits)
+    spectra = _normalized(out, levels, [""] * len(out), channel.dim)
+    return out, [FockDensityMatrix(channel.dim, m, float(t), w) for m, t, w in zip(out, deficits, spectra)]
 
 
 def apply_channel(channel: DilationChannel, state: FockDensityMatrix) -> FockDensityMatrix:
@@ -377,18 +427,21 @@ def top_band_mass(state: FockDensityMatrix) -> float:
     return float(_band_masses(state.rho))
 
 
-def _band_masses(rho: np.ndarray) -> np.ndarray:
-    """``top_band_mass`` of each matrix of a (..., d, d) stack, in one diagonal reduction."""
+def _band_masses(rho: np.ndarray, tr=None) -> np.ndarray:
+    """``top_band_mass`` of each matrix of a (..., d, d) stack, in one diagonal reduction.
+
+    Given ``tr``, the masses of the stack renormalized by ``tr``: only the band is divided.
+    """
     band = max(1, math.ceil(TOP_BAND_FRACTION * rho.shape[-1]))
-    return np.diagonal(rho, axis1=-2, axis2=-1)[..., -band:].real.sum(axis=-1)
+    diagonal = np.diagonal(rho, axis1=-2, axis2=-1)[..., -band:]
+    return (diagonal if tr is None else diagonal / tr[..., None]).real.sum(axis=-1)
 
 
 def random_low_support_state(
     rng: np.random.Generator, dim: int = DEFAULT_DIM, support: int = 10
 ) -> FockDensityMatrix:
     """Random mixture of one to five pure states, validated on the lowest levels."""
-    _whole("support", support, 1)
-    return _random_states(rng, 1, dim, support)[1][0]
+    return _random_states(rng, 1, _whole("dim", dim, 1), _whole("support", support, 1))[1][0]
 
 
 def _random_states(
@@ -396,23 +449,27 @@ def _random_states(
 ) -> tuple[np.ndarray, list[FockDensityMatrix]]:
     """``count`` successive ``random_low_support_state`` draws, as a (count, d, d) stack and its states.
 
-    Each trial draws its component count, its weights, then the real and
-    imaginary parts of each component, as one draw alone does. Slot c of every
-    trial is added in one call, and the (count, s, s) block validated at once.
+    Each trial draws its component count, its weights, then the real and imaginary parts of
+    each component, as one draw alone does, into (count, 5) weights and (count, 5, 2, s)
+    parts. Slot c of every trial that has one is added in one call, and the (count, s, s)
+    block validated at once, its spectra padded to d levels as one array.
     """
-    support = min(int(support), int(dim))  # small cutoffs get full-support states
+    support = min(support, dim)  # small cutoffs get full-support states
+    sizes = np.zeros(count, dtype=int)
+    weights, parts = np.zeros((count, 5)), np.zeros((count, 5, 2, support))
+    for t in range(count):
+        n = sizes[t] = rng.integers(1, 6)
+        weights[t, :n] = rng.dirichlet(np.ones(n))
+        parts[t, :n] = rng.normal(size=(n, 2, support))  # real, imaginary
     rho = np.zeros((count, dim, dim), dtype=complex)
     blocks = rho[:, :support, :support]
-    mixtures = (rng.dirichlet(np.ones(int(rng.integers(1, 6)))) for _ in range(count))  # drawn as consumed
-    draws = [list(zip(w, rng.normal(size=(len(w), 2, support)))) for w in mixtures]  # weight, real, imaginary
-    for c in range(max(map(len, draws))):  # component slot c of every trial that has one
-        live, weights, parts = map(np.array, zip(*[(t, *d[c]) for t, d in enumerate(draws) if c < len(d)]))
-        psi = parts[:, 0] + 1j * parts[:, 1]  # normalized by np.linalg.norm's sums, a dot per row
+    for c in range(sizes.max()):
+        live = sizes > c if c else slice(None)  # every trial has a first component
+        psi = parts[live, c, 0] + 1j * parts[live, c, 1]  # normalized by np.linalg.norm's sums, a dot per row
         psi /= np.sqrt(psi.real[:, None] @ psi.real[..., None] + psi.imag[:, None] @ psi.imag[..., None])[:, 0]
-        blocks[live] += weights[:, None, None] * (psi[:, :, None] * psi.conj()[:, None, :])
-    pad = np.zeros(dim - support)
-    spectra = [np.concatenate((pad, b.spectrum)) for b in _validated(blocks, [0.0] * count)]
-    return rho, [FockDensityMatrix(dim, m, 0.0, w) for m, w in zip(rho, spectra)]
+        blocks[live] += weights[live, c, None, None] * (psi[:, :, None] * psi.conj()[:, None, :])
+    states = _validated(blocks, [0.0] * count, dim)
+    return rho, [FockDensityMatrix(dim, m, 0.0, state.spectrum) for m, state in zip(rho, states)]
 
 
 def slack_from_deficit(deficit: float) -> float:
@@ -432,39 +489,48 @@ CAMPAIGN_SUPPORT = {"attenuator": 10, "amplifier": 6, "classical_noise": 10}
 _STACK_BYTES = 1 << 20
 
 
-def _record(state: FockDensityMatrix, out: FockDensityMatrix, reference: dict, band_in, band_out) -> dict:
-    """A trial's record: ``holds`` if gain >= the first value of ``reference`` - slack.
+def _records(references, inputs, outputs) -> list[dict]:
+    """Each trial's record: ``holds`` if gain >= the first value of its reference - slack.
 
-    The deficit adds both trace deficits and the output's top-band mass ``band_out``; the trial
-    is reliable if none of them nor the input's, ``band_in``, exceeds RELIABILITY_THRESHOLD.
+    ``inputs`` and ``outputs`` hold a chunk's (B, d) spectra, trace deficits and top-band
+    masses; the entropies of all 2B spectra take one log. The deficit adds both trace
+    deficits and the output's top-band mass; the trial is reliable if none of them nor the
+    input's top-band mass exceeds RELIABILITY_THRESHOLD.
     """
-    gain = von_neumann_entropy(out) - von_neumann_entropy(state)
-    deficit = state.trace_deficit + out.trace_deficit + band_out
+    (spectra_in, deficit_in, band_in), (spectra_out, deficit_out, band_out) = inputs, outputs
+    entropy_in, entropy_out = _entropies_of(np.concatenate((spectra_in, spectra_out))).reshape(2, -1)
+    gain = entropy_out - entropy_in
+    deficit = np.add(deficit_in, deficit_out) + band_out
     slack = slack_from_deficit(deficit)
-    worst = max(state.trace_deficit, out.trace_deficit, band_in, band_out)
-    return {
-        "gain": gain,
-        **reference,
-        "deficit": deficit,
-        "slack": slack,
-        "holds": bool(gain >= next(iter(reference.values())) - slack),
-        "reliable": bool(worst <= RELIABILITY_THRESHOLD),
-    }
+    holds = gain >= np.array([next(iter(reference.values())) for reference in references]) - slack
+    reliable = np.max([deficit_in, deficit_out, band_in, band_out], axis=0) <= RELIABILITY_THRESHOLD
+    columns = gain.tolist(), deficit.tolist(), slack.tolist(), holds.tolist(), reliable.tolist()
+    return [
+        {"gain": g, **reference, "deficit": d, "slack": s, "holds": h, "reliable": ok}
+        for reference, g, d, s, h, ok in zip(references, *columns)
+    ]
 
 
 def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
-    """Draw random low-support states in trial order and tally their records, a chunk at a time."""
+    """Draw random low-support states in trial order and tally their records, a chunk at a time.
+
+    A chunk's outputs are renormalized only where its records read them: their spectra and
+    top-band diagonals, not the (B, d, d) stack that ``_apply_stack`` divides.
+    """
     if trials < 1:
         raise InadmissibleInputError("trials must be >= 1")
+    trials = _whole("trials", trials, 1)
     support = CAMPAIGN_SUPPORT[channel.kind]
     chunk = max(1, _STACK_BYTES // (16 * channel.dim**2))
     records = []
     for start in range(0, trials, chunk):
         rho, states = _random_states(rng, min(chunk, trials - start), channel.dim, support)
         references = reference(states)  # in trial order, before the stack runs
-        out, outs = _apply_stack(channel, rho, [0.0] * len(states))
-        masses = _band_masses(rho).tolist(), _band_masses(out).tolist()
-        records += map(_record, states, outs, references, *masses)
+        deficits = [state.trace_deficit for state in states]
+        out, levels, kept = _kept(channel, rho[:, :support, :support], deficits)  # scan the drawn levels
+        w, tr = _spectra(out, levels, [""] * len(out), channel.dim)
+        inputs = np.stack([state.spectrum for state in states]), deficits, _band_masses(rho)
+        records += _records(references, inputs, (w / tr[:, None], kept, _band_masses(out, tr)))
     return {
         "kind": channel.kind,
         "k": channel.k,
@@ -502,9 +568,7 @@ def verify_lower_bound(channel: DilationChannel, state: FockDensityMatrix) -> di
     deficit, the slack actually granted, and the reliability flag; the
     verdict ``holds`` means gain >= bound - slack.
     """
-    reference = _reference(channel, extremality=False)([state])[0]
-    out = apply_channel(channel, state)
-    return _record(state, out, reference, top_band_mass(state), top_band_mass(out))
+    return _verified(channel, state, extremality=False)
 
 
 def verify_extremality(channel: DilationChannel, state: FockDensityMatrix) -> dict:
@@ -521,9 +585,15 @@ def verify_extremality(channel: DilationChannel, state: FockDensityMatrix) -> di
     the state is nondegenerate, which is what the extremality argument
     actually needs.
     """
-    reference = _reference(channel, extremality=True)([state])[0]
+    return _verified(channel, state, extremality=True)
+
+
+def _verified(channel: DilationChannel, state: FockDensityMatrix, extremality: bool) -> dict:
+    """One state's record, from its reference and ``apply_channel``'s output."""
+    reference = _reference(channel, extremality)([state])
     out = apply_channel(channel, state)
-    return _record(state, out, reference, top_band_mass(state), top_band_mass(out))
+    inputs, outputs = [(s.spectrum[None], [s.trace_deficit], [top_band_mass(s)]) for s in (state, out)]
+    return _records(reference, inputs, outputs)[0]
 
 
 def _extremality_references(gch: GaussianChannel, states) -> list[dict]:

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import egain.cli as cli
@@ -1021,8 +1021,8 @@ EDGE_NUMBERS = ["nan", "inf", "-inf", "1e308", "-1e308", "-0", "0", "1e-300", "-
 FUZZ_NUMBERS = _mostly(
     st.sampled_from(["0.5", "0.7", "1", "1.5", "2", "0.3"]), st.sampled_from(EDGE_NUMBERS)
 )
-# --k values each preset admits
-PRESET_K = {"attenuator": ["0.5", "0.7"], "amplifier": ["1.5", "2"], "classical-noise": ["1"]}
+# --k values each preset admits; a tiny attenuator k draws extremality campaigns that exit 3
+PRESET_K = {"attenuator": ["0.5", "0.7", "1e-100"], "amplifier": ["1.5", "2"], "classical-noise": ["1"]}
 FUZZ_ENTRIES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0, 1, -1, 10**30, 10**400, True, False, None, "1.5", [0.5, 3.0], []]),
@@ -1096,8 +1096,12 @@ def _fuzz_invocations(draw):
     return argv, files
 
 
+TINY_K_EXTREMALITY = "fock --preset attenuator --k 1e-100 --dim 8 --trials 3 --extremality".split()
+
+
 @settings(max_examples=400, deadline=None)
 @given(invocation=_fuzz_invocations(), env_tol=st.none() | FUZZ_NUMBERS)
+@example(invocation=(TINY_K_EXTREMALITY, {}), env_tol=None)  # exits 3: a degenerate Gaussian image
 def test_every_invocation_keeps_the_exit_code_contract(invocation, env_tol):
     argv, files = invocation
     out, err = io.StringIO(), io.StringIO()

@@ -140,7 +140,7 @@ def dense_output(stages, state):
 
 def channel_on_identity(channel):
     """The image sum_l V_l V_l† of the identity operator under the channel."""
-    return fock._kraus_sums(channel, np.eye(channel.dim))
+    return fock._kraus_sums(channel, np.eye(channel.dim))[0]
 
 
 def full_block_kraus_sums(channel, rho):
@@ -231,6 +231,17 @@ class TestFockDensity:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InadmissibleInputError):
             fock_density(np.diag([1.2, -0.2]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "rho",
+        [[[math.nan]], [[1.0, math.nan], [math.nan, 0.0]], [[math.inf]], [[0.5, math.inf], [math.inf, 0.5]]],
+        ids=["nan", "nan-off-diagonal", "inf", "inf-off-diagonal"],
+    )
+    def test_rejects_non_finite_entries(self, rho):
+        # a nan defect, eigenvalue and trace pass every comparison of the other checks
+        with pytest.raises(InadmissibleInputError, match="^density matrix entries must be finite$"):
+            with np.errstate(invalid="ignore"):
+                fock_density(np.array(rho, dtype=complex))
 
     def test_stack_raises_for_its_first_bad_matrix(self):
         good = np.diag([0.5, 0.5]).astype(complex)
@@ -496,6 +507,27 @@ class TestDilations:
         with pytest.raises(InadmissibleInputError, match=message):
             build_dilation(kind, k, dim=8, noise=noise)
 
+    @pytest.mark.parametrize("dim", [60.5, math.nan, math.inf])
+    def test_dim_that_is_not_a_whole_number_is_refused_by_name(self, dim, rng):
+        message = re.escape(f"dim must be an integer >= 4, got {dim!r}")
+        for kind, k, noise in [("attenuator", 0.7, 0.0), ("amplifier", 1.5, 0.0), ("classical_noise", 1.0, 0.3)]:
+            with pytest.raises(InadmissibleInputError, match=message):
+                build_dilation(kind, k, dim=dim, noise=noise)
+        with pytest.raises(InadmissibleInputError, match=re.escape(f"dim must be an integer >= 1, got {dim!r}")):
+            random_low_support_state(rng, dim=dim)
+
+    @pytest.mark.parametrize("dim", [3, 2.5, 0, -math.inf])
+    def test_dim_below_four_keeps_its_message(self, dim):
+        with pytest.raises(InadmissibleInputError, match="^dim must be at least 4$"):
+            build_dilation("attenuator", 0.7, dim=dim)
+
+    def test_integral_float_dim_is_accepted(self):
+        channel = build_dilation("amplifier", 1.5, dim=8.0)
+        assert type(channel.dim) is int
+        assert np.array_equal(channel.kraus, build_dilation("amplifier", 1.5, dim=8).kraus)
+        drawn = [random_low_support_state(np.random.default_rng(2), dim=dim, support=3) for dim in (8.0, 8)]
+        assert np.array_equal(drawn[0].rho, drawn[1].rho)
+
     def test_parameter_validation(self):
         with pytest.raises(InadmissibleInputError):
             build_dilation("attenuator", 1.2, dim=20)
@@ -592,11 +624,27 @@ class TestProp1:
         assert len(summary["records"]) == 10
         assert summary["support"] == 10
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_campaign_refuses_no_trials(self, attenuator, rng, trials):
+    @pytest.mark.parametrize(
+        "trials, message",
+        [
+            (0, "trials must be >= 1"),
+            (-3, "trials must be >= 1"),
+            (2.5, "trials must be an integer >= 1, got 2.5"),
+            (math.nan, "trials must be an integer >= 1, got nan"),
+            (math.inf, "trials must be an integer >= 1, got inf"),
+        ],
+        ids=["0", "-3", "2.5", "nan", "inf"],
+    )
+    def test_campaign_refuses_no_trials(self, attenuator, rng, trials, message):
         for campaign in (lower_bound_campaign, extremality_campaign):
-            with pytest.raises(InadmissibleInputError, match="trials must be >= 1"):
+            with pytest.raises(InadmissibleInputError, match=f"^{re.escape(message)}$"):
                 campaign(attenuator, trials, rng)
+
+    def test_integral_float_trials_are_accepted(self, classical_noise):
+        for campaign in (lower_bound_campaign, extremality_campaign):
+            summary = campaign(classical_noise, 3.0, np.random.default_rng(4))
+            assert summary == campaign(classical_noise, 3, np.random.default_rng(4))
+            assert type(summary["trials"]) is int
 
     def test_amplifier_campaign_uses_reduced_support(self, rng):
         channel = build_dilation("amplifier", 1.5, dim=DIM)
@@ -748,7 +796,7 @@ class TestOccupiedLevels:
         for channel in small_dilations:
             stages = dense_stages(channel)
             stack = np.stack([state.rho for state in states])
-            sums = fock._kraus_sums(channel, stack)
+            sums = fock._kraus_sums(channel, stack)[0]
             outs = fock._apply_stack(channel, stack, [state.trace_deficit for state in states])[1]
             for state, summed, out in zip(states, sums, outs):
                 assert np.array_equal(summed, full_block_kraus_sums(channel, state.rho))
@@ -801,7 +849,7 @@ class TestOccupiedLevels:
         for kind, k, noise in [("attenuator", 0.7, 0.0), ("amplifier", 1.5, 0.0), ("classical_noise", 1.0, 0.3)]:
             channel = build_dilation(kind, k, dim=dim, noise=noise)
             lower_bound_campaign(channel, 20, np.random.default_rng(3))
-            out = fock._kraus_sums(channel, imaginary[None])
+            out = fock._kraus_sums(channel, imaginary[None])[0]
             assert np.array_equal(scan(out, hermitian=True), scan(out))
         chunks = math.ceil(20 / (fock._STACK_BYTES // (16 * dim * dim)))  # 1 at d = 20, 2 at d = 60
         assert len(scanned) == 3 * (2 * chunks + 1)  # each chunk's inputs and outputs, then the pair's input
@@ -834,9 +882,9 @@ class TestOccupiedLevels:
                 alone = random_low_support_state(rng, dim=dim, support=s).rho
                 supports = (1, s, -(-s // 2))  # the widest second, so the stack's occupancy is not the first's
                 stack = np.stack([random_low_support_state(rng, dim=dim, support=t).rho for t in supports])
-                assert np.array_equal(fock._kraus_sums(channel, alone), full_block_kraus_sums(channel, alone))
+                assert np.array_equal(fock._kraus_sums(channel, alone)[0], full_block_kraus_sums(channel, alone))
                 for rho in (alone[None], stack):
-                    for summed, m in zip(fock._kraus_sums(channel, rho), rho):
+                    for summed, m in zip(fock._kraus_sums(channel, rho)[0], rho):
                         assert np.array_equal(summed, full_block_kraus_sums(channel, m))
 
     def test_channel_on_identity_is_the_full_block_sum(self, small_dilations):
@@ -864,11 +912,16 @@ class TestStackedCampaigns:
             saturating = channel is attenuator
             assert all(r["flagged_saturating"] == saturating for r in summary["records"])
 
-    @pytest.mark.parametrize("dim, support", [(DIM, 10), (DIM, 6), (8, 10)])
-    def test_chunk_draw_equals_successive_single_draws(self, dim, support):
+    @pytest.mark.parametrize(
+        "dim, support, count",
+        [(DIM, 10, 18), (DIM, 6, 18), (8, 10, 18), (DIM, 1, 18), (DIM, 10, 1)],
+        ids=["60-10", "60-6", "8-10", "60-1-one-slot", "60-10-one-trial"],
+    )
+    def test_chunk_draw_equals_successive_single_draws(self, dim, support, count):
+        # one component slot (support 1) and one live trial are the edges of the one-pass draw
         chunked, alone = np.random.default_rng(5), np.random.default_rng(5)
-        rho, states = fock._random_states(chunked, 18, dim, support)
-        assert rho.shape == (18, dim, dim)
+        rho, states = fock._random_states(chunked, count, dim, support)
+        assert rho.shape == (count, dim, dim) and len(states) == count
         for m, state in zip(rho, states):
             single = random_low_support_state(alone, dim=dim, support=support)
             assert np.array_equal(m, single.rho)
@@ -879,6 +932,45 @@ class TestStackedCampaigns:
         after_chunk = random_low_support_state(chunked, dim=dim, support=support)
         after_singles = random_low_support_state(alone, dim=dim, support=support)
         assert np.array_equal(after_chunk.rho, after_singles.rho)
+
+    def test_campaign_layer_reads_the_renormalized_outputs(self, attenuator, amplifier, classical_noise):
+        # a campaign divides only the spectra and top-band diagonals of what _kept returns;
+        # _apply_stack divides the whole stack: both must read the same bits
+        for channel in (attenuator, amplifier, classical_noise):
+            support = fock.CAMPAIGN_SUPPORT[channel.kind]
+            rho = fock._random_states(np.random.default_rng(3), 18, DIM, support)[0]
+            out, levels, kept = fock._kept(channel, rho.copy(), [0.0] * 18)
+            w, tr = fock._spectra(out, levels, [""] * 18, DIM)
+            states = fock._apply_stack(channel, rho, [0.0] * 18)[1]
+            assert np.array_equal(w / tr[:, None], [state.spectrum for state in states])
+            assert np.array_equal(fock._band_masses(out, tr), [top_band_mass(state) for state in states])
+            assert kept == [state.trace_deficit for state in states]
+
+    def test_kept_renormalizes_as_numpy_divides_complex_by_real(self, small_dilations, rng):
+        # _kept multiplies each float part by 1/t; numpy's complex-by-real division gives the same
+        # bits on every entry that is not -0.0, and Kraus sums hold none
+        dim = small_dilations[0].dim
+        states = [number_state(dim - 1, dim), thermal_state(2.0, dim)]
+        states += [random_low_support_state(rng, dim=dim, support=support) for support in (1, 4, dim)]
+        stack = np.stack([state.rho for state in states])
+        for channel in small_dilations:
+            out = fock._kraus_sums(channel, stack)[0]
+            parts = out.view(float)
+            assert not np.signbit(parts[parts == 0.0]).any()
+            kept, levels, _ = fock._kept(channel, stack, [0.0] * len(states))
+            top = levels.max()
+            out[:, :top, :top] /= np.trace(out, axis1=1, axis2=2).real[:, None, None]
+            assert kept.tobytes() == out.tobytes()
+
+    def test_chunk_entropies_equal_each_spectrum_alone(self, rng):
+        # pure states sum to -0.0 alone: the chunk must keep the sign, and skip exact zeros
+        states = [number_state(0, DIM), thermal_state(2.0, DIM), number_state(DIM - 1, DIM)]
+        states += [random_low_support_state(rng, support=support) for support in (1, 3, 10, 10)]
+        spectra = np.stack([state.spectrum for state in states])
+        for entropy, w in zip(fock._entropies_of(spectra).tolist(), spectra):
+            w = w[w > 0.0]
+            alone = float(-(w * np.log(w)).sum())
+            assert (entropy, math.copysign(1.0, entropy)) == (alone, math.copysign(1.0, alone))
 
     def test_degenerate_trial_mid_chunk_raises_before_its_chunk_runs(self, classical_noise, monkeypatch):
         with pytest.raises(HypothesisViolationError) as alone:
@@ -920,9 +1012,10 @@ class TestStackedCampaigns:
         kernel, sizes = fock._kraus_sums, []
 
         def spy(channel, rho):
-            assert rho.nbytes <= fock._STACK_BYTES
             sizes.append(len(rho))
-            return kernel(channel, rho)
+            out, levels = kernel(channel, rho)
+            assert out.shape[1:] == (DIM, DIM) and out.nbytes <= fock._STACK_BYTES  # the widest stack
+            return out, levels
 
         monkeypatch.setattr(fock, "_kraus_sums", spy)
         lower_bound_campaign(classical_noise, self.TRIALS, np.random.default_rng(7))
@@ -936,7 +1029,7 @@ class TestStackedCampaigns:
         identity = np.zeros((dim, dim), dtype=complex)
         identity[0] = 1.0
         channel = DilationChannel(kind="attenuator", k=0.5, dim=dim, kraus=identity)
-        shapes = []
+        counts, shapes = [], []
 
         class FirstStack(Exception):
             pass
@@ -946,6 +1039,7 @@ class TestStackedCampaigns:
             raise FirstStack
 
         def draw_vacua(rng, count, dim, support):
+            counts.append(count)
             states = [number_state(0, dim)] * count
             return np.stack([state.rho for state in states]), states
 
@@ -953,4 +1047,7 @@ class TestStackedCampaigns:
         monkeypatch.setattr(fock, "_kraus_sums", spy)
         with pytest.raises(FirstStack):
             lower_bound_campaign(channel, 3, np.random.default_rng(0))
-        assert shapes == [(1, dim, dim)]
+        # the Kraus sums see the levels the inputs are drawn on, of a one-trial stack
+        assert counts == [1]
+        support = fock.CAMPAIGN_SUPPORT["attenuator"]
+        assert shapes == [(1, support, support)]
