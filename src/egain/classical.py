@@ -53,6 +53,7 @@ _HEAD_CUTOFF = 10**5
 _TAIL_PANELS = 8
 _TAIL_NODES = 64
 _STRIPE_CELLS = 1 << 17
+_WORD_BYTES = 1 << 16  # smaller stripes compare faster bytewise than through uint64 views
 
 
 def _xor_table(a, b):
@@ -71,7 +72,29 @@ def xor_family() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
 
 def _raw_weight(n: np.ndarray) -> np.ndarray:
-    return 1.0 / (n * np.log(n + 1.0) ** 2)
+    """a_n = 1/(n log^2(n+1)) in float64, in one temporary."""
+    a = np.add(n, 1.0)
+    np.log(a, out=a)
+    np.square(a, out=a)  # what ** 2 dispatches to
+    a *= n
+    return np.divide(1.0, a, out=a)
+
+
+def _entropy_of(q: np.ndarray) -> float:
+    """-sum q log q, with the terms formed in place of log q."""
+    terms = np.log(q)
+    terms *= q
+    return float(-terms.sum())
+
+
+def _whole(name: str, value, low: int) -> int:
+    """``value`` as an int, refused by name unless it is a finite whole number >= low."""
+    try:
+        if low <= value < math.inf and not value % 1:
+            return int(value)
+    except (TypeError, ValueError):  # not a number, or an array
+        pass
+    raise InadmissibleInputError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _raw_weight_slope(x: float) -> float:
@@ -132,11 +155,29 @@ class HeavyTailDistribution(
     normalizer_uncertainty: float
 
     def weight(self, n) -> np.ndarray:
-        """q_n for 1 <= n <= n_max (vectorized)."""
-        n = np.asarray(n, dtype=np.float64)
-        if np.any(n < 1) or np.any(n > self.n_max):
-            raise InadmissibleInputError(f"indices must lie in [1, {self.n_max}]")
-        return _raw_weight(n) / self.normalizer
+        """q_n for whole 1 <= n <= n_max (vectorized); other indices are refused by name.
+
+        An integer-typed array is whole by its type; any other is read as float64 and
+        must be finite and whole.
+        """
+        n = np.asarray(n)
+        if not n.ndim:  # a scalar: the in-place ufuncs below need an array
+            return self.weight(n.reshape(1))[0]
+        if n.dtype.kind not in "iu":
+            n = n.astype(np.float64, copy=False)
+            if not (n == np.floor(n)).all():  # also fails at nan
+                self._refuse(n)
+        if n.size and not (1 <= n.min() and n.max() <= self.n_max):
+            self._refuse(n)
+        q = _raw_weight(n)
+        q /= self.normalizer
+        return q
+
+    def _refuse(self, n: np.ndarray):
+        bad = n[~((n >= 1) & (n <= self.n_max) & (n == np.floor(n)))]
+        raise InadmissibleInputError(
+            f"indices must be whole numbers in [1, {self.n_max}], got {bad[0].item()!r}"
+        )
 
     def truncated_entropy(self, N: int) -> float:
         """Partial entropy sum H_N = -sum_{n<=N} q_n log q_n, in nats.
@@ -144,27 +185,28 @@ class HeavyTailDistribution(
         Every term is positive (q_n < 1), so H_N is strictly increasing in N;
         it diverges like log log N because q_n log(1/q_n) ~ 1/(n log n).
         """
-        if N < 1 or N > self.n_max:
-            raise InadmissibleInputError(f"N must lie in [1, {self.n_max}]")
+        N, n_max, Z = _whole("N", N, 1), self.n_max, self.normalizer
+        if N > n_max:
+            raise InadmissibleInputError(f"N must lie in [1, {n_max}], got {N}")
         total = 0.0
         for lo in range(1, N + 1, _CHUNK):
             hi = min(N, lo + _CHUNK - 1)
             # lo..hi lie in [1, n_max] by the check above: weight()'s range tests cannot fail
-            q = _raw_weight(np.arange(lo, hi + 1, dtype=np.float64)) / self.normalizer
-            total += float(-(q * np.log(q)).sum())
+            q = _raw_weight(np.arange(lo, hi + 1, dtype=np.float64))
+            q /= Z
+            total += _entropy_of(q)
         return total
 
 
 def heavy_tail(n_max: int = 10**7) -> HeavyTailDistribution:
     """Build the heavy-tail distribution supporting queries up to n_max."""
-    if n_max < 1:
-        raise InadmissibleInputError("n_max must be >= 1")
+    n_max = _whole("n_max", n_max, 1)
     if n_max > _NORMALIZER_CUTOFF:
         raise InadmissibleInputError(
-            f"n_max beyond the normalizer cutoff {_NORMALIZER_CUTOFF} is unsupported"
+            f"n_max beyond the normalizer cutoff {_NORMALIZER_CUTOFF} is unsupported, got {n_max}"
         )
     Z, err = normalizer()
-    return HeavyTailDistribution(n_max=int(n_max), normalizer=Z, normalizer_uncertainty=err)
+    return HeavyTailDistribution(n_max=n_max, normalizer=Z, normalizer_uncertainty=err)
 
 
 def channel_row_entropy(dist: HeavyTailDistribution, perms: Callable, i: int, N: int) -> float:
@@ -173,22 +215,8 @@ def channel_row_entropy(dist: HeavyTailDistribution, perms: Callable, i: int, N:
     At complete prefixes N = 2^k with i <= N the row indices are a
     permutation of {1..N}, so the value is independent of i.
     """
-    if i < 1 or N < 1:
-        raise InadmissibleInputError("need i >= 1 and N >= 1")
-    idx = perms(i, np.arange(1, N + 1, dtype=np.int64))
-    q = dist.weight(idx)
-    return float(-(q * np.log(q)).sum())
-
-
-def _prefix_exponent(k) -> int:
-    """The prefix exponent k as a nonnegative int; anything else is refused by name."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise InadmissibleInputError(f"prefix exponent must be an integer, got {k!r}") from None
-    if k < 0:
-        raise InadmissibleInputError(f"prefix exponent must be nonnegative, got {k}")
-    return k
+    i, N = _whole("i", i, 1), _whole("N", N, 1)
+    return _entropy_of(dist.weight(perms(i, np.arange(1, N + 1, dtype=np.int64))))
 
 
 def _block_form(table: Callable[..., np.ndarray], k: int, origin: int) -> int:
@@ -210,13 +238,13 @@ def _block_form(table: Callable[..., np.ndarray], k: int, origin: int) -> int:
     of at most _STRIPE_CELLS cells per call, so a passing table is evaluated on
     each cell once; a stripe of the wrong shape or dtype fails throughout.
     """
-    k = _prefix_exponent(k)
     n = 1 << k
     dtype = np.min_scalar_type(n - 1 + origin)
     index = np.arange(n, dtype=dtype)
-    shifted = index + origin
+    shifted = np.arange(origin, n + origin, dtype=dtype) if origin else index
     stripe = min(n, max(1, _STRIPE_CELLS >> k))
     buffer = np.empty((stripe, n), dtype)
+    words = buffer.nbytes >= _WORD_BYTES and n * buffer.itemsize % 8 == 0
     least = n
     for lo in range(0, n, stripe):
         if lo >= least:
@@ -227,10 +255,11 @@ def _block_form(table: Callable[..., np.ndarray], k: int, origin: int) -> int:
         got = table(shifted[lo : lo + stripe, None], shifted)
         if not isinstance(got, np.ndarray) or got.shape != expected.shape or got.dtype != dtype:
             return lo.bit_length()
-        pair = (got, expected)
-        if got.flags.c_contiguous and n * buffer.itemsize % 8 == 0:
-            pair = (got.view(np.uint64), expected.view(np.uint64))
-        if not np.array_equal(*pair):
+        if words and got.flags.c_contiguous:
+            same = (got.view(np.uint64) == expected.view(np.uint64)).all()
+        else:
+            same = (got == expected).all()
+        if not same:
             rows, cols = np.nonzero(got != expected)
             least = min(least, int(np.maximum(rows + lo, cols).min()))
     return least.bit_length()
@@ -248,7 +277,8 @@ def first_failing_prefix(perms: Callable, dist: HeavyTailDistribution, k: int) -
     not of it. One pass evaluates ``perms`` on the 2^k prefix in uint8 to
     k = 7, uint16 to k = 15 and uint32 at k = 16, and answers every k' <= k.
     """
-    if (1 << _prefix_exponent(k)) > dist.n_max:
+    k = _whole("prefix exponent", k, 0)
+    if (1 << k) > dist.n_max:
         raise InadmissibleInputError("prefix exceeds the distribution support")
     return _block_form(perms, k, 1)
 
@@ -262,10 +292,15 @@ def doubly_stochastic_check(perms: Callable, dist: HeavyTailDistribution, k: int
 def prefix_bijections_exhaustive(k_max: int = 16) -> bool:
     """Verify that each row and column of the XOR table restricts to a bijection of
     every prefix {1..2^k}, k <= k_max, which the block form of ``_xor_table`` implies."""
-    return bool(_block_form(_xor_table, k_max, 0) > k_max)
+    return _xor_table_has_form(k_max)
 
 
 def block_recursion_exhaustive(k_max: int = 16) -> bool:
     """Verify that the XOR table has the form [[A, A+h], [A+h, A]] at every scale
     h = 2^(k-1), k <= k_max: ``_block_form``, as ``prefix_bijections_exhaustive``."""
+    return _xor_table_has_form(k_max)
+
+
+def _xor_table_has_form(k_max) -> bool:
+    k_max = _whole("prefix exponent", k_max, 0)
     return bool(_block_form(_xor_table, k_max, 0) > k_max)

@@ -441,20 +441,22 @@ def random_low_support_state(
     rng: np.random.Generator, dim: int = DEFAULT_DIM, support: int = 10
 ) -> FockDensityMatrix:
     """Random mixture of one to five pure states, validated on the lowest levels."""
-    return _random_states(rng, 1, _whole("dim", dim, 1), _whole("support", support, 1))[1][0]
+    dim = _whole("dim", dim, 1)
+    support = min(_whole("support", support, 1), dim)  # small cutoffs get full-support states
+    return _random_states(rng, 1, dim, support)[1][0]
 
 
 def _random_states(
     rng: np.random.Generator, count: int, dim: int, support: int
 ) -> tuple[np.ndarray, list[FockDensityMatrix]]:
-    """``count`` successive ``random_low_support_state`` draws, as a (count, d, d) stack and its states.
+    """``count`` successive ``random_low_support_state`` draws on ``support`` <= ``dim`` levels,
+    as a (count, d, d) stack and its states.
 
     Each trial draws its component count, its weights, then the real and imaginary parts of
     each component, as one draw alone does, into (count, 5) weights and (count, 5, 2, s)
     parts. Slot c of every trial that has one is added in one call, and the (count, s, s)
     block validated at once, its spectra padded to d levels as one array.
     """
-    support = min(support, dim)  # small cutoffs get full-support states
     sizes = np.zeros(count, dtype=int)
     weights, parts = np.zeros((count, 5)), np.zeros((count, 5, 2, support))
     for t in range(count):
@@ -520,7 +522,7 @@ def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
     if trials < 1:
         raise InadmissibleInputError("trials must be >= 1")
     trials = _whole("trials", trials, 1)
-    support = CAMPAIGN_SUPPORT[channel.kind]
+    support = min(CAMPAIGN_SUPPORT[channel.kind], channel.dim)  # the levels the states are drawn on
     chunk = max(1, _STACK_BYTES // (16 * channel.dim**2))
     records = []
     for start in range(0, trials, chunk):

@@ -1,5 +1,6 @@
 """Tests for the classical counterexample with unbounded entropy gain."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -105,6 +106,78 @@ class TestTruncatedEntropy:
         dist = heavy_tail(1000)
         with pytest.raises(InadmissibleInputError):
             dist.truncated_entropy(2000)
+
+
+class TestFrozenBits:
+    def test_weights_and_entropies_are_frozen_bit_for_bit(self):
+        # md5 of q_n for n <= 2^16, of row entropies at i in {1, 2, 2^k} with
+        # N = 2^k for k <= 12, and of H_{2^k} for k <= 16, as computed when
+        # weight() tested its range with two compare passes and every
+        # q log q term had its own temporaries
+        dist = heavy_tail(1 << 16)
+        family = xor_family()
+        digest = hashlib.md5()
+        digest.update(dist.weight(np.arange(1, 2**16 + 1)).tobytes())
+        rows = [channel_row_entropy(dist, family, i, 1 << k) for k in range(1, 13) for i in (1, 2, 1 << k)]
+        digest.update(np.array(rows).tobytes())
+        digest.update(np.array([dist.truncated_entropy(1 << k) for k in range(1, 17)]).tobytes())
+        assert digest.hexdigest() == "61f7386b6c01e7bc498bb7bc9b5566a9"
+
+
+class TestRefusals:
+    """Non-whole and non-finite sizes and indices are refused by name; whole floats are read as ints."""
+
+    @pytest.mark.parametrize("n_max, named", [(2.7, "2.7"), (0, "0"), (math.inf, "inf"), (math.nan, "nan")])
+    def test_heavy_tail_refuses_a_bad_support(self, n_max, named):
+        with pytest.raises(InadmissibleInputError, match=f"n_max must be an integer >= 1, got {named}$"):
+            heavy_tail(n_max)
+
+    def test_heavy_tail_reads_a_whole_float(self):
+        n_max = heavy_tail(1e4).n_max
+        assert n_max == 10_000 and type(n_max) is int
+
+    @pytest.mark.parametrize("i, N, named", [(1, 8.5, "N.*8.5"), (1.5, 8, "i.*1.5"), (0, 8, "i.*0")])
+    def test_row_entropy_refuses_a_bad_row_or_prefix(self, i, N, named):
+        with pytest.raises(InadmissibleInputError, match=f"{named}$"):
+            channel_row_entropy(heavy_tail(64), xor_family(), i, N)
+
+    def test_row_entropy_reads_whole_floats(self):
+        dist, family = heavy_tail(64), xor_family()
+        assert channel_row_entropy(dist, family, 3.0, 16.0) == channel_row_entropy(dist, family, 3, 16)
+
+    @pytest.mark.parametrize("N, named", [(2.5, "2.5"), (math.nan, "nan"), ("4", "'4'"), (2000, "2000")])
+    def test_truncated_entropy_refuses_a_bad_prefix(self, N, named):
+        with pytest.raises(InadmissibleInputError, match=f"got {named}$"):
+            heavy_tail(1000).truncated_entropy(N)
+
+    def test_truncated_entropy_reads_a_whole_float(self):
+        dist = heavy_tail(64)
+        assert dist.truncated_entropy(4.0) == dist.truncated_entropy(4)
+
+    @pytest.mark.parametrize(
+        "n, named",
+        [(math.nan, "nan"), (1.5, "1.5"), (math.inf, "inf"), (0, "0"), ([2, 3.5, 7], "3.5"), (np.array([4, 65]), "65")],
+    )
+    def test_weight_refuses_a_bad_index(self, n, named):
+        with pytest.raises(InadmissibleInputError, match=f"got {named}$"):
+            heavy_tail(64).weight(n)
+
+    def test_weight_reads_whole_floats_and_empty_arrays(self):
+        dist = heavy_tail(64)
+        assert dist.weight(3.0) == dist.weight(3)
+        assert np.array_equal(dist.weight([1.0, 64.0]), dist.weight(np.array([1, 64])))
+        assert dist.weight(np.array([], dtype=np.int64)).shape == (0,)
+
+    def test_integer_indices_skip_the_integrality_test(self, monkeypatch):
+        dist = heavy_tail(1 << 8)
+        expected = dist.weight(np.arange(1, 257))
+
+        def floor(*args, **kwargs):
+            raise AssertionError("integer indices are whole by type")
+
+        monkeypatch.setattr(np, "floor", floor)
+        assert np.array_equal(dist.weight(np.arange(1, 257, dtype=np.uint16)), expected)
+        assert channel_row_entropy(dist, xor_family(), 5, 256) == pytest.approx(dist.truncated_entropy(256), abs=1e-12)
 
 
 class TestChannelStructure:
@@ -219,6 +292,10 @@ class TestPrefixExponent:
     @pytest.mark.parametrize("name", sorted(CERTIFICATES))
     def test_integer_types_are_exponents(self, name):
         assert self.CERTIFICATES[name](np.int64(3))
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATES))
+    def test_whole_floats_are_exponents(self, name):
+        assert self.CERTIFICATES[name](3.0)
 
 
 class TestExhaustive:

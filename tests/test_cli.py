@@ -24,6 +24,7 @@ from egain import classical
 from conftest import BELOW_THE_BOUND, save_matrix, squeezed_covariance
 from egain.cli import main
 from egain.errors import HypothesisViolationError
+from egain.fock import CAMPAIGN_SUPPORT
 from egain.matio import write_json
 
 
@@ -1081,7 +1082,8 @@ def _fuzz_invocations(draw):
         )
         argv += ["--channel-file", "channel.json"]
     if command == "fock":
-        argv += ["--dim", pick(["4", "8", "16", "24"], ["-1", "0", "2", "nan", str(10**30)])]
+        # 4, 6 and 8 lie below the campaign support of every preset but the amplifier's 6
+        argv += ["--dim", pick(["4", "6", "8", "16", "24"], ["-1", "0", "2", "nan", str(10**30)])]
         argv += ["--trials", pick(["1", "2", "3"], ["-1", "0", "1e308", str(10**30)])]
         argv += ["--extremality"] if draw(st.booleans()) else []
     elif draw(st.booleans()):
@@ -1124,3 +1126,6 @@ def test_every_invocation_keeps_the_exit_code_contract(invocation, env_tol):
     assert "internal numerical check failed" not in err.getvalue(), argv
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
+    if argv[0] == "fock" and code in (0, 4):  # the states are drawn on at most dim levels
+        report = json.loads(out.getvalue())
+        assert report["support"] == min(CAMPAIGN_SUPPORT[report["kind"]], report["dim"]), argv

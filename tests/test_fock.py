@@ -646,6 +646,15 @@ class TestProp1:
             assert summary == campaign(classical_noise, 3, np.random.default_rng(4))
             assert type(summary["trials"]) is int
 
+    def test_campaign_reports_the_support_it_drew_below_the_preset(self):
+        # at dim 6 the attenuator's 10 campaign levels are cut to the 6 that exist
+        channel = build_dilation("attenuator", 0.7, dim=6)
+        summary = lower_bound_campaign(channel, 3, np.random.default_rng(2))
+        assert summary["support"] == 6
+        states = campaign_states(channel, 2, 3)
+        assert all(np.any(state.rho[5]) for state in states)  # the top level is drawn on
+        assert [r["gain"] for r in summary["records"]] == [verify_lower_bound(channel, s)["gain"] for s in states]
+
     def test_amplifier_campaign_uses_reduced_support(self, rng):
         channel = build_dilation("amplifier", 1.5, dim=DIM)
         summary = lower_bound_campaign(channel, 5, rng)
@@ -920,7 +929,7 @@ class TestStackedCampaigns:
     def test_chunk_draw_equals_successive_single_draws(self, dim, support, count):
         # one component slot (support 1) and one live trial are the edges of the one-pass draw
         chunked, alone = np.random.default_rng(5), np.random.default_rng(5)
-        rho, states = fock._random_states(chunked, count, dim, support)
+        rho, states = fock._random_states(chunked, count, dim, min(support, dim))
         assert rho.shape == (count, dim, dim) and len(states) == count
         for m, state in zip(rho, states):
             single = random_low_support_state(alone, dim=dim, support=support)

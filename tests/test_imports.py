@@ -40,6 +40,14 @@ def test_phase_space_core_imports_no_oracle_and_no_cli(module):
         assert not (source == "egain" and f"egain.{name}" in banned), (module, name)
 
 
+def test_classical_imports_neither_the_fock_oracle_nor_the_cli():
+    # classical keeps its own whole-number refusals, so the two routes stay uncoupled
+    banned = {"egain.fock", "egain.cli"}
+    for source, name in imports("classical"):
+        assert source not in banned, source
+        assert not (source == "egain" and f"egain.{name}" in banned), name
+
+
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "symplectic"])
 def test_only_symplectic_assembles_a_certificate(module):
     assert not {name for _, name in imports(module)} & CERTIFICATE_PARTS, module
