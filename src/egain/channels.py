@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InadmissibleInputError, NonRegularChannelError
+from .errors import InadmissibleInputError, NonRegularChannelError, _whole
 from .gaussian import QuadraticHamiltonian, _entropies, _gibbs_covariances, gaussian_state
 from .records import ByIdentity
 from .symplectic import (
@@ -199,9 +199,7 @@ def default_beta_grid(
     """Geometric inverse-temperature grid, descending from beta_max to beta_min."""
     if not (beta_max > beta_min > 0):
         raise InadmissibleInputError("need beta_max > beta_min > 0")
-    if points < 2:
-        raise InadmissibleInputError("need at least two grid points")
-    return np.geomspace(beta_max, beta_min, int(points))
+    return np.geomspace(beta_max, beta_min, _whole("beta grid points", points, 2))
 
 
 _DEFAULT_GRID = default_beta_grid()  # built and validated once; read-only

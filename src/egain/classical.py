@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InadmissibleInputError
+from .errors import InadmissibleInputError, _whole
 from .records import ByIdentity
 
 __all__ = [
@@ -85,16 +85,6 @@ def _entropy_of(q: np.ndarray) -> float:
     terms = np.log(q)
     terms *= q
     return float(-terms.sum())
-
-
-def _whole(name: str, value, low: int) -> int:
-    """``value`` as an int, refused by name unless it is a finite whole number >= low."""
-    try:
-        if low <= value < math.inf and not value % 1:
-            return int(value)
-    except (TypeError, ValueError):  # not a number, or an array
-        pass
-    raise InadmissibleInputError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _raw_weight_slope(x: float) -> float:
@@ -216,6 +206,8 @@ def channel_row_entropy(dist: HeavyTailDistribution, perms: Callable, i: int, N:
     permutation of {1..N}, so the value is independent of i.
     """
     i, N = _whole("i", i, 1), _whole("N", N, 1)
+    if N > dist.n_max:  # before any of the N indices is built
+        raise InadmissibleInputError(f"N must lie in [1, {dist.n_max}], got {N}")
     return _entropy_of(dist.weight(perms(i, np.arange(1, N + 1, dtype=np.int64))))
 
 

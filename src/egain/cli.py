@@ -13,7 +13,8 @@ byte-identical for identical configuration and seed.
 
 Exit codes: 0 success; 2 inadmissible input (including numbers so large or
 small that the computation overflows) or a failed internal numerical check;
-3 hypothesis violation; 4 unreliable truncation beyond threshold.
+3 hypothesis violation; 4 too few reliable campaign trials (ones whose margin
+exceeds their proved truncation slack).
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from .channels import (
 )
 from .classical import first_failing_prefix, heavy_tail, xor_family
 from .errors import HypothesisViolationError, InadmissibleInputError
-from .fock import (
-    RELIABILITY_THRESHOLD,
-    build_dilation,
-    lower_bound_campaign,
-    extremality_campaign,
-)
+from .fock import build_dilation, extremality_campaign, lower_bound_campaign
 from .gaussian import quadratic_hamiltonian
 from .matio import _json_text, decode_array, encode_array, load_matrix, read_json, write_text
 from .symplectic import DEFAULT_TOL, _uncertainty_cert, canonical_form, williamson
@@ -212,7 +208,6 @@ def cmd_fock(args: argparse.Namespace) -> tuple[dict, int]:
         "unreliable_count": args.trials - summary["reliable_count"],
         "worst_margin": min(margins),
         "max_deficit": max(r["deficit"] for r in records),
-        "reliability_threshold": RELIABILITY_THRESHOLD,
         "records": records,
     }
     unreliable = summary["reliable_count"] < RELIABLE_FRACTION_FLOOR * args.trials

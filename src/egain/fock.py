@@ -9,27 +9,16 @@ closed form. Comparing entropy gains computed this way
 against the closed-form and Gaussian-extremality predictions is the
 package's main numerical evidence.
 
-Each matrix is validated on the s leading levels it occupies, so random states
-and attenuator outputs cost O(s^3) whatever the cutoff. Campaigns run their
-trials in chunks of at most ``_STACK_BYTES`` as (B, d, d) stacks, from input
-draw to record: a chunk's inputs are drawn in trial order, in one loop over the
-generator calls of B successive ``random_low_support_state`` draws, and
-validated as one (B, s, s) block; its references are solved as one (B, 2, 2)
-covariance stack before its Kraus sums run, which cost numpy calls per occupied
-level rather than per Kraus operator and scan only the levels the inputs were
-drawn on; an attenuator's outputs are scanned on the s x s block the sums
-wrote. ``apply_channel`` renormalizes its output twice, by the mass kept and
-then by the block trace; a campaign applies the second division only to what
-its records read, each output's spectrum and top-band diagonal, and reads the
-entropies of a chunk's inputs and outputs off one log. A stack gives each
-state the bits it gives alone, and ``_records`` builds campaign and
-``verify_*`` records alike, so campaign records equal ``verify_*``'s.
-
-Truncation policy: results carry a ``trace_deficit``, which includes the
-mass a channel moves past the cutoff, and a trial whose states' deficits or
-top-band populations (top ceil(0.2 d) levels) exceed 1e-6 is flagged unreliable;
-unreliable trials are reported, never silently dropped. Bound checks use the
-slack 50 * deficit + 1e-6, the deficit adding the output's top-band population.
+Truncation policy: a verdict is about the state the oracle holds, a density
+matrix on d levels, so its own tail (``trace_deficit``) does not enter it.
+Each Kraus term moves |n> to |n -+ l>, and only the terms that land past the
+cutoff are dropped, so the kept output is exactly P Phi[rho] P, short of the
+mass delta the channel moved past the cutoff. ``slack_from_deficit`` turns
+delta and the output's closed-form mean photon number into a proved bound on
+the computed gain's error, rounding included. A trial holds if gain >=
+reference - slack and is reliable if |gain - reference| > slack, that is, if
+the slack cannot have decided the verdict; unreliable trials are reported,
+never silently dropped.
 """
 
 from __future__ import annotations
@@ -41,15 +30,13 @@ from collections import namedtuple
 import numpy as np
 
 from .channels import GaussianChannel, _apply, preset_channel
-from .errors import HypothesisViolationError, InadmissibleInputError
+from .errors import HypothesisViolationError, InadmissibleInputError, _whole
 from .gaussian import _entropies
 from .records import ByIdentity
 from .symplectic import DEFAULT_TOL, _uncertainty_cert, symplectic_eigenvalues
 
 __all__ = [
     "DEFAULT_DIM",
-    "RELIABILITY_THRESHOLD",
-    "TOP_BAND_FRACTION",
     "FockDensityMatrix",
     "DilationChannel",
     "fock_density",
@@ -59,7 +46,6 @@ __all__ = [
     "build_dilation",
     "apply_channel",
     "covariance_of",
-    "top_band_mass",
     "random_low_support_state",
     "slack_from_deficit",
     "lower_bound_campaign",
@@ -69,8 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_DIM = 60
-RELIABILITY_THRESHOLD = 1e-6
-TOP_BAND_FRACTION = 0.2
 # Least eigenvalue a density matrix may have: rounding, not a negative population.
 _EIGENVALUE_FLOOR = -1e-10
 DILATION_KINDS = ("attenuator", "amplifier", "classical_noise")
@@ -176,14 +160,6 @@ def _normalized(rho: np.ndarray, levels: np.ndarray, refusals, width: int) -> np
     rho[:, :top, :top] /= tr[:, None, None]
     w /= tr[:, None]
     return w
-
-
-def _whole(name: str, value, low: int, high: float = math.inf) -> int:
-    """``value`` as an int, refused by name unless it is a whole number in [low, high)."""
-    if not low <= value < high or value % 1:
-        below = f" and < {high}" if high < math.inf else ""
-        raise InadmissibleInputError(f"{name} must be an integer >= {low}{below}, got {value!r}")
-    return int(value)
 
 
 def number_state(n: int, dim: int) -> FockDensityMatrix:
@@ -368,8 +344,8 @@ def _kraus_sums(channel: DilationChannel, rho: np.ndarray) -> tuple[np.ndarray, 
     return rho, s if lowering else channel.dim
 
 
-def _kept(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[np.ndarray, np.ndarray, list]:
-    """Kraus sums of a stack divided by the mass each keeps: the stack, its occupancies and deficits.
+def _kept(channel: DilationChannel, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Kraus sums of a stack divided by the mass each keeps: the stack, its occupancies and masses.
 
     The stack is Hermitian up to signed zeros, as ``_kraus_sums`` keeps it, so ``_spectra``
     needs no symmetrizing or check; its occupancies are scanned on the levels the sums wrote.
@@ -387,7 +363,7 @@ def _kept(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[np.ndarr
     # (a + 0b)(1/t) + i(b - 0a)(1/t), which is a(1/t) + ib(1/t) on parts that are not -0.0,
     # and Kraus sums hold none (each entry starts at +0.0 and only has terms added)
     out.view(float)[:, : levels.max(), : 2 * levels.max()] *= (1.0 / tr)[:, None, None]
-    return out, levels, [deficit + max(0.0, 1.0 - t) for deficit, t in zip(deficits, tr)]
+    return out, levels, tr.tolist()
 
 
 def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[np.ndarray, list]:
@@ -395,9 +371,10 @@ def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[n
 
     ``_kept`` outputs renormalized once more, by their block traces, as ``fock_density`` would.
     """
-    out, levels, deficits = _kept(channel, rho, deficits)
+    out, levels, masses = _kept(channel, rho)
     spectra = _normalized(out, levels, [""] * len(out), channel.dim)
-    return out, [FockDensityMatrix(channel.dim, m, float(t), w) for m, t, w in zip(out, deficits, spectra)]
+    states = zip(out, deficits, masses, spectra)
+    return out, [FockDensityMatrix(channel.dim, m, d + max(0.0, 1.0 - t), w) for m, d, t, w in states]
 
 
 def apply_channel(channel: DilationChannel, state: FockDensityMatrix) -> FockDensityMatrix:
@@ -420,21 +397,6 @@ def covariance_of(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     mean = math.sqrt(2.0) * np.array([a.real, a.imag])
     second = np.array([[half + a2.real, a2.imag], [a2.imag, half - a2.real]])
     return mean, second - np.outer(mean, mean)
-
-
-def top_band_mass(state: FockDensityMatrix) -> float:
-    """Population in the top ceil(TOP_BAND_FRACTION * dim) number levels."""
-    return float(_band_masses(state.rho))
-
-
-def _band_masses(rho: np.ndarray, tr=None) -> np.ndarray:
-    """``top_band_mass`` of each matrix of a (..., d, d) stack, in one diagonal reduction.
-
-    Given ``tr``, the masses of the stack renormalized by ``tr``: only the band is divided.
-    """
-    band = max(1, math.ceil(TOP_BAND_FRACTION * rho.shape[-1]))
-    diagonal = np.diagonal(rho, axis1=-2, axis2=-1)[..., -band:]
-    return (diagonal if tr is None else diagonal / tr[..., None]).real.sum(axis=-1)
 
 
 def random_low_support_state(
@@ -474,51 +436,89 @@ def _random_states(
     return rho, [FockDensityMatrix(dim, m, 0.0, state.spectrum) for m, state in zip(rho, states)]
 
 
-def slack_from_deficit(deficit: float) -> float:
-    """Numerical slack granted to bound checks: 50 * deficit + 1e-6."""
-    return 50.0 * deficit + 1e-6
+def _g(x: float) -> float:
+    """Entropy of the thermal state of mean photon number x >= 0, in nats."""
+    return math.log1p(x) + x * math.log1p(1.0 / x) if 0.0 < x < math.inf else x
+
+
+def _h(p: float) -> float:
+    """Binary entropy of 0 < p < 1, in nats."""
+    return -p * math.log(p) - (1.0 - p) * math.log1p(-p)
+
+
+_ROUNDOFF = 2.0**-53  # unit roundoff u of a float
+
+
+def slack_from_deficit(deficit: float, energy: float, dim: int) -> float:
+    """Proved bound on the error of a gain whose channel moved ``deficit`` past the cutoff ``dim``.
+
+    ``energy`` is E = n_out / (1 - delta), n_out the exact output's mean photon number. The slack
+    is min(2 eps g(E/eps) + h(eps), g(E)) + r, g the thermal entropy and h the binary entropy:
+    - eps = sqrt(delta + d u), delta = ``deficit``, u = 2^-53. The kept output is P Phi[rho] P,
+      so by gentle measurement (Winter, IEEE TIT 45, 2481 (1999)) its renormalization lies
+      within trace distance sqrt(delta) of Phi[rho]; d u covers the float trace giving delta.
+    - E bounds the mean photon number of Phi[rho] and of the renormalized kept output alike,
+      since P commutes with the number operator.
+    - 2 eps g(E/eps) + h(eps) is Winter's energy-constrained continuity bound for eps < 1 (CMP
+      347, 291 (2016), Lemma 18); g(E), the most entropy at mean photon number E, bounds the
+      entropy difference of two such states at any eps.
+    - r = 2 (T log(d - 1) + h(T)), T = 8 d^2 u, is Audenaert's sharp Fannes bound (J. Phys. A
+      40, 8127 (2007)) once for each eigensolve, input and output. The constant taken here:
+      each spectrum is exact for a matrix within ||Delta||_2 <= 16 d u of the exact one (a
+      density matrix has ||rho||_2 <= 1; eigvalsh is backward stable, and this also covers the
+      Kraus sums' rounding), so their trace distance is T <= (d/2) ||Delta||_2.
+    """
+    eps = math.sqrt(deficit + dim * _ROUNDOFF)
+    truncation = min(2.0 * eps * _g(energy / eps) + _h(eps), _g(energy)) if eps < 1.0 else _g(energy)
+    T = 8.0 * dim * dim * _ROUNDOFF
+    return truncation + 2.0 * (T * math.log(dim - 1) + _h(T))
+
+
+def _output_energy(channel: DilationChannel, nbar: float) -> float:
+    """Mean photon number of Phi[rho], in closed form from rho's, ``nbar``."""
+    if channel.kind == "classical_noise":
+        return nbar + channel.noise
+    k2 = channel.k * channel.k
+    return k2 * nbar + (k2 - 1.0 if channel.kind == "amplifier" else 0.0)
 
 
 # Campaign input support per channel kind. The amplifier expands photon
-# number by roughly k^2 and spreads it binomially, so inputs reaching level 9
-# put ~1e-5 of output population into the top band at the default dimension
-# of 60 — an honest feature of the channel, not a truncation artifact, but it
-# trips the reliability flag. Keeping amplifier campaign inputs on the bottom
-# 6 levels (measured top-band mass <= 4e-7 at k = 1.5) preserves the
-# generator's purpose: states whose truncation slack is negligible.
+# number by roughly k^2 and spreads it binomially, so at the default dimension
+# of 60 its outputs from inputs on 10 levels move up to ~1e-4 of their mass
+# past the cutoff, and the slack grows like its square root. On the bottom 6
+# levels the measured worst slack at k = 1.5 is 1.07e-3 over 900 trials (seeds
+# 501-503), against 0.024 over 300 trials on 10 levels; every margin exceeds 0.57.
 CAMPAIGN_SUPPORT = {"attenuator": 10, "amplifier": 6, "classical_noise": 10}
 # Bytes of states in one campaign stack, at least one: 18 at d = 60, 1 at d = 1000.
 _STACK_BYTES = 1 << 20
 
 
-def _records(references, inputs, outputs) -> list[dict]:
-    """Each trial's record: ``holds`` if gain >= the first value of its reference - slack.
+def _records(channel: DilationChannel, references, rho: np.ndarray, spectra: np.ndarray) -> list[dict]:
+    """Each record of a (B, s, s) stack of inputs on their leading levels, with their (B, d) spectra.
 
-    ``inputs`` and ``outputs`` hold a chunk's (B, d) spectra, trace deficits and top-band
-    masses; the entropies of all 2B spectra take one log. The deficit adds both trace
-    deficits and the output's top-band mass; the trial is reliable if none of them nor the
-    input's top-band mass exceeds RELIABILITY_THRESHOLD.
+    A record ``holds`` if gain >= reference - slack and is ``reliable`` if |gain - reference| >
+    slack, its reference the first value of the trial's; the entropies of all 2B spectra take
+    one log. ``deficit`` is the mass the channel moved past the cutoff.
     """
-    (spectra_in, deficit_in, band_in), (spectra_out, deficit_out, band_out) = inputs, outputs
-    entropy_in, entropy_out = _entropies_of(np.concatenate((spectra_in, spectra_out))).reshape(2, -1)
-    gain = entropy_out - entropy_in
-    deficit = np.add(deficit_in, deficit_out) + band_out
-    slack = slack_from_deficit(deficit)
-    holds = gain >= np.array([next(iter(reference.values())) for reference in references]) - slack
-    reliable = np.max([deficit_in, deficit_out, band_in, band_out], axis=0) <= RELIABILITY_THRESHOLD
-    columns = gain.tolist(), deficit.tolist(), slack.tolist(), holds.tolist(), reliable.tolist()
-    return [
-        {"gain": g, **reference, "deficit": d, "slack": s, "holds": h, "reliable": ok}
-        for reference, g, d, s, h, ok in zip(references, *columns)
-    ]
+    out, levels, masses = _kept(channel, rho)
+    w, tr = _spectra(out, levels, [""] * len(out), channel.dim)
+    entropy_in, entropy_out = _entropies_of(np.concatenate((spectra, w / tr[:, None]))).reshape(2, -1)
+    # the inputs' mean photon numbers, correctly rounded: the same on any number of trailing zeros
+    terms = np.diagonal(rho, axis1=1, axis2=2).real * np.arange(rho.shape[-1])
+    nbar = [math.fsum(row) for row in terms.tolist()]
+    gains = (entropy_out - entropy_in).tolist()
+    records = []
+    for reference, gain, n, t in zip(references, gains, nbar, masses):
+        loss = max(0.0, 1.0 - t)  # 1 - loss is min(1, t), which keeps its digits where loss rounds to 1
+        slack = slack_from_deficit(loss, _output_energy(channel, n) / min(1.0, t), channel.dim)
+        value = next(iter(reference.values()))
+        verdicts = {"holds": gain >= value - slack, "reliable": abs(gain - value) > slack}
+        records.append({"gain": gain, **reference, "deficit": loss, "slack": slack, **verdicts})
+    return records
 
 
 def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
-    """Draw random low-support states in trial order and tally their records, a chunk at a time.
-
-    A chunk's outputs are renormalized only where its records read them: their spectra and
-    top-band diagonals, not the (B, d, d) stack that ``_apply_stack`` divides.
-    """
+    """Draw random low-support states in trial order and tally their records, a chunk at a time."""
     if trials < 1:
         raise InadmissibleInputError("trials must be >= 1")
     trials = _whole("trials", trials, 1)
@@ -527,12 +527,8 @@ def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
     records = []
     for start in range(0, trials, chunk):
         rho, states = _random_states(rng, min(chunk, trials - start), channel.dim, support)
-        references = reference(states)  # in trial order, before the stack runs
-        deficits = [state.trace_deficit for state in states]
-        out, levels, kept = _kept(channel, rho[:, :support, :support], deficits)  # scan the drawn levels
-        w, tr = _spectra(out, levels, [""] * len(out), channel.dim)
-        inputs = np.stack([state.spectrum for state in states]), deficits, _band_masses(rho)
-        records += _records(references, inputs, (w / tr[:, None], kept, _band_masses(out, tr)))
+        drawn = rho[:, :support, :support]  # the Kraus sums scan only the levels the states were drawn on
+        records += _records(channel, reference(states), drawn, np.stack([state.spectrum for state in states]))
     return {
         "kind": channel.kind,
         "k": channel.k,
@@ -591,11 +587,11 @@ def verify_extremality(channel: DilationChannel, state: FockDensityMatrix) -> di
 
 
 def _verified(channel: DilationChannel, state: FockDensityMatrix, extremality: bool) -> dict:
-    """One state's record, from its reference and ``apply_channel``'s output."""
+    """One state's record, from its reference and the campaigns' ``_records``."""
+    if state.dim != channel.dim:
+        raise InadmissibleInputError("state and channel dimensions differ")
     reference = _reference(channel, extremality)([state])
-    out = apply_channel(channel, state)
-    inputs, outputs = [(s.spectrum[None], [s.trace_deficit], [top_band_mass(s)]) for s in (state, out)]
-    return _records(reference, inputs, outputs)[0]
+    return _records(channel, reference, state.rho[None], state.spectrum[None])[0]
 
 
 def _extremality_references(gch: GaussianChannel, states) -> list[dict]:

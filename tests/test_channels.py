@@ -347,6 +347,16 @@ class TestBetaSweep:
         with pytest.raises(InadmissibleInputError):
             default_beta_grid(1.0, 1e-6, 1)
 
+    @pytest.mark.parametrize("points", [1, 2.5, math.nan, math.inf, "3"], ids=["1", "2.5", "nan", "inf", "str"])
+    def test_grid_refuses_points_that_are_no_whole_number_by_name(self, points):
+        # 2.5 was taken as 2 points, nan raised an unnamed ValueError and inf an OverflowError
+        message = re.escape(f"beta grid points must be an integer >= 2, got {points!r}")
+        with pytest.raises(InadmissibleInputError, match=f"^{message}$"):
+            default_beta_grid(points=points)
+
+    def test_grid_takes_a_whole_float_count(self):
+        assert np.array_equal(default_beta_grid(points=3.0), default_beta_grid(points=3))
+
     @pytest.mark.parametrize("name,k", [("attenuator", 0.5), ("amplifier", 2.0)])
     def test_preset_sweep_converges_from_above(self, name, k):
         channel = preset_channel(name, k)

@@ -141,6 +141,14 @@ class TestRefusals:
         with pytest.raises(InadmissibleInputError, match=f"{named}$"):
             channel_row_entropy(heavy_tail(64), xor_family(), i, N)
 
+    def test_row_entropy_refuses_a_prefix_past_the_support_before_building_it(self):
+        # the refusal named the first index past n_max, 65, after building all 2^20 of them
+        def perms(i, j):
+            raise AssertionError("the row was built")
+
+        with pytest.raises(InadmissibleInputError, match=r"^N must lie in \[1, 64\], got 1048576$"):
+            channel_row_entropy(heavy_tail(64), perms, 1, 2**20)
+
     def test_row_entropy_reads_whole_floats(self):
         dist, family = heavy_tail(64), xor_family()
         assert channel_row_entropy(dist, family, 3.0, 16.0) == channel_row_entropy(dist, family, 3, 16)

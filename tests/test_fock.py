@@ -25,7 +25,6 @@ from egain.fock import (
     random_low_support_state,
     slack_from_deficit,
     thermal_state,
-    top_band_mass,
     verify_lower_bound,
     verify_extremality,
     von_neumann_entropy,
@@ -136,6 +135,13 @@ def dense_output(stages, state):
     out = dense_kraus_sum(stages, state.rho)
     out = 0.5 * (out + out.conj().T)
     return out / np.trace(out).real
+
+
+def entropy_of_populations(p):
+    """Entropy -sum p log p of a probability vector, in nats, with 0 log 0 = 0."""
+    p = np.asarray(p, dtype=float)
+    p = p[p > 0.0]
+    return float(-(p * np.log(p)).sum())
 
 
 def channel_on_identity(channel):
@@ -388,6 +394,12 @@ class TestNumberState:
         with pytest.raises(InadmissibleInputError, match=rf"^dim must be an integer >= 1, got {dim!r}$"):
             number_state(1, dim)
 
+    @pytest.mark.parametrize("n, dim, named", [("1", 4, "n"), (1, "4", "dim"), (None, 4, "n")])
+    def test_refuses_a_value_that_is_no_number_by_name(self, n, dim, named):
+        # comparing a string with an int raised a bare TypeError
+        with pytest.raises(InadmissibleInputError, match=rf"^{named} must be an integer >= .*, got "):
+            number_state(n, dim)
+
     def test_takes_integral_floats(self):
         state = number_state(2.0, 4.0)
         assert state.dim == 4 and isinstance(state.dim, int)
@@ -538,14 +550,66 @@ class TestDilations:
 
 
 class TestTruncationPolicy:
-    def test_slack_formula(self):
-        assert slack_from_deficit(0.0) == pytest.approx(1e-6)
-        assert slack_from_deficit(1e-4) == pytest.approx(50e-4 + 1e-6)
+    def test_continuity_bound_covers_an_exact_two_level_pair(self):
+        # |0><0| and (1 - eps)|0><0| + eps|1><1| lie at trace distance eps with mean photon numbers
+        # 0 and eps, and their entropies differ by h(eps) = 0.056 at eps = 0.01: more than the
+        # energy term 2 eps g(E/eps) = 2 eps g(1) = 0.028 at E = eps, so the bound needs its h(eps)
+        eps = 0.01
+        exact = entropy_of_populations([1.0 - eps, eps])
+        assert exact == pytest.approx(0.056, abs=1e-3)
+        slack = slack_from_deficit(eps**2, eps, 2)
+        assert exact <= slack <= 2 * eps * (2 * math.log(2)) + exact + 1e-12
 
-    def test_top_band_is_top_fifth(self):
-        state = number_state(DIM - 1, DIM)
-        assert top_band_mass(state) == pytest.approx(1.0)
-        assert top_band_mass(number_state(0, DIM)) == 0.0
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), levels=st.integers(2, 12))
+    def test_continuity_bound_covers_diagonal_pairs(self, seed, levels):
+        # diagonal states in the number basis have exact entropies, trace distance and energies
+        gen = np.random.default_rng(seed)
+        p = gen.dirichlet(np.full(levels, 0.3))
+        q = (1.0 - gen.uniform(0.0, 0.5)) * p + gen.uniform(0.0, 0.5) * gen.dirichlet(np.ones(levels))
+        q /= q.sum()
+        eps = 0.5 * np.abs(p - q).sum()
+        energy = max(np.arange(levels) @ p, np.arange(levels) @ q)
+        slack = slack_from_deficit(eps**2, energy, levels)
+        assert abs(entropy_of_populations(p) - entropy_of_populations(q)) <= slack
+
+    def test_slack_at_zero_energy_is_the_rounding_term(self):
+        # both states are then the vacuum: only the two eigensolves' Fannes terms are left
+        T = 8.0 * DIM * DIM * 2.0**-53
+        expected = 2 * (T * math.log(DIM - 1) - T * math.log(T) - (1 - T) * math.log1p(-T))
+        assert slack_from_deficit(0.0, 0.0, DIM) == pytest.approx(expected, rel=1e-12)
+        assert slack_from_deficit(0.0, 0.0, DIM) < 1e-9
+
+    @pytest.mark.parametrize("deficit", [0.9, 1.0], ids=["0.9", "eps>1"])
+    def test_slack_is_capped_by_the_most_entropy_at_its_energy(self, deficit):
+        # two states of mean photon number <= E differ in entropy by at most g(E), the thermal
+        # state's, also where eps = sqrt(deficit + d u) >= 1 and the continuity bound says nothing
+        g = float(mode_entropy(1.5 + 0.5))
+        assert g <= slack_from_deficit(deficit, 1.5, 8) <= g + 1e-9
+        assert slack_from_deficit(deficit, math.inf, 8) == math.inf
+
+    def test_deficit_is_the_mass_the_channel_moves_past_the_cutoff(self):
+        # the thermal input's own tail is no part of a verdict about the state the oracle holds
+        state = thermal_state(2.0, 20)
+        assert state.trace_deficit == pytest.approx(3.66e-5, rel=1e-2)
+        record = verify_lower_bound(build_dilation("attenuator", 0.7, dim=20), state)
+        assert 0.0 <= record["deficit"] <= 20 * 2.0**-53  # an attenuator keeps all its mass
+        amplifier = build_dilation("amplifier", 1.5, dim=20)
+        loss = apply_channel(amplifier, state).trace_deficit - state.trace_deficit
+        assert verify_lower_bound(amplifier, state)["deficit"] == pytest.approx(loss, rel=1e-9)
+
+    @pytest.mark.parametrize("k, n", [(1e3, 5), (1e100, 0)])
+    def test_output_that_keeps_almost_no_mass_holds_unreliably(self, k, n):
+        # 1 - t rounds to 1 for the kept mass t: the energy bound n_out / t stays finite at
+        # k = 1e3 and overflows at 1e100, and either way the slack decides nothing
+        record = verify_lower_bound(build_dilation("amplifier", k, dim=8), number_state(n, 8))
+        assert record["deficit"] == 1.0
+        assert record["holds"] and not record["reliable"]
+
+    def test_reliable_means_the_slack_cannot_decide_the_verdict(self, amplifier):
+        for record in lower_bound_campaign(amplifier, 20, np.random.default_rng(5))["records"]:
+            assert record["reliable"] == (abs(record["gain"] - record["bound"]) > record["slack"])
+            assert record["holds"] == (record["gain"] >= record["bound"] - record["slack"])
 
     def test_support_clamped_to_small_dim(self, rng):
         state = random_low_support_state(rng, dim=8, support=10)
@@ -570,7 +634,7 @@ class TestTruncationPolicy:
             ("attenuator", 0.7, None),
             ("amplifier", 1.5, None),
             ("classical_noise", 1.0, 0.3),
-            ("amplifier", 2.0, None),  # its trials are unreliable at d = 60
+            ("amplifier", 2.0, None),  # the largest slacks, up to 0.39 at d = 60
         ],
     )
     def test_slack_covers_the_cutoff_error(self, kind, k, noise):
@@ -943,17 +1007,16 @@ class TestStackedCampaigns:
         assert np.array_equal(after_chunk.rho, after_singles.rho)
 
     def test_campaign_layer_reads_the_renormalized_outputs(self, attenuator, amplifier, classical_noise):
-        # a campaign divides only the spectra and top-band diagonals of what _kept returns;
+        # a campaign divides only the spectra of what _kept returns;
         # _apply_stack divides the whole stack: both must read the same bits
         for channel in (attenuator, amplifier, classical_noise):
             support = fock.CAMPAIGN_SUPPORT[channel.kind]
             rho = fock._random_states(np.random.default_rng(3), 18, DIM, support)[0]
-            out, levels, kept = fock._kept(channel, rho.copy(), [0.0] * 18)
+            out, levels, masses = fock._kept(channel, rho.copy())
             w, tr = fock._spectra(out, levels, [""] * 18, DIM)
             states = fock._apply_stack(channel, rho, [0.0] * 18)[1]
             assert np.array_equal(w / tr[:, None], [state.spectrum for state in states])
-            assert np.array_equal(fock._band_masses(out, tr), [top_band_mass(state) for state in states])
-            assert kept == [state.trace_deficit for state in states]
+            assert [max(0.0, 1.0 - t) for t in masses] == [state.trace_deficit for state in states]
 
     def test_kept_renormalizes_as_numpy_divides_complex_by_real(self, small_dilations, rng):
         # _kept multiplies each float part by 1/t; numpy's complex-by-real division gives the same
@@ -966,7 +1029,7 @@ class TestStackedCampaigns:
             out = fock._kraus_sums(channel, stack)[0]
             parts = out.view(float)
             assert not np.signbit(parts[parts == 0.0]).any()
-            kept, levels, _ = fock._kept(channel, stack, [0.0] * len(states))
+            kept, levels, _ = fock._kept(channel, stack)
             top = levels.max()
             out[:, :top, :top] /= np.trace(out, axis1=1, axis2=2).real[:, None, None]
             assert kept.tobytes() == out.tobytes()

@@ -41,11 +41,27 @@ def test_phase_space_core_imports_no_oracle_and_no_cli(module):
 
 
 def test_classical_imports_neither_the_fock_oracle_nor_the_cli():
-    # classical keeps its own whole-number refusals, so the two routes stay uncoupled
+    # classical takes its whole-number refusals from errors, as fock does, so the routes stay uncoupled
     banned = {"egain.fock", "egain.cli"}
     for source, name in imports("classical"):
         assert source not in banned, source
         assert not (source == "egain" and f"egain.{name}" in banned), name
+
+
+def test_fock_takes_only_the_gaussian_counterpart_from_the_core():
+    # the independence rule: the Fock route reads the phase-space core only for the references
+    # of its checks, the Gaussian counterpart of a dilation and its Gaussian gains
+    core = {f"egain.{name}" for name in ("channels", "gaussian", "symplectic")}
+    taken = {(source, name) for source, name in imports("fock") if source in core}
+    assert taken == {
+        ("egain.channels", "GaussianChannel"),
+        ("egain.channels", "_apply"),
+        ("egain.channels", "preset_channel"),
+        ("egain.gaussian", "_entropies"),
+        ("egain.symplectic", "DEFAULT_TOL"),
+        ("egain.symplectic", "_uncertainty_cert"),
+        ("egain.symplectic", "symplectic_eigenvalues"),
+    }
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "symplectic"])
