@@ -116,8 +116,8 @@ def preset_channel(
     mu = noise * I. ``noise`` adds isotropic classical noise on top of the
     minimal mu for any preset.
     """
-    if noise < 0:
-        raise InadmissibleInputError("noise must be nonnegative")
+    if not 0 <= noise < math.inf:  # before any arithmetic, which would warn on inf or nan
+        raise InadmissibleInputError(f"noise must be nonnegative and finite, got {noise!r}")
     space = canonical_form(1)
     eye = np.eye(2)
     if name == "attenuator":

@@ -10,7 +10,7 @@ against the closed-form and Gaussian-extremality predictions is the
 package's main numerical evidence.
 
 Truncation policy: a verdict is about the state the oracle holds, a density
-matrix on d levels, so its own tail (``trace_deficit``) does not enter it.
+matrix on d levels, so whatever tail it was cut from does not enter it.
 Each Kraus term moves |n> to |n -+ l>, and only the terms that land past the
 cutoff are dropped, so the kept output is exactly P Phi[rho] P, short of the
 mass delta the channel moved past the cutoff. ``slack_from_deficit`` turns
@@ -60,11 +60,9 @@ _EIGENVALUE_FLOOR = -1e-10
 DILATION_KINDS = ("attenuator", "amplifier", "classical_noise")
 
 
-class FockDensityMatrix(ByIdentity, namedtuple("FockDensityMatrix", "dim rho trace_deficit spectrum")):
+class FockDensityMatrix(ByIdentity, namedtuple("FockDensityMatrix", "dim rho spectrum")):
     """Validated density matrix in the truncated number basis.
 
-    ``trace_deficit`` records probability mass lost to the cutoff, both by
-    the state's own tail and by any channel applications that produced it.
     ``spectrum`` holds the eigenvalues of ``rho`` (in no particular order),
     kept from validation so the entropy needs no second eigensolve; levels
     outside the occupied block contribute exact zeros.
@@ -73,13 +71,12 @@ class FockDensityMatrix(ByIdentity, namedtuple("FockDensityMatrix", "dim rho tra
     __slots__ = ()
     dim: int
     rho: np.ndarray
-    trace_deficit: float
     spectrum: np.ndarray
 
 
 def fock_density(rho: np.ndarray) -> FockDensityMatrix:
     """Validate, symmetrize and renormalize a raw density matrix."""
-    return _validated(np.array(rho, dtype=complex)[None], [0.0])[0]
+    return _validated(np.array(rho, dtype=complex)[None])[0]
 
 
 def _levels(rho: np.ndarray, hermitian: bool = False) -> np.ndarray:
@@ -93,7 +90,7 @@ def _levels(rho: np.ndarray, hermitian: bool = False) -> np.ndarray:
     return np.where(occupied.any(axis=-1), rho.shape[-1] - occupied[..., ::-1].argmax(axis=-1), 0)
 
 
-def _validated(rho: np.ndarray, deficits, width: int | None = None) -> list[FockDensityMatrix]:
+def _validated(rho: np.ndarray, width: int | None = None) -> list[FockDensityMatrix]:
     """``fock_density`` on a (B, d, d) stack, in place, each matrix on its occupied block.
 
     Matrices on the same s levels are checked and solved as one (n, s, s) stack: each is
@@ -118,7 +115,7 @@ def _validated(rho: np.ndarray, deficits, width: int | None = None) -> list[Fock
         for defect, size in zip(herm, np.maximum(1.0, scale))
     ]
     spectra = _normalized(rho, levels, refusals, width or rho.shape[-1])
-    return [FockDensityMatrix(rho.shape[1], m, float(t), w) for m, t, w in zip(rho, deficits, spectra)]
+    return [FockDensityMatrix(rho.shape[1], m, w) for m, w in zip(rho, spectra)]
 
 
 def _groups(levels: np.ndarray):
@@ -167,15 +164,15 @@ def number_state(n: int, dim: int) -> FockDensityMatrix:
     dim = _whole("dim", dim, 1)
     pops = np.zeros(dim)
     pops[_whole("n", n, 0, dim)] = 1.0
-    return FockDensityMatrix(dim, np.diag(pops).astype(complex), 0.0, pops)
+    return FockDensityMatrix(dim, np.diag(pops).astype(complex), pops)
 
 
 def thermal_state(nu: float, dim: int = DEFAULT_DIM) -> FockDensityMatrix:
     """Thermal state with finite symplectic eigenvalue nu >= 1/2.
 
     Level populations are proportional to ((nu - 1/2)/(nu + 1/2))^n; the
-    geometric tail beyond the cutoff gives trace_deficit = ratio^dim
-    exactly, and the kept populations are renormalized.
+    geometric tail beyond the cutoff, of mass ratio^dim, is dropped and the
+    kept populations are renormalized.
     """
     if not 0.5 <= nu < math.inf:
         raise InadmissibleInputError(f"thermal state requires finite nu >= 1/2, got {nu!r}")
@@ -184,11 +181,11 @@ def thermal_state(nu: float, dim: int = DEFAULT_DIM) -> FockDensityMatrix:
         return number_state(0, dim)
     ratio = (nu - 0.5) / (nu + 0.5)
     raw = np.exp(np.arange(dim) * math.log(ratio)) / (nu + 0.5)
-    deficit = ratio**dim
-    if not 1.0 - deficit >= np.finfo(float).tiny:  # ratio rounds to 1: nothing left to renormalize
+    kept = 1.0 - ratio**dim
+    if not kept >= np.finfo(float).tiny:  # ratio rounds to 1: nothing left to renormalize
         raise InadmissibleInputError(f"thermal state nu = {nu:g} keeps no mass below dim = {dim}")
-    pops = raw / (1.0 - deficit)
-    return FockDensityMatrix(dim, np.diag(pops).astype(complex), float(deficit), pops)
+    pops = raw / kept
+    return FockDensityMatrix(dim, np.diag(pops).astype(complex), pops)
 
 
 def von_neumann_entropy(state: FockDensityMatrix) -> float:
@@ -218,8 +215,8 @@ def _amplitudes(k: float, dim: int) -> np.ndarray:
     levels and t = k or 1/k, the amplitude is sqrt(C(m + l, l)) t^m (1 - t^2)^(l/2)
     for the attenuator, and t times that for the amplifier (Ivan, Sabapathy and
     Simon, PRA 84, 042311 (2011)). Entries whose output level passes the cutoff
-    are zero: the amplifier's column n then sums to the mass it keeps, so the
-    loss shows in ``trace_deficit``.
+    are zero: the amplifier's column n then sums to the mass it keeps, and the
+    rest is the ``deficit`` of a record.
     """
     lowering = k < 1.0
     t = k if lowering else 1.0 / k
@@ -273,8 +270,6 @@ def build_dilation(
     followed by the amplifier with k = sqrt(G), G = 1 + noise, which maps
     alpha to alpha + (G - 1) I.
     """
-    if dim < 4:
-        raise InadmissibleInputError("dim must be at least 4")
     dim = _whole("dim", dim, 4)
     if kind == "attenuator" and not 0.0 < k < 1.0:
         raise InadmissibleInputError(f"attenuator requires 0 < k < 1, got k = {float(k)!r}")
@@ -366,22 +361,12 @@ def _kept(channel: DilationChannel, rho: np.ndarray) -> tuple[np.ndarray, np.nda
     return out, levels, tr.tolist()
 
 
-def _apply_stack(channel: DilationChannel, rho: np.ndarray, deficits) -> tuple[np.ndarray, list]:
-    """``apply_channel`` on a (B, d, d) stack given its deficits: the output stack and its states.
-
-    ``_kept`` outputs renormalized once more, by their block traces, as ``fock_density`` would.
-    """
-    out, levels, masses = _kept(channel, rho)
-    spectra = _normalized(out, levels, [""] * len(out), channel.dim)
-    states = zip(out, deficits, masses, spectra)
-    return out, [FockDensityMatrix(channel.dim, m, d + max(0.0, 1.0 - t), w) for m, d, t, w in states]
-
-
 def apply_channel(channel: DilationChannel, state: FockDensityMatrix) -> FockDensityMatrix:
-    """Kraus sum sum_l V_l rho V_l†, renormalized, with deficit bookkeeping."""
+    """Kraus sum sum_l V_l rho V_l†, renormalized by the mass it keeps, then by its block trace."""
     if state.dim != channel.dim:
         raise InadmissibleInputError("state and channel dimensions differ")
-    return _apply_stack(channel, state.rho[None], [state.trace_deficit])[1][0]
+    out, levels, _ = _kept(channel, state.rho[None])
+    return FockDensityMatrix(channel.dim, out[0], _normalized(out, levels, [""], channel.dim)[0])
 
 
 def covariance_of(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -432,8 +417,8 @@ def _random_states(
         psi = parts[live, c, 0] + 1j * parts[live, c, 1]  # normalized by np.linalg.norm's sums, a dot per row
         psi /= np.sqrt(psi.real[:, None] @ psi.real[..., None] + psi.imag[:, None] @ psi.imag[..., None])[:, 0]
         blocks[live] += weights[live, c, None, None] * (psi[:, :, None] * psi.conj()[:, None, :])
-    states = _validated(blocks, [0.0] * count, dim)
-    return rho, [FockDensityMatrix(dim, m, 0.0, state.spectrum) for m, state in zip(rho, states)]
+    states = _validated(blocks, dim)
+    return rho, [FockDensityMatrix(dim, m, state.spectrum) for m, state in zip(rho, states)]
 
 
 def _g(x: float) -> float:
@@ -517,10 +502,8 @@ def _records(channel: DilationChannel, references, rho: np.ndarray, spectra: np.
     return records
 
 
-def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
+def _campaign(channel: DilationChannel, trials: int, rng, extremality: bool) -> dict:
     """Draw random low-support states in trial order and tally their records, a chunk at a time."""
-    if trials < 1:
-        raise InadmissibleInputError("trials must be >= 1")
     trials = _whole("trials", trials, 1)
     support = min(CAMPAIGN_SUPPORT[channel.kind], channel.dim)  # the levels the states are drawn on
     chunk = max(1, _STACK_BYTES // (16 * channel.dim**2))
@@ -528,7 +511,8 @@ def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
     for start in range(0, trials, chunk):
         rho, states = _random_states(rng, min(chunk, trials - start), channel.dim, support)
         drawn = rho[:, :support, :support]  # the Kraus sums scan only the levels the states were drawn on
-        records += _records(channel, reference(states), drawn, np.stack([state.spectrum for state in states]))
+        references = _references(channel, states, extremality)
+        records += _records(channel, references, drawn, np.stack([state.spectrum for state in states]))
     return {
         "kind": channel.kind,
         "k": channel.k,
@@ -541,22 +525,42 @@ def _campaign(channel: DilationChannel, trials: int, rng, reference) -> dict:
     }
 
 
-def _reference(channel: DilationChannel, extremality: bool):
-    """Per list of states: the bound log k^2 each, or their Gaussian gains once they meet the hypotheses."""
-    if extremality:
-        return functools.partial(_extremality_references, channel.gaussian_channel())
-    bound = {"bound": 2.0 * math.log(channel.k)}  # k**2 underflows to 0 below k = 1e-162
-    return lambda states: [bound] * len(states)
+def _references(channel: DilationChannel, states, extremality: bool) -> list[dict]:
+    """Per state: the bound log k^2, or, with ``extremality``, its references, Gaussian gain first.
+
+    verify_extremality's hypotheses are checked on each state; both nondegeneracy tests and the
+    gains are read off the input and output spectra of one (B, 2, 2) covariance stack, four
+    eigensolves whatever B. The first state that fails raises.
+    """
+    if not extremality:
+        return [{"bound": 2.0 * math.log(channel.k)}] * len(states)  # k**2 underflows to 0 below k = 1e-162
+    gch = channel.gaussian_channel()
+    alpha = np.stack([covariance_of(state)[1] for state in states])  # exactly symmetric, as _apply requires
+    nu_in = symplectic_eigenvalues(alpha, gch.space)
+    nu_out = _apply(gch, alpha)[1]
+    degenerate = ~_uncertainty_cert(nu_in, DEFAULT_TOL).is_positive_definite
+    blurred = ~(gch.strict | _uncertainty_cert(nu_out, DEFAULT_TOL).is_positive_definite)
+    for i in np.flatnonzero(degenerate | blurred)[:1]:  # the first failing state, if any
+        raise HypothesisViolationError(
+            f"state covariance is degenerate (min symplectic eigenvalue {nu_in[i, -1]:.9f})"
+            if degenerate[i]
+            else "saturating channel maps this state to a degenerate Gaussian image"
+        )
+    gains = (_entropies(nu_out) - _entropies(nu_in)).tolist()
+    return [
+        dict(gaussian_gain=gain, flagged_saturating=not gch.strict, min_symplectic_eigenvalue=nu_min)
+        for gain, nu_min in zip(gains, nu_in[:, -1].tolist())
+    ]
 
 
 def lower_bound_campaign(channel: DilationChannel, trials: int, rng: np.random.Generator) -> dict:
     """Run verify_lower_bound over random low-support states and tally the results."""
-    return _campaign(channel, trials, rng, _reference(channel, extremality=False))
+    return _campaign(channel, trials, rng, extremality=False)
 
 
 def extremality_campaign(channel: DilationChannel, trials: int, rng: np.random.Generator) -> dict:
     """Run verify_extremality over random low-support states and tally the results."""
-    return _campaign(channel, trials, rng, _reference(channel, extremality=True))
+    return _campaign(channel, trials, rng, extremality=True)
 
 
 def verify_lower_bound(channel: DilationChannel, state: FockDensityMatrix) -> dict:
@@ -590,29 +594,5 @@ def _verified(channel: DilationChannel, state: FockDensityMatrix, extremality: b
     """One state's record, from its reference and the campaigns' ``_records``."""
     if state.dim != channel.dim:
         raise InadmissibleInputError("state and channel dimensions differ")
-    reference = _reference(channel, extremality)([state])
-    return _records(channel, reference, state.rho[None], state.spectrum[None])[0]
-
-
-def _extremality_references(gch: GaussianChannel, states) -> list[dict]:
-    """Check verify_extremality's hypotheses on each state; return their references, Gaussian gain first.
-
-    Both nondegeneracy tests and the gains are read off the input and output spectra of one
-    (B, 2, 2) covariance stack, four eigensolves whatever B. The first state that fails raises.
-    """
-    alpha = np.stack([covariance_of(state)[1] for state in states])  # exactly symmetric, as _apply requires
-    nu_in = symplectic_eigenvalues(alpha, gch.space)
-    nu_out = _apply(gch, alpha)[1]
-    degenerate = ~_uncertainty_cert(nu_in, DEFAULT_TOL).is_positive_definite
-    blurred = ~(gch.strict | _uncertainty_cert(nu_out, DEFAULT_TOL).is_positive_definite)
-    for i in np.flatnonzero(degenerate | blurred)[:1]:  # the first failing state, if any
-        raise HypothesisViolationError(
-            f"state covariance is degenerate (min symplectic eigenvalue {nu_in[i, -1]:.9f})"
-            if degenerate[i]
-            else "saturating channel maps this state to a degenerate Gaussian image"
-        )
-    gains = (_entropies(nu_out) - _entropies(nu_in)).tolist()
-    return [
-        dict(gaussian_gain=gain, flagged_saturating=not gch.strict, min_symplectic_eigenvalue=nu_min)
-        for gain, nu_min in zip(gains, nu_in[:, -1].tolist())
-    ]
+    references = _references(channel, [state], extremality)
+    return _records(channel, references, state.rho[None], state.spectrum[None])[0]

@@ -182,9 +182,10 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas):
     space, factor, inv_factor = hamiltonian.space, hamiltonian.factor, hamiltonian.inv_factor
     w, U, least = hamiltonian.w, hamiltonian.U, hamiltonian.least_frequency
     # one beta that passes both checks below is let through on Python floats
-    one = betas.ndim == 0 and betas.item() > 0 and betas.item() * least >= 1e-100
-    if not one:
-        _refuse(~(betas > 0), InadmissibleInputError, "beta must be positive")
+    one = betas.ndim == 0 and 0 < betas.item() < math.inf and betas.item() * least >= 1e-100
+    if not one:  # an infinite beta would make the cotangent's argument nan (inf * 0)
+        admissible = (betas > 0) & (betas < math.inf)
+        _refuse(~admissible, InadmissibleInputError, "beta must be positive and finite")
     # |w| are the normal-mode frequencies m and alpha grows like 1/(2 beta m);
     # the checks below square its entries, which overflows near beta m = 1e-154
     # for epsilon = I, so refuse well before, leaving room for ill-conditioning

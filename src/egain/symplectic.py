@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InadmissibleInputError
+from .errors import InadmissibleInputError, _whole
 from .records import ByIdentity
 
 DEFAULT_TOL = 1e-9
@@ -40,9 +40,7 @@ class PhaseSpace(ByIdentity, namedtuple("PhaseSpace", "s delta")):
 
 def canonical_form(s: int) -> PhaseSpace:
     """Return the s-mode phase space with the canonical commutation matrix, shared per s."""
-    if int(s) != s or s < 1:
-        raise InadmissibleInputError("mode count s must be a positive integer")
-    return _phase_space(int(s))
+    return _phase_space(_whole("mode count s", s, 1))
 
 
 @lru_cache(maxsize=16)

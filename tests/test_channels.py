@@ -75,6 +75,12 @@ class TestPresets:
         with pytest.raises(InadmissibleInputError):
             preset_channel("no-such-channel", 0.5)
 
+    @pytest.mark.parametrize("noise", [-0.1, math.inf, math.nan])
+    def test_refuses_noise_by_name_before_any_arithmetic(self, noise):
+        # RuntimeWarnings are errors under pytest: the refusal must come before mu = ... * eye
+        with pytest.raises(InadmissibleInputError, match=rf"^noise must be nonnegative and finite, got {noise!r}$"):
+            preset_channel("amplifier", 1.5, noise=noise)
+
     def test_attenuator_refuses_k_whose_square_underflows(self):
         least = math.sqrt(sys.float_info.min)
         channel = preset_channel("attenuator", least)
@@ -422,6 +428,13 @@ class TestBetaSweep:
         grid = np.array([1.0, 1e-50, 1e-99, 1e-101, 1e-110, 1e-300])
         with pytest.raises(InadmissibleInputError, match=r"^beta = 1e-101 is too small"):
             gain_beta_sweep(channel, ham, beta_grid=grid)
+
+    def test_refuses_an_infinite_beta_by_name(self):
+        # refused before the cotangent, whose argument would be nan (inf * 0), reaches an internal check
+        channel = preset_channel("amplifier", 2.0)
+        ham = quadratic_hamiltonian(canonical_form(1), np.eye(2))
+        with pytest.raises(InadmissibleInputError, match="^beta must be positive and finite$"):
+            gain_beta_sweep(channel, ham, beta_grid=[math.inf, 1.0])
 
     def test_error_is_the_first_a_point_by_point_loop_meets(self):
         # an attenuator without its noise, built past make_channel: its output

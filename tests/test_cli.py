@@ -293,7 +293,7 @@ class TestFock:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: trials must be >= 1\n"
+        assert err == f"error: trials must be an integer >= 1, got {trials}\n"
 
 
 # Input files of the frozen-digest cases, named by relative paths so that the

@@ -285,11 +285,12 @@ class TestGibbs:
         # the stable log-partition stays finite there
         assert math.isfinite(log_partition(ham, 50.0))
 
-    def test_rejects_nonpositive_beta(self):
+    @pytest.mark.parametrize("beta", [0.0, math.inf])
+    def test_rejects_nonpositive_beta(self, beta):
         space = canonical_form(1)
         ham = quadratic_hamiltonian(space, np.eye(2))
-        with pytest.raises(InadmissibleInputError):
-            gibbs_covariance(ham, 0.0)
+        with pytest.raises(InadmissibleInputError, match="^beta must be positive and finite$"):
+            gibbs_covariance(ham, beta)
 
     def test_rejects_overflowing_beta(self):
         space = canonical_form(1)
@@ -452,7 +453,7 @@ class TestOneSpectrumOnFloats:
         check = partial(_uncertainty_cert, tol=1e-9)
         self.assert_stack_agrees(check, np.array(nu), np.array([1.0, 0.6]))
 
-    @pytest.mark.parametrize("beta", [0.3, 1e-100, 0.0, -1.0, NAN, 1e-101, 1e-120])
+    @pytest.mark.parametrize("beta", [0.3, 1e-100, 0.0, -1.0, NAN, math.inf, 1e-101, 1e-120])
     @pytest.mark.parametrize("least", [0.1, 1e-10])
     def test_gibbs_covariances(self, beta, least):
         # least = 1e-10: a stiff Hamiltonian, whose covariances are badly scaled

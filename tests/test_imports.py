@@ -1,6 +1,7 @@
 """Import boundaries between the package's modules, read from their sources with ast."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,26 @@ def test_only_symplectic_builds_a_certificate(module):
 def test_no_module_imports_dataclasses(module):
     # records are named tuples: a dataclass costs about 1 ms of start-up to build at import
     assert "dataclasses" not in {source for source, _ in imports(module)}, module
+
+
+
+def reference(node):
+    """The name a Name or an attribute access refers to, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_private_definition_is_used():
+    # a private function or class that nothing in the package refers to outside its own body is
+    # dead code: a second path that no caller takes
+    trees = {module: ast.parse((SOURCES / f"{module}.py").read_text()) for module in MODULES}
+    counts = Counter(reference(node) for tree in trees.values() for node in ast.walk(tree))
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and counts[node.name] == sum(reference(inner) == node.name for inner in ast.walk(node))
+    ]
+    assert unused == []

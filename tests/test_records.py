@@ -36,7 +36,7 @@ RECORDS = {
     GibbsState: dict(base=None, beta=1.0, hamiltonian=None, c_beta=0.0),
     GaussianChannel: dict(space=None, K=_array, mu=_array, cert=None, strict=True),
     GainReport: dict(beta_grid=_array, gains=_array, closed_form=0.0, converged=True),
-    FockDensityMatrix: dict(dim=2, rho=_array, trace_deficit=0.0, spectrum=_array),
+    FockDensityMatrix: dict(dim=2, rho=_array, spectrum=_array),
     DilationChannel: dict(kind="attenuator", k=0.5, dim=2, kraus=_array),
     HeavyTailDistribution: dict(n_max=10, normalizer=1.0, normalizer_uncertainty=0.0),
 }

@@ -1,6 +1,7 @@
 """Tests for the symplectic core: forms, certificates, normal forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,9 +44,11 @@ class TestCanonicalForm:
         assert canonical_form(3.0) is space and canonical_form(np.int64(3)) is space
         assert canonical_form(2) is not space and canonical_form(2).s == 2
 
-    def test_rejects_bad_mode_count(self):
-        with pytest.raises(InadmissibleInputError):
-            canonical_form(0)
+    @pytest.mark.parametrize("s", [0, 1.5, math.nan, math.inf, "2"])
+    def test_rejects_bad_mode_count(self, s):
+        message = re.escape(f"mode count s must be an integer >= 1, got {s!r}")
+        with pytest.raises(InadmissibleInputError, match=f"^{message}$"):
+            canonical_form(s)
 
 
 class TestHermitianCert:
