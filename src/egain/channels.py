@@ -129,6 +129,8 @@ def preset_channel(
     elif name == "amplifier":
         if not k > 1.0:
             raise InadmissibleInputError(f"amplifier requires k > 1, got k = {float(k)!r}")
+        if not k < math.sqrt(np.finfo(float).max):  # before k * k, which would be inf
+            raise InadmissibleInputError(f"k = {k:.3g} is too large: k^2 overflows")
         mu = (0.5 * (k * k - 1.0) + noise) * eye
     elif name == "classical-noise":
         if k != 1.0:

@@ -135,12 +135,12 @@ def normalizer() -> tuple[float, float]:
 
 
 class HeavyTailDistribution(
-    ByIdentity, namedtuple("HeavyTailDistribution", "n_max normalizer normalizer_uncertainty")
+    ByIdentity, namedtuple("HeavyTailDistribution", "normalizer normalizer_uncertainty")
 ):
     """Normalized heavy-tail weights q_n = 1/(Z n log^2(n+1)), evaluated lazily."""
 
     __slots__ = ()
-    n_max: int
+    n_max = 10**7  # a cap on queries only: q is normalized over all positive integers
     normalizer: float
     normalizer_uncertainty: float
 
@@ -188,15 +188,9 @@ class HeavyTailDistribution(
         return total
 
 
-def heavy_tail(n_max: int = 10**7) -> HeavyTailDistribution:
-    """Build the heavy-tail distribution supporting queries up to n_max."""
-    n_max = _whole("n_max", n_max, 1)
-    if n_max > _NORMALIZER_CUTOFF:
-        raise InadmissibleInputError(
-            f"n_max beyond the normalizer cutoff {_NORMALIZER_CUTOFF} is unsupported, got {n_max}"
-        )
-    Z, err = normalizer()
-    return HeavyTailDistribution(n_max=n_max, normalizer=Z, normalizer_uncertainty=err)
+def heavy_tail() -> HeavyTailDistribution:
+    """Build the heavy-tail distribution, answering queries up to its ``n_max``."""
+    return HeavyTailDistribution(*normalizer())
 
 
 def channel_row_entropy(dist: HeavyTailDistribution, perms: Callable, i: int, N: int) -> float:
@@ -271,7 +265,7 @@ def first_failing_prefix(perms: Callable, dist: HeavyTailDistribution, k: int) -
     """
     k = _whole("prefix exponent", k, 0)
     if (1 << k) > dist.n_max:
-        raise InadmissibleInputError("prefix exceeds the distribution support")
+        raise InadmissibleInputError(f"prefix 2^{k} = {1 << k} exceeds n_max = {dist.n_max}")
     return _block_form(perms, k, 1)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 
@@ -97,18 +96,6 @@ def _at_most(limit: int):
         return value
 
     return parse
-
-
-def _env_tol() -> float:
-    env = os.environ.get("EGAIN_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        return _tolerance(env)
-    except argparse.ArgumentTypeError as exc:
-        raise InadmissibleInputError(
-            f"EGAIN_TOL must be a finite positive number, got {env!r}"
-        ) from exc
 
 
 def _resolve_channel(args: argparse.Namespace) -> tuple[GaussianChannel, dict]:
@@ -220,10 +207,8 @@ def cmd_classical(args: argparse.Namespace) -> tuple[str, int]:
         raise InadmissibleInputError(
             f"prefix exponent must be between 1 and {CLASSICAL_K_MAX}"
         )
-    if args.n_max < 1 << k_max:
-        raise InadmissibleInputError(f"--n-max must be at least 2^k = {1 << k_max}")
-    dist = heavy_tail(args.n_max)
-    lines = ["# seed: none", f"# n_max: {dist.n_max}", "k,H,doubly_stochastic"]
+    dist = heavy_tail()
+    lines = ["# seed: none", "k,H,doubly_stochastic"]
     failing = first_failing_prefix(xor_family(), dist, k_max)
     for k in range(1, k_max + 1):
         entropy = dist.truncated_entropy(1 << k)
@@ -263,7 +248,7 @@ def _add_channel_flags(parser: argparse.ArgumentParser, fock: bool = False) -> N
     )
     if not fock:
         source.add_argument("--channel-file", help="JSON file holding matrices K and mu")
-        parser.add_argument("--tol", type=_tolerance, default=None, help="certificate tolerance")
+        parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="certificate tolerance")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -320,14 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_classical.add_argument(
         "--k", type=int, default=14, help="largest prefix exponent to tabulate"
     )
-    p_classical.add_argument(
-        "--n-max", type=int, default=10_000_000, help="distribution truncation, at least 2^k"
-    )
     p_classical.set_defaults(func=cmd_classical)
 
     p_will = sub.add_parser("williamson", parents=[out], help="normal form of a covariance file")
     p_will.add_argument("matrix_file", help="JSON matrix file")
-    p_will.add_argument("--tol", type=_tolerance, default=None)
+    p_will.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_will.set_defaults(func=cmd_williamson)
 
     return parser
@@ -337,8 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "tol" in args and args.tol is None:  # before any file is read
-            args.tol = _env_tol()
         # numpy overflow, division by zero and invalid values raise instead of
         # warning, so a finite but out-of-range number ends in exit 2, as does
         # a float OverflowError (an amplifier k whose square overflows)

@@ -226,8 +226,8 @@ def log_partition(hamiltonian: QuadraticHamiltonian, beta: float) -> float:
     is used because it stays finite in floating point when beta m_j is large
     enough for coth to saturate at 1.
     """
-    if not beta > 0:
-        raise InadmissibleInputError("beta must be positive")
+    if not 0 < beta < math.inf:  # an infinite beta would give c = -inf
+        raise InadmissibleInputError("beta must be positive and finite")
     x = beta * hamiltonian.frequencies
     # log(2 sinh x) = x + log(1 - exp(-2x)), stable for all x > 0
     return float(-np.sum(x + np.log(-np.expm1(-2.0 * x))))

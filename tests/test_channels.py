@@ -90,6 +90,14 @@ class TestPresets:
             with pytest.raises(InadmissibleInputError, match=rf"^k = {k:.3g} is too small"):
                 preset_channel("attenuator", k)
 
+    @pytest.mark.parametrize("k, named", [(1e200, "1e+200"), (math.inf, "inf"), (1.35e154, "1.35e+154")])
+    def test_amplifier_refuses_k_whose_square_overflows_before_any_arithmetic(self, k, named):
+        # k * k would be inf, and inf * eye warns at inf * 0 before make_channel could refuse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InadmissibleInputError, match=rf"^k = {re.escape(named)} is too large: k\^2 overflows$"):
+                preset_channel("amplifier", k)
+
     def test_rejects_insufficient_noise(self):
         space = canonical_form(1)
         K = 2.0 * np.eye(2)

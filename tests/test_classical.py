@@ -83,7 +83,7 @@ class TestNormalizer:
         assert value == pytest.approx(direct + midpoint, abs=1e-14)
 
     def test_distribution_sums_to_one_in_the_limit(self):
-        dist = heavy_tail(10_000_000)
+        dist = heavy_tail()
         total = sum(dist.weight(np.arange(1, 1_000_001)).sum() for _ in range(1))
         # the first million terms already carry most of the mass
         assert 0.9 < total < 1.0
@@ -91,21 +91,20 @@ class TestNormalizer:
 
 class TestTruncatedEntropy:
     def test_frozen_values(self):
-        dist = heavy_tail(10_000_000)
+        dist = heavy_tail()
         assert dist.truncated_entropy(10_000) == pytest.approx(H_1E4, abs=1e-12)
         assert dist.truncated_entropy(10_000_000) == pytest.approx(H_1E7, abs=1e-12)
         for k, expected in H_AT_PREFIX.items():
             assert dist.truncated_entropy(1 << k) == pytest.approx(expected, abs=1e-12)
 
     def test_strictly_increasing(self):
-        dist = heavy_tail(1 << 16)
+        dist = heavy_tail()
         values = [dist.truncated_entropy(1 << k) for k in range(1, 17)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_rejects_out_of_range(self):
-        dist = heavy_tail(1000)
-        with pytest.raises(InadmissibleInputError):
-            dist.truncated_entropy(2000)
+        with pytest.raises(InadmissibleInputError, match=r"^N must lie in \[1, 10000000\], got 10000001$"):
+            heavy_tail().truncated_entropy(10**7 + 1)
 
 
 class TestFrozenBits:
@@ -114,7 +113,7 @@ class TestFrozenBits:
         # N = 2^k for k <= 12, and of H_{2^k} for k <= 16, as computed when
         # weight() tested its range with two compare passes and every
         # q log q term had its own temporaries
-        dist = heavy_tail(1 << 16)
+        dist = heavy_tail()
         family = xor_family()
         digest = hashlib.md5()
         digest.update(dist.weight(np.arange(1, 2**16 + 1)).tobytes())
@@ -127,57 +126,55 @@ class TestFrozenBits:
 class TestRefusals:
     """Non-whole and non-finite sizes and indices are refused by name; whole floats are read as ints."""
 
-    @pytest.mark.parametrize("n_max, named", [(2.7, "2.7"), (0, "0"), (math.inf, "inf"), (math.nan, "nan")])
-    def test_heavy_tail_refuses_a_bad_support(self, n_max, named):
-        with pytest.raises(InadmissibleInputError, match=f"n_max must be an integer >= 1, got {named}$"):
-            heavy_tail(n_max)
-
-    def test_heavy_tail_reads_a_whole_float(self):
-        n_max = heavy_tail(1e4).n_max
-        assert n_max == 10_000 and type(n_max) is int
-
     @pytest.mark.parametrize("i, N, named", [(1, 8.5, "N.*8.5"), (1.5, 8, "i.*1.5"), (0, 8, "i.*0")])
     def test_row_entropy_refuses_a_bad_row_or_prefix(self, i, N, named):
         with pytest.raises(InadmissibleInputError, match=f"{named}$"):
-            channel_row_entropy(heavy_tail(64), xor_family(), i, N)
+            channel_row_entropy(heavy_tail(), xor_family(), i, N)
 
     def test_row_entropy_refuses_a_prefix_past_the_support_before_building_it(self):
-        # the refusal named the first index past n_max, 65, after building all 2^20 of them
+        # refused before any of the 2^24 indices is built
         def perms(i, j):
             raise AssertionError("the row was built")
 
-        with pytest.raises(InadmissibleInputError, match=r"^N must lie in \[1, 64\], got 1048576$"):
-            channel_row_entropy(heavy_tail(64), perms, 1, 2**20)
+        with pytest.raises(InadmissibleInputError, match=r"^N must lie in \[1, 10000000\], got 16777216$"):
+            channel_row_entropy(heavy_tail(), perms, 1, 2**24)
+
+    def test_prefix_past_the_cap_is_refused_by_its_numbers_before_any_table_call(self):
+        def perms(i, j):
+            raise AssertionError("the table was called")
+
+        with pytest.raises(InadmissibleInputError, match=r"^prefix 2\^24 = 16777216 exceeds n_max = 10000000$"):
+            doubly_stochastic_check(perms, heavy_tail(), 24)
 
     def test_row_entropy_reads_whole_floats(self):
-        dist, family = heavy_tail(64), xor_family()
+        dist, family = heavy_tail(), xor_family()
         assert channel_row_entropy(dist, family, 3.0, 16.0) == channel_row_entropy(dist, family, 3, 16)
 
-    @pytest.mark.parametrize("N, named", [(2.5, "2.5"), (math.nan, "nan"), ("4", "'4'"), (2000, "2000")])
+    @pytest.mark.parametrize("N, named", [(2.5, "2.5"), (math.nan, "nan"), ("4", "'4'"), (10**7 + 1, "10000001")])
     def test_truncated_entropy_refuses_a_bad_prefix(self, N, named):
         with pytest.raises(InadmissibleInputError, match=f"got {named}$"):
-            heavy_tail(1000).truncated_entropy(N)
+            heavy_tail().truncated_entropy(N)
 
     def test_truncated_entropy_reads_a_whole_float(self):
-        dist = heavy_tail(64)
+        dist = heavy_tail()
         assert dist.truncated_entropy(4.0) == dist.truncated_entropy(4)
 
     @pytest.mark.parametrize(
         "n, named",
-        [(math.nan, "nan"), (1.5, "1.5"), (math.inf, "inf"), (0, "0"), ([2, 3.5, 7], "3.5"), (np.array([4, 65]), "65")],
+        [(math.nan, "nan"), (1.5, "1.5"), (math.inf, "inf"), (0, "0"), ([2, 3.5, 7], "3.5"), (np.array([4, 10**7 + 1]), "10000001")],
     )
     def test_weight_refuses_a_bad_index(self, n, named):
         with pytest.raises(InadmissibleInputError, match=f"got {named}$"):
-            heavy_tail(64).weight(n)
+            heavy_tail().weight(n)
 
     def test_weight_reads_whole_floats_and_empty_arrays(self):
-        dist = heavy_tail(64)
+        dist = heavy_tail()
         assert dist.weight(3.0) == dist.weight(3)
         assert np.array_equal(dist.weight([1.0, 64.0]), dist.weight(np.array([1, 64])))
         assert dist.weight(np.array([], dtype=np.int64)).shape == (0,)
 
     def test_integer_indices_skip_the_integrality_test(self, monkeypatch):
-        dist = heavy_tail(1 << 8)
+        dist = heavy_tail()
         expected = dist.weight(np.arange(1, 257))
 
         def floor(*args, **kwargs):
@@ -190,7 +187,7 @@ class TestRefusals:
 
 class TestChannelStructure:
     def test_row_entropy_is_input_independent_at_complete_prefixes(self):
-        dist = heavy_tail(1 << 12)
+        dist = heavy_tail()
         family = xor_family()
         n = 1 << 12
         reference = dist.truncated_entropy(n)
@@ -199,7 +196,7 @@ class TestChannelStructure:
             assert value == pytest.approx(reference, abs=1e-12)
 
     def test_doubly_stochastic_small_prefixes(self):
-        dist = heavy_tail(1 << 10)
+        dist = heavy_tail()
         family = xor_family()
         assert all(doubly_stochastic_check(family, dist, k) for k in range(1, 11))
 
@@ -208,7 +205,7 @@ class TestChannelStructure:
         # smallest row entropy at the same prefix
         k = 6
         n = 1 << k
-        dist = heavy_tail(n)
+        dist = heavy_tail()
         family = xor_family()
         weights = rng.dirichlet(np.ones(n))
         out = np.zeros(n)
@@ -228,7 +225,7 @@ class TestDoublyStochasticEvaluation:
             seen.add((i.dtype, j.dtype))
             return xor_family()(i, j)
 
-        assert doubly_stochastic_check(spy, heavy_tail(1 << k), k)
+        assert doubly_stochastic_check(spy, heavy_tail(), k)
         assert seen == {(np.dtype(dtype), np.dtype(dtype))}
 
     @pytest.mark.parametrize("k, dtype", [(15, np.uint16), (16, np.uint32)])
@@ -239,7 +236,7 @@ class TestDoublyStochasticEvaluation:
             seen.append((i.dtype, j.dtype))
             return i ^ j  # t(1, 1) = 0, not 1
 
-        assert not doubly_stochastic_check(spy, heavy_tail(1 << k), k)
+        assert not doubly_stochastic_check(spy, heavy_tail(), k)
         assert seen == [(np.dtype(dtype), np.dtype(dtype))]
 
     @pytest.mark.parametrize("k", [0, 1, 3, 7, 8, 12])
@@ -250,7 +247,7 @@ class TestDoublyStochasticEvaluation:
             seen.append((i.dtype, j.dtype, i.shape[0] * j.shape[-1]))
             return xor_family()(i, j)
 
-        assert doubly_stochastic_check(spy, heavy_tail(1 << k), k)
+        assert doubly_stochastic_check(spy, heavy_tail(), k)
         dtype = np.dtype(np.min_scalar_type(1 << k))
         assert {(a, b) for a, b, _ in seen} == {(dtype, dtype)}
         assert sum(cells for _, _, cells in seen) == 4**k
@@ -266,8 +263,8 @@ class TestDoublyStochasticEvaluation:
         def family(i, j):
             return spoil(((i - 1) ^ (j - 1)) + 1)
 
-        assert classical.first_failing_prefix(family, heavy_tail(1 << k), k) == 0
-        assert not doubly_stochastic_check(family, heavy_tail(1 << k), k)
+        assert classical.first_failing_prefix(family, heavy_tail(), k) == 0
+        assert not doubly_stochastic_check(family, heavy_tail(), k)
         monkeypatch.setattr(classical, "_xor_table", lambda a, b: spoil(a ^ b))
         assert not prefix_bijections_exhaustive(k)
 
@@ -279,13 +276,13 @@ class TestDoublyStochasticEvaluation:
         def last_entry_moved(i, j):
             return xor_family()(i, j) + ((i == n) & (j == n))
 
-        assert not doubly_stochastic_check(last_entry_moved, heavy_tail(n), k)
+        assert not doubly_stochastic_check(last_entry_moved, heavy_tail(), k)
 
 
 class TestPrefixExponent:
     CERTIFICATES = {
         "doubly_stochastic_check": lambda k: doubly_stochastic_check(
-            xor_family(), heavy_tail(1 << 10), k
+            xor_family(), heavy_tail(), k
         ),
         "prefix_bijections_exhaustive": prefix_bijections_exhaustive,
         "block_recursion_exhaustive": block_recursion_exhaustive,
@@ -340,7 +337,7 @@ def _swap_one_pair(a, b):
 
 def _verdicts(k):
     return (
-        doubly_stochastic_check(xor_family(), heavy_tail(1 << k), k),
+        doubly_stochastic_check(xor_family(), heavy_tail(), k),
         prefix_bijections_exhaustive(k),
         block_recursion_exhaustive(k),
     )
@@ -365,7 +362,7 @@ class TestChecksCanFail:
     @pytest.mark.parametrize("a, b", [(40, 50), (63, 63)])
     def test_one_entry_in_the_leading_block_fails(self, k, a, b, monkeypatch):
         table, family = _one_entry_moved(a, b, 1)
-        assert not doubly_stochastic_check(family, heavy_tail(1 << k), k)
+        assert not doubly_stochastic_check(family, heavy_tail(), k)
         monkeypatch.setattr(classical, "_xor_table", table)
         assert not prefix_bijections_exhaustive(k)
 
@@ -375,8 +372,8 @@ class TestChecksCanFail:
         n = 1 << k
         a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         table, family = _one_entry_moved(a, b, data.draw(st.integers(1, n - 1)))
-        assert classical.first_failing_prefix(family, heavy_tail(n), k) == max(a, b).bit_length()
-        assert not doubly_stochastic_check(family, heavy_tail(n), k)
+        assert classical.first_failing_prefix(family, heavy_tail(), k) == max(a, b).bit_length()
+        assert not doubly_stochastic_check(family, heavy_tail(), k)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classical, "_xor_table", table)
             assert not prefix_bijections_exhaustive(k)
@@ -400,7 +397,7 @@ class TestChecksCanFail:
         table = cyclic(np.arange(1, n + 1)[:, None], np.arange(1, n + 1))
         prefix = np.arange(1, n + 1)
         assert all(np.array_equal(np.sort(line), prefix) for line in (*table, *table.T))
-        assert not doubly_stochastic_check(cyclic, heavy_tail(n), k)
+        assert not doubly_stochastic_check(cyclic, heavy_tail(), k)
 
     def test_table_without_the_one_based_shift_fails(self):
         # (i-1) XOR (j-1) has every quadrant identity but takes values 0..n-1
@@ -409,4 +406,4 @@ class TestChecksCanFail:
         def unshifted(i, j):
             return (i - 1) ^ (j - 1)
 
-        assert not doubly_stochastic_check(unshifted, heavy_tail(1 << k), k)
+        assert not doubly_stochastic_check(unshifted, heavy_tail(), k)

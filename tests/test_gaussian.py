@@ -292,6 +292,13 @@ class TestGibbs:
         with pytest.raises(InadmissibleInputError, match="^beta must be positive and finite$"):
             gibbs_covariance(ham, beta)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+    def test_log_partition_refuses_a_beta_that_is_not_positive_and_finite(self, beta):
+        # an infinite beta would give c = -inf
+        ham = quadratic_hamiltonian(canonical_form(1), np.eye(2))
+        with pytest.raises(InadmissibleInputError, match="^beta must be positive and finite$"):
+            log_partition(ham, beta)
+
     def test_rejects_overflowing_beta(self):
         space = canonical_form(1)
         ham = quadratic_hamiltonian(space, np.eye(2))

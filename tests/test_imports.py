@@ -113,3 +113,11 @@ def test_every_private_definition_is_used():
         and counts[node.name] == sum(reference(inner) == node.name for inner in ast.walk(node))
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_the_environment(module):
+    # a report depends only on its argv and its input files, so equal runs give equal bytes
+    tree = ast.parse((SOURCES / f"{module}.py").read_text())
+    names = {reference(node) for node in ast.walk(tree)} | {name for _, name in imports(module)}
+    assert not names & {"environ", "environb", "getenv"}, module

@@ -38,7 +38,7 @@ RECORDS = {
     GainReport: dict(beta_grid=_array, gains=_array, closed_form=0.0, converged=True),
     FockDensityMatrix: dict(dim=2, rho=_array, spectrum=_array),
     DilationChannel: dict(kind="attenuator", k=0.5, dim=2, kraus=_array),
-    HeavyTailDistribution: dict(n_max=10, normalizer=1.0, normalizer_uncertainty=0.0),
+    HeavyTailDistribution: dict(normalizer=1.0, normalizer_uncertainty=0.0),
 }
 DEFAULTS = {DilationChannel: dict(noise=0.0, first=None)}
 
