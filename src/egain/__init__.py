@@ -3,7 +3,15 @@
 Exact phase-space computations (closed-form gain, Gibbs-state sweeps,
 Gaussian extremality) cross-checked by a truncated Fock-space oracle, plus
 a classical counterexample with unbounded entropy gain.
+
+``import egain`` runs the phase-space core and the matrix files only. The
+Fock oracle and the classical counterexample, ``egain.fock`` and
+``egain.classical``, run on their first attribute read, so subcommands that
+never use them never compile them; their names below still import from here.
 """
+
+import importlib.util
+import sys
 
 from .errors import (
     HypothesisViolationError,
@@ -46,27 +54,37 @@ from .channels import (
     preset_channel,
     tensor_channels,
 )
-from .fock import (
-    DilationChannel,
-    FockDensityMatrix,
-    apply_channel,
-    build_dilation,
-    covariance_of,
-    fock_density,
-    lower_bound_campaign,
-    random_low_support_state,
-    thermal_state,
-    verify_lower_bound,
-    verify_extremality,
-    von_neumann_entropy,
-)
-from .classical import (
-    HeavyTailDistribution,
-    channel_row_entropy,
-    doubly_stochastic_check,
-    heavy_tail,
-    xor_family,
-)
 from .matio import load_matrix, read_json, write_json
 
 __version__ = "0.1.0"
+
+
+def _lazy(name: str):
+    """Submodule ``name``, put in sys.modules now but run on its first attribute read."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fock = _lazy("fock")
+classical = _lazy("classical")
+_REEXPORTED = dict.fromkeys(
+    (
+        "DilationChannel", "FockDensityMatrix", "apply_channel", "build_dilation",
+        "covariance_of", "fock_density", "lower_bound_campaign", "random_low_support_state",
+        "thermal_state", "verify_lower_bound", "verify_extremality", "von_neumann_entropy",
+    ),
+    fock,
+) | dict.fromkeys(
+    ("HeavyTailDistribution", "channel_row_entropy", "doubly_stochastic_check", "heavy_tail", "xor_family"),
+    classical,
+)
+
+
+def __getattr__(name: str):
+    """A name re-exported from ``fock`` or ``classical``, read from its module on each access (PEP 562)."""
+    if name not in _REEXPORTED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_REEXPORTED[name], name)

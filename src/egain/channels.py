@@ -53,6 +53,8 @@ __all__ = [
 PRESET_NAMES = ("attenuator", "amplifier", "classical-noise")
 _SWEEP_TOL = 1e-3
 _BETA_FLOOR = 1e-12
+# Bound on a preset's noise entry m: the checks take the size of mu = m I as sqrt(m^2 + m^2)
+_MU_ENTRY_MAX = math.sqrt(0.5 * np.finfo(float).max)
 
 
 class GaussianChannel(ByIdentity, namedtuple("GaussianChannel", "space K mu cert strict")):
@@ -125,20 +127,25 @@ def preset_channel(
             raise InadmissibleInputError(f"attenuator requires 0 < k < 1, got k = {float(k)!r}")
         if k * k < np.finfo(float).tiny:  # every larger k keeps K = k I regular
             raise InadmissibleInputError(f"k = {k:.3g} is too small: k^2 underflows")
-        mu = (0.5 * (1.0 - k * k) + noise) * eye
+        minimal = 0.5 * (1.0 - k * k)
     elif name == "amplifier":
         if not k > 1.0:
             raise InadmissibleInputError(f"amplifier requires k > 1, got k = {float(k)!r}")
         if not k < math.sqrt(np.finfo(float).max):  # before k * k, which would be inf
             raise InadmissibleInputError(f"k = {k:.3g} is too large: k^2 overflows")
-        mu = (0.5 * (k * k - 1.0) + noise) * eye
+        minimal = 0.5 * (k * k - 1.0)
     elif name == "classical-noise":
         if k != 1.0:
             raise InadmissibleInputError(f"classical-noise requires k = 1, got k = {float(k)!r}")
-        mu = noise * eye
+        minimal = 0.0
     else:
         raise InadmissibleInputError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return make_channel(k * eye, mu, space, tol)
+    # on Python floats a sum past the range is inf, with no warning, and is refused below
+    m = float(minimal) + float(noise)
+    if not m < _MU_ENTRY_MAX:
+        named = f"k = {k:.3g}" if minimal > noise else f"noise = {noise:.3g}"
+        raise InadmissibleInputError(f"{named} is too large: the noise entry mu = {m:.3g} squares past the float range")
+    return make_channel(k * eye, m * eye, space, tol)
 
 
 def tensor_channels(a: GaussianChannel, b: GaussianChannel) -> GaussianChannel:

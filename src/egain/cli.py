@@ -35,9 +35,8 @@ from .channels import (
     minimal_entropy_gain,
     preset_channel,
 )
-from .classical import first_failing_prefix, heavy_tail, xor_family
+from . import classical, fock  # lazy: only the fock and classical subcommands run them
 from .errors import HypothesisViolationError, InadmissibleInputError
-from .fock import build_dilation, extremality_campaign, lower_bound_campaign
 from .gaussian import quadratic_hamiltonian
 from .matio import _json_text, decode_array, encode_array, load_matrix, read_json, write_text
 from .symplectic import DEFAULT_TOL, _uncertainty_cert, canonical_form, williamson
@@ -58,6 +57,13 @@ CLASSICAL_K_MAX = 16
 FOCK_DIM_MAX = 1000
 FOCK_TRIALS_MAX = 100_000
 BETA_POINTS_MAX = 1000
+
+
+def __getattr__(name: str):
+    """The campaign drivers, read from ``fock`` where ``cmd_fock`` looks them up (PEP 562)."""
+    if name not in ("build_dilation", "lower_bound_campaign", "extremality_campaign"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(fock, name)
 
 
 def _fmt(x: float) -> str:
@@ -169,13 +175,13 @@ def cmd_fock(args: argparse.Namespace) -> tuple[dict, int]:
     kind = args.preset.replace("-", "_")
     if args.noise and kind != "classical_noise":
         raise InadmissibleInputError(f"--noise applies only to classical-noise, not {args.preset}")
-    channel = build_dilation(kind, args.k, dim=args.dim, noise=args.noise)
+    channel = fock.build_dilation(kind, args.k, dim=args.dim, noise=args.noise)
     rng = np.random.default_rng(args.seed)
     if args.extremality:
-        summary = extremality_campaign(channel, args.trials, rng)
+        summary = fock.extremality_campaign(channel, args.trials, rng)
         reference_key = "gaussian_gain"
     else:
-        summary = lower_bound_campaign(channel, args.trials, rng)
+        summary = fock.lower_bound_campaign(channel, args.trials, rng)
         reference_key = "bound"
     keys = ("gain", reference_key, "deficit", "holds", "reliable")
     records = [{key: r[key] for key in keys} for r in summary["records"]]
@@ -207,9 +213,9 @@ def cmd_classical(args: argparse.Namespace) -> tuple[str, int]:
         raise InadmissibleInputError(
             f"prefix exponent must be between 1 and {CLASSICAL_K_MAX}"
         )
-    dist = heavy_tail()
+    dist = classical.heavy_tail()
     lines = ["# seed: none", "k,H,doubly_stochastic"]
-    failing = first_failing_prefix(xor_family(), dist, k_max)
+    failing = classical.first_failing_prefix(classical.xor_family(), dist, k_max)
     for k in range(1, k_max + 1):
         entropy = dist.truncated_entropy(1 << k)
         lines.append(f"{k},{_fmt(entropy)},{str(k < failing).lower()}")

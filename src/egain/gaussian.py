@@ -304,10 +304,20 @@ def entropy_matrix_form(alpha: np.ndarray, space: PhaseSpace) -> float:
         1/2 log det(delta^-1 alpha - (i/2) I) + tr[(delta^-1 alpha) arccot(2 delta^-1 alpha)]
 
     with arccot(z) = arctan(1/z) on the principal branch, via a complex
-    eigendecomposition. Requires a nondegenerate covariance; degenerate
-    modes make the arccot term singular.
+    eigendecomposition. Requires a positive-definite, nondegenerate covariance;
+    degenerate modes make the arccot term singular. For such alpha the
+    eigenvalues of delta^-1 alpha are +-i nu_j, so the determinant is
+    prod_j (nu_j^2 - 1/4) > 0 and the trace term is real: the phase and residue
+    checks below fail only by rounding, and inputs reach them, so they refuse
+    the input as past this route's precision. With alpha = R diag(nu e^r,
+    nu e^-r) R^T, R a rotation, a mode near pure (nu = 1/2 + 1e-11, r = 10)
+    moves the phase by 1e-4, and r near 19 leaves a residue above 1e-9 through
+    the conditioning of the eigenvectors. A symmetric matrix that is not
+    positive definite, such as diag(1, -1) (determinant -5/4) or -I (which
+    would read as I), is refused first.
     """
     alpha = _require_symmetric(alpha, space, DEFAULT_TOL)
+    _factor(alpha, "covariance matrix")
     n = 2 * space.s
     W = -(space.delta @ alpha)  # delta^-1 = -delta
     lam, V = np.linalg.eig(W)
@@ -320,9 +330,13 @@ def entropy_matrix_form(alpha: np.ndarray, space: PhaseSpace) -> float:
     term2 = np.trace(W @ f)
     sign, logabs = np.linalg.slogdet(W - 0.5j * np.eye(n))
     if abs(sign - 1.0) > 1e-6:
-        raise RuntimeError(f"determinant in entropy formula not real positive: {sign}")
+        raise InadmissibleInputError(
+            f"matrix-function entropy cannot resolve this covariance: determinant phase {sign:.3g}, not 1"
+        )
     if abs(term2.imag) > 1e-9 * max(1.0, abs(term2.real)):
-        raise RuntimeError(f"trace term has imaginary residue {term2.imag:.3e}")
+        raise InadmissibleInputError(
+            f"matrix-function entropy cannot resolve this covariance: trace residue {term2.imag:.3e}"
+        )
     return float(0.5 * logabs + term2.real)
 
 

@@ -21,6 +21,7 @@ from conftest import (
     squeezed_covariance,
 )
 from egain.channels import (
+    _MU_ENTRY_MAX,
     GaussianChannel,
     apply_to_covariance,
     default_beta_grid,
@@ -97,6 +98,44 @@ class TestPresets:
             warnings.simplefilter("error")
             with pytest.raises(InadmissibleInputError, match=rf"^k = {re.escape(named)} is too large: k\^2 overflows$"):
                 preset_channel("amplifier", k)
+
+    @pytest.mark.parametrize(
+        "name, k, noise, named",
+        [
+            ("amplifier", 1e100, 0.0, "k = 1e+100"),
+            ("amplifier", 1.6e77, 0.0, "k = 1.6e+77"),
+            ("amplifier", math.nextafter(math.sqrt(2.0 * _MU_ENTRY_MAX + 1.0), math.inf), 0.0, "k = 1.38e+77"),
+            ("amplifier", 2.0, 1e200, "noise = 1e+200"),
+            ("attenuator", 0.5, _MU_ENTRY_MAX, "noise = 9.48e+153"),
+            ("classical-noise", 1.0, sys.float_info.max, "noise = 1.8e+308"),
+        ],
+    )
+    def test_refuses_a_noise_entry_that_squares_past_the_float_range_before_any_arithmetic(
+        self, name, k, noise, named
+    ):
+        # the checks square mu's entry into its size, which would warn of overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InadmissibleInputError,
+                match=rf"^{re.escape(named)} is too large: the noise entry mu = \S+ squares past the float range$",
+            ):
+                preset_channel(name, k, noise=noise)
+
+    @pytest.mark.parametrize(
+        "name, k, noise",
+        [
+            ("amplifier", 1.377e77, 0.0),
+            ("attenuator", 0.5, math.nextafter(_MU_ENTRY_MAX, 0.0)),
+            ("classical-noise", 1.0, math.nextafter(_MU_ENTRY_MAX, 0.0)),
+        ],
+    )
+    def test_accepts_the_largest_noise_entry_without_a_warning(self, name, k, noise):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            channel = preset_channel(name, k, noise=noise)
+        assert channel.mu[0, 0] < _MU_ENTRY_MAX
+        assert minimal_entropy_gain(channel) == pytest.approx(2.0 * math.log(k), rel=1e-15)
 
     def test_rejects_insufficient_noise(self):
         space = canonical_form(1)

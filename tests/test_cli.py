@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import egain.cli as cli
-from egain import classical
+from egain import classical, fock
 from conftest import BELOW_THE_BOUND, save_matrix, squeezed_covariance
 from egain.cli import main
 from egain.errors import HypothesisViolationError
@@ -277,7 +277,7 @@ class TestFock:
         def boom(*args, **kwargs):
             raise HypothesisViolationError("degenerate input")
 
-        monkeypatch.setattr(cli, "extremality_campaign", boom)
+        monkeypatch.setattr(fock, "extremality_campaign", boom)  # where cmd_fock looks it up
         code, _, err = run(
             ["fock", "--preset", "attenuator", "--k", "0.7", "--extremality"], capsys
         )
@@ -650,12 +650,26 @@ class TestTolerancePlumbing:
             "beta = 3.16e-113 is too small: the Gibbs covariance would overflow",
             id="beta-min-tiny",
         ),
-        # finite but out-of-range numbers: numpy overflow ends the run with exit 2
-        pytest.param("gain --preset amplifier --k 1e100", "numeric overflow", id="k-1e100"),
+        # a preset noise entry mu that squares past the float range: refused naming k or noise
+        pytest.param(
+            "gain --preset amplifier --k 1e100",
+            "k = 1e+100 is too large: the noise entry mu = 5e+199 squares past the float range",
+            id="k-1e100",
+        ),
+        pytest.param(
+            "gain --preset amplifier --k 1.378e77",
+            "k = 1.38e+77 is too large: the noise entry mu = 9.49e+153 squares",
+            id="k-1.378e77",
+        ),
         pytest.param(
             "gain --preset classical-noise --k 1 --noise 1e308",
-            "numeric overflow",
+            "noise = 1e+308 is too large: the noise entry mu = 1e+308 squares past the float range",
             id="noise-1e308",
+        ),
+        pytest.param(
+            "sweep --preset attenuator --k 0.5 --noise 9.481e153",
+            "noise = 9.48e+153 is too large: the noise entry mu = 9.48e+153 squares",
+            id="noise-9.481e153",
         ),
         # K = k I with k^2 below the smallest normal float or above the largest: refused naming k
         pytest.param(
@@ -741,6 +755,23 @@ def test_bad_numbers_exit_2_cleanly(argv, message, capsys):
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, gain",
+    [
+        ("gain --preset amplifier --k 1.377e77", 2.0 * math.log(1.377e77)),
+        ("gain --preset classical-noise --k 1 --noise 9.48e153", 0.0),
+    ],
+    ids=["amplifier-k", "classical-noise"],
+)
+def test_preset_noise_just_inside_the_float_range_is_accepted(argv, gain, capsys):
+    # the other side of the noise-entry refusal: no warning, and the closed form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv.split(), capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["gain_closed_form"] == pytest.approx(gain, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -845,7 +876,7 @@ def test_size_flags_are_capped_at_parse_time(argv, flag, limit, capsys, monkeypa
         raise Reached
 
     # nothing is allocated: both builders are stubbed out
-    monkeypatch.setattr(cli, "build_dilation", refuse)
+    monkeypatch.setattr(fock, "build_dilation", refuse)
     monkeypatch.setattr(cli, "default_beta_grid", refuse)
     with pytest.raises(Reached):
         main(f"{argv} {limit}".split())
@@ -890,16 +921,64 @@ def test_fresh_process_loads_no_scipy(tmp_path):
         f"print([egain.cli.main(argv) for argv in {argvs!r}])\n"
         "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
     )
+    result = _fresh_process(script)
+    assert result.stdout.splitlines()[-1] == str([0] * len(runs))
+    assert result.stderr == ""
+
+
+def _fresh_process(script):
+    """Run ``script`` in a new interpreter on this package's sources."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.splitlines()[-1] == str([0] * len(runs))
-    assert result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "runs, codes, ran",
+    [
+        (
+            [
+                "gain --preset attenuator --k 0.5",
+                "sweep --preset amplifier --k 2 --beta-points 5",
+                "williamson {matrix}",
+                "gain --preset attenuator --k 2",
+                "sweep --preset attenuator --k 0.5 --beta-max 1e-3 --beta-min 1e-2",
+            ],
+            [0, 0, 0, 2, 2],
+            [],
+        ),
+        (["fock --preset attenuator --k 0.7 --dim 20 --trials 2"], [0], ["fock"]),
+        (["classical --k 3"], [0], ["classical"]),
+    ],
+    ids=["phase-space", "fock", "classical"],
+)
+def test_fresh_process_runs_only_the_modules_its_subcommands_use(runs, codes, ran, tmp_path):
+    # egain.fock and egain.classical are in sys.modules from `import egain` on, where a tracer
+    # looks every module up, but their code runs on the first read of one of their attributes;
+    # until then the module's type is LazyLoader's subclass, not the plain module type
+    matrix = tmp_path / "alpha.json"
+    write_json(str(matrix), [[1.5, 0.0], [0.0, 1.5]])
+    argvs = [
+        [*argv.format(matrix=matrix).split(), "--out", str(tmp_path / f"{i}.out")]
+        for i, argv in enumerate(runs)
+    ]
+    script = (
+        "import sys, types\n"
+        "import egain.cli\n"
+        "names = ('symplectic', 'gaussian', 'channels', 'fock', 'classical', 'matio')\n"
+        "assert all(f'egain.{name}' in sys.modules for name in names), sorted(sys.modules)\n"
+        f"print([egain.cli.main(argv) for argv in {argvs!r}])\n"
+        "print([n for n in ('fock', 'classical') if type(sys.modules[f'egain.{n}']) is types.ModuleType])\n"
+    )
+    result = _fresh_process(script)
+    assert result.stdout.splitlines() == [str(codes), str(ran)]
+    assert all(line.startswith("error: ") for line in result.stderr.splitlines())
+    assert len(result.stderr.splitlines()) == codes.count(2)
 
 
 # The valid real matrix each file role holds, and a one-mode command that reads it.

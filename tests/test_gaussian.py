@@ -221,6 +221,24 @@ class TestEntropyRoutes:
         with pytest.raises(InadmissibleInputError):
             entropy_matrix_form(0.5 * np.eye(2), space)
 
+    @pytest.mark.parametrize("alpha", [np.diag([1.0, -1.0]), -np.eye(2)], ids=["indefinite", "negative"])
+    def test_matrix_form_refuses_a_matrix_that_is_not_positive_definite(self, alpha):
+        # diag(1, -1) reached the determinant's phase check; -I read as the entropy of I
+        with pytest.raises(InadmissibleInputError, match="^covariance matrix is not positive definite$"):
+            entropy_matrix_form(alpha, canonical_form(1))
+
+    @pytest.mark.parametrize(
+        "nu, r, theta, named",
+        [(0.5 + 1e-11, 10.0, 1.0, "determinant phase"), (1.5, 18.75, 0.55, "trace residue")],
+        ids=["near-pure", "squeezed"],
+    )
+    def test_matrix_form_refuses_a_state_past_its_precision(self, nu, r, theta, named):
+        # admissible states whose rounding reaches the route's two checks, which were internal errors
+        R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        alpha = R @ np.diag([nu * math.exp(r), nu * math.exp(-r)]) @ R.T
+        with pytest.raises(InadmissibleInputError, match=f"cannot resolve this covariance: {named}"):
+            entropy_matrix_form(alpha, canonical_form(1))
+
 
 class TestGibbs:
     def test_covariance_identity_hamiltonian(self):

@@ -14,11 +14,15 @@ MODULES = sorted(path.stem for path in SOURCES.glob("*.py"))
 CERTIFICATE_PARTS = {"_spectrum_and_factor", "_require_decidable"}
 
 
-def imports(module):
-    """(module, name) for each name the module imports; a plain ``import x`` gives (x, None)."""
+def imports(module, nodes=ast.walk):
+    """(module, name) for each name the module imports; a plain ``import x`` gives (x, None).
+
+    ``nodes`` picks the statements read from the parsed module: all of them, or
+    ``lambda tree: tree.body`` for the module-level ones.
+    """
     tree = ast.parse((SOURCES / f"{module}.py").read_text())
     found = []
-    for node in ast.walk(tree):
+    for node in nodes(tree):
         if isinstance(node, ast.Import):
             found += [(alias.name, None) for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -63,6 +67,14 @@ def test_fock_takes_only_the_gaussian_counterpart_from_the_core():
         ("egain.symplectic", "_uncertainty_cert"),
         ("egain.symplectic", "symplectic_eigenvalues"),
     }
+
+
+@pytest.mark.parametrize("module", ["__init__", "cli"])
+def test_the_oracle_and_the_counterexample_are_imported_as_modules_only(module):
+    # `import egain` registers egain.fock and egain.classical to run on first use; one module-level
+    # `from .fock import name` would run it in every process, so on every subcommand's path
+    lazy = {"egain.fock", "egain.classical"}
+    assert not [(source, name) for source, name in imports(module, lambda tree: tree.body) if source in lazy]
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "symplectic"])
