@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InadmissibleInputError, NonRegularChannelError, _whole
-from .gaussian import QuadraticHamiltonian, _entropies, _gibbs_covariances, gaussian_state
+from .gaussian import QuadraticHamiltonian, _covariance, _entropies, _gibbs_cotangent
 from .records import ByIdentity
 from .symplectic import (
     DEFAULT_TOL,
@@ -172,9 +172,14 @@ def _apply(channel: GaussianChannel, alpha: np.ndarray) -> tuple[np.ndarray, np.
 
     Returns the output with the symplectic spectrum its certificate is read off.
     """
-    out = channel.K.T @ alpha @ channel.K + channel.mu
-    out = 0.5 * (out + out.swapaxes(-1, -2))
+    out = _image(channel, alpha)
     return out, _certified(out, channel.space, "channel output")[0]
+
+
+def _image(channel: GaussianChannel, alpha: np.ndarray) -> np.ndarray:
+    """K.T alpha K + mu, exactly symmetric, with no check."""
+    out = channel.K.T @ alpha @ channel.K + channel.mu
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def minimal_entropy_gain(channel: GaussianChannel) -> float:
@@ -197,9 +202,8 @@ def gaussian_gain(channel: GaussianChannel, alpha: np.ndarray) -> float:
 
     alpha must pass the uncertainty bound.
     """
-    state = gaussian_state(channel.space, np.zeros(2 * channel.space.s), alpha)
-    nu_out = _apply(channel, state.alpha)[1]
-    return float(_entropies(nu_out)) - float(_entropies(state.nu))
+    alpha, nu_in, _ = _covariance(alpha, channel.space)
+    return float(_entropies(_apply(channel, alpha)[1])) - float(_entropies(nu_in))
 
 
 def default_beta_grid(
@@ -230,15 +234,24 @@ def _gibbs_gains(
 ) -> np.ndarray:
     """Gains on the Gibbs states at each beta, the whole grid as one stack of matrices.
 
-    Every check runs on each beta. When one fails, the betas before it are
-    evaluated again, so the error raised is the one that evaluating the grid
-    point by point (each beta through every check before the next) would
-    meet first.
+    The Gibbs covariances and their channel outputs are formed and certified
+    as one stack. Every check runs on each beta. On a refusal or a floating-
+    point event, the two stacks are formed and certified in turn, as the loop
+    does, and the betas before the failing one are evaluated again, so the
+    error (or warning) raised is the one that evaluating the grid point by
+    point (each beta through every check before the next) would meet first.
     """
     try:
-        alpha, nu = _gibbs_covariances(hamiltonian, betas)
-        return _entropies(_apply(channel, alpha)[1]) - _entropies(nu)
-    except (InadmissibleInputError, RuntimeError) as exc:
+        alpha = _gibbs_cotangent(hamiltonian, betas)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                both = np.concatenate([alpha, _image(channel, alpha)])
+                nu = _certified(both, channel.space, "Gibbs covariance or channel output")[0]
+        except (InadmissibleInputError, FloatingPointError):
+            nu = np.concatenate([_certified(alpha, channel.space, "Gibbs covariance")[0], _apply(channel, alpha)[1]])
+        entropies = _entropies(nu)
+        return entropies[len(betas):] - entropies[: len(betas)]
+    except InadmissibleInputError as exc:
         first = getattr(exc, "slice_index", 0)
         if first:
             _gibbs_gains(channel, hamiltonian, betas[:first])
@@ -270,16 +283,10 @@ def gain_beta_sweep(
         if np.any(np.diff(betas) >= 0):
             raise InadmissibleInputError("beta grid must be strictly descending")
     closed = minimal_entropy_gain(channel)
-    gains = list(_gibbs_gains(channel, hamiltonian, betas))
-    betas = list(betas)
+    gains = _gibbs_gains(channel, hamiltonian, betas)
     converged = abs(gains[-1] - closed) < _SWEEP_TOL
     while not converged and betas[-1] / 10.0 >= _BETA_FLOOR:
-        betas.append(betas[-1] / 10.0)
-        gains.extend(_gibbs_gains(channel, hamiltonian, np.array(betas[-1:])))
+        betas = np.append(betas, betas[-1] / 10.0)
+        gains = np.append(gains, _gibbs_gains(channel, hamiltonian, betas[-1:]))
         converged = abs(gains[-1] - closed) < _SWEEP_TOL
-    return GainReport(
-        beta_grid=np.array(betas),
-        gains=np.array(gains),
-        closed_form=closed,
-        converged=bool(converged),
-    )
+    return GainReport(np.array(betas), gains, closed, bool(converged))  # the report owns a copy of its grid

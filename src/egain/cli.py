@@ -339,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    # InadmissibleInputError and json.JSONDecodeError are ValueErrors; RuntimeError a failed self-check
+    # InadmissibleInputError and json.JSONDecodeError are ValueErrors; the package raises no RuntimeError of its own
     except (FloatingPointError, OverflowError, OSError, KeyError, ValueError, RuntimeError) as exc:
         message = str(exc)
         if isinstance(exc, (FloatingPointError, OverflowError)):

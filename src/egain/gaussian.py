@@ -32,9 +32,11 @@ from .symplectic import (
     _certified,
     _factor,
     _refuse,
+    _ROUNDING,
     _require_symmetric,
+    _spectrum_from_factor,
     _uncertainty_cert,
-    symplectic_eigenvalues,
+    symplectic_eigenvalues,  # noqa: F401  (perfbench/tests reads it from this module)
 )
 
 __all__ = [
@@ -89,10 +91,15 @@ def gaussian_state(space: PhaseSpace, mean: np.ndarray, alpha: np.ndarray) -> Ga
         )
     if not all(map(math.isfinite, mean.tolist())):
         raise InadmissibleInputError("mean has an entry that is not a finite number")
-    alpha = _require_symmetric(alpha, space, DEFAULT_TOL)
-    nu, cert = _certified(alpha, space, "covariance matrix")
+    alpha, nu, cert = _covariance(alpha, space)
     alpha.flags.writeable = False
     return GaussianState(space=space, mean=mean, alpha=alpha, cert=cert, nu=nu)
+
+
+def _covariance(alpha: np.ndarray, space: PhaseSpace):
+    """alpha made exactly symmetric, with the spectrum and certificate it is admitted by, or refused."""
+    alpha = _require_symmetric(alpha, space, DEFAULT_TOL)
+    return (alpha, *_certified(alpha, space, "covariance matrix"))
 
 
 class QuadraticHamiltonian(
@@ -105,8 +112,8 @@ class QuadraticHamiltonian(
     eigenpairs of the Hermitian matrix i L^T delta L, whose eigenvalues are
     the normal-mode frequencies +-m_j. The beta-independent pieces of every
     Gibbs state are solved once too: ``U_H`` is U^H, ``least_frequency`` is
-    min |w|, and ``frequencies`` holds the m_j, descending, on first use, as
-    ``symplectic_eigenvalues(epsilon)`` gives them.
+    min |w|, and ``frequencies`` holds the m_j, descending, on first use, read
+    off ``factor`` as ``symplectic_eigenvalues(epsilon)`` gives them.
     """
 
     space: PhaseSpace
@@ -120,7 +127,7 @@ class QuadraticHamiltonian(
 
     @cached_property
     def frequencies(self) -> np.ndarray:
-        return symplectic_eigenvalues(self.epsilon, self.space)
+        return _spectrum_from_factor(self.factor, self.space)
 
 
 def quadratic_hamiltonian(
@@ -178,43 +185,46 @@ def _gibbs_covariances(hamiltonian: QuadraticHamiltonian, betas):
     returned so that an entropy of the same covariances need not solve for
     them again.
     """
+    alpha = _gibbs_cotangent(hamiltonian, betas)
+    return alpha, _certified(alpha, hamiltonian.space, "Gibbs covariance")[0]
+
+
+def _gibbs_cotangent(hamiltonian: QuadraticHamiltonian, betas) -> np.ndarray:
+    """Gibbs covariances at each beta, not certified; their imaginary residue and asymmetry are refused.
+
+    Both are rounding, refused past 1e-9 max(1, |alpha|). Inputs through ``quadratic_hamiltonian`` reach
+    both: L amplifies the rounding for an epsilon whose eigenvalues span some 16 orders of magnitude.
+    """
     betas = np.asarray(betas, dtype=float)
-    space, factor, inv_factor = hamiltonian.space, hamiltonian.factor, hamiltonian.inv_factor
+    factor, inv_factor = hamiltonian.factor, hamiltonian.inv_factor
     w, U, least = hamiltonian.w, hamiltonian.U, hamiltonian.least_frequency
     # one beta that passes both checks below is let through on Python floats
     one = betas.ndim == 0 and 0 < betas.item() < math.inf and betas.item() * least >= 1e-100
     if not one:  # an infinite beta would make the cotangent's argument nan (inf * 0)
         admissible = (betas > 0) & (betas < math.inf)
         _refuse(~admissible, InadmissibleInputError, "beta must be positive and finite")
-    # |w| are the normal-mode frequencies m and alpha grows like 1/(2 beta m);
-    # the checks below square its entries, which overflows near beta m = 1e-154
-    # for epsilon = I, so refuse well before, leaving room for ill-conditioning
-    if not one:
-        _refuse(
-            betas * least < 1e-100,
-            InadmissibleInputError,
-            "beta = {:.3g} is too small: the Gibbs covariance would overflow",
-            betas,
-        )
+        # |w| are the normal-mode frequencies m and alpha grows like 1/(2 beta m);
+        # the checks below square its entries, which overflows near beta m = 1e-154
+        # for epsilon = I, so refuse well before, leaving room for ill-conditioning
+        too_small = "beta = {:.3g} is too small: the Gibbs covariance would overflow"
+        _refuse(betas * least < 1e-100, InadmissibleInputError, too_small, betas)
     # with herm = i L^T delta L = U diag(w) U^H, epsilon @ delta =
     # L @ (-i herm) @ L^-1 has eigenvalues -i w.
     cot_vals = _stable_cot(-1j * betas[..., None] * w)
     cot_core = (U * cot_vals[..., None, :]) @ hamiltonian.U_H
     cot_mat = factor @ cot_core @ inv_factor
-    alpha = 0.5 * (space.delta @ cot_mat)
-    scale = np.maximum(1.0, np.abs(alpha).max(axis=(-2, -1)))
+    alpha = 0.5 * (hamiltonian.space.delta @ cot_mat)
     resid = np.abs(alpha.imag).max(axis=(-2, -1))
-    _refuse(
-        resid > 1e-9 * scale, RuntimeError, "matrix cotangent has imaginary residue {:.3e}", resid
-    )
-    alpha = alpha.real
-    asym = np.abs(alpha - alpha.swapaxes(-1, -2)).max(axis=(-2, -1))
-    _refuse(asym > 1e-9 * scale, RuntimeError, "matrix cotangent result asymmetric by {:.3e}", asym)
-    alpha = 0.5 * (alpha + alpha.swapaxes(-1, -2))
+    real = alpha.real
+    asym = np.abs(real - real.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (resid > 1e-9).any() or (asym > 1e-9).any():  # the scale is >= 1: nothing smaller is refused
+        scale = np.maximum(1.0, np.abs(alpha).max(axis=(-2, -1)))
+        _refuse(resid > 1e-9 * scale, InadmissibleInputError, "matrix cotangent has imaginary residue {:.3e}", resid)
+        _refuse(asym > 1e-9 * scale, InadmissibleInputError, "matrix cotangent result asymmetric by {:.3e}", asym)
     # The exact result is nondegenerate for every beta > 0; in floating point
     # coth saturates for very large beta and nu rounds down to exactly 1/2,
     # which the certificate accepts, so only genuine failures are refused.
-    return alpha, _certified(alpha, space, "Gibbs covariance")[0]
+    return 0.5 * (real + real.swapaxes(-1, -2))
 
 
 def log_partition(hamiltonian: QuadraticHamiltonian, beta: float) -> float:
@@ -278,8 +288,7 @@ def entropy_of_covariance(alpha: np.ndarray, space: PhaseSpace) -> float:
     The covariance is refused where ``gaussian_state`` refuses it, and the
     entropy is read off the spectrum it is certified by.
     """
-    alpha = _require_symmetric(alpha, space, DEFAULT_TOL)
-    return float(_entropies(_certified(alpha, space, "covariance matrix")[0]))
+    return float(_entropies(_covariance(alpha, space)[1]))
 
 
 def _entropies(nu: np.ndarray) -> np.ndarray:
@@ -312,7 +321,9 @@ def entropy_matrix_form(alpha: np.ndarray, space: PhaseSpace) -> float:
     the input as past this route's precision. With alpha = R diag(nu e^r,
     nu e^-r) R^T, R a rotation, a mode near pure (nu = 1/2 + 1e-11, r = 10)
     moves the phase by 1e-4, and r near 19 leaves a residue above 1e-9 through
-    the conditioning of the eigenvectors. A symmetric matrix that is not
+    the conditioning of the eigenvectors. Milder cases pass both with a wrong value, so the entropy is
+    refused where its first-order error u kappa(V) ||W|| / min_j (|lambda_j| - 1/2), in Frobenius
+    norms, exceeds 1e-9 max(1, |entropy|). A symmetric matrix that is not
     positive definite, such as diag(1, -1) (determinant -5/4) or -I (which
     would read as I), is refused first.
     """
@@ -326,7 +337,8 @@ def entropy_matrix_form(alpha: np.ndarray, space: PhaseSpace) -> float:
             "matrix-function entropy requires a nondegenerate covariance"
         )
     arccot = np.arctan(1.0 / (2.0 * lam))
-    f = (V * arccot) @ np.linalg.inv(V)
+    V_inv = np.linalg.inv(V)
+    f = (V * arccot) @ V_inv
     term2 = np.trace(W @ f)
     sign, logabs = np.linalg.slogdet(W - 0.5j * np.eye(n))
     if abs(sign - 1.0) > 1e-6:
@@ -337,7 +349,13 @@ def entropy_matrix_form(alpha: np.ndarray, space: PhaseSpace) -> float:
         raise InadmissibleInputError(
             f"matrix-function entropy cannot resolve this covariance: trace residue {term2.imag:.3e}"
         )
-    return float(0.5 * logabs + term2.real)
+    entropy = float(0.5 * logabs + term2.real)
+    error = _ROUNDING * np.linalg.norm(V) * np.linalg.norm(V_inv) * np.linalg.norm(W) / (np.abs(lam).min() - 0.5)
+    if error > 1e-9 * max(1.0, abs(entropy)):
+        raise InadmissibleInputError(
+            f"matrix-function entropy cannot resolve this covariance: error estimate {error:.3e}"
+        )
+    return entropy
 
 
 def mean_energy(hamiltonian: QuadraticHamiltonian, state: GaussianState) -> float:

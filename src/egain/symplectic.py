@@ -164,7 +164,8 @@ def _factor(alpha: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def _positive_half(ev: np.ndarray, s: int) -> np.ndarray:
-    """Descending positive half of each ascending spectrum of +/- pairs in ev, checked to pair up."""
+    """Descending positive half of each ascending spectrum of +/- pairs in ev, checked to pair up:
+    rounding stays far inside the check, a nan spectrum (an input that overflows, as 1e308 I) does not."""
     if ev.ndim == 1:  # one spectrum on Python floats; max(x, 1.0) keeps a nan x as np.maximum does
         e = ev.tolist()
         atol = DEFAULT_TOL * max(abs(e[-1]), 1.0)
@@ -175,19 +176,15 @@ def _positive_half(ev: np.ndarray, s: int) -> np.ndarray:
     atol = DEFAULT_TOL * np.maximum(1.0, np.abs(ev[..., -1]))
     paired = np.abs(ev - mirror) <= atol[..., None] + 1e-5 * np.abs(mirror)
     _refuse(
-        ~paired.all(axis=-1), RuntimeError, "symplectic spectrum did not split into +/- pairs"
+        ~paired.all(axis=-1), InadmissibleInputError, "symplectic spectrum did not split into +/- pairs"
     )
     return ev[..., ::-1][..., :s].copy()
 
 
-def _spectrum_and_factor(alpha: np.ndarray, space: PhaseSpace, what: str):
-    """Symplectic spectrum and Cholesky factor of an exactly symmetric matrix or stack.
-
-    The matrix is not validated beyond its factorization.
-    """
-    factor = _factor(alpha, what)
+def _spectrum_from_factor(factor: np.ndarray, space: PhaseSpace) -> np.ndarray:
+    """Symplectic spectrum of alpha = L L^T read off its Cholesky factor L, or of each in a stack."""
     herm = -1j * (factor.swapaxes(-1, -2) @ space.delta @ factor)  # similar to i delta^-1 alpha
-    return _positive_half(np.linalg.eigvalsh(herm), space.s), factor
+    return _positive_half(np.linalg.eigvalsh(herm), space.s)
 
 
 def symplectic_eigenvalues(alpha: np.ndarray, space: PhaseSpace) -> np.ndarray:
@@ -200,7 +197,7 @@ def symplectic_eigenvalues(alpha: np.ndarray, space: PhaseSpace) -> np.ndarray:
     A (B, 2s, 2s) stack gives one row of eigenvalues per matrix.
     """
     alpha = _require_symmetric(alpha, space, DEFAULT_TOL)
-    return _spectrum_and_factor(alpha, space, "covariance matrix")[0]
+    return _spectrum_from_factor(_factor(alpha, "covariance matrix"), space)
 
 
 # the unit roundoff u; eta = (n + 2) u bounds the relative error, per entry,
@@ -270,7 +267,8 @@ def _certified(alpha: np.ndarray, space: PhaseSpace, what: str):
     matrix below the uncertainty bound is refused. Each check runs on the
     whole stack before the next, and names the first matrix it refuses.
     """
-    nu, factor = _spectrum_and_factor(alpha, space, what)
+    factor = _factor(alpha, what)
+    nu = _spectrum_from_factor(factor, space)
     cert = _uncertainty_cert(nu, DEFAULT_TOL)
     _require_decidable(cert.min_eigenvalue + cert.tolerance, nu[..., -1], alpha, factor, what)
     _refuse(
@@ -335,7 +333,8 @@ def williamson(
     (sqrt(2 nu_j) x_j, -sqrt(2 nu_j) y_j) are symplectic and diagonalize alpha
     by congruence. A matrix without a Cholesky factor is refused as not
     positive definite, and one whose admissibility at ``tol`` its conditioning
-    leaves undecidable is refused too (see ``_require_decidable``).
+    leaves undecidable is refused too (see ``_require_decidable``), as is a
+    congruence whose symplectic defect exceeds 100 max(tol, 1e-12 n), which squeezing reaches at a small ``tol``.
     """
     alpha = _require_symmetric(alpha, space, tol)
     factor = _factor(alpha, "covariance matrix")
@@ -352,5 +351,5 @@ def williamson(
     T[:, 1::2] = -scale * U.imag
     defect = np.linalg.norm(T.T @ space.delta @ T - space.delta)
     if defect > max(tol, 1e-12 * n) * 100:
-        raise RuntimeError(f"symplectic defect {defect:.3e} exceeds tolerance")
+        raise InadmissibleInputError(f"symplectic defect {defect:.3e} exceeds tolerance")
     return WilliamsonDecomposition(T=T, nu=nu)

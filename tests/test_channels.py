@@ -484,21 +484,46 @@ class TestBetaSweep:
             gain_beta_sweep(channel, ham, beta_grid=[math.inf, 1.0])
 
     def test_error_is_the_first_a_point_by_point_loop_meets(self):
+        space = canonical_form(1)
         # an attenuator without its noise, built past make_channel: its output
         # at beta = 1 falls below the uncertainty bound, a check that comes
         # after the overflow floor that the last beta fails
-        space = canonical_form(1)
         K, mu = 0.5 * np.eye(2), np.zeros((2, 2))
         cert = HermitianCert(-0.375, 1e-9)  # mu - (i/2)(delta - K.T delta K) = -(3/8) i delta
-        channel = GaussianChannel(space=space, K=K, mu=mu, cert=cert, strict=False)
-        ham = quadratic_hamiltonian(space, np.eye(2))
-        grid = np.array([1.0, 1e-3, 1e-120])
-        with pytest.raises(InadmissibleInputError) as looped:
-            reference_sweep(channel, ham, grid)
-        with pytest.raises(InadmissibleInputError) as stacked:
-            gain_beta_sweep(channel, ham, beta_grid=grid)
-        assert "channel output fails the uncertainty bound" in str(looped.value)
-        assert str(stacked.value) == str(looped.value)
+        attenuator = GaussianChannel(space=space, K=K, mu=mu, cert=cert, strict=False)
+        # a stiff rotated Hamiltonian, whose Gibbs covariance at beta = 1e5 is
+        # near pure and squeezed past a decidable verdict, while negative noise
+        # leaves its output no Cholesky factor, a check that comes first in a
+        # certificate: the loop meets the input's refusal, and so must the
+        # sweep, which certifies inputs and outputs as one stack
+        R = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+        stiff = quadratic_hamiltonian(space, R @ np.diag([1.0, 1e-8]) @ R.T)
+        negative = GaussianChannel(space, np.eye(2), -1e-3 * np.eye(2), HermitianCert(-1e-3, 1e-9), strict=False)
+        identity = quadratic_hamiltonian(space, np.eye(2))
+        # a K whose image of the Gibbs covariance at beta = 1e-90 overflows: the loop
+        # refuses the covariance at beta = 1e5 before it forms any image, so the
+        # sweep must meet neither the CLI's overflow error nor a numpy warning
+        huge = GaussianChannel(space, np.diag([1e108, 1e-108]), 1e-3 * np.eye(2), HermitianCert(0.0, 1e-9), strict=False)
+        cases = [
+            (attenuator, identity, [1.0, 1e-3, 1e-120], "channel output fails the uncertainty bound"),
+            (negative, stiff, [1e5, 1.0], "admissibility of the Gibbs covariance is undecidable"),
+            (huge, stiff, [1e5, 1e-90], "admissibility of the Gibbs covariance is undecidable"),
+        ]
+        for channel, ham, grid, message in cases:
+            with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                with pytest.raises(InadmissibleInputError) as looped:
+                    reference_sweep(channel, ham, grid)
+                with pytest.raises(InadmissibleInputError) as stacked:
+                    gain_beta_sweep(channel, ham, beta_grid=grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InadmissibleInputError) as unraised:
+                    gain_beta_sweep(channel, ham, beta_grid=grid)
+            assert message in str(looped.value)
+            assert str(stacked.value) == str(unraised.value) == str(looped.value)
+        with pytest.raises(InadmissibleInputError, match="^channel output is not positive definite$"):
+            gain_beta_sweep(negative, stiff, beta_grid=[1e4])  # the output alone is refused at a decidable beta
 
     def test_eigensolve_count_does_not_grow_with_the_grid(self, count_eigensolves):
         gen = np.random.default_rng(5)
@@ -513,18 +538,18 @@ class TestBetaSweep:
             counts.append(len(count_eigensolves))
         assert counts[0] == counts[1]
 
-    def test_sweep_converging_on_its_grid_solves_two_stacked_spectra(self, count_eigensolves):
-        # the Gibbs spectra and the output spectra, each from a stacked
-        # Cholesky factor, off which both admissibility checks and their
-        # conditioning bounds are read; the Hamiltonian's normal modes come
-        # from its build
+    def test_sweep_converging_on_its_grid_solves_one_stacked_spectrum(self, count_eigensolves):
+        # the Gibbs spectra and the output spectra, from one Cholesky factor
+        # of the two stacks together, off which both admissibility checks and
+        # their conditioning bounds are read; the Hamiltonian's normal modes
+        # come from its build
         gen = np.random.default_rng(6)
         channel = random_regular_channel(gen, 3)
         ham = quadratic_hamiltonian(channel.space, random_spd(gen, 6))
         count_eigensolves.clear()
         report = gain_beta_sweep(channel, ham)
         assert report.converged and len(report.beta_grid) == len(default_beta_grid())
-        assert count_eigensolves == ["cholesky", "eigvalsh"] * 2
+        assert count_eigensolves == ["cholesky", "eigvalsh"]
 
     def test_default_grid_is_built_once(self, monkeypatch):
         channel = preset_channel("amplifier", 2.0)

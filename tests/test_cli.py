@@ -539,16 +539,17 @@ class TestWilliamson:
         assert code == 2
 
     def test_failed_internal_check_exits_2_without_a_traceback(self, tmp_path, capsys, monkeypatch):
-        def defect(*args, **kwargs):
-            raise RuntimeError("symplectic defect 1.000e-03 exceeds tolerance")
+        # no check of the package raises RuntimeError: the stub stands for a fault from below it
+        def fault(*args, **kwargs):
+            raise RuntimeError("LAPACK routine returned an inconsistent result")
 
-        monkeypatch.setattr(cli, "williamson", defect)
+        monkeypatch.setattr(cli, "williamson", fault)
         path = str(tmp_path / "alpha.json")
         save_matrix(path, np.eye(2))
         assert run(["williamson", path], capsys) == (
             2,
             "",
-            "error: internal numerical check failed: symplectic defect 1.000e-03 exceeds tolerance\n",
+            "error: internal numerical check failed: LAPACK routine returned an inconsistent result\n",
         )
 
 

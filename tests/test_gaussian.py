@@ -229,11 +229,19 @@ class TestEntropyRoutes:
 
     @pytest.mark.parametrize(
         "nu, r, theta, named",
-        [(0.5 + 1e-11, 10.0, 1.0, "determinant phase"), (1.5, 18.75, 0.55, "trace residue")],
-        ids=["near-pure", "squeezed"],
+        [
+            (0.5 + 1e-11, 10.0, 1.0, "determinant phase"),
+            (1.5, 18.75, 0.55, "trace residue"),
+            (0.5 + 1e-11, 0.5, 0.7, "error estimate"),
+            (0.5 + 1e-10, 10.0, 0.3, "error estimate"),
+            (1.0, 16.0, 0.7, "error estimate"),
+        ],
+        ids=["near-pure", "squeezed", "estimate-near-pure", "estimate-near-pure-squeezed", "estimate-squeezed"],
     )
     def test_matrix_form_refuses_a_state_past_its_precision(self, nu, r, theta, named):
-        # admissible states whose rounding reaches the route's two checks, which were internal errors
+        # admissible states whose rounding reaches the route's two checks, which were internal errors;
+        # the last three passed both with wrong values (9.66e-6 for 2.63e-10, 0.104 for a state the sum
+        # route refuses as undecidable, 0.9612 for 0.9573), which the error estimate now refuses
         R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
         alpha = R @ np.diag([nu * math.exp(r), nu * math.exp(-r)]) @ R.T
         with pytest.raises(InadmissibleInputError, match=f"cannot resolve this covariance: {named}"):
@@ -328,6 +336,43 @@ class TestGibbs:
         with pytest.raises(InadmissibleInputError):
             quadratic_hamiltonian(space, np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize(
+        "spoil, refused",
+        [
+            (lambda ham: ham._replace(U_H=(1.0 + 1e-8j) * ham.U_H), "^matrix cotangent has imaginary residue 5.0"),
+            (lambda ham: ham._replace(U_H=(1.0 + 1e-11j) * ham.U_H), None),
+            (
+                lambda ham: ham._replace(inv_factor=ham.inv_factor + np.diag([1e-8], 1)),
+                "^matrix cotangent result asymmetric by 5.0",
+            ),
+        ],
+        ids=["residue", "residue-below-the-scaled-bound", "asymmetry"],
+    )
+    def test_cotangent_checks_refuse_past_a_bound_scaled_by_alpha(self, spoil, refused):
+        # records built past quadratic_hamiltonian: (1 + i eta) U^H gives alpha an imaginary part
+        # eta alpha, and L^-1 + eta E, E_12 = 1, an asymmetric real part of the same size; at
+        # beta = 1e-3, alpha is about 500 I, so eta = 1e-11 leaves a residue of 5e-9, above 1e-9
+        # but below 1e-9 max(1, |alpha|), which passes
+        ham = quadratic_hamiltonian(canonical_form(1), np.eye(2))
+        if refused is None:
+            assert gibbs_covariance(spoil(ham), 1e-3) == pytest.approx(gibbs_covariance(ham, 1e-3), rel=1e-10)
+            return
+        with pytest.raises(InadmissibleInputError, match=refused):
+            gibbs_covariance(spoil(ham), 1e-3)
+
+    @pytest.mark.parametrize(
+        "seed, span, beta, refused",
+        [(14, 8, 1.0, "has imaginary residue"), ([3, 817], 9, 1e-3, "result asymmetric by")],
+        ids=["residue", "asymmetry"],
+    )
+    def test_an_epsilon_spanning_16_orders_of_magnitude_reaches_the_cotangent_checks(self, seed, span, beta, refused):
+        # three modes; the asymmetry alone is rare, this seed is one in about 9000
+        gen = np.random.default_rng(seed)
+        Q = np.linalg.qr(gen.normal(size=(6, 6)))[0]
+        ham = quadratic_hamiltonian(canonical_form(3), Q @ np.diag(10.0 ** gen.uniform(-span, span, 6)) @ Q.T)
+        with pytest.raises(InadmissibleInputError, match=f"^matrix cotangent {refused}"):
+            gibbs_covariance(ham, beta)
+
 
 class TestSolvedOnce:
     """A Hamiltonian keeps its normal modes and a state its symplectic spectrum."""
@@ -341,9 +386,9 @@ class TestSolvedOnce:
         assert count_eigensolves == ["cholesky", "eigh"]
 
     def test_first_gibbs_state_also_solves_the_frequencies(self, hamiltonian, count_eigensolves):
-        # the Gibbs spectrum, then symplectic_eigenvalues(epsilon) for log_partition
+        # the Gibbs spectrum, then the frequencies for log_partition, read off the stored factor
         gibbs_state(hamiltonian, 0.3)
-        assert count_eigensolves == ["cholesky", "eigvalsh"] * 2
+        assert count_eigensolves == ["cholesky", "eigvalsh", "eigvalsh"]
 
     def test_gaussian_state_solves_one_spectrum(self, count_eigensolves):
         # the symplectic spectrum from a Cholesky factor; the certificate is

@@ -2,13 +2,14 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_covariance, random_symplectic
+from conftest import random_covariance, random_symplectic, squeezed_covariance
 from egain.errors import InadmissibleInputError
 from egain.symplectic import (
     HermitianCert,
@@ -107,6 +108,14 @@ class TestSymplecticEigenvalues:
                 symplectic_eigenvalues(np.stack(stack), space)
             assert refused.value.slice_index == first
 
+    def test_spectrum_that_overflows_to_nan_is_refused(self):
+        # the symmetrization overflows to inf, which numpy warns of, and the spectrum is nan
+        alpha = np.array([[1e308, 9e307], [9e307, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(InadmissibleInputError, match=r"^symplectic spectrum did not split into \+/- pairs$"):
+                symplectic_eigenvalues(alpha, canonical_form(1))
+
     def test_solves_no_eigh(self, count_eigensolves):
         symplectic_eigenvalues(np.diag([2.0, 2.0, 0.7, 0.7]), canonical_form(2))
         assert count_eigensolves == ["cholesky", "eigvalsh"]
@@ -150,6 +159,13 @@ class TestWilliamson:
         space = canonical_form(1)
         with pytest.raises(InadmissibleInputError):
             williamson(np.array([[1.0, 0.3], [0.0, 1.0]]), space)
+
+    def test_refuses_a_congruence_past_its_symplectic_defect_bound(self):
+        # at tol = 1e-12 the bound is 100 max(tol, 1e-12 n) = 2e-10, which a squeezing of e^17 exceeds
+        alpha = squeezed_covariance(1.5, 8.5, 1.0)
+        with pytest.raises(InadmissibleInputError, match=r"^symplectic defect \S+ exceeds tolerance$"):
+            williamson(alpha, canonical_form(1), tol=1e-12)
+        williamson(alpha, canonical_form(1))  # the default tolerance's bound, 1e-7, holds it
 
 
 class TestRandomSymplectic:
