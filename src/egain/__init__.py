@@ -4,10 +4,10 @@ Exact phase-space computations (closed-form gain, Gibbs-state sweeps,
 Gaussian extremality) cross-checked by a truncated Fock-space oracle, plus
 a classical counterexample with unbounded entropy gain.
 
-``import egain`` runs the phase-space core and the matrix files only. The
-Fock oracle and the classical counterexample, ``egain.fock`` and
-``egain.classical``, run on their first attribute read, so subcommands that
-never use them never compile them; their names below still import from here.
+``import egain`` runs ``errors`` and ``records`` only, so it loads no numpy.
+Every other module is in sys.modules from then on, but runs on its first
+attribute read, so a subcommand compiles only the modules it calls. Their
+names below still import from here.
 """
 
 import importlib.util
@@ -18,43 +18,6 @@ from .errors import (
     InadmissibleInputError,
     NonRegularChannelError,
 )
-from .symplectic import (
-    DEFAULT_TOL,
-    HermitianCert,
-    PhaseSpace,
-    WilliamsonDecomposition,
-    canonical_form,
-    symplectic_eigenvalues,
-    williamson,
-)
-from .gaussian import (
-    GaussianState,
-    GibbsState,
-    QuadraticHamiltonian,
-    entropy_matrix_form,
-    entropy_of_covariance,
-    gaussian_entropy,
-    gaussian_state,
-    gibbs_covariance,
-    gibbs_state,
-    log_partition,
-    mean_energy,
-    mode_entropy,
-    quadratic_hamiltonian,
-)
-from .channels import (
-    GainReport,
-    GaussianChannel,
-    apply_to_covariance,
-    default_beta_grid,
-    gain_beta_sweep,
-    gaussian_gain,
-    make_channel,
-    minimal_entropy_gain,
-    preset_channel,
-    tensor_channels,
-)
-from .matio import load_matrix, read_json, write_json
 
 __version__ = "0.1.0"
 
@@ -68,23 +31,31 @@ def _lazy(name: str):
     return module
 
 
-fock = _lazy("fock")
-classical = _lazy("classical")
-_REEXPORTED = dict.fromkeys(
-    (
-        "DilationChannel", "FockDensityMatrix", "apply_channel", "build_dilation",
-        "covariance_of", "fock_density", "lower_bound_campaign", "random_low_support_state",
-        "thermal_state", "verify_lower_bound", "verify_extremality", "von_neumann_entropy",
-    ),
-    fock,
-) | dict.fromkeys(
-    ("HeavyTailDistribution", "channel_row_entropy", "doubly_stochastic_check", "heavy_tail", "xor_family"),
-    classical,
+symplectic, gaussian, channels, matio, fock, classical = map(
+    _lazy, ("symplectic", "gaussian", "channels", "matio", "fock", "classical")
 )
+_REEXPORTED = {
+    name: module
+    for module, names in (
+        (symplectic, "DEFAULT_TOL HermitianCert PhaseSpace WilliamsonDecomposition canonical_form "
+         "symplectic_eigenvalues williamson"),
+        (gaussian, "GaussianState GibbsState QuadraticHamiltonian entropy_matrix_form entropy_of_covariance "
+         "gaussian_entropy gaussian_state gibbs_covariance gibbs_state log_partition mean_energy "
+         "mode_entropy quadratic_hamiltonian"),
+        (channels, "GainReport GaussianChannel apply_to_covariance default_beta_grid gain_beta_sweep "
+         "gaussian_gain make_channel minimal_entropy_gain preset_channel tensor_channels"),
+        (matio, "load_matrix read_json write_json"),
+        (fock, "DilationChannel FockDensityMatrix apply_channel build_dilation covariance_of fock_density "
+         "lower_bound_campaign random_low_support_state thermal_state verify_lower_bound "
+         "verify_extremality von_neumann_entropy"),
+        (classical, "HeavyTailDistribution channel_row_entropy doubly_stochastic_check heavy_tail xor_family"),
+    )
+    for name in names.split()
+}
 
 
 def __getattr__(name: str):
-    """A name re-exported from ``fock`` or ``classical``, read from its module on each access (PEP 562)."""
+    """A re-exported name, read from its module on each access (PEP 562)."""
     if name not in _REEXPORTED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(_REEXPORTED[name], name)

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InadmissibleInputError, NonRegularChannelError, _whole
+from .errors import PRESET_NAMES, InadmissibleInputError, NonRegularChannelError, _beta_grid_points
 from .gaussian import QuadraticHamiltonian, _covariance, _entropies, _gibbs_cotangent
 from .records import ByIdentity
 from .symplectic import (
@@ -50,7 +50,6 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-PRESET_NAMES = ("attenuator", "amplifier", "classical-noise")
 _SWEEP_TOL = 1e-3
 _BETA_FLOOR = 1e-12
 # Bound on a preset's noise entry m: the checks take the size of mu = m I as sqrt(m^2 + m^2)
@@ -210,9 +209,7 @@ def default_beta_grid(
     beta_max: float = 1.0, beta_min: float = 1e-6, points: int = 25
 ) -> np.ndarray:
     """Geometric inverse-temperature grid, descending from beta_max to beta_min."""
-    if not (beta_max > beta_min > 0):
-        raise InadmissibleInputError("need beta_max > beta_min > 0")
-    return np.geomspace(beta_max, beta_min, _whole("beta grid points", points, 2))
+    return np.geomspace(beta_max, beta_min, _beta_grid_points(beta_max, beta_min, points))
 
 
 _DEFAULT_GRID = default_beta_grid()  # built and validated once; read-only

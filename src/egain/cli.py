@@ -24,22 +24,15 @@ import math
 import re
 import sys
 
-import numpy as np
-
-from .channels import (
+# lazy modules, each run on the first read of one of its names; numpy loads only after the argv refusals
+from . import channels, classical, fock, gaussian, matio, symplectic
+from .errors import (
+    DEFAULT_TOL,
     PRESET_NAMES,
-    GaussianChannel,
-    default_beta_grid,
-    gain_beta_sweep,
-    make_channel,
-    minimal_entropy_gain,
-    preset_channel,
+    HypothesisViolationError,
+    InadmissibleInputError,
+    _beta_grid_points,
 )
-from . import classical, fock  # lazy: only the fock and classical subcommands run them
-from .errors import HypothesisViolationError, InadmissibleInputError
-from .gaussian import quadratic_hamiltonian
-from .matio import _json_text, decode_array, encode_array, load_matrix, read_json, write_text
-from .symplectic import DEFAULT_TOL, _uncertainty_cert, canonical_form, williamson
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 2
@@ -104,31 +97,41 @@ def _at_most(limit: int):
     return parse
 
 
-def _resolve_channel(args: argparse.Namespace) -> tuple[GaussianChannel, dict]:
+def _refuse_from_argv(args: argparse.Namespace) -> None:
+    """Every refusal that argv alone decides, raised before numpy is imported."""
+    if args.command in ("gain", "sweep") and not (args.channel_file or args.preset):
+        raise InadmissibleInputError("provide --preset with --k, or --channel-file")
+    if args.command == "sweep":
+        _beta_grid_points(args.beta_max, args.beta_min, args.beta_points)
+    elif args.command == "fock":
+        if not args.preset:
+            raise InadmissibleInputError("fock campaigns require --preset")
+        if args.noise and args.preset != "classical-noise":
+            raise InadmissibleInputError(f"--noise applies only to classical-noise, not {args.preset}")
+    elif args.command == "classical" and not 1 <= args.k <= CLASSICAL_K_MAX:
+        raise InadmissibleInputError(f"prefix exponent must be between 1 and {CLASSICAL_K_MAX}")
+
+
+def _resolve_channel(args: argparse.Namespace) -> tuple[channels.GaussianChannel, dict]:
     """Build the channel named on the command line, plus its report stanza."""
     if args.channel_file:
-        data = read_json(args.channel_file)
+        data = matio.read_json(args.channel_file)
         if not isinstance(data, dict) or "K" not in data or "mu" not in data:
             raise InadmissibleInputError("channel file must contain 'K' and 'mu' matrices")
-        K = decode_array(data["K"])
-        mu = decode_array(data["mu"])
+        K = matio.decode_array(data["K"])
+        mu = matio.decode_array(data["mu"])
         if K.shape[0] != K.shape[1] or K.shape[0] % 2 != 0:
             raise InadmissibleInputError("K must be square with even dimension")
-        space = canonical_form(K.shape[0] // 2)
-        channel = make_channel(K, mu, space, tol=args.tol)
-        source = {"channel_file": args.channel_file}
-    elif args.preset:
-        channel = preset_channel(args.preset, args.k, noise=args.noise, tol=args.tol)
-        source = {"preset": args.preset, "k": float(args.k), "noise": float(args.noise)}
-    else:
-        raise InadmissibleInputError("provide --preset with --k, or --channel-file")
-    return channel, source
+        space = symplectic.canonical_form(K.shape[0] // 2)
+        return channels.make_channel(K, mu, space, tol=args.tol), {"channel_file": args.channel_file}
+    channel = channels.preset_channel(args.preset, args.k, noise=args.noise, tol=args.tol)
+    return channel, {"preset": args.preset, "k": float(args.k), "noise": float(args.noise)}
 
 
 def cmd_gain(args: argparse.Namespace) -> tuple[dict, int]:
     channel, source = _resolve_channel(args)
     cert = channel.cert
-    gain = minimal_entropy_gain(channel)
+    gain = channels.minimal_entropy_gain(channel)
     report = {
         "command": "gain",
         "seed": None,
@@ -144,15 +147,17 @@ def cmd_gain(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
+    import numpy as np
+
     channel, source = _resolve_channel(args)
     if args.epsilon_file:
-        epsilon = load_matrix(args.epsilon_file)
+        epsilon = matio.load_matrix(args.epsilon_file)
         source["epsilon_file"] = args.epsilon_file
     else:
         epsilon = np.eye(2 * channel.space.s)
-    hamiltonian = quadratic_hamiltonian(channel.space, epsilon, tol=args.tol)
-    grid = default_beta_grid(args.beta_max, args.beta_min, args.beta_points)
-    report = gain_beta_sweep(channel, hamiltonian, beta_grid=grid)
+    hamiltonian = gaussian.quadratic_hamiltonian(channel.space, epsilon, tol=args.tol)
+    grid = channels.default_beta_grid(args.beta_max, args.beta_min, args.beta_points)
+    report = channels.gain_beta_sweep(channel, hamiltonian, beta_grid=grid)
     lines = ["# seed: none"]
     for key, value in sorted(source.items()):
         lines.append(f"# {key}: {value}")
@@ -170,11 +175,9 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_fock(args: argparse.Namespace) -> tuple[dict, int]:
-    if not args.preset:
-        raise InadmissibleInputError("fock campaigns require --preset")
+    import numpy as np
+
     kind = args.preset.replace("-", "_")
-    if args.noise and kind != "classical_noise":
-        raise InadmissibleInputError(f"--noise applies only to classical-noise, not {args.preset}")
     channel = fock.build_dilation(kind, args.k, dim=args.dim, noise=args.noise)
     rng = np.random.default_rng(args.seed)
     if args.extremality:
@@ -208,34 +211,29 @@ def cmd_fock(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_classical(args: argparse.Namespace) -> tuple[str, int]:
-    k_max = args.k
-    if not 1 <= k_max <= CLASSICAL_K_MAX:
-        raise InadmissibleInputError(
-            f"prefix exponent must be between 1 and {CLASSICAL_K_MAX}"
-        )
     dist = classical.heavy_tail()
     lines = ["# seed: none", "k,H,doubly_stochastic"]
-    failing = classical.first_failing_prefix(classical.xor_family(), dist, k_max)
-    for k in range(1, k_max + 1):
+    failing = classical.first_failing_prefix(classical.xor_family(), dist, args.k)
+    for k in range(1, args.k + 1):
         entropy = dist.truncated_entropy(1 << k)
         lines.append(f"{k},{_fmt(entropy)},{str(k < failing).lower()}")
     return "\n".join(lines) + "\n", EXIT_OK
 
 
 def cmd_williamson(args: argparse.Namespace) -> tuple[dict, int]:
-    alpha = load_matrix(args.matrix_file)
+    alpha = matio.load_matrix(args.matrix_file)
     if alpha.shape[0] != alpha.shape[1] or alpha.shape[0] % 2 != 0:
         raise InadmissibleInputError("covariance matrix must be square with even dimension")
-    space = canonical_form(alpha.shape[0] // 2)
-    decomposition = williamson(alpha, space, tol=args.tol)
-    cert = _uncertainty_cert(decomposition.nu, args.tol)
+    space = symplectic.canonical_form(alpha.shape[0] // 2)
+    decomposition = symplectic.williamson(alpha, space, tol=args.tol)
+    cert = symplectic._uncertainty_cert(decomposition.nu, args.tol)
     report = {
         "command": "williamson",
         "seed": None,
         "matrix_file": args.matrix_file,
         "modes": space.s,
         "symplectic_eigenvalues": [float(nu) for nu in decomposition.nu],
-        "T": encode_array(decomposition.T),
+        "T": matio.encode_array(decomposition.T),
         "admissibility": dict(cert._asdict(), verdict=cert.verdict),
     }
     return report, EXIT_OK
@@ -325,16 +323,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_from_argv(args)
+        import numpy as np
+
         # numpy overflow, division by zero and invalid values raise instead of
         # warning, so a finite but out-of-range number ends in exit 2, as does
         # a float OverflowError (an amplifier k whose square overflows)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             report, code = args.func(args)
-        text = report if isinstance(report, str) else _json_text(report)
+        text = report if isinstance(report, str) else matio._json_text(report)
         if args.out is None:
             sys.stdout.write(text)
         else:
-            write_text(args.out, text)
+            matio.write_text(args.out, text)
         return code
     except HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the one whole-number refusal."""
+"""What the CLI reads before numpy loads: exception types, the defaults and names argv is
+checked against, and the refusals that need no array."""
 
 import math
+
+DEFAULT_TOL = 1e-9
+PRESET_NAMES = ("attenuator", "amplifier", "classical-noise")
 
 
 class InadmissibleInputError(ValueError):
@@ -24,3 +28,10 @@ def _whole(name: str, value, low: int, high: float = math.inf) -> int:
         pass
     below = f" and < {high}" if high < math.inf else ""
     raise InadmissibleInputError(f"{name} must be an integer >= {low}{below}, got {value!r}")
+
+
+def _beta_grid_points(beta_max: float, beta_min: float, points) -> int:
+    """Point count of a descending beta grid, refused unless beta_max > beta_min > 0 and points >= 2."""
+    if not (beta_max > beta_min > 0):
+        raise InadmissibleInputError("need beta_max > beta_min > 0")
+    return _whole("beta grid points", points, 2)

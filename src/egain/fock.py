@@ -1,24 +1,12 @@
 """Truncated Fock-space oracle for one-mode Gaussian channels.
 
-Everything here is deliberately independent of the exact phase-space
-machinery: states are dense d x d density matrices in the number basis,
-channels act by explicit Kraus sums from two-mode unitary dilations: a
-beamsplitter (attenuator), a two-mode squeezer (amplifier), or the one after
-the other (classical noise), with the dilations' Kraus amplitudes taken in
-closed form. Comparing entropy gains computed this way
-against the closed-form and Gaussian-extremality predictions is the
-package's main numerical evidence.
-
 Truncation policy: a verdict is about the state the oracle holds, a density
 matrix on d levels, so whatever tail it was cut from does not enter it.
 Each Kraus term moves |n> to |n -+ l>, and only the terms that land past the
 cutoff are dropped, so the kept output is exactly P Phi[rho] P, short of the
 mass delta the channel moved past the cutoff. ``slack_from_deficit`` turns
 delta and the output's closed-form mean photon number into a proved bound on
-the computed gain's error, rounding included. A trial holds if gain >=
-reference - slack and is reliable if |gain - reference| > slack, that is, if
-the slack cannot have decided the verdict; unreliable trials are reported,
-never silently dropped.
+the computed gain's error, rounding included.
 """
 
 from __future__ import annotations
@@ -422,7 +410,10 @@ def _random_states(
 
 
 def _g(x: float) -> float:
-    """Entropy of the thermal state of mean photon number x >= 0, in nats."""
+    """Entropy of the thermal state of mean photon number x >= 0, in nats.
+
+    A deliberate copy of ``gaussian._g``: the Fock route computes its own numbers.
+    """
     return math.log1p(x) + x * math.log1p(1.0 / x) if 0.0 < x < math.inf else x
 
 

@@ -275,7 +275,10 @@ def mode_entropy(nu) -> np.ndarray:
 
 
 def _g(nu: np.ndarray) -> np.ndarray:
-    """g(nu) of each entry, with no check: an entry below 1/2 reads as 1/2, so g = 0."""
+    """g(nu) of each entry, with no check: an entry below 1/2 reads as 1/2, so g = 0.
+
+    A deliberate copy of ``fock._g``: the phase-space core computes its own numbers.
+    """
     # with x = nu - 1/2, g = log1p(x) + x log1p(1/x): two nonnegative terms,
     # so nothing cancels for x near 0 or for the large x of small beta
     x = np.maximum(nu - 0.5, 0.0)

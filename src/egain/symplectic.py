@@ -18,10 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InadmissibleInputError, _whole
+from .errors import DEFAULT_TOL, InadmissibleInputError, _whole
 from .records import ByIdentity
-
-DEFAULT_TOL = 1e-9
 
 VERDICT_PD = "positive_definite"
 VERDICT_PSD = "positive_semidefinite"

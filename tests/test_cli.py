@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import egain.cli as cli
-from egain import classical, fock
+from egain import channels, classical, fock, symplectic
 from conftest import BELOW_THE_BOUND, save_matrix, squeezed_covariance
 from egain.cli import main
 from egain.errors import HypothesisViolationError
@@ -132,7 +132,7 @@ class TestSweep:
                 converged=False,
             )
 
-        monkeypatch.setattr(cli, "gain_beta_sweep", fake_sweep)
+        monkeypatch.setattr(channels, "gain_beta_sweep", fake_sweep)  # where cmd_sweep looks it up
         out_path = str(tmp_path / "warn.csv")
         code, _, _ = run(
             ["sweep", "--preset", "attenuator", "--k", "0.5", "--out", out_path], capsys
@@ -543,7 +543,7 @@ class TestWilliamson:
         def fault(*args, **kwargs):
             raise RuntimeError("LAPACK routine returned an inconsistent result")
 
-        monkeypatch.setattr(cli, "williamson", fault)
+        monkeypatch.setattr(symplectic, "williamson", fault)  # where cmd_williamson looks it up
         path = str(tmp_path / "alpha.json")
         save_matrix(path, np.eye(2))
         assert run(["williamson", path], capsys) == (
@@ -878,7 +878,7 @@ def test_size_flags_are_capped_at_parse_time(argv, flag, limit, capsys, monkeypa
 
     # nothing is allocated: both builders are stubbed out
     monkeypatch.setattr(fock, "build_dilation", refuse)
-    monkeypatch.setattr(cli, "default_beta_grid", refuse)
+    monkeypatch.setattr(channels, "default_beta_grid", refuse)
     with pytest.raises(Reached):
         main(f"{argv} {limit}".split())
     with pytest.raises(SystemExit) as exc:
@@ -928,19 +928,74 @@ def test_fresh_process_loads_no_scipy(tmp_path):
 
 
 def _fresh_process(script):
-    """Run ``script`` in a new interpreter on this package's sources."""
+    """Run ``script`` in a new interpreter on this package's sources, with 80-column usage lines."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"},
         capture_output=True,
         text=True,
         check=True,
     )
 
 
+def test_import_egain_loads_no_numpy():
+    # the six modules are in sys.modules, where a tracer looks every module up, as LazyLoader's
+    # type: each runs on the first read of one of its attributes
+    script = (
+        "import importlib.util, sys\n"
+        "import egain\n"
+        "names = ('symplectic', 'gaussian', 'channels', 'matio', 'fock', 'classical')\n"
+        "print('numpy' in sys.modules, [type(sys.modules[f'egain.{n}']) is importlib.util._LazyModule for n in names])\n"
+    )
+    assert _fresh_process(script).stdout == f"False {[True] * 6}\n"
+
+
+# Exit code and stderr of each refusal that argv alone decides, frozen from the parent commit.
+ARGV_REFUSALS = {
+    "--help": (0, ""),
+    "gain --preset attenuator --k half": (
+        2,
+        "usage: egain gain [-h] [--out OUT]\n"
+        "                  [--preset {attenuator,amplifier,classical-noise}] [--k K]\n"
+        "                  [--noise NOISE] [--channel-file CHANNEL_FILE] [--tol TOL]\n"
+        "egain gain: error: argument --k: not a number: 'half'\n",
+    ),
+    "sweep --preset attenuator --k 0.5 --beta-max 1e-3 --beta-min 1e-2": (2, "error: need beta_max > beta_min > 0\n"),
+    "sweep --preset attenuator --beta-points 1": (2, "error: beta grid points must be an integer >= 2, got 1\n"),
+    "classical --k 0": (2, "error: prefix exponent must be between 1 and 16\n"),
+    "fock --preset attenuator --k 0.7 --noise 0.1": (
+        2,
+        "error: --noise applies only to classical-noise, not attenuator\n",
+    ),
+    "gain": (2, "error: provide --preset with --k, or --channel-file\n"),
+}
+
+
+def test_argv_refusals_and_help_load_no_numpy():
+    # each runs as `python -m egain ARGV` does; `--help` prints its usage to stdout
+    script = (
+        "import contextlib, io, json, runpy, sys\n"
+        "results = []\n"
+        f"for argv in {list(ARGV_REFUSALS)!r}:\n"
+        "    sys.argv = ['egain', *argv.split()]\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            runpy.run_module('egain', run_name='__main__')\n"
+        "        except SystemExit as exc:\n"
+        "            results.append([exc.code, out.getvalue().split('\\n')[0], err.getvalue()])\n"
+        "print(json.dumps(['numpy' in sys.modules, results]))\n"
+    )
+    loaded, results = json.loads(_fresh_process(script).stdout)
+    assert loaded is False
+    assert [(code, err) for code, _, err in results] == list(ARGV_REFUSALS.values())
+    assert results[0][1] == "usage: egain [-h] {gain,sweep,fock,classical,williamson} ..."
+    assert [first for _, first, _ in results[1:]] == [""] * (len(ARGV_REFUSALS) - 1)
+
+
 @pytest.mark.parametrize(
-    "runs, codes, ran",
+    "runs, codes, ran, idle",
     [
         (
             [
@@ -952,16 +1007,19 @@ def _fresh_process(script):
             ],
             [0, 0, 0, 2, 2],
             [],
+            [],
         ),
-        (["fock --preset attenuator --k 0.7 --dim 20 --trials 2"], [0], ["fock"]),
-        (["classical --k 3"], [0], ["classical"]),
+        (["williamson {matrix}"], [0], [], ["gaussian", "channels"]),
+        (["fock --preset attenuator --k 0.7 --dim 20 --trials 2"], [0], ["fock"], []),
+        (["classical --k 3"], [0], ["classical"], ["symplectic", "gaussian", "channels"]),
     ],
-    ids=["phase-space", "fock", "classical"],
+    ids=["phase-space", "williamson", "fock", "classical"],
 )
-def test_fresh_process_runs_only_the_modules_its_subcommands_use(runs, codes, ran, tmp_path):
-    # egain.fock and egain.classical are in sys.modules from `import egain` on, where a tracer
-    # looks every module up, but their code runs on the first read of one of their attributes;
-    # until then the module's type is LazyLoader's subclass, not the plain module type
+def test_fresh_process_runs_only_the_modules_its_subcommands_use(runs, codes, ran, idle, tmp_path):
+    # every module but errors and records is in sys.modules from `import egain` on, where a
+    # tracer looks every module up, but its code runs on the first read of one of its attributes;
+    # until then the module's type is LazyLoader's subclass, not the plain module type; `idle`
+    # names the core modules that stay unrun
     matrix = tmp_path / "alpha.json"
     write_json(str(matrix), [[1.5, 0.0], [0.0, 1.5]])
     argvs = [
@@ -975,9 +1033,10 @@ def test_fresh_process_runs_only_the_modules_its_subcommands_use(runs, codes, ra
         "assert all(f'egain.{name}' in sys.modules for name in names), sorted(sys.modules)\n"
         f"print([egain.cli.main(argv) for argv in {argvs!r}])\n"
         "print([n for n in ('fock', 'classical') if type(sys.modules[f'egain.{n}']) is types.ModuleType])\n"
+        "print([n for n in names[:3] if type(sys.modules[f'egain.{n}']) is not types.ModuleType])\n"
     )
     result = _fresh_process(script)
-    assert result.stdout.splitlines() == [str(codes), str(ran)]
+    assert result.stdout.splitlines() == [str(codes), str(ran), str(idle)]
     assert all(line.startswith("error: ") for line in result.stderr.splitlines())
     assert len(result.stderr.splitlines()) == codes.count(2)
 

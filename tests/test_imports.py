@@ -71,12 +71,31 @@ def test_fock_takes_only_the_gaussian_counterpart_from_the_core():
     }
 
 
+# the modules `import egain` registers to run on first use: each imports numpy
+LAZY = {f"egain.{name}" for name in ("symplectic", "gaussian", "channels", "matio", "fock", "classical")}
+
+
+@pytest.mark.parametrize("module", ["__init__", "cli", "__main__", "errors", "records"])
+def test_what_runs_before_the_argv_refusals_imports_no_numpy(module):
+    # `egain --help` and every refusal that argv alone decides end before numpy would load
+    found = imports(module, lambda tree: tree.body)
+    assert not [source for source, _ in found if source == "numpy" or source.startswith("numpy.")], module
+
+
 @pytest.mark.parametrize("module", ["__init__", "cli"])
-def test_the_oracle_and_the_counterexample_are_imported_as_modules_only(module):
-    # `import egain` registers egain.fock and egain.classical to run on first use; one module-level
-    # `from .fock import name` would run it in every process, so on every subcommand's path
-    lazy = {"egain.fock", "egain.classical"}
-    assert not [(source, name) for source, name in imports(module, lambda tree: tree.body) if source in lazy]
+def test_the_lazy_modules_are_imported_as_modules_only(module):
+    # one module-level `from .channels import name` would run that module, and numpy, in every process
+    assert not [(source, name) for source, name in imports(module, lambda tree: tree.body) if source in LAZY]
+
+
+def test_every_reexported_name_is_read_from_its_module(monkeypatch):
+    assert len(egain._REEXPORTED) == 50
+    for name, module in egain._REEXPORTED.items():
+        value = getattr(module, name)
+        assert getattr(egain, name) is value, name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name  # its home module
+        monkeypatch.setattr(module, name, object())  # a stub is seen through the package too
+        assert getattr(egain, name) is getattr(module, name), name
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "symplectic"])
