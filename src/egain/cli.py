@@ -103,11 +103,8 @@ def _refuse_from_argv(args: argparse.Namespace) -> None:
         raise InadmissibleInputError("provide --preset with --k, or --channel-file")
     if args.command == "sweep":
         _beta_grid_points(args.beta_max, args.beta_min, args.beta_points)
-    elif args.command == "fock":
-        if not args.preset:
-            raise InadmissibleInputError("fock campaigns require --preset")
-        if args.noise and args.preset != "classical-noise":
-            raise InadmissibleInputError(f"--noise applies only to classical-noise, not {args.preset}")
+    elif args.command == "fock" and not args.preset:
+        raise InadmissibleInputError("fock campaigns require --preset")
     elif args.command == "classical" and not 1 <= args.k <= CLASSICAL_K_MAX:
         raise InadmissibleInputError(f"prefix exponent must be between 1 and {CLASSICAL_K_MAX}")
 

@@ -120,15 +120,12 @@ def _require_symmetric(
     if alpha.shape[-2:] != (n, n) or alpha.ndim > 3:
         raise InadmissibleInputError(f"expected a {n}x{n} matrix, got {alpha.shape}")
     # np.linalg.norm(., axis=(-2, -1)), in its own sums but without its dispatch
-    size = np.sqrt(np.add.reduce(alpha * alpha, axis=(-2, -1)))
-    # a nan or inf entry makes the size non-finite, and so may the overflow of finite entries
+    with np.errstate(over="ignore"):  # finite entries that square past the float range are refused below
+        size = np.sqrt(np.add.reduce(alpha * alpha, axis=(-2, -1)))
     if not (math.isfinite(size) if size.ndim == 0 else np.isfinite(size).all()):
-        _refuse(
-            ~np.isfinite(alpha).all(axis=(-2, -1)),
-            InadmissibleInputError,
-            "{what} has an entry that is not a finite number",
-            what=what,
-        )
+        finite = np.isfinite(alpha).all(axis=(-2, -1))
+        causes = np.where(finite, "entries whose squares sum past the float range", "an entry that is not a finite number")
+        _refuse(~np.isfinite(size), InadmissibleInputError, "{what} has {}", causes, what=what)
     transpose = alpha.swapaxes(-1, -2)  # of each matrix in a stack, as ndarray.mT in numpy 2
     asymmetry = alpha - transpose
     defect = np.sqrt(np.add.reduce(asymmetry * asymmetry, axis=(-2, -1)))

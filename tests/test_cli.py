@@ -273,6 +273,18 @@ class TestFock:
         assert report["holds_count"] == 3
         assert "gaussian_gain" in report["records"][0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        ["--preset attenuator --k 0.7 --noise 0.2", "--preset amplifier --k 1.5 --noise 0.2 --extremality"],
+        ids=["attenuator", "amplifier-extremality"],
+    )
+    def test_noisy_preset_campaign_holds_on_every_trial(self, capsys, argv):
+        code, out, err = run(["fock", *argv.split()], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["noise"] == 0.2
+        assert report["holds_count"] == report["reliable_count"] == report["trials"] == 100
+
     def test_hypothesis_violation_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise HypothesisViolationError("degenerate input")
@@ -603,17 +615,7 @@ class TestTolerancePlumbing:
             "--noise: must be finite",
             id="noise-nan",
         ),
-        # the Fock oracle has no noisy attenuator or amplifier, and certifies no matrix
-        pytest.param(
-            "fock --preset attenuator --k 0.7 --noise 0.3",
-            "--noise applies only to classical-noise, not attenuator",
-            id="fock-attenuator-noise",
-        ),
-        pytest.param(
-            "fock --preset amplifier --k 1.5 --noise 0.3",
-            "--noise applies only to classical-noise, not amplifier",
-            id="fock-amplifier-noise",
-        ),
+        # the Fock oracle certifies no matrix
         pytest.param(
             "fock --preset attenuator --k 0.7 --tol 1e-6",
             "unrecognized arguments: --tol 1e-6",
@@ -698,11 +700,21 @@ class TestTolerancePlumbing:
             "numeric overflow",
             id="beta-max-1e308",
         ),
-        # sqrt(1 + noise) rounds to 1, and the dilation's amplitudes would take log(0)
+        # sqrt(max(1, k^2) + noise) rounds to max(1, k), and a stage's amplitudes would take log(0)
         pytest.param(
             "fock --preset classical-noise --k 1 --noise 1e-300 --dim 8 --trials 1",
-            "classical_noise noise = 1e-300 gives sqrt(1 + noise) = 1",
+            "classical_noise k = 1.0, noise = 1e-300 gives stage parameters 1.0, 1.0",
             id="fock-noise-1e-300",
+        ),
+        pytest.param(
+            "fock --preset amplifier --k 1.5 --noise 2e-16 --dim 8 --trials 1",
+            "amplifier k = 1.5, noise = 2e-16 gives stage parameters 1.0, 1.5",
+            id="fock-amplifier-noise-2e-16",
+        ),
+        pytest.param(
+            "fock --preset attenuator --k 0.7 --noise -0.2",
+            "noise must be nonnegative and finite, got -0.2\n",
+            id="fock-attenuator-noise-negative",
         ),
         pytest.param(
             "fock --preset amplifier --k 1e200 --dim 8 --trials 1",
@@ -964,10 +976,7 @@ ARGV_REFUSALS = {
     "sweep --preset attenuator --k 0.5 --beta-max 1e-3 --beta-min 1e-2": (2, "error: need beta_max > beta_min > 0\n"),
     "sweep --preset attenuator --beta-points 1": (2, "error: beta grid points must be an integer >= 2, got 1\n"),
     "classical --k 0": (2, "error: prefix exponent must be between 1 and 16\n"),
-    "fock --preset attenuator --k 0.7 --noise 0.1": (
-        2,
-        "error: --noise applies only to classical-noise, not attenuator\n",
-    ),
+    "fock --k 0.7": (2, "error: fock campaigns require --preset\n"),
     "gain": (2, "error: provide --preset with --k, or --channel-file\n"),
 }
 
@@ -1181,11 +1190,13 @@ def _fuzz_invocations(draw):
 
 
 TINY_K_EXTREMALITY = "fock --preset attenuator --k 1e-100 --dim 8 --trials 3 --extremality".split()
+NOISY_AMPLIFIER = "fock --preset amplifier --k 2 --noise 0.3 --dim 8 --trials 3 --extremality".split()
 
 
 @settings(max_examples=400, deadline=None)
 @given(invocation=_fuzz_invocations())
 @example(invocation=(TINY_K_EXTREMALITY, {}))  # exits 3: a degenerate Gaussian image
+@example(invocation=(NOISY_AMPLIFIER, {}))  # both stages, which the derandomized draws never reach
 def test_every_invocation_keeps_the_exit_code_contract(invocation):
     argv, files = invocation
     out, err = io.StringIO(), io.StringIO()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import nbinom
 
 from egain import fock
-from egain.channels import apply_to_covariance
+from egain.channels import apply_to_covariance, gaussian_gain
 from egain.errors import HypothesisViolationError, InadmissibleInputError
 from egain.fock import (
     DilationChannel,
@@ -102,11 +102,11 @@ def dense_stages(channel):
     """The channel's stages as lists of dense Kraus operators, in order.
 
     Rebuilds each V_l entry by entry from its table row, independently of the
-    block slicing in ``fock._kraus_sums``: V_l sends |n> to |n - l> in the
-    attenuator stages and to |n + l> in the amplifier stages.
+    block slicing in ``fock._kraus_sums``: V_l sends |n> to |n - l> in a loss
+    stage (``first``, or the noiseless attenuator's ``kraus``) and to |n + l> in a gain stage.
     """
     dim = channel.dim
-    tables = [(channel.kraus, channel.kind == "attenuator")]
+    tables = [(channel.kraus, channel.first is None and channel.k < 1.0)]
     if channel.first is not None:
         tables.insert(0, (channel.first, True))
     stages = []
@@ -151,7 +151,7 @@ def channel_on_identity(channel):
 
 def full_block_kraus_sums(channel, rho):
     """Kraus sums of one matrix over every l and whole blocks, whatever levels it occupies."""
-    for amps, lowering in ((channel.first, True), (channel.kraus, channel.kind == "attenuator")):
+    for amps, lowering in ((channel.first, True), (channel.kraus, channel.first is None and channel.k < 1.0)):
         if amps is None:
             continue
         out = np.zeros_like(rho, dtype=complex)
@@ -181,6 +181,10 @@ def displacement_mixture_kraus(nbar, dim, order):
             displacement = unitary_from_skew(shift * a.conj().T - np.conj(shift) * a)
             kraus.append(math.sqrt(weights[i] * weights[j] / math.pi) * displacement)
     return kraus
+
+
+PRESETS = pytest.mark.parametrize("kind, k", [("attenuator", 0.7), ("amplifier", 1.5), ("classical_noise", 1.0)])
+NOISY_PRESETS = pytest.mark.parametrize("kind, k", [("attenuator", 0.7), ("amplifier", 1.5)])
 
 
 @pytest.fixture(scope="module")
@@ -419,7 +423,13 @@ class TestDilations:
 
     @pytest.mark.parametrize(
         "kind, k, noise",
-        [("attenuator", 0.7, None), ("amplifier", 1.5, None), ("classical_noise", 1.0, 0.3)],
+        [
+            ("attenuator", 0.7, None),
+            ("amplifier", 1.5, None),
+            ("classical_noise", 1.0, 0.3),
+            ("attenuator", 0.7, 0.2),
+            ("amplifier", 1.5, 0.2),
+        ],
     )
     def test_matches_dense_kraus_sum(self, kind, k, noise, rng):
         channel = build_dilation(kind, k, dim=20, noise=noise)
@@ -498,21 +508,45 @@ class TestDilations:
         with pytest.raises(InadmissibleInputError):
             build_dilation("classical_noise", 1.0, dim=20)
 
-    @pytest.mark.parametrize("noise", [1e-300, 2e-16, 3e-16, math.inf])
-    def test_noise_without_a_dilation_is_refused(self, noise):
-        # sqrt(1 + noise) rounds to 1 or overflows, and a stage's amplitudes would take log(0)
-        with pytest.raises(InadmissibleInputError, match=f"classical_noise noise = {noise:g} gives"):
-            build_dilation("classical_noise", 1.0, dim=8, noise=noise)
+    @PRESETS
+    @pytest.mark.parametrize("noise", [1e-300, 2e-16])
+    def test_noise_without_a_dilation_is_refused(self, kind, k, noise):
+        # sqrt(max(1, k^2) + noise) rounds to max(1, k), and a stage's amplitudes would take log(0)
+        with pytest.raises(InadmissibleInputError, match=f"^{kind} k = {k!r}, noise = {noise:g} gives stage"):
+            build_dilation(kind, k, dim=8, noise=noise)
+
+    @pytest.mark.parametrize("kind, k, noise", [("attenuator", 1e-300, 1e308), ("amplifier", 1e154, 1.7e308)])
+    def test_noise_whose_stage_rounds_to_zero_or_overflows_is_refused(self, kind, k, noise):
+        with pytest.raises(InadmissibleInputError, match=r"gives stage parameters 0\.0, .*: none may round to 0, 1 or inf$"):
+            build_dilation(kind, k, dim=8, noise=noise)
 
     def test_least_resolved_noise_builds(self):
         channel = build_dilation("classical_noise", 1.0, dim=8, noise=4e-16)
         assert math.sqrt(1.0 + channel.noise) > 1.0
 
-    @pytest.mark.parametrize("kind, k, noise", [("attenuator", 0.7, 0.3), ("amplifier", 1.5, -2.0)])
-    def test_noise_is_refused_where_it_would_be_dropped(self, kind, k, noise):
-        message = f"noise applies only to classical_noise, not {kind}"
-        with pytest.raises(InadmissibleInputError, match=message):
+    @PRESETS
+    @pytest.mark.parametrize("noise", [-0.1, -2.0, math.inf, math.nan])
+    def test_noise_that_is_negative_or_not_finite_is_refused_by_name(self, kind, k, noise):
+        with pytest.raises(InadmissibleInputError, match=f"^noise must be nonnegative and finite, got {noise!r}$"):
             build_dilation(kind, k, dim=8, noise=noise)
+
+    def test_presets_keep_their_stage_tables_and_output_energies_bit_for_bit(self):
+        # each preset's own stage parameters and energy formula, from before the presets shared one build
+        nbar = np.random.default_rng(11).exponential(3.0, 10_000).tolist()
+        root_gain = math.sqrt(1.0 + 0.3)
+        for kind, k, noise, kraus, first, energy in [
+            ("attenuator", 0.7, 0.0, 0.7, None, lambda n: 0.7 * 0.7 * n + 0.0),
+            ("amplifier", 1.5, 0.0, 1.5, None, lambda n: 1.5 * 1.5 * n + (1.5 * 1.5 - 1.0)),
+            ("classical_noise", 1.0, 0.3, root_gain, 1.0 / root_gain, lambda n: n + 0.3),
+        ]:
+            channel = build_dilation(kind, k, dim=DIM, noise=noise)
+            assert np.array_equal(channel.kraus, fock._amplitudes(kraus, DIM))
+            if first is None:
+                assert channel.first is None
+            else:
+                assert np.array_equal(channel.first, fock._amplitudes(first, DIM))
+            energies = [fock._output_energy(channel, n) for n in nbar]
+            assert np.array(energies).tobytes() == np.array([energy(n) for n in nbar]).tobytes()
 
     @pytest.mark.parametrize("dim", [60.5, math.nan, math.inf])
     def test_dim_that_is_not_a_whole_number_is_refused_by_name(self, dim, rng):
@@ -631,6 +665,8 @@ class TestTruncationPolicy:
             ("amplifier", 1.5, None),
             ("classical_noise", 1.0, 0.3),
             ("amplifier", 2.0, None),  # the largest slacks, up to 0.39 at d = 60
+            ("attenuator", 0.7, 0.2),
+            ("amplifier", 1.5, 0.2),
         ],
     )
     def test_slack_covers_the_cutoff_error(self, kind, k, noise):
@@ -819,6 +855,30 @@ def eigvalsh_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     return shapes
+
+
+class TestNoisyPresets:
+    """The thermal attenuator and the noisy amplifier, alpha -> k^2 alpha + (|1 - k^2|/2 + 0.2) I, by both routes."""
+
+    @NOISY_PRESETS
+    def test_thermal_moments_and_gains_match_the_phase_space_route(self, kind, k):
+        # at d = 200 the outputs of these thermal inputs keep all but a negligible tail
+        channel = build_dilation(kind, k, dim=200, noise=0.2)
+        gch = channel.gaussian_channel()
+        for nu in (0.5, 0.8, 1.5):
+            state = thermal_state(nu, 200)
+            alpha = nu * np.eye(2)
+            mean, alpha_out = covariance_of(apply_channel(channel, state))
+            assert np.abs(mean).max() == 0.0
+            assert np.abs(alpha_out - (gch.K.T @ alpha @ gch.K + gch.mu)).max() <= 1e-13
+            record = verify_lower_bound(channel, state)
+            assert abs(record["gain"] - gaussian_gain(gch, alpha)) <= record["slack"]
+
+    @NOISY_PRESETS
+    @pytest.mark.parametrize("campaign", [lower_bound_campaign, extremality_campaign])
+    def test_campaign_holds_on_every_trial(self, kind, k, campaign):
+        summary = campaign(build_dilation(kind, k, dim=DIM, noise=0.2), 50, np.random.default_rng(3))
+        assert summary["holds_count"] == summary["reliable_count"] == 50
 
 
 class TestOccupiedLevels:

@@ -108,13 +108,19 @@ class TestSymplecticEigenvalues:
                 symplectic_eigenvalues(np.stack(stack), space)
             assert refused.value.slice_index == first
 
-    def test_spectrum_that_overflows_to_nan_is_refused(self):
-        # the symmetrization overflows to inf, which numpy warns of, and the spectrum is nan
-        alpha = np.array([[1e308, 9e307], [9e307, 1e308]])
+    @pytest.mark.parametrize(
+        "alpha", [[[1e308, 9e307], [9e307, 1e308]], 1e200 * np.eye(2)], ids=["near-max", "1e200"]
+    )
+    def test_finite_entries_whose_squares_overflow_are_refused_by_name(self, alpha):
+        # refused before any arithmetic warns, not as a spectrum that did not split or as [1e200]
+        message = "^covariance matrix has entries whose squares sum past the float range$"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(InadmissibleInputError, match=r"^symplectic spectrum did not split into \+/- pairs$"):
+            warnings.simplefilter("error")
+            with pytest.raises(InadmissibleInputError, match=message):
                 symplectic_eigenvalues(alpha, canonical_form(1))
+            with pytest.raises(InadmissibleInputError, match=message) as refused:
+                symplectic_eigenvalues(np.stack([np.eye(2), alpha]), canonical_form(1))
+        assert refused.value.slice_index == 1
 
     def test_solves_no_eigh(self, count_eigensolves):
         symplectic_eigenvalues(np.diag([2.0, 2.0, 0.7, 0.7]), canonical_form(2))
