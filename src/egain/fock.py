@@ -256,7 +256,7 @@ def build_dilation(
     against the vacuum, then the amplifier with sqrt(G), which maps alpha to G (k^2/G alpha +
     (1 - k^2/G)/2 I) + (G - 1)/2 I. Without noise one stage is the identity and is skipped: the
     attenuator (0 < k < 1) and the amplifier (k > 1) are their one stage k, and classical noise
-    (k = 1) is refused.
+    (k = 1) requires noise > 0.
     """
     dim = _whole("dim", dim, 4)
     if kind == "attenuator" and not 0.0 < k < 1.0:
@@ -273,14 +273,18 @@ def build_dilation(
     if noise and not 0.0 < noise < math.inf:
         raise InadmissibleInputError(f"noise must be nonnegative and finite, got {noise!r}")
     noise = float(noise or 0.0)  # None and -0.0 are no noise
-    root_gain = math.sqrt(max(1.0, k * k) + noise) if noise else max(1.0, k)
-    stages = (k / root_gain, root_gain) if noise else (k,)  # loss, then gain
+    if kind == "classical_noise" and not noise:
+        raise InadmissibleInputError("classical_noise requires noise > 0")
+    stages = (k,)
+    if noise:  # loss, then gain
+        root_gain = math.sqrt(max(1.0, k * k) + noise)
+        stages = (k / root_gain, root_gain)
     if not all(0.0 < t < math.inf and t != 1.0 for t in stages):  # the amplitudes would take log(0)
         raise InadmissibleInputError(
             f"{kind} k = {float(k)!r}, noise = {noise:g} gives stage parameters "
             f"{', '.join(map(repr, stages))}: none may round to 0, 1 or inf"
         )
-    first = _amplitudes(stages[0], dim) if noise else None
+    first = _amplitudes(stages[0], dim) if len(stages) == 2 else None
     return DilationChannel(kind, float(k), dim, _amplitudes(stages[-1], dim), noise, first)
 
 

@@ -111,6 +111,12 @@ def _uncertainty_cert(nu: np.ndarray, tol: float) -> HermitianCert:
     return HermitianCert(nu[..., -1] - 0.5, tol * np.maximum(1.0, nu[..., 0] + 0.5))
 
 
+def _sum_of_squares(alpha: np.ndarray) -> np.ndarray:
+    """Squared entries summed per matrix of a stack: inf past the float range, with no warning,
+    as np.vdot and np.einsum check no floating-point flags, so that the caller names the cause."""
+    return np.vdot(alpha, alpha) if alpha.ndim == 2 else np.einsum("...ij,...ij->...", alpha, alpha)
+
+
 def _require_symmetric(
     alpha: np.ndarray, space: PhaseSpace, tol: float, what: str = "covariance matrix"
 ) -> np.ndarray:
@@ -119,16 +125,14 @@ def _require_symmetric(
     n = 2 * space.s
     if alpha.shape[-2:] != (n, n) or alpha.ndim > 3:
         raise InadmissibleInputError(f"expected a {n}x{n} matrix, got {alpha.shape}")
-    # np.linalg.norm(., axis=(-2, -1)), in its own sums but without its dispatch
-    with np.errstate(over="ignore"):  # finite entries that square past the float range are refused below
-        size = np.sqrt(np.add.reduce(alpha * alpha, axis=(-2, -1)))
+    size = np.sqrt(_sum_of_squares(alpha))  # the Frobenius norm of each matrix
     if not (math.isfinite(size) if size.ndim == 0 else np.isfinite(size).all()):
         finite = np.isfinite(alpha).all(axis=(-2, -1))
         causes = np.where(finite, "entries whose squares sum past the float range", "an entry that is not a finite number")
         _refuse(~np.isfinite(size), InadmissibleInputError, "{what} has {}", causes, what=what)
     transpose = alpha.swapaxes(-1, -2)  # of each matrix in a stack, as ndarray.mT in numpy 2
     asymmetry = alpha - transpose
-    defect = np.sqrt(np.add.reduce(asymmetry * asymmetry, axis=(-2, -1)))
+    defect = np.sqrt(_sum_of_squares(asymmetry))
     _refuse(
         defect > tol * np.maximum(size, 1.0),
         InadmissibleInputError,

@@ -700,6 +700,11 @@ class TestTolerancePlumbing:
             "numeric overflow",
             id="beta-max-1e308",
         ),
+        pytest.param(
+            "fock --preset classical-noise --k 1 --dim 8 --trials 1",
+            "classical_noise requires noise > 0\n",
+            id="fock-classical-noise-without-noise",
+        ),
         # sqrt(max(1, k^2) + noise) rounds to max(1, k), and a stage's amplitudes would take log(0)
         pytest.param(
             "fock --preset classical-noise --k 1 --noise 1e-300 --dim 8 --trials 1",

@@ -183,7 +183,8 @@ def displacement_mixture_kraus(nbar, dim, order):
     return kraus
 
 
-PRESETS = pytest.mark.parametrize("kind, k", [("attenuator", 0.7), ("amplifier", 1.5), ("classical_noise", 1.0)])
+PRESET_ARGS = [("attenuator", 0.7), ("amplifier", 1.5), ("classical_noise", 1.0)]
+PRESETS = pytest.mark.parametrize("kind, k", PRESET_ARGS)
 NOISY_PRESETS = pytest.mark.parametrize("kind, k", [("attenuator", 0.7), ("amplifier", 1.5)])
 
 
@@ -504,12 +505,17 @@ class TestDilations:
         image = channel_on_identity(classical_noise)
         assert np.abs(image[:20, :20] - np.eye(20)).max() < 1e-12
 
-    def test_classical_noise_requires_noise(self):
-        with pytest.raises(InadmissibleInputError):
-            build_dilation("classical_noise", 1.0, dim=20)
+    @pytest.mark.parametrize("noise", [None, 0.0, -0.0])
+    def test_classical_noise_requires_noise(self, noise):
+        with pytest.raises(InadmissibleInputError, match=r"^classical_noise requires noise > 0$"):
+            build_dilation("classical_noise", 1.0, dim=20, noise=noise)
 
-    @PRESETS
-    @pytest.mark.parametrize("noise", [1e-300, 2e-16])
+    @pytest.mark.parametrize(
+        "kind, k, noise",
+        [(kind, k, noise) for kind, k in PRESET_ARGS for noise in (1e-300, 2e-16)]
+        # sqrt(1 + 3e-16) rounds to 1, but sqrt(2.25 + 3e-16) is not 1.5
+        + [("attenuator", 0.7, 3e-16), ("classical_noise", 1.0, 3e-16)],
+    )
     def test_noise_without_a_dilation_is_refused(self, kind, k, noise):
         # sqrt(max(1, k^2) + noise) rounds to max(1, k), and a stage's amplitudes would take log(0)
         with pytest.raises(InadmissibleInputError, match=f"^{kind} k = {k!r}, noise = {noise:g} gives stage"):

@@ -13,6 +13,7 @@ from conftest import random_covariance, random_symplectic, squeezed_covariance
 from egain.errors import InadmissibleInputError
 from egain.symplectic import (
     HermitianCert,
+    _sum_of_squares,
     canonical_form,
     symplectic_eigenvalues,
     williamson,
@@ -121,6 +122,22 @@ class TestSymplecticEigenvalues:
             with pytest.raises(InadmissibleInputError, match=message) as refused:
                 symplectic_eigenvalues(np.stack([np.eye(2), alpha]), canonical_form(1))
         assert refused.value.slice_index == 1
+
+    def test_sum_of_squares_matches_the_elementwise_sum(self):
+        # BLAS and einsum add in their own order: within n^2 rounding steps of each positive sum
+        stack = np.random.default_rng(7).normal(size=(20, 12, 12))
+        reference = np.add.reduce(stack * stack, axis=(-2, -1))
+        bound = 12 * 12 * np.finfo(float).eps * reference
+        assert (np.abs(_sum_of_squares(stack) - reference) <= bound).all()
+        assert all(abs(_sum_of_squares(a) - r) <= b for a, r, b in zip(stack, reference, bound))
+
+    def test_asymmetry_whose_squares_overflow_is_refused_without_a_warning(self):
+        # the squares of alpha sum to 1.62e308, a float; those of alpha - alpha^T to 6.48e308, past the range
+        alpha = np.array([[0.0, 9e153], [-9e153, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InadmissibleInputError, match=r"^covariance matrix must be symmetric \(defect inf\)$"):
+                symplectic_eigenvalues(alpha, canonical_form(1))
 
     def test_solves_no_eigh(self, count_eigensolves):
         symplectic_eigenvalues(np.diag([2.0, 2.0, 0.7, 0.7]), canonical_form(2))
