@@ -23,8 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PRESET_NAMES, InadmissibleInputError, NonRegularChannelError, _beta_grid_points
+from .errors import InadmissibleInputError, NonRegularChannelError, _beta_grid_points
 from .gaussian import QuadraticHamiltonian, _covariance, _entropies, _gibbs_cotangent
+from .presets import PRESET_NAMES, _preset_noise
 from .records import ByIdentity
 from .symplectic import (
     DEFAULT_TOL,
@@ -108,43 +109,25 @@ def make_channel(
 
 
 def preset_channel(
-    name: str, k: float, noise: float = 0.0, tol: float = DEFAULT_TOL
+    name: str, k: float, noise: float | None = 0.0, tol: float = DEFAULT_TOL
 ) -> GaussianChannel:
     """One-mode named channels with minimal noise plus optional extra noise.
 
-    attenuator (0 < k < 1) and amplifier (k > 1) use K = k I and the minimal
-    admissible mu = |1 - k^2|/2 I; classical-noise requires k = 1 and uses
-    mu = noise * I. ``noise`` adds isotropic classical noise on top of the
-    minimal mu for any preset.
+    attenuator (0 < k < 1), amplifier (k > 1) and classical-noise (k = 1) use K = k I and the
+    minimal admissible mu = |1 - k^2|/2 I; ``noise`` (None is 0) adds isotropic classical noise
+    on top. ``presets._preset_noise`` refuses what lies outside a preset's domain; refused here
+    are an attenuator k^2 that underflows and a noise entry that squares past the float range.
     """
-    if not 0 <= noise < math.inf:  # before any arithmetic, which would warn on inf or nan
-        raise InadmissibleInputError(f"noise must be nonnegative and finite, got {noise!r}")
-    space = canonical_form(1)
-    eye = np.eye(2)
-    if name == "attenuator":
-        if not 0.0 < k < 1.0:
-            raise InadmissibleInputError(f"attenuator requires 0 < k < 1, got k = {float(k)!r}")
-        if k * k < np.finfo(float).tiny:  # every larger k keeps K = k I regular
-            raise InadmissibleInputError(f"k = {k:.3g} is too small: k^2 underflows")
-        minimal = 0.5 * (1.0 - k * k)
-    elif name == "amplifier":
-        if not k > 1.0:
-            raise InadmissibleInputError(f"amplifier requires k > 1, got k = {float(k)!r}")
-        if not k < math.sqrt(np.finfo(float).max):  # before k * k, which would be inf
-            raise InadmissibleInputError(f"k = {k:.3g} is too large: k^2 overflows")
-        minimal = 0.5 * (k * k - 1.0)
-    elif name == "classical-noise":
-        if k != 1.0:
-            raise InadmissibleInputError(f"classical-noise requires k = 1, got k = {float(k)!r}")
-        minimal = 0.0
-    else:
-        raise InadmissibleInputError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    noise = _preset_noise(name, k, noise)
+    if name == "attenuator" and k * k < np.finfo(float).tiny:  # every larger k keeps K = k I regular
+        raise InadmissibleInputError(f"k = {k:.3g} is too small: k^2 underflows")
+    minimal = 0.5 * abs(1.0 - k * k)
     # on Python floats a sum past the range is inf, with no warning, and is refused below
-    m = float(minimal) + float(noise)
+    m = float(minimal) + noise
     if not m < _MU_ENTRY_MAX:
         named = f"k = {k:.3g}" if minimal > noise else f"noise = {noise:.3g}"
         raise InadmissibleInputError(f"{named} is too large: the noise entry mu = {m:.3g} squares past the float range")
-    return make_channel(k * eye, m * eye, space, tol)
+    return make_channel(k * np.eye(2), m * np.eye(2), canonical_form(1), tol)
 
 
 def tensor_channels(a: GaussianChannel, b: GaussianChannel) -> GaussianChannel:

@@ -26,13 +26,8 @@ import sys
 
 # lazy modules, each run on the first read of one of its names; numpy loads only after the argv refusals
 from . import channels, classical, fock, gaussian, matio, symplectic
-from .errors import (
-    DEFAULT_TOL,
-    PRESET_NAMES,
-    HypothesisViolationError,
-    InadmissibleInputError,
-    _beta_grid_points,
-)
+from .errors import DEFAULT_DIM, DEFAULT_TOL, HypothesisViolationError, InadmissibleInputError, _beta_grid_points
+from .presets import PRESET_NAMES, _preset_noise
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 2
@@ -98,7 +93,7 @@ def _at_most(limit: int):
 
 
 def _refuse_from_argv(args: argparse.Namespace) -> None:
-    """Every refusal that argv alone decides, raised before numpy is imported."""
+    """Every refusal that argv alone decides, raised before numpy is imported; a preset's noise is stored as a float."""
     if args.command in ("gain", "sweep") and not (args.channel_file or args.preset):
         raise InadmissibleInputError("provide --preset with --k, or --channel-file")
     if args.command == "sweep":
@@ -107,6 +102,8 @@ def _refuse_from_argv(args: argparse.Namespace) -> None:
         raise InadmissibleInputError("fock campaigns require --preset")
     elif args.command == "classical" and not 1 <= args.k <= CLASSICAL_K_MAX:
         raise InadmissibleInputError(f"prefix exponent must be between 1 and {CLASSICAL_K_MAX}")
+    if args.command in ("gain", "sweep", "fock") and args.preset:
+        args.noise = _preset_noise(args.preset, args.k, args.noise)
 
 
 def _resolve_channel(args: argparse.Namespace) -> tuple[channels.GaussianChannel, dict]:
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fock = sub.add_parser("fock", parents=[out], help="randomized Kraus-oracle bound campaign")
     _add_channel_flags(p_fock, fock=True)
     p_fock.add_argument(
-        "--dim", type=_at_most(FOCK_DIM_MAX), default=60, help="Fock-space cutoff"
+        "--dim", type=_at_most(FOCK_DIM_MAX), default=DEFAULT_DIM, help="Fock-space cutoff"
     )
     p_fock.add_argument("--trials", type=_at_most(FOCK_TRIALS_MAX), default=100)
     p_fock.add_argument("--seed", type=int, default=0)
@@ -325,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
 
         # numpy overflow, division by zero and invalid values raise instead of
         # warning, so a finite but out-of-range number ends in exit 2, as does
-        # a float OverflowError (an amplifier k whose square overflows)
+        # a Python float OverflowError
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             report, code = args.func(args)
         text = report if isinstance(report, str) else matio._json_text(report)

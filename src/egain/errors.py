@@ -1,10 +1,10 @@
-"""What the CLI reads before numpy loads: exception types, the defaults and names argv is
-checked against, and the refusals that need no array."""
+"""What the CLI reads before numpy loads: exception types, the defaults argv is checked
+against, and the refusals that need no array."""
 
 import math
 
 DEFAULT_TOL = 1e-9
-PRESET_NAMES = ("attenuator", "amplifier", "classical-noise")
+DEFAULT_DIM = 60  # Fock-space cutoff
 
 
 class InadmissibleInputError(ValueError):

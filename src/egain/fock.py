@@ -18,8 +18,9 @@ from collections import namedtuple
 import numpy as np
 
 from .channels import GaussianChannel, _apply, preset_channel
-from .errors import HypothesisViolationError, InadmissibleInputError, _whole
+from .errors import DEFAULT_DIM, HypothesisViolationError, InadmissibleInputError, _whole
 from .gaussian import _entropies
+from .presets import _preset_noise
 from .records import ByIdentity
 from .symplectic import DEFAULT_TOL, _uncertainty_cert, symplectic_eigenvalues
 
@@ -42,7 +43,6 @@ __all__ = [
     "verify_extremality",
 ]
 
-DEFAULT_DIM = 60
 # Least eigenvalue a density matrix may have: rounding, not a negative population.
 _EIGENVALUE_FLOOR = -1e-10
 DILATION_KINDS = ("attenuator", "amplifier", "classical_noise")
@@ -255,24 +255,14 @@ def build_dilation(
     et al., PRL 108, 110505 (2012)): with G = max(1, k^2) + noise, the attenuator with k/sqrt(G)
     against the vacuum, then the amplifier with sqrt(G), which maps alpha to G (k^2/G alpha +
     (1 - k^2/G)/2 I) + (G - 1)/2 I. Without noise one stage is the identity and is skipped: the
-    attenuator (0 < k < 1) and the amplifier (k > 1) are their one stage k, and classical noise
-    (k = 1) requires noise > 0.
+    attenuator and the amplifier are their one stage k. ``presets._preset_noise`` refuses what lies
+    outside a preset's domain (None and -0.0 are no noise); refused here are classical noise
+    without noise and a stage that rounds to 0, 1 or inf.
     """
     dim = _whole("dim", dim, 4)
-    if kind == "attenuator" and not 0.0 < k < 1.0:
-        raise InadmissibleInputError(f"attenuator requires 0 < k < 1, got k = {float(k)!r}")
-    if kind == "amplifier" and not k > 1.0:
-        raise InadmissibleInputError(f"amplifier requires k > 1, got k = {float(k)!r}")
-    if kind == "amplifier" and math.isinf(k * k):
-        # its phase-space counterpart adds noise (k^2 - 1)/2, which is no float
-        raise OverflowError(f"amplifier k = {k:g}: k**2 overflows")
-    if kind == "classical_noise" and k != 1.0:
-        raise InadmissibleInputError(f"classical_noise requires k = 1, got k = {float(k)!r}")
     if kind not in DILATION_KINDS:
         raise InadmissibleInputError(f"unknown kind {kind!r}; choose from {DILATION_KINDS}")
-    if noise and not 0.0 < noise < math.inf:
-        raise InadmissibleInputError(f"noise must be nonnegative and finite, got {noise!r}")
-    noise = float(noise or 0.0)  # None and -0.0 are no noise
+    noise = _preset_noise(kind.replace("_", "-"), k, noise)
     if kind == "classical_noise" and not noise:
         raise InadmissibleInputError("classical_noise requires noise > 0")
     stages = (k,)

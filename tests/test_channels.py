@@ -264,6 +264,11 @@ class TestNoiseCert:
             with pytest.raises(InadmissibleInputError, match="^channel matrix K has an entry"):
                 make_channel(K, np.eye(2), canonical_form(1))
 
+    @pytest.mark.parametrize("K", [np.eye(3), np.eye(4), np.ones(2)])
+    def test_refuses_k_of_the_wrong_shape(self, K):
+        with pytest.raises(InadmissibleInputError, match=rf"^K must be 2x2, got {re.escape(str(K.shape))}$"):
+            make_channel(K, np.eye(2), canonical_form(1))
+
 
 class TestGainAndBound:
     def test_non_regular_rejected(self):
@@ -574,6 +579,17 @@ class TestBetaSweep:
         ham = quadratic_hamiltonian(space, np.eye(2))
         with pytest.raises(NonRegularChannelError):
             gain_beta_sweep(channel, ham)
+
+    def test_rejects_a_hamiltonian_on_other_modes(self):
+        ham = quadratic_hamiltonian(canonical_form(2), np.eye(4))
+        with pytest.raises(InadmissibleInputError, match="^channel and Hamiltonian mode counts differ$"):
+            gain_beta_sweep(preset_channel("attenuator", 0.5), ham)
+
+    @pytest.mark.parametrize("grid", [[], [1.0, 0.0], [0.5, -0.1], [[1.0, 0.5]]])
+    def test_rejects_an_empty_or_nonpositive_grid(self, grid):
+        ham = quadratic_hamiltonian(canonical_form(1), np.eye(2))
+        with pytest.raises(InadmissibleInputError, match="^beta grid must be positive$"):
+            gain_beta_sweep(preset_channel("attenuator", 0.5), ham, beta_grid=grid)
 
 
 class TestTensorAdditivity:

@@ -723,7 +723,7 @@ class TestTolerancePlumbing:
         ),
         pytest.param(
             "fock --preset amplifier --k 1e200 --dim 8 --trials 1",
-            "numeric overflow",
+            "error: k = 1e+200 is too large: k^2 overflows\n",
             id="fock-k-1e200",
         ),
         # the output mass below the cutoff underflows and cannot be renormalized
@@ -753,6 +753,17 @@ class TestTolerancePlumbing:
             "fock --preset attenuator --k 2",
             "attenuator requires 0 < k < 1, got k = 2.0\n",
             id="fock-attenuator-names-k",
+        ),
+        # a preset k is refused before the noise, and in fock before the cutoff
+        pytest.param(
+            "fock --preset attenuator --k 2 --dim 2",
+            "error: attenuator requires 0 < k < 1, got k = 2.0\n",
+            id="fock-k-before-dim",
+        ),
+        pytest.param(
+            "gain --preset attenuator --k 2 --noise -1",
+            "error: attenuator requires 0 < k < 1, got k = 2.0\n",
+            id="k-before-noise",
         ),
         pytest.param(
             "fock --preset attenuator --k -inf",
@@ -790,6 +801,31 @@ def test_preset_noise_just_inside_the_float_range_is_accepted(argv, gain, capsys
         code, out, err = run(argv.split(), capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["gain_closed_form"] == pytest.approx(gain, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [
+        "attenuator --k 2",
+        "amplifier --k 1e200",
+        "classical-noise --k 2 --noise 0.3",
+        "amplifier --k 1.5 --noise -0.1",
+        "attenuator --k 2 --noise -1",
+    ],
+)
+def test_a_preset_outside_its_domain_gets_one_refusal_from_every_subcommand(preset, capsys):
+    results = {run(f"{command} --preset {preset}".split(), capsys) for command in ("gain", "sweep", "fock")}
+    assert len(results) == 1
+    code, out, err = results.pop()
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["gain", "sweep --beta-points 2"])
+def test_negative_zero_noise_is_reported_as_zero(command, capsys):
+    # the preset domain reads -0.0 as no noise, so the report matches one for --noise 0
+    reports = [run(f"{command} --preset attenuator --k 0.5 --noise {noise}".split(), capsys) for noise in ("-0", "0")]
+    assert reports[0] == reports[1]
+    assert ("noise: 0.0" if command != "gain" else '"noise": 0.0') in reports[0][1]
 
 
 @pytest.mark.parametrize(
@@ -983,6 +1019,10 @@ ARGV_REFUSALS = {
     "classical --k 0": (2, "error: prefix exponent must be between 1 and 16\n"),
     "fock --k 0.7": (2, "error: fock campaigns require --preset\n"),
     "gain": (2, "error: provide --preset with --k, or --channel-file\n"),
+    "gain --preset attenuator --k 2": (2, "error: attenuator requires 0 < k < 1, got k = 2.0\n"),
+    "sweep --preset classical-noise --k 2": (2, "error: classical-noise requires k = 1, got k = 2.0\n"),
+    "fock --preset amplifier --k 1e200": (2, "error: k = 1e+200 is too large: k^2 overflows\n"),
+    "gain --preset amplifier --k 1.5 --noise -0.1": (2, "error: noise must be nonnegative and finite, got -0.1\n"),
 }
 
 

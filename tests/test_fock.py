@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import nbinom
 
 from egain import fock
-from egain.channels import apply_to_covariance, gaussian_gain
+from egain.channels import apply_to_covariance, gaussian_gain, preset_channel
 from egain.errors import HypothesisViolationError, InadmissibleInputError
 from egain.fock import (
     DilationChannel,
@@ -30,6 +30,7 @@ from egain.fock import (
     von_neumann_entropy,
 )
 from egain.gaussian import mode_entropy
+from egain.presets import PRESET_NAMES
 from egain.symplectic import DEFAULT_TOL
 
 DIM = 60
@@ -577,6 +578,11 @@ class TestDilations:
         drawn = [random_low_support_state(np.random.default_rng(2), dim=dim, support=3) for dim in (8.0, 8)]
         assert np.array_equal(drawn[0].rho, drawn[1].rho)
 
+    @pytest.mark.parametrize("check", [apply_channel, verify_lower_bound])
+    def test_refuses_a_state_on_another_cutoff(self, check):
+        with pytest.raises(InadmissibleInputError, match="^state and channel dimensions differ$"):
+            check(build_dilation("attenuator", 0.7, dim=8), number_state(0, 9))
+
     def test_parameter_validation(self):
         with pytest.raises(InadmissibleInputError):
             build_dilation("attenuator", 1.2, dim=20)
@@ -584,6 +590,37 @@ class TestDilations:
             build_dilation("amplifier", 0.8, dim=20)
         with pytest.raises(InadmissibleInputError):
             build_dilation("squeezer", 1.0, dim=20)
+
+    @pytest.mark.parametrize("noise", [None, 0, -0.0, -0.1, 0.2, math.inf, math.nan])
+    @pytest.mark.parametrize("k", [0, 1, -1, math.nan, 1e-200, 1.3e154, 1e200])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_both_routes_share_one_preset_domain(self, name, k, noise):
+        # each route may add only the refusals of its own arithmetic; every other input is
+        # accepted by both or refused by both with one message
+        routes = [
+            (lambda: preset_channel(name, k, noise=noise), ("k^2 underflows", "squares past the float range")),
+            (
+                lambda: build_dilation(name.replace("-", "_"), k, dim=4, noise=noise),
+                ("classical_noise requires noise > 0", "none may round to 0, 1 or inf"),
+            ),
+        ]
+        shared = []
+        for build, own in routes:
+            try:
+                build()
+                shared.append(None)
+            except InadmissibleInputError as exc:
+                shared.append(None if any(refusal in str(exc) for refusal in own) else str(exc))
+        assert shared[0] == shared[1]
+
+    @pytest.mark.parametrize("name, k", [("attenuator", 0.7), ("amplifier", 1.5), ("classical-noise", 1.0)])
+    def test_both_routes_read_none_and_negative_zero_as_no_noise(self, name, k):
+        channel = preset_channel(name, k, noise=0.0)
+        for noise in (None, -0.0):
+            other = preset_channel(name, k, noise=noise)
+            assert np.array_equal(other.K, channel.K) and other.mu.tobytes() == channel.mu.tobytes()
+            if name != "classical-noise":
+                assert build_dilation(name, k, dim=8, noise=noise).noise.hex() == "0x0.0p+0"
 
 
 class TestTruncationPolicy:

@@ -75,11 +75,18 @@ def test_fock_takes_only_the_gaussian_counterpart_from_the_core():
 LAZY = {f"egain.{name}" for name in ("symplectic", "gaussian", "channels", "matio", "fock", "classical")}
 
 
-@pytest.mark.parametrize("module", ["__init__", "cli", "__main__", "errors", "records"])
+@pytest.mark.parametrize("module", ["__init__", "cli", "__main__", "errors", "presets", "records"])
 def test_what_runs_before_the_argv_refusals_imports_no_numpy(module):
     # `egain --help` and every refusal that argv alone decides end before numpy would load
     found = imports(module, lambda tree: tree.body)
     assert not [source for source, _ in found if source == "numpy" or source.startswith("numpy.")], module
+
+
+@pytest.mark.parametrize("module", ["__init__", "errors"])
+def test_import_egain_does_not_run_the_preset_domain(module):
+    # what `import egain` runs is compiled in every process; the domain only where a preset is read
+    found = imports(module)
+    assert "egain.presets" not in {source for source, _ in found} | {f"{source}.{name}" for source, name in found}
 
 
 @pytest.mark.parametrize("module", ["__init__", "cli"])
