@@ -4,7 +4,7 @@ Exact phase-space computations (closed-form gain, Gibbs-state sweeps,
 Gaussian extremality) cross-checked by a truncated Fock-space oracle, plus
 a classical counterexample with unbounded entropy gain.
 
-``import egain`` runs ``errors`` and ``records`` only, so it loads no numpy.
+``import egain`` runs ``errors`` only, so it loads no numpy.
 Every other module is in sys.modules from then on, but runs on its first
 attribute read, so a subcommand compiles only the modules it calls. Their
 names below still import from here.

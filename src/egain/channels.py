@@ -214,28 +214,23 @@ def _gibbs_gains(
 ) -> np.ndarray:
     """Gains on the Gibbs states at each beta, the whole grid as one stack of matrices.
 
-    The Gibbs covariances and their channel outputs are formed and certified
-    as one stack. Every check runs on each beta. On a refusal or a floating-
-    point event, the two stacks are formed and certified in turn, as the loop
-    does, and the betas before the failing one are evaluated again, so the
-    error (or warning) raised is the one that evaluating the grid point by
-    point (each beta through every check before the next) would meet first.
+    The Gibbs covariances and their channel outputs are formed and certified as one stack,
+    every check on each beta. On a refusal or a floating-point event the grid is evaluated
+    again one beta at a time, so the error (or warning) raised is the one a loop meets first.
     """
     try:
         alpha = _gibbs_cotangent(hamiltonian, betas)
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                both = np.concatenate([alpha, _image(channel, alpha)])
-                nu = _certified(both, channel.space, "Gibbs covariance or channel output")[0]
-        except (InadmissibleInputError, FloatingPointError):
-            nu = np.concatenate([_certified(alpha, channel.space, "Gibbs covariance")[0], _apply(channel, alpha)[1]])
-        entropies = _entropies(nu)
-        return entropies[len(betas):] - entropies[: len(betas)]
-    except InadmissibleInputError as exc:
-        first = getattr(exc, "slice_index", 0)
-        if first:
-            _gibbs_gains(channel, hamiltonian, betas[:first])
-        raise
+        with np.errstate(all="raise", under="ignore"):
+            both = np.concatenate([alpha, _image(channel, alpha)])
+            nu = _certified(both, channel.space, "Gibbs covariance or channel output")[0]
+    except (InadmissibleInputError, FloatingPointError):
+        spectra = []  # per beta, of its Gibbs covariance, then of its channel output
+        for beta in betas[:, None]:
+            alpha = _gibbs_cotangent(hamiltonian, beta)
+            spectra += [_certified(alpha, channel.space, "Gibbs covariance")[0], _apply(channel, alpha)[1]]
+        nu = np.concatenate(spectra[0::2] + spectra[1::2])
+    entropies = _entropies(nu)
+    return entropies[len(betas):] - entropies[: len(betas)]
 
 
 def gain_beta_sweep(

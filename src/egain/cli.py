@@ -77,16 +77,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _at_most(limit: int):
-    """argparse type: an integer no larger than ``limit``."""
+def _at_most(limit: float, least: float = -math.inf):
+    """argparse type: an integer no larger than ``limit`` and no smaller than ``least``."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {text!r}")
+        if not least <= value <= limit:
+            bound = f"at most {limit}" if value > limit else f"at least {least}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         return value
 
     return parse
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dim", type=_at_most(FOCK_DIM_MAX), default=DEFAULT_DIM, help="Fock-space cutoff"
     )
     p_fock.add_argument("--trials", type=_at_most(FOCK_TRIALS_MAX), default=100)
-    p_fock.add_argument("--seed", type=int, default=0)
+    p_fock.add_argument("--seed", type=_at_most(math.inf, 0), default=0)
     p_fock.add_argument(
         "--extremality",
         action="store_true",

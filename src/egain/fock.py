@@ -20,7 +20,7 @@ import numpy as np
 from .channels import GaussianChannel, _apply, preset_channel
 from .errors import DEFAULT_DIM, HypothesisViolationError, InadmissibleInputError, _whole
 from .gaussian import _entropies
-from .presets import _preset_noise
+from .presets import PRESET_NAMES, _preset_noise
 from .records import ByIdentity
 from .symplectic import DEFAULT_TOL, _uncertainty_cert, symplectic_eigenvalues
 
@@ -45,7 +45,7 @@ __all__ = [
 
 # Least eigenvalue a density matrix may have: rounding, not a negative population.
 _EIGENVALUE_FLOOR = -1e-10
-DILATION_KINDS = ("attenuator", "amplifier", "classical_noise")
+DILATION_KINDS = tuple(name.replace("-", "_") for name in PRESET_NAMES)
 
 
 class FockDensityMatrix(ByIdentity, namedtuple("FockDensityMatrix", "dim rho spectrum")):
@@ -64,7 +64,8 @@ class FockDensityMatrix(ByIdentity, namedtuple("FockDensityMatrix", "dim rho spe
 
 def fock_density(rho: np.ndarray) -> FockDensityMatrix:
     """Validate, symmetrize and renormalize a raw density matrix."""
-    return _validated(np.array(rho, dtype=complex)[None])[0]
+    rho = np.array(rho, dtype=complex)[None]
+    return FockDensityMatrix(rho.shape[-1], rho[0], _validated(rho, rho.shape[-1])[0])
 
 
 def _levels(rho: np.ndarray, hermitian: bool = False) -> np.ndarray:
@@ -78,12 +79,12 @@ def _levels(rho: np.ndarray, hermitian: bool = False) -> np.ndarray:
     return np.where(occupied.any(axis=-1), rho.shape[-1] - occupied[..., ::-1].argmax(axis=-1), 0)
 
 
-def _validated(rho: np.ndarray, width: int | None = None) -> list[FockDensityMatrix]:
-    """``fock_density`` on a (B, d, d) stack, in place, each matrix on its occupied block.
+def _validated(rho: np.ndarray, width: int) -> np.ndarray:
+    """``fock_density`` on a (B, d, d) stack, in place, each matrix on its occupied block: its spectra.
 
-    Matrices on the same s levels are checked and solved as one (n, s, s) stack: each is
-    symmetrized and handed to ``_normalized`` with the refusal of its finiteness or
-    Hermitian check, if it failed. Spectra are padded to ``width`` levels, d by default.
+    Matrices on the same s levels are symmetrized and solved as one (n, s, s) stack. The first
+    that fails its finiteness or Hermitian check is refused before any eigensolve, and the
+    spectra of ``_normalized`` are padded to ``width`` levels.
     """
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2] or not rho.shape[1]:
         raise InadmissibleInputError(f"density matrix must be square and nonempty, not {rho.shape[1:]}")
@@ -96,14 +97,12 @@ def _validated(rho: np.ndarray, width: int | None = None) -> list[FockDensityMat
         block += block.conj().swapaxes(1, 2)
         block *= 0.5
         rho[group, :s, :s] = block
-    refusals = [
-        "" if defect <= 1e-12 * size  # false for nan, which the eigenvalue and trace checks would pass
-        else f"density matrix not Hermitian (defect {defect:.3e})" if size < math.inf
-        else "density matrix entries must be finite"
-        for defect, size in zip(herm, np.maximum(1.0, scale))
-    ]
-    spectra = _normalized(rho, levels, refusals, width or rho.shape[-1])
-    return [FockDensityMatrix(rho.shape[1], m, w) for m, w in zip(rho, spectra)]
+    for defect, size in zip(herm.tolist(), np.maximum(1.0, scale).tolist()):
+        if not size < math.inf:  # a nan or inf entry, which the eigenvalue and trace checks would pass
+            raise InadmissibleInputError("density matrix entries must be finite")
+        if not defect <= 1e-12 * size:
+            raise InadmissibleInputError(f"density matrix not Hermitian (defect {defect:.3e})")
+    return _normalized(rho, levels, width)
 
 
 def _groups(levels: np.ndarray):
@@ -112,12 +111,12 @@ def _groups(levels: np.ndarray):
         yield (levels == s if np.ptp(levels) else slice(None)), s  # one occupancy: views, no copies
 
 
-def _spectra(rho: np.ndarray, levels: np.ndarray, refusals, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _spectra(rho: np.ndarray, levels: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Checked spectra and traces of a Hermitian (B, d, d) stack with occupancies ``levels``.
 
     A spectrum is ``width`` - s zeros, then the eigenvalues of the matrix's s x s block; the
     blocks on s levels are solved as one (n, s, s) stack. The first matrix that fails a check
-    raises: its nonempty entry of ``refusals``, else its eigenvalue or trace message.
+    raises its eigenvalue or trace message.
     """
     low, tr = np.zeros(len(rho)), np.zeros(len(rho))  # a zero matrix fails on tr
     w = np.zeros((len(rho), width))
@@ -126,9 +125,7 @@ def _spectra(rho: np.ndarray, levels: np.ndarray, refusals, width: int) -> tuple
         w[group, -s:] = np.linalg.eigvalsh(block)
         low[group] = w[group, -s]  # the block's least eigenvalue, not a padding zero
         tr[group] = np.trace(block, axis1=1, axis2=2).real
-    for refusal, least, t in zip(refusals, low, tr):
-        if refusal:
-            raise InadmissibleInputError(refusal)
+    for least, t in zip(low, tr):
         if least < _EIGENVALUE_FLOOR:
             raise InadmissibleInputError(
                 f"density matrix has eigenvalue {least:.3e} < {_EIGENVALUE_FLOOR}"
@@ -138,9 +135,9 @@ def _spectra(rho: np.ndarray, levels: np.ndarray, refusals, width: int) -> tuple
     return w, tr
 
 
-def _normalized(rho: np.ndarray, levels: np.ndarray, refusals, width: int) -> np.ndarray:
+def _normalized(rho: np.ndarray, levels: np.ndarray, width: int) -> np.ndarray:
     """``_spectra`` of a stack that is renormalized in place: its spectra, renormalized alike."""
-    w, tr = _spectra(rho, levels, refusals, width)
+    w, tr = _spectra(rho, levels, width)
     top = levels.max()  # past every matrix's block lie zeros, which renormalizing leaves zeros
     rho[:, :top, :top] /= tr[:, None, None]
     w /= tr[:, None]
@@ -346,7 +343,7 @@ def apply_channel(channel: DilationChannel, state: FockDensityMatrix) -> FockDen
     if state.dim != channel.dim:
         raise InadmissibleInputError("state and channel dimensions differ")
     out, levels, _ = _kept(channel, state.rho[None])
-    return FockDensityMatrix(channel.dim, out[0], _normalized(out, levels, [""], channel.dim)[0])
+    return FockDensityMatrix(channel.dim, out[0], _normalized(out, levels, channel.dim)[0])
 
 
 def covariance_of(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -397,8 +394,7 @@ def _random_states(
         psi = parts[live, c, 0] + 1j * parts[live, c, 1]  # normalized by np.linalg.norm's sums, a dot per row
         psi /= np.sqrt(psi.real[:, None] @ psi.real[..., None] + psi.imag[:, None] @ psi.imag[..., None])[:, 0]
         blocks[live] += weights[live, c, None, None] * (psi[:, :, None] * psi.conj()[:, None, :])
-    states = _validated(blocks, dim)
-    return rho, [FockDensityMatrix(dim, m, state.spectrum) for m, state in zip(rho, states)]
+    return rho, [FockDensityMatrix(dim, m, w) for m, w in zip(rho, _validated(blocks, dim))]
 
 
 def _g(x: float) -> float:
@@ -468,7 +464,7 @@ def _records(channel: DilationChannel, references, rho: np.ndarray, spectra: np.
     one log. ``deficit`` is the mass the channel moved past the cutoff.
     """
     out, levels, masses = _kept(channel, rho)
-    w, tr = _spectra(out, levels, [""] * len(out), channel.dim)
+    w, tr = _spectra(out, levels, channel.dim)
     entropy_in, entropy_out = _entropies_of(np.concatenate((spectra, w / tr[:, None]))).reshape(2, -1)
     # the inputs' mean photon numbers, correctly rounded: the same on any number of trailing zeros
     terms = np.diagonal(rho, axis1=1, axis2=2).real * np.arange(rho.shape[-1])

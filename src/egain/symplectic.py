@@ -83,16 +83,11 @@ def _refuse(bad, error: type, message: str, *values, **constants) -> None:
     ``bad`` holds one flag per matrix (0-d or a bool for a single matrix) and
     each of ``values`` one entry per matrix to format into ``message``, as
     ``constants`` are by name; with no flag set it returns at once, unformatted.
-    The exception records the matrix as ``slice_index``, so that a caller
-    evaluating many points at once can find the failure a point-by-point loop
-    meets first.
     """
     if not (bad.any() if getattr(bad, "ndim", 0) else bad):
         return
     i = int(np.argmax(bad))
-    exc = error(message.format(*(np.atleast_1d(v)[i] for v in values), **constants))
-    exc.slice_index = i
-    raise exc
+    raise error(message.format(*(np.atleast_1d(v)[i] for v in values), **constants))
 
 
 def _uncertainty_cert(nu: np.ndarray, tol: float) -> HermitianCert:
@@ -144,22 +139,11 @@ def _require_symmetric(
 
 
 def _factor(alpha: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Cholesky factor L, alpha = L L^T, of each matrix; a matrix that has none is refused.
-
-    On a stack numpy raises one error that names no matrix, so the first
-    matrix without a factor is looked for only then.
-    """
+    """Cholesky factor L, alpha = L L^T, of each matrix; refused, naming no matrix, where one has none."""
     try:
         return np.linalg.cholesky(alpha)
     except np.linalg.LinAlgError:
-        pass
-    stack = alpha.reshape(-1, *alpha.shape[-2:])
-    for first, matrix in enumerate(stack):
-        try:
-            np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            break
-    _refuse(np.arange(len(stack)) == first, InadmissibleInputError, f"{what} is not positive definite")
+        raise InadmissibleInputError(f"{what} is not positive definite") from None
 
 
 def _positive_half(ev: np.ndarray, s: int) -> np.ndarray:
@@ -264,7 +248,7 @@ def _certified(alpha: np.ndarray, space: PhaseSpace, what: str):
     The spectrum is read off the Cholesky factor, the verdict at the default
     tolerance is checked to be decidable at alpha's conditioning, and a
     matrix below the uncertainty bound is refused. Each check runs on the
-    whole stack before the next, and names the first matrix it refuses.
+    whole stack before the next, and reads its message off the first matrix it refuses.
     """
     factor = _factor(alpha, what)
     nu = _spectrum_from_factor(factor, space)

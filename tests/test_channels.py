@@ -474,6 +474,27 @@ class TestBetaSweep:
         assert str(looped.value) == "channel output is not positive definite"
         assert str(stacked.value) == str(looped.value)
 
+    @pytest.mark.parametrize("p", range(5))
+    def test_refused_grid_falls_back_to_the_loop_wherever_beta_overflows(self, p):
+        # the channel short of noise of the test above refuses its output at beta = 1; the
+        # grid's betas from position p on lie below the overflow floor, which the whole grid's
+        # Gibbs covariances meet before any certificate
+        for modes in range(1, 7):
+            gen = np.random.default_rng([20261018, modes])
+            channel = random_regular_channel(gen, modes)
+            ham = quadratic_hamiltonian(channel.space, random_spd(gen, 2 * modes))
+            out = channel.K.T @ gibbs_covariance(ham, 1.0) @ channel.K + channel.mu
+            mu = channel.mu - 1.5 * np.linalg.eigvalsh(out)[0] * np.eye(2 * modes)
+            short_of_noise = GaussianChannel(channel.space, channel.K, mu, channel.cert, strict=False)
+            grid = np.array([1.0, 0.5, 0.2, 0.1, 0.05][:p] + [1e-120, 1e-121, 1e-122, 1e-123, 1e-124][p:])
+            with pytest.raises(InadmissibleInputError) as looped:
+                reference_sweep(short_of_noise, ham, grid)
+            with pytest.raises(InadmissibleInputError) as stacked:
+                gain_beta_sweep(short_of_noise, ham, beta_grid=grid)
+            expected = "channel output is not positive definite" if p else "beta = 1e-120 is too small"
+            assert str(looped.value).startswith(expected)
+            assert str(stacked.value) == str(looped.value)
+
     def test_refuses_first_beta_below_overflow_floor(self):
         channel = preset_channel("amplifier", 2.0)
         ham = quadratic_hamiltonian(canonical_form(1), np.eye(2))  # frequencies m = 1

@@ -1004,7 +1004,7 @@ def test_import_egain_loads_no_numpy():
     assert _fresh_process(script).stdout == f"False {[True] * 6}\n"
 
 
-# Exit code and stderr of each refusal that argv alone decides, frozen from the parent commit.
+# Exit code and stderr of each refusal that argv alone decides, frozen when it was added.
 ARGV_REFUSALS = {
     "--help": (0, ""),
     "gain --preset attenuator --k half": (
@@ -1023,6 +1023,14 @@ ARGV_REFUSALS = {
     "sweep --preset classical-noise --k 2": (2, "error: classical-noise requires k = 1, got k = 2.0\n"),
     "fock --preset amplifier --k 1e200": (2, "error: k = 1e+200 is too large: k^2 overflows\n"),
     "gain --preset amplifier --k 1.5 --noise -0.1": (2, "error: noise must be nonnegative and finite, got -0.1\n"),
+    "fock --preset attenuator --k 0.7 --seed -1": (
+        2,
+        "usage: egain fock [-h] [--out OUT]\n"
+        "                  [--preset {attenuator,amplifier,classical-noise}] [--k K]\n"
+        "                  [--noise NOISE] [--dim DIM] [--trials TRIALS] [--seed SEED]\n"
+        "                  [--extremality]\n"
+        "egain fock: error: argument --seed: must be at least 0, got '-1'\n",
+    ),
 }
 
 

@@ -255,15 +255,6 @@ class TestFockDensity:
             with np.errstate(invalid="ignore"):
                 fock_density(np.array(rho, dtype=complex))
 
-    def test_stack_raises_for_its_first_bad_matrix(self):
-        good = np.diag([0.5, 0.5]).astype(complex)
-        negative = np.diag([1.2, -0.2]).astype(complex)
-        skew = np.array([[0.5, 0.4], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(InadmissibleInputError) as alone:
-            fock_density(negative)
-        with pytest.raises(InadmissibleInputError, match=re.escape(str(alone.value))):
-            fock._validated(np.stack([good, negative, skew]))
-
     def test_input_is_left_unchanged(self):
         rho = np.array([[0.6, 0.1 + 1e-14], [0.1, 0.6]], dtype=complex)
         before = rho.copy()
@@ -296,7 +287,7 @@ class TestFockDensity:
         with pytest.raises(InadmissibleInputError, match=r"trace 0\.000e\+00 too far from 1"):
             fock_density(np.zeros((5, 5)))
         with pytest.raises(InadmissibleInputError, match="trace 0"):
-            fock._validated(np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))]).astype(complex))
+            fock._validated(np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))]).astype(complex), 2)
 
     def test_empty_matrix_is_refused(self):
         with pytest.raises(InadmissibleInputError, match=r"must be square and nonempty, not \(0, 0\)"):
@@ -932,11 +923,12 @@ class TestOccupiedLevels:
         stack = [number_state(0, DIM).rho]
         stack += [random_low_support_state(rng, support=support).rho for support in (4, 10)]
         stack += [thermal_state(2.0, DIM).rho]
-        together = fock._validated(np.stack(stack))
-        for rho, state in zip(stack, together):
+        together = np.stack(stack)
+        spectra = fock._validated(together, DIM)  # validates in place
+        for rho, validated, spectrum in zip(stack, together, spectra):
             alone = fock_density(rho)
-            assert np.array_equal(state.rho, alone.rho)
-            assert np.array_equal(state.spectrum, alone.spectrum)
+            assert np.array_equal(validated, alone.rho)
+            assert np.array_equal(spectrum, alone.spectrum)
 
     def test_attenuator_campaign_solves_only_occupied_blocks(self, attenuator, eigvalsh_shapes):
         lower_bound_campaign(attenuator, 20, np.random.default_rng(7))
@@ -973,7 +965,7 @@ class TestOccupiedLevels:
             sums = fock._kraus_sums(channel, stack)[0]
             # apply_channel's path, _kept then _normalized, run on the whole stack at once
             outs, levels, _ = fock._kept(channel, stack)
-            spectra = fock._normalized(outs, levels, [""] * len(outs), dim)
+            spectra = fock._normalized(outs, levels, dim)
             for state, summed, out, spectrum in zip(states, sums, outs, spectra):
                 assert np.array_equal(summed, full_block_kraus_sums(channel, state.rho))
                 assert np.abs(out - dense_output(stages, state)).max() <= 1e-14
@@ -1114,8 +1106,8 @@ class TestStackedCampaigns:
             support = fock.CAMPAIGN_SUPPORT[channel.kind]
             rho = fock._random_states(np.random.default_rng(3), 18, DIM, support)[0]
             out, levels, _ = fock._kept(channel, rho)
-            w, tr = fock._spectra(out, levels, [""] * 18, DIM)
-            assert np.array_equal(w / tr[:, None], fock._normalized(out, levels, [""] * 18, DIM))
+            w, tr = fock._spectra(out, levels, DIM)
+            assert np.array_equal(w / tr[:, None], fock._normalized(out, levels, DIM))
 
     def test_kept_renormalizes_as_numpy_divides_complex_by_real(self, small_dilations, rng):
         # _kept multiplies each float part by 1/t; numpy's complex-by-real division gives the same

@@ -98,16 +98,16 @@ class TestSymplecticEigenvalues:
                 with pytest.raises(InadmissibleInputError, match="not a finite number"):
                     solve(alpha, space)
 
-    def test_stack_names_its_first_matrix_without_a_factor(self):
-        # np.linalg.cholesky raises once for a whole stack, naming no matrix
+    def test_stack_with_a_matrix_without_a_factor_is_refused(self):
+        # np.linalg.cholesky raises once for a whole stack, naming no matrix, and so does the refusal
         space = canonical_form(1)
         good, bad = np.eye(2), np.diag([1.0, -1.0])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(np.stack([good, bad]))
-        for stack, first in [([bad, good], 0), ([good, bad, bad], 1), ([good, good, good, bad], 3)]:
-            with pytest.raises(InadmissibleInputError, match="not positive definite") as refused:
+        for stack in ([bad, good], [good, bad, bad], [good, good, good, bad]):
+            with pytest.raises(InadmissibleInputError) as refused:
                 symplectic_eigenvalues(np.stack(stack), space)
-            assert refused.value.slice_index == first
+            assert str(refused.value) == "covariance matrix is not positive definite"
 
     @pytest.mark.parametrize(
         "alpha", [[[1e308, 9e307], [9e307, 1e308]], 1e200 * np.eye(2)], ids=["near-max", "1e200"]
@@ -117,11 +117,11 @@ class TestSymplecticEigenvalues:
         message = "^covariance matrix has entries whose squares sum past the float range$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InadmissibleInputError, match=message):
+            with pytest.raises(InadmissibleInputError, match=message) as alone:
                 symplectic_eigenvalues(alpha, canonical_form(1))
-            with pytest.raises(InadmissibleInputError, match=message) as refused:
+            with pytest.raises(InadmissibleInputError) as refused:
                 symplectic_eigenvalues(np.stack([np.eye(2), alpha]), canonical_form(1))
-        assert refused.value.slice_index == 1
+        assert str(refused.value) == str(alone.value)
 
     def test_sum_of_squares_matches_the_elementwise_sum(self):
         # BLAS and einsum add in their own order: within n^2 rounding steps of each positive sum
