@@ -23,19 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InadmissibleInputError, NonRegularChannelError, _beta_grid_points
-from .gaussian import QuadraticHamiltonian, _covariance, _entropies, _gibbs_cotangent
+# read at call time: gain never runs gaussian, which only sweeps and gaussian_gain call
+from . import gaussian, symplectic
+from .errors import DEFAULT_TOL, InadmissibleInputError, NonRegularChannelError, _beta_grid_points
 from .presets import PRESET_NAMES, _preset_noise
 from .records import ByIdentity
-from .symplectic import (
-    DEFAULT_TOL,
-    HermitianCert,
-    PhaseSpace,
-    canonical_form,
-    _certified,
-    _noise_certified,
-    _require_symmetric,
-)
 
 __all__ = [
     "GaussianChannel",
@@ -64,10 +56,10 @@ class GaussianChannel(ByIdentity, namedtuple("GaussianChannel", "space K mu cert
     keeps read-only copies of K and mu, so that they cannot go stale.
     """
 
-    space: PhaseSpace
+    space: symplectic.PhaseSpace
     K: np.ndarray
     mu: np.ndarray
-    cert: HermitianCert
+    cert: symplectic.HermitianCert
     strict: bool
 
     @cached_property
@@ -87,7 +79,7 @@ class GaussianChannel(ByIdentity, namedtuple("GaussianChannel", "space K mu cert
 
 
 def make_channel(
-    K: np.ndarray, mu: np.ndarray, space: PhaseSpace, tol: float = DEFAULT_TOL
+    K: np.ndarray, mu: np.ndarray, space: symplectic.PhaseSpace, tol: float = DEFAULT_TOL
 ) -> GaussianChannel:
     """Validate (K, mu) against the channel positivity condition.
 
@@ -102,8 +94,8 @@ def make_channel(
         raise InadmissibleInputError(f"K must be {n}x{n}, got {K.shape}")
     if not np.isfinite(K).all():
         raise InadmissibleInputError("channel matrix K has an entry that is not a finite number")
-    mu = _require_symmetric(mu, space, tol, "channel noise mu")
-    cert = _noise_certified(K, mu, space, tol)
+    mu = symplectic._require_symmetric(mu, space, tol, "channel noise mu")
+    cert = symplectic._noise_certified(K, mu, space, tol)
     K.flags.writeable = mu.flags.writeable = False
     return GaussianChannel(space=space, K=K, mu=mu, cert=cert, strict=cert.is_positive_definite)
 
@@ -127,12 +119,12 @@ def preset_channel(
     if not m < _MU_ENTRY_MAX:
         named = f"k = {k:.3g}" if minimal > noise else f"noise = {noise:.3g}"
         raise InadmissibleInputError(f"{named} is too large: the noise entry mu = {m:.3g} squares past the float range")
-    return make_channel(k * np.eye(2), m * np.eye(2), canonical_form(1), tol)
+    return make_channel(k * np.eye(2), m * np.eye(2), symplectic.canonical_form(1), tol)
 
 
 def tensor_channels(a: GaussianChannel, b: GaussianChannel) -> GaussianChannel:
     """Parallel composition: block-diagonal K and mu on the joint phase space."""
-    space = canonical_form(a.space.s + b.space.s)
+    space = symplectic.canonical_form(a.space.s + b.space.s)
     na, nb = 2 * a.space.s, 2 * b.space.s
     K = np.zeros((na + nb, na + nb))
     mu = np.zeros_like(K)
@@ -146,7 +138,7 @@ def apply_to_covariance(channel: GaussianChannel, alpha: np.ndarray) -> np.ndarr
 
     A (B, 2s, 2s) stack of covariances gives the stack of outputs.
     """
-    return _apply(channel, _require_symmetric(alpha, channel.space, DEFAULT_TOL))[0]
+    return _apply(channel, symplectic._require_symmetric(alpha, channel.space, DEFAULT_TOL))[0]
 
 
 def _apply(channel: GaussianChannel, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +147,7 @@ def _apply(channel: GaussianChannel, alpha: np.ndarray) -> tuple[np.ndarray, np.
     Returns the output with the symplectic spectrum its certificate is read off.
     """
     out = _image(channel, alpha)
-    return out, _certified(out, channel.space, "channel output")[0]
+    return out, symplectic._certified(out, channel.space, "channel output")[0]
 
 
 def _image(channel: GaussianChannel, alpha: np.ndarray) -> np.ndarray:
@@ -184,8 +176,8 @@ def gaussian_gain(channel: GaussianChannel, alpha: np.ndarray) -> float:
 
     alpha must pass the uncertainty bound.
     """
-    alpha, nu_in, _ = _covariance(alpha, channel.space)
-    return float(_entropies(_apply(channel, alpha)[1])) - float(_entropies(nu_in))
+    alpha, nu_in, _ = gaussian._covariance(alpha, channel.space)
+    return float(gaussian._entropies(_apply(channel, alpha)[1])) - float(gaussian._entropies(nu_in))
 
 
 def default_beta_grid(
@@ -210,7 +202,7 @@ class GainReport(ByIdentity, namedtuple("GainReport", "beta_grid gains closed_fo
 
 
 def _gibbs_gains(
-    channel: GaussianChannel, hamiltonian: QuadraticHamiltonian, betas: np.ndarray
+    channel: GaussianChannel, hamiltonian: gaussian.QuadraticHamiltonian, betas: np.ndarray
 ) -> np.ndarray:
     """Gains on the Gibbs states at each beta, the whole grid as one stack of matrices.
 
@@ -219,23 +211,23 @@ def _gibbs_gains(
     again one beta at a time, so the error (or warning) raised is the one a loop meets first.
     """
     try:
-        alpha = _gibbs_cotangent(hamiltonian, betas)
+        alpha = gaussian._gibbs_cotangent(hamiltonian, betas)
         with np.errstate(all="raise", under="ignore"):
             both = np.concatenate([alpha, _image(channel, alpha)])
-            nu = _certified(both, channel.space, "Gibbs covariance or channel output")[0]
+            nu = symplectic._certified(both, channel.space, "Gibbs covariance or channel output")[0]
     except (InadmissibleInputError, FloatingPointError):
         spectra = []  # per beta, of its Gibbs covariance, then of its channel output
         for beta in betas[:, None]:
-            alpha = _gibbs_cotangent(hamiltonian, beta)
-            spectra += [_certified(alpha, channel.space, "Gibbs covariance")[0], _apply(channel, alpha)[1]]
+            alpha = gaussian._gibbs_cotangent(hamiltonian, beta)
+            spectra += [symplectic._certified(alpha, channel.space, "Gibbs covariance")[0], _apply(channel, alpha)[1]]
         nu = np.concatenate(spectra[0::2] + spectra[1::2])
-    entropies = _entropies(nu)
+    entropies = gaussian._entropies(nu)
     return entropies[len(betas):] - entropies[: len(betas)]
 
 
 def gain_beta_sweep(
     channel: GaussianChannel,
-    hamiltonian: QuadraticHamiltonian,
+    hamiltonian: gaussian.QuadraticHamiltonian,
     beta_grid: np.ndarray | None = None,
 ) -> GainReport:
     """Entropy gain on Gibbs states over a beta grid, with adaptive extension.

@@ -24,7 +24,8 @@ import math
 import re
 import sys
 
-# lazy modules, each run on the first read of one of its names; numpy loads only after the argv refusals
+# lazy modules, each run on the first read of one of its names; numpy loads only after the argv and
+# file refusals, and matio, which reads the files, imports numpy only to build an array
 from . import channels, classical, fock, gaussian, matio, symplectic
 from .errors import DEFAULT_DIM, DEFAULT_TOL, HypothesisViolationError, InadmissibleInputError, _beta_grid_points
 from .presets import PRESET_NAMES, _preset_noise
@@ -107,18 +108,23 @@ def _refuse_from_argv(args: argparse.Namespace) -> None:
         args.noise = _preset_noise(args.preset, args.k, args.noise)
 
 
+def _refuse_from_files(args: argparse.Namespace) -> None:
+    """Every refusal that the input files decide, raised before numpy is imported; each file is read
+    once, and its checked rows kept in ``args``. An epsilon file must fit the channel: a preset has one mode."""
+    if args.command == "williamson":
+        args.alpha = matio.matrix_rows(args.matrix_file, "covariance matrix")
+    elif args.command in ("gain", "sweep") and args.channel_file:
+        args.K, args.mu = matio.channel_rows(args.channel_file)
+    if args.command == "sweep" and args.epsilon_file:
+        size = len(args.K) if args.channel_file else 2
+        args.epsilon = matio.matrix_rows(args.epsilon_file, "Hamiltonian matrix", size)
+
+
 def _resolve_channel(args: argparse.Namespace) -> tuple[channels.GaussianChannel, dict]:
     """Build the channel named on the command line, plus its report stanza."""
     if args.channel_file:
-        data = matio.read_json(args.channel_file)
-        if not isinstance(data, dict) or "K" not in data or "mu" not in data:
-            raise InadmissibleInputError("channel file must contain 'K' and 'mu' matrices")
-        K = matio.decode_array(data["K"])
-        mu = matio.decode_array(data["mu"])
-        if K.shape[0] != K.shape[1] or K.shape[0] % 2 != 0:
-            raise InadmissibleInputError("K must be square with even dimension")
-        space = symplectic.canonical_form(K.shape[0] // 2)
-        return channels.make_channel(K, mu, space, tol=args.tol), {"channel_file": args.channel_file}
+        space = symplectic.canonical_form(len(args.K) // 2)
+        return channels.make_channel(args.K, args.mu, space, tol=args.tol), {"channel_file": args.channel_file}
     channel = channels.preset_channel(args.preset, args.k, noise=args.noise, tol=args.tol)
     return channel, {"preset": args.preset, "k": float(args.k), "noise": float(args.noise)}
 
@@ -146,10 +152,8 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
     channel, source = _resolve_channel(args)
     if args.epsilon_file:
-        epsilon = matio.load_matrix(args.epsilon_file)
         source["epsilon_file"] = args.epsilon_file
-    else:
-        epsilon = np.eye(2 * channel.space.s)
+    epsilon = args.epsilon if args.epsilon_file else np.eye(2 * channel.space.s)
     hamiltonian = gaussian.quadratic_hamiltonian(channel.space, epsilon, tol=args.tol)
     grid = channels.default_beta_grid(args.beta_max, args.beta_min, args.beta_points)
     report = channels.gain_beta_sweep(channel, hamiltonian, beta_grid=grid)
@@ -216,11 +220,8 @@ def cmd_classical(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_williamson(args: argparse.Namespace) -> tuple[dict, int]:
-    alpha = matio.load_matrix(args.matrix_file)
-    if alpha.shape[0] != alpha.shape[1] or alpha.shape[0] % 2 != 0:
-        raise InadmissibleInputError("covariance matrix must be square with even dimension")
-    space = symplectic.canonical_form(alpha.shape[0] // 2)
-    decomposition = symplectic.williamson(alpha, space, tol=args.tol)
+    space = symplectic.canonical_form(len(args.alpha) // 2)
+    decomposition = symplectic.williamson(args.alpha, space, tol=args.tol)
     cert = symplectic._uncertainty_cert(decomposition.nu, args.tol)
     report = {
         "command": "williamson",
@@ -319,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _refuse_from_argv(args)
+        _refuse_from_files(args)
         import numpy as np
 
         # numpy overflow, division by zero and invalid values raise instead of

@@ -17,12 +17,11 @@ from collections import namedtuple
 
 import numpy as np
 
-from .channels import GaussianChannel, _apply, preset_channel
-from .errors import DEFAULT_DIM, HypothesisViolationError, InadmissibleInputError, _whole
-from .gaussian import _entropies
+# the phase-space core, read at call time, so that only the Gaussian references run it
+from . import channels, gaussian, symplectic
+from .errors import DEFAULT_DIM, DEFAULT_TOL, HypothesisViolationError, InadmissibleInputError, _whole
 from .presets import PRESET_NAMES, _preset_noise
 from .records import ByIdentity
-from .symplectic import DEFAULT_TOL, _uncertainty_cert, symplectic_eigenvalues
 
 __all__ = [
     "DEFAULT_DIM",
@@ -234,13 +233,13 @@ class DilationChannel(
     noise: float  # default 0.0
     first: np.ndarray | None  # default None
 
-    def gaussian_channel(self) -> GaussianChannel:
+    def gaussian_channel(self) -> channels.GaussianChannel:
         """Exact phase-space counterpart (K, mu) of this dilation, solved on first use."""
         return self._gaussian
 
     @functools.cached_property
-    def _gaussian(self) -> GaussianChannel:
-        return preset_channel(self.kind.replace("_", "-"), self.k, noise=self.noise)
+    def _gaussian(self) -> channels.GaussianChannel:
+        return channels.preset_channel(self.kind.replace("_", "-"), self.k, noise=self.noise)
 
 
 def build_dilation(
@@ -514,17 +513,17 @@ def _references(channel: DilationChannel, states, extremality: bool) -> list[dic
         return [{"bound": 2.0 * math.log(channel.k)}] * len(states)  # k**2 underflows to 0 below k = 1e-162
     gch = channel.gaussian_channel()
     alpha = np.stack([covariance_of(state)[1] for state in states])  # exactly symmetric, as _apply requires
-    nu_in = symplectic_eigenvalues(alpha, gch.space)
-    nu_out = _apply(gch, alpha)[1]
-    degenerate = ~_uncertainty_cert(nu_in, DEFAULT_TOL).is_positive_definite
-    blurred = ~(gch.strict | _uncertainty_cert(nu_out, DEFAULT_TOL).is_positive_definite)
+    nu_in = symplectic.symplectic_eigenvalues(alpha, gch.space)
+    nu_out = channels._apply(gch, alpha)[1]
+    degenerate = ~symplectic._uncertainty_cert(nu_in, DEFAULT_TOL).is_positive_definite
+    blurred = ~(gch.strict | symplectic._uncertainty_cert(nu_out, DEFAULT_TOL).is_positive_definite)
     for i in np.flatnonzero(degenerate | blurred)[:1]:  # the first failing state, if any
         raise HypothesisViolationError(
             f"state covariance is degenerate (min symplectic eigenvalue {nu_in[i, -1]:.9f})"
             if degenerate[i]
             else "saturating channel maps this state to a degenerate Gaussian image"
         )
-    gains = (_entropies(nu_out) - _entropies(nu_in)).tolist()
+    gains = (gaussian._entropies(nu_out) - gaussian._entropies(nu_in)).tolist()
     return [
         dict(gaussian_gain=gain, flagged_saturating=not gch.strict, min_symplectic_eigenvalue=nu_min)
         for gain, nu_min in zip(gains, nu_in[:, -1].tolist())

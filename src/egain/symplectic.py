@@ -119,7 +119,7 @@ def _require_symmetric(
     alpha = np.asarray(alpha, dtype=float)
     n = 2 * space.s
     if alpha.shape[-2:] != (n, n) or alpha.ndim > 3:
-        raise InadmissibleInputError(f"expected a {n}x{n} matrix, got {alpha.shape}")
+        raise InadmissibleInputError(f"{what} must be {n}x{n}, got {alpha.shape}")
     size = np.sqrt(_sum_of_squares(alpha))  # the Frobenius norm of each matrix
     if not (math.isfinite(size) if size.ndim == 0 else np.isfinite(size).all()):
         finite = np.isfinite(alpha).all(axis=(-2, -1))

@@ -269,6 +269,19 @@ class TestNoiseCert:
         with pytest.raises(InadmissibleInputError, match=rf"^K must be 2x2, got {re.escape(str(K.shape))}$"):
             make_channel(K, np.eye(2), canonical_form(1))
 
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda m: make_channel(np.eye(2), m, canonical_form(1)), "channel noise mu"),
+            (lambda m: quadratic_hamiltonian(canonical_form(1), m), "Hamiltonian matrix"),
+            (lambda m: williamson(m, canonical_form(1)), "covariance matrix"),
+        ],
+        ids=["mu", "epsilon", "alpha"],
+    )
+    def test_a_matrix_of_the_wrong_shape_is_refused_by_name(self, build, named):
+        with pytest.raises(InadmissibleInputError, match=rf"^{named} must be 2x2, got \(4, 4\)$"):
+            build(np.eye(4))
+
 
 class TestGainAndBound:
     def test_non_regular_rejected(self):

@@ -1056,51 +1056,139 @@ def test_argv_refusals_and_help_load_no_numpy():
     assert [first for _, first, _ in results[1:]] == [""] * (len(ARGV_REFUSALS) - 1)
 
 
-@pytest.mark.parametrize(
-    "runs, codes, ran, idle",
-    [
-        (
-            [
-                "gain --preset attenuator --k 0.5",
-                "sweep --preset amplifier --k 2 --beta-points 5",
-                "williamson {matrix}",
-                "gain --preset attenuator --k 2",
-                "sweep --preset attenuator --k 0.5 --beta-max 1e-3 --beta-min 1e-2",
-            ],
-            [0, 0, 0, 2, 2],
-            [],
-            [],
-        ),
-        (["williamson {matrix}"], [0], [], ["gaussian", "channels"]),
-        (["fock --preset attenuator --k 0.7 --dim 20 --trials 2"], [0], ["fock"], []),
-        (["classical --k 3"], [0], ["classical"], ["symplectic", "gaussian", "channels"]),
-    ],
-    ids=["phase-space", "williamson", "fock", "classical"],
-)
-def test_fresh_process_runs_only_the_modules_its_subcommands_use(runs, codes, ran, idle, tmp_path):
-    # every module but errors and records is in sys.modules from `import egain` on, where a
-    # tracer looks every module up, but its code runs on the first read of one of its attributes;
-    # until then the module's type is LazyLoader's subclass, not the plain module type; `idle`
-    # names the core modules that stay unrun
-    matrix = tmp_path / "alpha.json"
-    write_json(str(matrix), [[1.5, 0.0], [0.0, 1.5]])
-    argvs = [
-        [*argv.format(matrix=matrix).split(), "--out", str(tmp_path / f"{i}.out")]
-        for i, argv in enumerate(runs)
-    ]
+# Matrix files, each written as it stands: JSON text, text the JSON module would not write, or bytes.
+EYE2, EYE4 = "[[1, 0], [0, 1]]", "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+REFUSED_FILES = {
+    "ragged.json": '{"matrix": [[1.0, 0.0], [0.0]]}',
+    "empty.json": "[]",
+    "flat.json": "[1.5, 1.5]",
+    "cube.json": "[[[1.5], [0.0]], [[0.0], [1.5]]]",
+    "bool.json": "[[true, false], [false, true]]",
+    "string.json": '[["1.5", 0.0], [0.0, 1.5]]',
+    "complex.json": "[[[0.5, 3.0], 0.0], [0.0, 0.5]]",
+    "nan.json": "[[NaN, 0.0], [0.0, 1.5]]",
+    "huge.json": "[[1.5, 1e999], [0.0, 1.5]]",
+    "bigint.json": f"[[{10**400}, 0], [0, 1]]",
+    "nokey.json": '{"K": [[1.0]]}',
+    "odd.json": "[[1.5]]",
+    "wide.json": "[[1.5, 0.0]]",
+    "eye4.json": EYE4,
+    "bad.json": "[[1, 0], [0, 1]",
+    "latin.json": b"\xff[[1]]",
+    "no-K.json": f'{{"mu": {EYE2}}}',
+    "no-mu.json": f'{{"K": {EYE2}}}',
+    "odd-K.json": '{"K": [[1.0]], "mu": [[1.0]]}',
+    "wide-K.json": f'{{"K": [[1, 0, 0, 0], [0, 1, 0, 0]], "mu": {EYE4}}}',
+    "mu4.json": f'{{"K": {EYE2}, "mu": {EYE4}}}',
+    "two-modes.json": f'{{"K": {EYE4}, "mu": {EYE4}}}',
+    "ragged-mu.json": f'{{"K": {EYE2}, "mu": [[1.0, 0.0], [0.0]]}}',
+    "below-bound.json": '{"K": [[2.0, 0.0], [0.0, 2.0]], "mu": [[0.1, 0.0], [0.0, 0.1]]}',
+}
+# Exit code 2 and the stderr of each refusal that the argv and the files decide, frozen when it was added.
+FILE_REFUSALS = {
+    "williamson ragged.json": "matrix rows must all have the same length",
+    "williamson empty.json": "a matrix must be a non-empty JSON array of rows, got []",
+    "williamson flat.json": "a matrix must be a non-empty JSON array of rows, got [1.5, 1.5]",
+    "williamson cube.json": "matrix entries must be real numbers, got [1.5]",
+    "williamson bool.json": "matrix entries must be real numbers, got true",
+    "sweep --preset attenuator --k 0.5 --epsilon-file string.json": 'matrix entries must be real numbers, got "1.5"',
+    "williamson complex.json": "matrix entries must be real numbers, got [0.5, 3.0]",
+    "williamson nan.json": "matrix entries must be finite numbers, got NaN",
+    "sweep --preset amplifier --k 2 --epsilon-file huge.json": "matrix entries must be finite numbers, got Infinity",
+    "williamson bigint.json": "numeric overflow: int too large to convert to float; input out of range",
+    "williamson nokey.json": "nokey.json: matrix object files need a 'matrix' key",
+    "gain --channel-file no-K.json": "channel file must contain 'K' and 'mu' matrices",
+    "sweep --channel-file no-mu.json": "channel file must contain 'K' and 'mu' matrices",
+    "gain --channel-file odd-K.json": "K must be square with even dimension",
+    "gain --channel-file wide-K.json": "K must be square with even dimension",
+    "williamson odd.json": "covariance matrix must be square with even dimension",
+    "williamson wide.json": "covariance matrix must be square with even dimension",
+    "gain --channel-file mu4.json": "channel noise mu must be 2x2, got (4, 4)",
+    "sweep --preset attenuator --k 0.5 --epsilon-file eye4.json": "Hamiltonian matrix must be 2x2, got (4, 4)",
+    "sweep --channel-file two-modes.json --epsilon-file wide.json": "Hamiltonian matrix must be 4x4, got (1, 2)",
+    "gain --channel-file ragged-mu.json": "matrix rows must all have the same length",
+    "williamson missing.json": "[Errno 2] No such file or directory: 'missing.json'",
+    "gain --channel-file bad.json": "bad.json: not valid JSON: Expecting ',' delimiter: line 1 column 16 (char 15)",
+    "williamson latin.json": "latin.json: not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+    "invalid start byte",
+    # a file refusal comes before every refusal that needs numpy: the channel's certificate,
+    # a k whose square underflows and a beta too small to represent
+    "sweep --channel-file below-bound.json --epsilon-file ragged.json": "matrix rows must all have the same length",
+    "sweep --preset attenuator --k 1e-200 --epsilon-file nan.json": "matrix entries must be finite numbers, got NaN",
+    "sweep --preset attenuator --k 0.5 --beta-min 1e-300 --epsilon-file odd.json": (
+        "Hamiltonian matrix must be 2x2, got (1, 1)"
+    ),
+}
+
+
+def test_file_refusals_load_no_numpy(tmp_path):
+    # each runs as `python -m egain ARGV` does, in the directory that holds the files
+    for name, text in REFUSED_FILES.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     script = (
-        "import sys, types\n"
+        "import contextlib, io, json, os, runpy, sys\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        "results = []\n"
+        f"for argv in {list(FILE_REFUSALS)!r}:\n"
+        "    sys.argv = ['egain', *argv.split()]\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            runpy.run_module('egain', run_name='__main__')\n"
+        "        except SystemExit as exc:\n"
+        "            results.append([exc.code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(['numpy' in sys.modules, results]))\n"
+    )
+    loaded, results = json.loads(_fresh_process(script).stdout)
+    assert results == [[2, "", f"error: {message}\n"] for message in FILE_REFUSALS.values()]
+    assert loaded is False
+
+
+def test_json_nested_past_the_parser_depth_is_refused_naming_the_file(tmp_path, capsys):
+    # the parser's RecursionError is no failed numerical check
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(["williamson", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not valid JSON: ") and "internal" not in err
+
+
+# Per subcommand, the lazy egain modules a fresh child runs; every other one stays unrun.
+CORE = ("symplectic", "gaussian", "channels")
+MODULES_RUN = {
+    "gain --preset attenuator --k 0.5": ("symplectic", "channels", "matio"),
+    "gain --channel-file {channel}": ("symplectic", "channels", "matio"),
+    "sweep --preset amplifier --k 2 --beta-points 5": ("symplectic", "channels", "matio", "gaussian"),
+    "sweep --channel-file {channel} --epsilon-file {matrix} --beta-points 5": (
+        "symplectic", "channels", "matio", "gaussian"
+    ),
+    "williamson {matrix}": ("symplectic", "matio"),
+    "fock --preset attenuator --k 0.7 --dim 20 --trials 2": ("fock", "matio"),
+    "fock --preset classical-noise --k 1 --noise 0.3 --dim 20 --trials 2 --extremality": ("fock", "matio", *CORE),
+    "classical --k 3": ("classical", "matio"),
+}
+
+
+@pytest.mark.parametrize("argv", list(MODULES_RUN))
+def test_fresh_process_runs_only_the_modules_its_subcommands_use(argv, tmp_path):
+    # every lazy module is in sys.modules from `import egain` on, where a tracer looks every
+    # module up, but its code runs on the first read of one of its attributes; until then the
+    # module's type is LazyLoader's _LazyModule, and after it the plain module type
+    matrix, channel = tmp_path / "alpha.json", tmp_path / "channel.json"
+    write_json(str(matrix), [[1.5, 0.0], [0.0, 1.5]])
+    write_json(str(channel), {"K": [[0.5, 0.0], [0.0, 0.5]], "mu": [[0.5, 0.0], [0.0, 0.5]]})
+    args = [*argv.format(matrix=matrix, channel=channel).split(), "--out", str(tmp_path / "report")]
+    script = (
+        "import importlib.util, sys, types\n"
         "import egain.cli\n"
         "names = ('symplectic', 'gaussian', 'channels', 'fock', 'classical', 'matio')\n"
-        "assert all(f'egain.{name}' in sys.modules for name in names), sorted(sys.modules)\n"
-        f"print([egain.cli.main(argv) for argv in {argvs!r}])\n"
-        "print([n for n in ('fock', 'classical') if type(sys.modules[f'egain.{n}']) is types.ModuleType])\n"
-        "print([n for n in names[:3] if type(sys.modules[f'egain.{n}']) is not types.ModuleType])\n"
+        f"print(egain.cli.main({args!r}))\n"
+        "kinds = {importlib.util._LazyModule: 'idle', types.ModuleType: 'ran'}\n"
+        "print(sorted(n for n in names if kinds[type(sys.modules[f'egain.{n}'])] == 'ran'))\n"
     )
     result = _fresh_process(script)
-    assert result.stdout.splitlines() == [str(codes), str(ran), str(idle)]
-    assert all(line.startswith("error: ") for line in result.stderr.splitlines())
-    assert len(result.stderr.splitlines()) == codes.count(2)
+    assert result.stdout.splitlines() == ["0", str(sorted(MODULES_RUN[argv]))]
+    assert result.stderr == ""
 
 
 # The valid real matrix each file role holds, and a one-mode command that reads it.

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
-from egain import fock
+from egain import channels, fock
 from egain.channels import apply_to_covariance, gaussian_gain, preset_channel
 from egain.errors import HypothesisViolationError, InadmissibleInputError
 from egain.fock import (
@@ -1158,13 +1158,13 @@ class TestStackedCampaigns:
         assert len(drawn) == 36
 
     def test_gaussian_counterpart_is_solved_once(self, monkeypatch):
-        solve, calls = fock.preset_channel, []
+        solve, calls = channels.preset_channel, []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(fock, "preset_channel", counted)
+        monkeypatch.setattr(channels, "preset_channel", counted)  # where fock looks it up
         channel = build_dilation("classical_noise", 1.0, dim=20, noise=0.3)
         for seed in (7, 8):
             extremality_campaign(channel, 5, np.random.default_rng(seed))

@@ -55,12 +55,26 @@ def test_classical_imports_neither_the_fock_oracle_nor_the_cli():
         assert not (source == "egain" and f"egain.{name}" in banned), name
 
 
+def taken_names(module, sources):
+    """(source, name) for each name the module takes from ``sources``: imported by name, or read as
+    an attribute of a module it imports whole (``from . import channels`` then ``channels.name``)."""
+    found = imports(module)
+    taken = {(source, name) for source, name in found if source in sources}
+    whole = {name for source, name in found if source == "egain" and f"egain.{name}" in sources}
+    tree = ast.parse((SOURCES / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in whole:
+            taken.add((f"egain.{node.value.id}", node.attr))
+    return taken
+
+
 def test_fock_takes_only_the_gaussian_counterpart_from_the_core():
     # the independence rule: the Fock route reads the phase-space core only for the references
     # of its checks, the Gaussian counterpart of a dilation and its Gaussian gains
     core = {f"egain.{name}" for name in ("channels", "gaussian", "symplectic")}
-    taken = {(source, name) for source, name in imports("fock") if source in core}
-    assert taken == {
+    taken = taken_names("fock", core)
+    assert ("egain.channels", "preset_channel") in taken  # read as an attribute
+    assert taken <= {
         ("egain.channels", "GaussianChannel"),
         ("egain.channels", "_apply"),
         ("egain.channels", "preset_channel"),
@@ -71,13 +85,14 @@ def test_fock_takes_only_the_gaussian_counterpart_from_the_core():
     }
 
 
-# the modules `import egain` registers to run on first use: each imports numpy
+# the modules `import egain` registers to run on first use; all but matio import numpy
 LAZY = {f"egain.{name}" for name in ("symplectic", "gaussian", "channels", "matio", "fock", "classical")}
 
 
-@pytest.mark.parametrize("module", ["__init__", "cli", "__main__", "errors", "presets", "records"])
+@pytest.mark.parametrize("module", ["__init__", "cli", "__main__", "errors", "presets", "records", "matio"])
 def test_what_runs_before_the_argv_refusals_imports_no_numpy(module):
-    # `egain --help` and every refusal that argv alone decides end before numpy would load
+    # `egain --help`, every refusal that argv alone decides and every matrix-file refusal end
+    # before numpy would load
     found = imports(module, lambda tree: tree.body)
     assert not [source for source, _ in found if source == "numpy" or source.startswith("numpy.")], module
 
@@ -89,9 +104,10 @@ def test_import_egain_does_not_run_the_preset_domain(module):
     assert "egain.presets" not in {source for source, _ in found} | {f"{source}.{name}" for source, name in found}
 
 
-@pytest.mark.parametrize("module", ["__init__", "cli"])
+@pytest.mark.parametrize("module", ["__init__", "cli", "fock", "channels"])
 def test_the_lazy_modules_are_imported_as_modules_only(module):
-    # one module-level `from .channels import name` would run that module, and numpy, in every process
+    # one module-level `from .channels import name` would run that module, and numpy, in every
+    # process that runs this one; fock and channels run the core only where they call it
     assert not [(source, name) for source, name in imports(module, lambda tree: tree.body) if source in LAZY]
 
 
