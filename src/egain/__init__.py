@@ -44,7 +44,7 @@ _REEXPORTED = {
          "mode_entropy quadratic_hamiltonian"),
         (channels, "GainReport GaussianChannel apply_to_covariance default_beta_grid gain_beta_sweep "
          "gaussian_gain make_channel minimal_entropy_gain preset_channel tensor_channels"),
-        (matio, "load_matrix read_json write_json"),
+        (matio, "read_json write_json"),
         (fock, "DilationChannel FockDensityMatrix apply_channel build_dilation covariance_of fock_density "
          "lower_bound_campaign random_low_support_state thermal_state verify_lower_bound "
          "verify_extremality von_neumann_entropy"),

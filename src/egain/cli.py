@@ -198,6 +198,7 @@ def cmd_fock(args: argparse.Namespace) -> tuple[dict, int]:
         "dim": int(args.dim),
         "trials": int(args.trials),
         "support": summary["support"],
+        "slack_bound": summary["slack_bound"],
         "holds_count": summary["holds_count"],
         "reliable_count": summary["reliable_count"],
         "unreliable_count": args.trials - summary["reliable_count"],

@@ -241,6 +241,24 @@ class DilationChannel(
     def _gaussian(self) -> channels.GaussianChannel:
         return channels.preset_channel(self.kind.replace("_", "-"), self.k, noise=self.noise)
 
+    @functools.cached_property
+    def _support(self) -> tuple[int, float]:
+        """The levels s a campaign draws on, and ``slack_bound``, which bounds the slack of every trial.
+
+        Every V_l is a weighted shift, so a state on s levels loses at most the most mass any |n>, n < s,
+        loses (d u more for the float traces), and has at most ``_output_energy(self, s - 1)`` photons out;
+        ``slack_from_deficit`` grows with both. s is the most levels, at most _SUPPORT_CAP, whose bound is at
+        most _SLACK_TARGET, else min(_SUPPORT_CAP, d).
+        """
+        n = min(_SUPPORT_CAP, self.dim)
+        number_states = np.eye(n)[:, :, None] * np.eye(n, dtype=complex)  # |0>, ..., |n - 1>
+        kept = np.array([np.trace(_kraus_sums(self, rho[None])[0][0]).real for rho in number_states])  # d x d each
+        lost = (np.maximum.accumulate(1.0 - kept).clip(0.0) + self.dim * _ROUNDOFF).tolist()
+        energy = [_output_energy(self, s) / (1.0 - x) if x < 1.0 else math.inf for s, x in enumerate(lost)]
+        bounds = np.maximum.accumulate([slack_from_deficit(*e, self.dim) for e in zip(lost, energy)])
+        s = int((bounds <= _SLACK_TARGET).sum()) or n  # the bounds only grow with s
+        return s, float(bounds[s - 1])
+
 
 def build_dilation(
     kind: str, k: float, dim: int = DEFAULT_DIM, noise: float = 0.0
@@ -443,14 +461,7 @@ def _output_energy(channel: DilationChannel, nbar: float) -> float:
     return k2 * nbar + max(0.0, k2 - 1.0) + channel.noise
 
 
-# Campaign input support per channel kind. The amplifier expands photon
-# number by roughly k^2 and spreads it binomially, so at the default dimension
-# of 60 its outputs from inputs on 10 levels move up to ~1e-4 of their mass
-# past the cutoff, and the slack grows like its square root. Measured worst slacks over 900
-# trials (seeds 501-503): on the bottom 6 levels 1.07e-3 at k = 1.5 (0.024 over 300 trials on
-# 10 levels), and 3.59e-3 with noise 0.2; the attenuator 0.7 with noise 0.2, on 10 levels,
-# 4.44e-6. Every margin exceeds 0.48.
-CAMPAIGN_SUPPORT = {"attenuator": 10, "amplifier": 6, "classical_noise": 10}
+_SUPPORT_CAP, _SLACK_TARGET = 10, 2e-3  # the most levels a campaign draws on, and the bound they must meet
 # Bytes of states in one campaign stack, at least one: 18 at d = 60, 1 at d = 1000.
 _STACK_BYTES = 1 << 20
 
@@ -482,7 +493,7 @@ def _records(channel: DilationChannel, references, rho: np.ndarray, spectra: np.
 def _campaign(channel: DilationChannel, trials: int, rng, extremality: bool) -> dict:
     """Draw random low-support states in trial order and tally their records, a chunk at a time."""
     trials = _whole("trials", trials, 1)
-    support = min(CAMPAIGN_SUPPORT[channel.kind], channel.dim)  # the levels the states are drawn on
+    support, slack_bound = channel._support  # the levels the states are drawn on
     chunk = max(1, _STACK_BYTES // (16 * channel.dim**2))
     records = []
     for start in range(0, trials, chunk):
@@ -496,6 +507,7 @@ def _campaign(channel: DilationChannel, trials: int, rng, extremality: bool) -> 
         "dim": channel.dim,
         "trials": trials,
         "support": support,
+        "slack_bound": slack_bound,
         "holds_count": sum(r["holds"] for r in records),
         "reliable_count": sum(r["reliable"] for r in records),
         "records": records,

@@ -46,13 +46,6 @@ def _rows(data) -> list:
     return rows
 
 
-def decode_array(data):
-    """Decode a non-empty JSON array of equal-length rows of numbers into a float matrix."""
-    import numpy as np
-
-    return np.array(_rows(data))
-
-
 def _shaped(rows: list, what: str, size: int | None = None) -> list:
     """``rows`` if they are ``size`` x ``size``, or with no size square of even size; else refused naming ``what``."""
     shape = (len(rows), len(rows[0]))
@@ -101,21 +94,13 @@ def read_json(path: str):
             raise InadmissibleInputError(f"{path}: not valid JSON: {exc}") from None
 
 
-def _matrix_in(path: str):
-    """The matrix of a matrix file: a bare array of rows, or an object's 'matrix' key."""
+def matrix_rows(path: str, what: str, size: int | None = None) -> list:
+    """The checked rows of the matrix file ``path``, a bare array of rows or an object's 'matrix' key:
+    ``size`` x ``size``, or square of even size."""
     payload = read_json(path)
     if isinstance(payload, dict) and "matrix" not in payload:
         raise InadmissibleInputError(f"{path}: matrix object files need a 'matrix' key")
-    return payload["matrix"] if isinstance(payload, dict) else payload
-
-
-def load_matrix(path: str):
-    return decode_array(_matrix_in(path))
-
-
-def matrix_rows(path: str, what: str, size: int | None = None) -> list:
-    """The checked rows of the matrix file ``path``: ``size`` x ``size``, or square of even size."""
-    return _shaped(_rows(_matrix_in(path)), what, size)
+    return _shaped(_rows(payload["matrix"] if isinstance(payload, dict) else payload), what, size)
 
 
 def channel_rows(path: str) -> tuple[list, list]:

@@ -36,7 +36,7 @@ def random_symplectic(space, rng, scale=0.5):
 
 
 def save_matrix(path, arr):
-    """Write a matrix file in the format ``matio.load_matrix`` reads."""
+    """Write a matrix file in the format ``matio.matrix_rows`` reads."""
     write_json(path, encode_array(arr))
 
 

@@ -23,7 +23,6 @@ from egain import channels, classical, fock, symplectic
 from conftest import BELOW_THE_BOUND, save_matrix, squeezed_covariance
 from egain.cli import main
 from egain.errors import HypothesisViolationError
-from egain.fock import CAMPAIGN_SUPPORT
 from egain.matio import write_json
 
 
@@ -168,8 +167,8 @@ class TestFock:
         assert len(report["records"]) == 5
         assert report["worst_margin"] > 0
 
-    def test_byte_identical_for_same_seed(self, tmp_path, capsys):
-        paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
+    def test_byte_identical_for_same_seed(self, tmp_path, capsys, monkeypatch):
+        paths = [str(tmp_path / name) for name in ("a.json", "b.json", "cached.json")]
         argv = [
             "fock",
             "--preset",
@@ -181,10 +180,18 @@ class TestFock:
             "--seed",
             "3",
         ]
-        for path in paths:
+        for path in paths[:2]:
             assert main(argv + ["--out", path]) == 0
+        # a dilation whose support a campaign already computed writes the same bytes
+        channel = fock.build_dilation("amplifier", 1.5)
+        assert "_support" not in vars(channel)  # build_dilation leaves it to the first campaign
+        fock.lower_bound_campaign(channel, 1, np.random.default_rng(0))
+        assert "_support" in vars(channel)
+        monkeypatch.setattr(fock, "build_dilation", lambda *args, **kwargs: channel)
+        assert main(argv + ["--out", paths[2]]) == 0
         capsys.readouterr()
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        reports = [open(path, "rb").read() for path in paths]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_tiny_dim_exits_4_but_reports(self, tmp_path, capsys):
         out_path = str(tmp_path / "tiny.json")
@@ -222,32 +229,29 @@ class TestFock:
         assert err == ""
         assert json.loads(out)["records"][0]["bound"] == pytest.approx(-921.0340371976183)
 
-    def test_small_dim_clamps_generator_support(self, tmp_path, capsys):
-        # support-10 campaign inputs must shrink to fit a dim-8 cutoff; inputs on every level are
-        # no truncation error for an attenuator, which moves no mass past the cutoff
-        out_path = str(tmp_path / "tiny_att.json")
-        code, _, _ = run(
-            [
-                "fock",
-                "--preset",
-                "attenuator",
-                "--k",
-                "0.7",
-                "--dim",
-                "8",
-                "--trials",
-                "4",
-                "--seed",
-                "0",
-                "--out",
-                out_path,
-            ],
-            capsys,
-        )
-        assert code == 0
-        report = json.load(open(out_path))
-        assert len(report["records"]) == 4
-        assert report["support"] == 8 and report["reliable_count"] == 4
+    @pytest.mark.parametrize(
+        "argv, support, code",
+        [
+            # inputs on every level are no truncation error for an attenuator, which moves no mass
+            # past the cutoff, so the cap of 10 levels is cut to the 8 that exist
+            ("--preset attenuator --k 0.7 --dim 8", 8, 0),
+            ("--preset attenuator --k 0.7", 10, 0),
+            ("--preset amplifier --k 1.5", 6, 0),
+            ("--preset classical-noise --k 1 --noise 0.3", 10, 0),
+            ("--preset attenuator --k 0.7 --noise 0.2", 10, 0),
+            ("--preset amplifier --k 1.5 --noise 0.2", 5, 0),
+            ("--preset amplifier --k 1.5 --dim 200", 10, 0),
+            # no support meets the target: the campaign draws on the cap, and no trial is reliable
+            ("--preset amplifier --k 3 --dim 16", 10, 4),
+            ("--preset amplifier --k 3", 10, 4),
+        ],
+    )
+    def test_support_is_the_most_levels_whose_slack_bound_meets_the_target(self, argv, support, code, capsys):
+        returned, out, _ = run(["fock", *argv.split(), "--trials", "4", "--seed", "0"], capsys)
+        report = json.loads(out)
+        assert (returned, report["support"], len(report["records"])) == (code, support, 4)
+        assert report["reliable_count"] == (4 if code == 0 else 0)
+        assert (report["slack_bound"] <= 2e-3) == (code == 0)
 
     def test_extremality_campaign(self, capsys):
         code, out, _ = run(
@@ -333,6 +337,9 @@ FROZEN_INPUTS = {
 # All five fock digests were frozen again when the slack became a proved bound:
 # the reports lost ``reliability_threshold``, each ``deficit`` became the mass
 # the channel moved past the cutoff, and every other field and count stayed.
+# All five were frozen again when the campaign support came from the proved slack: each
+# report gained ``slack_bound`` and was otherwise byte for byte the same, except the exit-4
+# amplifier's, whose support no bound certifies and went from 6 to the cap of 10 levels.
 # The gain, sweep, williamson and exit-4 digests were frozen before every
 # report came to be written from one place in ``main``.
 @pytest.mark.parametrize(
@@ -341,34 +348,34 @@ FROZEN_INPUTS = {
         pytest.param(
             "fock --preset amplifier --k 1.5 --trials 20 --seed 3",
             0,
-            "ad7ac357f2046e4332e2e6367547ed97",
+            "2d05f83bd5e92d070af355ea4d20eedb",
             id="amplifier-lower-bound",
         ),
         pytest.param(
             "fock --preset classical-noise --k 1 --noise 0.3 --extremality --trials 10 --seed 3",
             0,
-            "548e583291d364819172edfc93063269",
+            "b03d1c1b68f512e3d9c98063764465e1",
             id="classical-noise-extremality",
         ),
         # three chunks at d = 60: each chunk's references are taken as one stack
         pytest.param(
             "fock --preset classical-noise --k 1 --noise 0.3 --extremality --trials 40 --seed 3",
             0,
-            "7471400bb9329000c397732f85019c3b",
+            "1da2f95014e8970aec60724b5ab11588",
             id="classical-noise-extremality-three-chunks",
         ),
         # attenuator outputs occupy fewer than dim levels
         pytest.param(
             "fock --preset attenuator --k 0.7 --trials 20 --seed 3",
             0,
-            "75560c9eb21bf9b05b66f50353c94cd8",
+            "bc4c6741542dc500f67c313564487cd9",
             id="attenuator-lower-bound",
         ),
         # too few reliable trials: the report is written and the exit code is 4
         pytest.param(
             "fock --preset amplifier --k 3 --dim 16 --trials 4 --seed 1",
             4,
-            "e092b76a7a11c59aa57d65bf2ea4fdf9",
+            "ef5973d08b5a4bc4f8cecbb817bbc0e5",
             id="amplifier-unreliable",
         ),
         pytest.param(
@@ -726,10 +733,11 @@ class TestTolerancePlumbing:
             "error: k = 1e+200 is too large: k^2 overflows\n",
             id="fock-k-1e200",
         ),
-        # the output mass below the cutoff underflows and cannot be renormalized
+        # the output mass below the cutoff underflows and cannot be renormalized; no support
+        # is certified, so the first trial is drawn on all 8 levels
         pytest.param(
             "fock --preset amplifier --k 1e154 --dim 8 --trials 3",
-            "dim = 8 is 3.232e-309, not a positive normal float",
+            "dim = 8 is 8.656e-309, not a positive normal float",
             id="fock-k-1e154",
         ),
         # negative values with an exponent or an infinity are values, not options
@@ -1314,7 +1322,7 @@ def _fuzz_invocations(draw):
         )
         argv += ["--channel-file", "channel.json"]
     if command == "fock":
-        # 4, 6 and 8 lie below the campaign support of every preset but the amplifier's 6
+        # 4, 6 and 8 lie below the campaign support's cap of 10 levels
         argv += ["--dim", pick(["4", "6", "8", "16", "24"], ["-1", "0", "2", "nan", str(10**30)])]
         argv += ["--trials", pick(["1", "2", "3"], ["-1", "0", "1e308", str(10**30)])]
         argv += ["--extremality"] if draw(st.booleans()) else []
@@ -1357,6 +1365,7 @@ def test_every_invocation_keeps_the_exit_code_contract(invocation):
     assert "internal numerical check failed" not in err.getvalue(), argv
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
-    if argv[0] == "fock" and code in (0, 4):  # the states are drawn on at most dim levels
+    if argv[0] == "fock" and code in (0, 4):  # the states are drawn on the dilation's support
         report = json.loads(out.getvalue())
-        assert report["support"] == min(CAMPAIGN_SUPPORT[report["kind"]], report["dim"]), argv
+        channel = fock.build_dilation(report["kind"], report["k"], report["dim"], report["noise"])
+        assert (report["support"], report["slack_bound"]) == channel._support, argv

@@ -95,7 +95,7 @@ def ladder_amplitudes(k, dim):
 def campaign_states(channel, seed, trials):
     """The states a campaign on ``channel`` seeded with ``seed`` draws, in trial order."""
     gen = np.random.default_rng(seed)
-    support = fock.CAMPAIGN_SUPPORT[channel.kind]
+    support = channel._support[0]
     return [random_low_support_state(gen, dim=channel.dim, support=support) for _ in range(trials)]
 
 
@@ -202,6 +202,25 @@ def amplifier():
 @pytest.fixture(scope="module")
 def classical_noise():
     return build_dilation("classical_noise", 1.0, dim=DIM, noise=0.3)
+
+
+@pytest.fixture(scope="module")
+def bounded_records():
+    """(dilation, records) of criterion 5's and 6's campaigns, then of the flat inputs I_s/s up to each
+    dilation's support, on those dilations and the noisy presets."""
+    dilations = [
+        build_dilation("attenuator", 0.7, dim=DIM),
+        build_dilation("amplifier", 1.5, dim=DIM),
+        build_dilation("classical_noise", 1.0, dim=DIM, noise=0.3),
+    ]
+    gen = np.random.default_rng(501)
+    found = [(channel, lower_bound_campaign(channel, 300, gen)["records"]) for channel in dilations]
+    found.append((dilations[2], extremality_campaign(dilations[2], 100, np.random.default_rng(601))["records"]))
+    noisy = [build_dilation(kind, k, dim=DIM, noise=0.2) for kind, k in [("attenuator", 0.7), ("amplifier", 1.5)]]
+    for channel in dilations + noisy:
+        flat = [np.diag([1.0 / s] * s + [0.0] * (DIM - s)) for s in range(1, channel._support[0] + 1)]
+        found.append((channel, [verify_lower_bound(channel, fock_density(rho)) for rho in flat]))
+    return found
 
 
 class TestOperators:
@@ -447,7 +466,7 @@ class TestDilations:
     def test_amplifier_matches_the_ladder_at_a_large_cutoff(self, amplifier):
         # the ladder is cut off at its dim, so it is exact only far below it;
         # at 200 levels the campaign inputs' columns are exact to rounding
-        for n in range(fock.CAMPAIGN_SUPPORT["amplifier"]):
+        for n in range(amplifier._support[0]):
             column = ladder_column(1.5, n, 200)[: DIM - n]
             assert np.abs(column - amplifier.kraus[: DIM - n, n]).max() <= 1e-14
 
@@ -716,6 +735,24 @@ class TestTruncationPolicy:
             exact = verify_lower_bound(reference, fock_density(rho))["gain"]
             assert abs(record["gain"] - exact) <= record["slack"]
 
+    def test_slack_bound_covers_every_record(self, bounded_records):
+        for channel, records in bounded_records:
+            assert max(record["slack"] for record in records) <= channel._support[1], channel.kind
+
+    def test_slack_bound_from_the_least_loss_misses_a_record(self, bounded_records):
+        # the bound takes the most mass a number state on the support loses: the least is too small
+        def bound(channel, pick):
+            support = channel._support[0]
+            losses = [verify_lower_bound(channel, number_state(n, DIM))["deficit"] for n in range(support)]
+            lost = pick(losses) + DIM * 2.0**-53
+            return slack_from_deficit(lost, fock._output_energy(channel, support - 1) / (1.0 - lost), DIM)
+
+        missed = 0
+        for channel, records in bounded_records:
+            assert bound(channel, max) == channel._support[1]
+            missed += max(record["slack"] for record in records) > bound(channel, min)
+        assert missed
+
     def test_record_keys(self, rng, attenuator, classical_noise):
         state = random_low_support_state(rng, dim=DIM)
         common = {"gain", "deficit", "slack", "holds", "reliable"}
@@ -843,6 +880,7 @@ class TestProp3:
             stacks.append(len(rho))
             return kernel(channel, rho)
 
+        attenuator._support  # the number states' Kraus sums, which run on its first use, before any trial's
         monkeypatch.setattr(fock, "_random_states", draw_failing)
         monkeypatch.setattr(fock, "_kraus_sums", spy)
         with pytest.raises(HypothesisViolationError, match=re.escape(messages[min(image, vacuum)])):
@@ -1019,7 +1057,9 @@ class TestOccupiedLevels:
             out = fock._kraus_sums(channel, imaginary[None])[0]
             assert np.array_equal(scan(out, hermitian=True), scan(out))
         chunks = math.ceil(20 / (fock._STACK_BYTES // (16 * dim * dim)))  # 1 at d = 20, 2 at d = 60
-        assert len(scanned) == 3 * (2 * chunks + 1)  # each chunk's inputs and outputs, then the pair's input
+        # each dilation's 10 number states on the first use of its support, each chunk's inputs and
+        # outputs, then the pair's input
+        assert len(scanned) == 3 * (10 + 2 * chunks + 1)
         # the row scan ends early when every last row is occupied; these stacks take both ways
         top = number_state(dim - 1, dim).rho
         mixed = np.stack([number_state(0, dim).rho, top, imaginary])  # last row occupied in one matrix only
@@ -1103,7 +1143,7 @@ class TestStackedCampaigns:
         # a campaign divides only the spectra of what _kept returns;
         # apply_channel divides the whole stack by _normalized: both must read the same bits
         for channel in (attenuator, amplifier, classical_noise):
-            support = fock.CAMPAIGN_SUPPORT[channel.kind]
+            support = channel._support[0]
             rho = fock._random_states(np.random.default_rng(3), 18, DIM, support)[0]
             out, levels, _ = fock._kept(channel, rho)
             w, tr = fock._spectra(out, levels, DIM)
@@ -1171,7 +1211,7 @@ class TestStackedCampaigns:
         assert calls == [("classical-noise", 1.0)]
         assert channel.gaussian_channel() is channel.gaussian_channel()
 
-    def test_stacks_stay_within_the_byte_budget(self, classical_noise, monkeypatch):
+    def test_stacks_stay_within_the_byte_budget(self, monkeypatch):
         kernel, sizes = fock._kraus_sums, []
 
         def spy(channel, rho):
@@ -1181,8 +1221,12 @@ class TestStackedCampaigns:
             return out, levels
 
         monkeypatch.setattr(fock, "_kraus_sums", spy)
-        lower_bound_campaign(classical_noise, self.TRIALS, np.random.default_rng(7))
-        assert sizes == [18, 18, 4]
+        fresh = build_dilation("classical_noise", 1.0, dim=DIM, noise=0.3)
+        lower_bound_campaign(fresh, self.TRIALS, np.random.default_rng(7))
+        # the support's number states, one a stack, on first use only; then the trials
+        assert sizes == [1] * 10 + [18, 18, 4]
+        lower_bound_campaign(fresh, 4, np.random.default_rng(7))
+        assert sizes[13:] == [4]
 
     def test_one_trial_per_stack_at_the_largest_cutoff(self, monkeypatch):
         # one 1000-level state is over the budget, so a stack holds one trial;
@@ -1193,6 +1237,7 @@ class TestStackedCampaigns:
         identity[0] = 1.0
         channel = DilationChannel(kind="attenuator", k=0.5, dim=dim, kraus=identity)
         counts, shapes = [], []
+        support = channel._support[0]  # computed before the spy, which would stop its Kraus sums
 
         class FirstStack(Exception):
             pass
@@ -1212,5 +1257,4 @@ class TestStackedCampaigns:
             lower_bound_campaign(channel, 3, np.random.default_rng(0))
         # the Kraus sums see the levels the inputs are drawn on, of a one-trial stack
         assert counts == [1]
-        support = fock.CAMPAIGN_SUPPORT["attenuator"]
         assert shapes == [(1, support, support)]

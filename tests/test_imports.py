@@ -112,7 +112,7 @@ def test_the_lazy_modules_are_imported_as_modules_only(module):
 
 
 def test_every_reexported_name_is_read_from_its_module(monkeypatch):
-    assert len(egain._REEXPORTED) == 50
+    assert len(egain._REEXPORTED) == 49
     for name, module in egain._REEXPORTED.items():
         value = getattr(module, name)
         assert getattr(egain, name) is value, name

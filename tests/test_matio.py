@@ -9,13 +9,28 @@ import pytest
 from conftest import save_matrix
 from egain.errors import InadmissibleInputError
 from egain.matio import (
-    decode_array,
+    channel_rows,
     encode_array,
-    load_matrix,
+    matrix_rows,
     read_json,
     write_json,
     write_text,
 )
+
+
+@pytest.fixture(params=["matrix-file", "channel-file"])
+def read_rows(request, tmp_path):
+    """Rows of ``data`` read back as a matrix file's 'matrix', or as a channel file's K."""
+    path = str(tmp_path / "m.json")
+
+    def read(data):
+        if request.param == "matrix-file":
+            write_json(path, {"matrix": data})
+            return matrix_rows(path, "matrix")
+        write_json(path, {"K": data, "mu": data})  # K is checked first
+        return channel_rows(path)[0]
+
+    return read
 
 
 class TestRoundTrips:
@@ -23,37 +38,37 @@ class TestRoundTrips:
         path = str(tmp_path / "m.json")
         M = np.array([[1.0, -2.5], [0.25, 1e-12]])
         save_matrix(path, M)
-        assert np.array_equal(load_matrix(path), M)
+        assert matrix_rows(path, "M") == M.tolist()
 
     def test_matrix_object_form(self, tmp_path):
         path = str(tmp_path / "obj.json")
         write_json(path, {"matrix": [[1.0, 0.2], [0.2, 0.8]]})
-        assert np.array_equal(load_matrix(path), np.array([[1.0, 0.2], [0.2, 0.8]]))
+        assert matrix_rows(path, "M") == [[1.0, 0.2], [0.2, 0.8]]
 
     def test_object_without_matrix_key_rejected(self, tmp_path):
         path = str(tmp_path / "bad.json")
         write_json(path, {"K": [[1.0]]})
         with pytest.raises(InadmissibleInputError, match="matrix"):
-            load_matrix(path)
+            matrix_rows(path, "M")
 
 
 
 class TestValidation:
-    def test_rejects_non_finite(self):
+    def test_rejects_non_finite(self, read_rows):
         with pytest.raises(InadmissibleInputError):
             encode_array(np.array([[np.inf, 0.0]]))
-        with pytest.raises(InadmissibleInputError):
-            decode_array([[float("nan")]])
+        with pytest.raises(InadmissibleInputError, match="matrix entries must be finite numbers, got NaN"):
+            read_rows([[float("nan")]])
 
-    def test_rejects_ragged_rows(self):
+    def test_rejects_ragged_rows(self, read_rows):
         with pytest.raises(InadmissibleInputError):
-            decode_array([[1.0, 2.0], [3.0]])
+            read_rows([[1.0, 2.0], [3.0]])
         with pytest.raises(InadmissibleInputError, match="rows must all have the same length"):
-            decode_array([[[1, 0], [2, 0]], [[3, 0]]])
+            read_rows([[[1, 0], [2, 0]], [[3, 0]]])
 
-    def test_rejects_empty(self):
+    def test_rejects_empty(self, read_rows):
         with pytest.raises(InadmissibleInputError):
-            decode_array([])
+            read_rows([])
 
     @pytest.mark.parametrize(
         "data, named",
@@ -65,9 +80,9 @@ class TestValidation:
             pytest.param([[[1.5]]], "[1.5]", id="3-d"),
         ],
     )
-    def test_refuses_entries_that_are_not_numbers(self, data, named):
+    def test_refuses_entries_that_are_not_numbers(self, read_rows, data, named):
         with pytest.raises(InadmissibleInputError) as exc:
-            decode_array(data)
+            read_rows(data)
         assert str(exc.value) == f"matrix entries must be real numbers, got {named}"
 
     @pytest.mark.parametrize(
@@ -79,15 +94,15 @@ class TestValidation:
             pytest.param({"re": [[1.0]]}, '{"re": [[1.0]]}', id="object"),
         ],
     )
-    def test_refuses_what_is_not_an_array_of_rows(self, data, named):
+    def test_refuses_what_is_not_an_array_of_rows(self, read_rows, data, named):
         with pytest.raises(InadmissibleInputError) as exc:
-            decode_array(data)
+            read_rows(data)
         assert str(exc.value) == f"a matrix must be a non-empty JSON array of rows, got {named}"
 
-    def test_integers_decode_as_floats(self):
-        out = decode_array([[1, 0], [0, 2]])
-        assert out.dtype == np.float64
-        assert np.array_equal(out, np.diag([1.0, 2.0]))
+    def test_integers_decode_as_floats(self, read_rows):
+        out = read_rows([[1, 0], [0, 2]])
+        assert out == [[1.0, 0.0], [0.0, 2.0]]
+        assert {type(v) for row in out for v in row} == {float}
 
     @pytest.mark.parametrize(
         "arr",
