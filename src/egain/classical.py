@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InadmissibleInputError, _whole
-from .records import ByIdentity
+from .records import ByIdentity, _refuse
 
 __all__ = [
     "HeavyTailDistribution",
@@ -153,21 +153,24 @@ class HeavyTailDistribution(
         n = np.asarray(n)
         if not n.ndim:  # a scalar: the in-place ufuncs below need an array
             return self.weight(n.reshape(1))[0]
-        if n.dtype.kind not in "iu":
+        whole = n.dtype.kind in "iu"
+        if not whole:
             n = n.astype(np.float64, copy=False)
-            if not (n == np.floor(n)).all():  # also fails at nan
-                self._refuse(n)
-        if n.size and not (1 <= n.min() and n.max() <= self.n_max):
-            self._refuse(n)
+            whole = (n == np.floor(n)).all()  # also fails at nan
+        if not whole or n.size and not (1 <= n.min() and n.max() <= self.n_max):
+            bad = ~((n >= 1) & (n <= self.n_max) & (n == np.floor(n)))  # the first in C order is named
+            message = "indices must be whole numbers in [1, {n_max}], got {!r}"
+            _refuse(bad, InadmissibleInputError, message, n.ravel().tolist(), n_max=self.n_max)
         q = _raw_weight(n)
         q /= self.normalizer
         return q
 
-    def _refuse(self, n: np.ndarray):
-        bad = n[~((n >= 1) & (n <= self.n_max) & (n == np.floor(n)))]
-        raise InadmissibleInputError(
-            f"indices must be whole numbers in [1, {self.n_max}], got {bad[0].item()!r}"
-        )
+    def _prefix(self, N) -> int:
+        """``N`` as an int, refused by name unless it is whole and in [1, n_max]."""
+        N = _whole("N", N, 1)
+        if N > self.n_max:
+            raise InadmissibleInputError(f"N must lie in [1, {self.n_max}], got {N}")
+        return N
 
     def truncated_entropy(self, N: int) -> float:
         """Partial entropy sum H_N = -sum_{n<=N} q_n log q_n, in nats.
@@ -175,9 +178,7 @@ class HeavyTailDistribution(
         Every term is positive (q_n < 1), so H_N is strictly increasing in N;
         it diverges like log log N because q_n log(1/q_n) ~ 1/(n log n).
         """
-        N, n_max, Z = _whole("N", N, 1), self.n_max, self.normalizer
-        if N > n_max:
-            raise InadmissibleInputError(f"N must lie in [1, {n_max}], got {N}")
+        N, Z = self._prefix(N), self.normalizer
         total = 0.0
         for lo in range(1, N + 1, _CHUNK):
             hi = min(N, lo + _CHUNK - 1)
@@ -199,9 +200,7 @@ def channel_row_entropy(dist: HeavyTailDistribution, perms: Callable, i: int, N:
     At complete prefixes N = 2^k with i <= N the row indices are a
     permutation of {1..N}, so the value is independent of i.
     """
-    i, N = _whole("i", i, 1), _whole("N", N, 1)
-    if N > dist.n_max:  # before any of the N indices is built
-        raise InadmissibleInputError(f"N must lie in [1, {dist.n_max}], got {N}")
+    i, N = _whole("i", i, 1), dist._prefix(N)  # before any of the N indices is built
     return _entropy_of(dist.weight(perms(i, np.arange(1, N + 1, dtype=np.int64))))
 
 

@@ -94,7 +94,7 @@ def _at_most(limit: float, least: float = -math.inf):
     return parse
 
 
-def _refuse_from_argv(args: argparse.Namespace) -> None:
+def _check_argv(args: argparse.Namespace) -> None:
     """Every refusal that argv alone decides, raised before numpy is imported; a preset's noise is stored as a float."""
     if args.command in ("gain", "sweep") and not (args.channel_file or args.preset):
         raise InadmissibleInputError("provide --preset with --k, or --channel-file")
@@ -108,7 +108,7 @@ def _refuse_from_argv(args: argparse.Namespace) -> None:
         args.noise = _preset_noise(args.preset, args.k, args.noise)
 
 
-def _refuse_from_files(args: argparse.Namespace) -> None:
+def _check_files(args: argparse.Namespace) -> None:
     """Every refusal that the input files decide, raised before numpy is imported; each file is read
     once, and its checked rows kept in ``args``. An epsilon file must fit the channel: a preset has one mode."""
     if args.command == "williamson":
@@ -320,8 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _refuse_from_argv(args)
-        _refuse_from_files(args)
+        _check_argv(args)
+        _check_files(args)
         import numpy as np
 
         # numpy overflow, division by zero and invalid values raise instead of

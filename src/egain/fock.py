@@ -21,7 +21,7 @@ import numpy as np
 from . import channels, gaussian, symplectic
 from .errors import DEFAULT_DIM, DEFAULT_TOL, HypothesisViolationError, InadmissibleInputError, _whole
 from .presets import PRESET_NAMES, _preset_noise
-from .records import ByIdentity
+from .records import ByIdentity, _refuse
 
 __all__ = [
     "DEFAULT_DIM",
@@ -81,9 +81,9 @@ def _levels(rho: np.ndarray, hermitian: bool = False) -> np.ndarray:
 def _validated(rho: np.ndarray, width: int) -> np.ndarray:
     """``fock_density`` on a (B, d, d) stack, in place, each matrix on its occupied block: its spectra.
 
-    Matrices on the same s levels are symmetrized and solved as one (n, s, s) stack. The first
-    that fails its finiteness or Hermitian check is refused before any eigensolve, and the
-    spectra of ``_normalized`` are padded to ``width`` levels.
+    Matrices on the same s levels are symmetrized and solved as one (n, s, s) stack. The finiteness
+    check, then the Hermitian check, runs on the whole stack before any eigensolve, and refuses the
+    first matrix it flags; the spectra of ``_normalized`` are padded to ``width`` levels.
     """
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2] or not rho.shape[1]:
         raise InadmissibleInputError(f"density matrix must be square and nonempty, not {rho.shape[1:]}")
@@ -96,11 +96,9 @@ def _validated(rho: np.ndarray, width: int) -> np.ndarray:
         block += block.conj().swapaxes(1, 2)
         block *= 0.5
         rho[group, :s, :s] = block
-    for defect, size in zip(herm.tolist(), np.maximum(1.0, scale).tolist()):
-        if not size < math.inf:  # a nan or inf entry, which the eigenvalue and trace checks would pass
-            raise InadmissibleInputError("density matrix entries must be finite")
-        if not defect <= 1e-12 * size:
-            raise InadmissibleInputError(f"density matrix not Hermitian (defect {defect:.3e})")
+    size = np.maximum(1.0, scale)  # not finite at a nan or inf entry, which the eigenvalue and trace checks pass
+    _refuse(~(size < math.inf), InadmissibleInputError, "density matrix entries must be finite")
+    _refuse(~(herm <= 1e-12 * size), InadmissibleInputError, "density matrix not Hermitian (defect {:.3e})", herm)
     return _normalized(rho, levels, width)
 
 
@@ -114,8 +112,8 @@ def _spectra(rho: np.ndarray, levels: np.ndarray, width: int) -> tuple[np.ndarra
     """Checked spectra and traces of a Hermitian (B, d, d) stack with occupancies ``levels``.
 
     A spectrum is ``width`` - s zeros, then the eigenvalues of the matrix's s x s block; the
-    blocks on s levels are solved as one (n, s, s) stack. The first matrix that fails a check
-    raises its eigenvalue or trace message.
+    blocks on s levels are solved as one (n, s, s) stack. The eigenvalue check, then the trace
+    check, runs on the whole stack, and the first matrix it flags raises its message.
     """
     low, tr = np.zeros(len(rho)), np.zeros(len(rho))  # a zero matrix fails on tr
     w = np.zeros((len(rho), width))
@@ -124,13 +122,9 @@ def _spectra(rho: np.ndarray, levels: np.ndarray, width: int) -> tuple[np.ndarra
         w[group, -s:] = np.linalg.eigvalsh(block)
         low[group] = w[group, -s]  # the block's least eigenvalue, not a padding zero
         tr[group] = np.trace(block, axis1=1, axis2=2).real
-    for least, t in zip(low, tr):
-        if least < _EIGENVALUE_FLOOR:
-            raise InadmissibleInputError(
-                f"density matrix has eigenvalue {least:.3e} < {_EIGENVALUE_FLOOR}"
-            )
-        if t <= 0.5:
-            raise InadmissibleInputError(f"density matrix trace {t:.3e} too far from 1")
+    floor = _EIGENVALUE_FLOOR
+    _refuse(low < floor, InadmissibleInputError, "density matrix has eigenvalue {:.3e} < {floor}", low, floor=floor)
+    _refuse(tr <= 0.5, InadmissibleInputError, "density matrix trace {:.3e} too far from 1", tr)
     return w, tr
 
 
@@ -341,12 +335,9 @@ def _kept(channel: DilationChannel, rho: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     out, n = _kraus_sums(channel, rho)
     tr = np.trace(out, axis1=1, axis2=2).real  # over all d levels: a block sum adds in another order
-    for t in tr:
-        if not t >= np.finfo(float).tiny:  # a subnormal or zero mass cannot be renormalized
-            raise InadmissibleInputError(
-                f"output mass kept below the cutoff dim = {channel.dim} is {t:.3e}, "
-                "not a positive normal float"
-            )
+    tiny = np.finfo(float).tiny  # a subnormal or zero mass cannot be renormalized
+    message = "output mass kept below the cutoff dim = {dim} is {:.3e}, not a positive normal float"
+    _refuse(~(tr >= tiny), InadmissibleInputError, message, tr, dim=channel.dim)
     levels = _levels(out[:, :n, :n], hermitian=True)
     # out /= tr bit for bit, at a fraction of its cost: numpy divides a + ib by a real t as
     # (a + 0b)(1/t) + i(b - 0a)(1/t), which is a(1/t) + ib(1/t) on parts that are not -0.0,

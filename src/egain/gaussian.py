@@ -24,14 +24,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InadmissibleInputError
-from .records import ByIdentity
+from .records import ByIdentity, _refuse
 from .symplectic import (
     DEFAULT_TOL,
     HermitianCert,
     PhaseSpace,
     _certified,
     _factor,
-    _refuse,
     _ROUNDING,
     _require_symmetric,
     _spectrum_from_factor,
@@ -269,7 +268,7 @@ def mode_entropy(nu) -> np.ndarray:
             ~np.all((rows >= 0.5 - 1e-9) & (rows < np.inf), axis=-1),
             InadmissibleInputError,
             "symplectic eigenvalues must be finite and >= 1/2, got {}",
-            rows,
+            rows if nu.ndim else nu,  # a 0-d nu has a single flag, and is named whole
         )
     return _g(nu)
 

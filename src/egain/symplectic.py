@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DEFAULT_TOL, InadmissibleInputError, _whole
-from .records import ByIdentity
+from .records import ByIdentity, _refuse
 
 VERDICT_PD = "positive_definite"
 VERDICT_PSD = "positive_semidefinite"
@@ -75,19 +75,6 @@ class HermitianCert(namedtuple("HermitianCert", "min_eigenvalue tolerance")):
         psd = np.where(self.is_positive_semidefinite, VERDICT_PSD, VERDICT_INDEFINITE)
         verdict = np.where(self.is_positive_definite, VERDICT_PD, psd)
         return verdict if verdict.ndim else str(verdict)
-
-
-def _refuse(bad, error: type, message: str, *values, **constants) -> None:
-    """Raise ``error`` for the first flagged matrix of a stack.
-
-    ``bad`` holds one flag per matrix (0-d or a bool for a single matrix) and
-    each of ``values`` one entry per matrix to format into ``message``, as
-    ``constants`` are by name; with no flag set it returns at once, unformatted.
-    """
-    if not (bad.any() if getattr(bad, "ndim", 0) else bad):
-        return
-    i = int(np.argmax(bad))
-    raise error(message.format(*(np.atleast_1d(v)[i] for v in values), **constants))
 
 
 def _uncertainty_cert(nu: np.ndarray, tol: float) -> HermitianCert:

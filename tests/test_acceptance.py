@@ -26,6 +26,7 @@ from egain.classical import (
     xor_family,
 )
 from egain.fock import (
+    _records,
     build_dilation,
     lower_bound_campaign,
     extremality_campaign,
@@ -271,4 +272,36 @@ def test_criterion_10_additivity():
         time.time() - start,
         30.0,
         f"worst relative deviation {worst:.2e}",
+    )
+
+
+def test_criterion_11_finite_truncations_have_no_positive_gain():
+    # Alicki's finite-dimensional side: a channel on d levels has minimal gain <= 0, which the flat
+    # input I_d/d attains for these truncations. Each such gain lies below the bound 2 log k >= 0
+    # of the untruncated channel, so only the slack keeps the records from reading as violations.
+    # The flat inputs I_s/s, s = 1..dim, run as one stack; the slack is tightest on this ladder.
+    start = time.time()
+    top_gain, least_ratio, breaches = -math.inf, math.inf, []
+    for kind, k, noise in (("amplifier", 1.5, 0.0), ("amplifier", 3.0, 0.0), ("classical_noise", 1.0, 0.3)):
+        for dim in (16, 60):
+            channel, bound = build_dilation(kind, k, dim=dim, noise=noise), 2.0 * math.log(k)
+            spectra = np.tril(np.ones((dim, dim))) / np.arange(1.0, dim + 1.0)[:, None]  # row s - 1: I_s/s
+            rho = np.zeros((dim, dim, dim), dtype=complex)
+            rho[:, np.arange(dim), np.arange(dim)] = spectra
+            records = _records(channel, [{"bound": bound}] * dim, rho, spectra)
+            top_gain = max(top_gain, records[-1]["gain"])
+            for s, record in enumerate(records, 1):
+                shortfall = bound - record["gain"]
+                if not record["holds"] or shortfall > 0.0 and record["reliable"]:
+                    breaches.append(f"{kind} k = {k} at dim {dim}, s = {s}")
+                if shortfall > 0.0:
+                    least_ratio = min(least_ratio, record["slack"] / shortfall)
+    _verdict(
+        11,
+        "finite truncations have non-positive gain, and the oracle never calls that a violation",
+        top_gain <= 1e-12 and not breaches,
+        time.time() - start,
+        10.0,
+        f"gain at s = dim at most {top_gain:.1e}, least slack/shortfall {least_ratio:.2f}, "
+        f"{len(breaches)} breaches" + (f", the first {breaches[0]}" if breaches else ""),
     )

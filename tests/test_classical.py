@@ -161,10 +161,14 @@ class TestRefusals:
 
     @pytest.mark.parametrize(
         "n, named",
-        [(math.nan, "nan"), (1.5, "1.5"), (math.inf, "inf"), (0, "0"), ([2, 3.5, 7], "3.5"), (np.array([4, 10**7 + 1]), "10000001")],
+        [
+            (math.nan, "nan"), (1.5, "1.5"), (math.inf, "inf"), (0, "0"), ([2, 3.5, 7], "3.5"), ([1, 1.5], "1.5"),
+            (np.array([4, 10**7 + 1]), "10000001"),
+            ([[1, 2], [2.5, 0]], "2.5"), ([[3, 0], [-1, 2]], "0"),  # the first in C order
+        ],
     )
     def test_weight_refuses_a_bad_index(self, n, named):
-        with pytest.raises(InadmissibleInputError, match=f"got {named}$"):
+        with pytest.raises(InadmissibleInputError, match=rf"^indices must be whole numbers in \[1, 10000000\], got {named}$"):
             heavy_tail().weight(n)
 
     def test_weight_reads_whole_floats_and_empty_arrays(self):

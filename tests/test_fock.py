@@ -308,6 +308,34 @@ class TestFockDensity:
         with pytest.raises(InadmissibleInputError, match="trace 0"):
             fock._validated(np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))]).astype(complex), 2)
 
+    @pytest.mark.parametrize(
+        "second, named",
+        [
+            ([[0.5, 0.3], [0.0, 0.5]], r"not Hermitian \(defect 3\.000e-01\)"),  # _validated
+            ([[1.2, 0.0], [0.0, -0.2]], r"has eigenvalue -2\.000e-01 < -1e-10"),  # _spectra
+            ([[0.3, 0.0], [0.0, 0.1]], r"trace 4\.000e-01 too far from 1"),  # _spectra
+        ],
+        ids=["hermitian", "eigenvalue", "trace"],
+    )
+    def test_stack_refusal_names_the_matrix_that_fails(self, second, named):
+        stack = np.array([np.diag([0.5, 0.5]), second], dtype=complex)
+        with pytest.raises(InadmissibleInputError, match=f"^density matrix {named}$"):
+            fock._validated(stack, 2)
+
+    @pytest.mark.parametrize(
+        "first, second, named",
+        [
+            ([[0.3, 0.0], [0.0, 0.1]], [[1.2, 0.0], [0.0, -0.2]], "has eigenvalue -2.000e-01 < -1e-10"),
+            ([[0.5, 0.3], [0.0, 0.5]], [[math.nan, 0.0], [0.0, 0.5]], "entries must be finite"),
+            ([[0.5, 0.1], [0.0, 0.5]], [[0.5, 0.3], [0.0, 0.5]], "not Hermitian (defect 1.000e-01)"),
+        ],
+        ids=["eigenvalue-before-trace", "finite-before-hermitian", "first-of-one-check"],
+    )
+    def test_each_check_runs_on_the_whole_stack_before_the_next(self, first, second, named):
+        # the checks' order decides the message, then the matrices' order, as in the phase-space core
+        with pytest.raises(InadmissibleInputError, match=f"^density matrix {re.escape(named)}$"):
+            fock._validated(np.array([first, second], dtype=complex), 2)
+
     def test_empty_matrix_is_refused(self):
         with pytest.raises(InadmissibleInputError, match=r"must be square and nonempty, not \(0, 0\)"):
             fock_density(np.zeros((0, 0)))
@@ -710,6 +738,14 @@ class TestTruncationPolicy:
         channel = build_dilation("amplifier", 1e154, dim=8)
         with pytest.raises(InadmissibleInputError, match=r"dim = 8 is 0\.000e\+00, not a positive normal"):
             apply_channel(channel, number_state(5, 8))
+
+    def test_stack_refusal_names_the_output_mass_that_underflows(self):
+        # the vacuum keeps 8e-200, a normal float; every amplitude on |5> underflows at k = 1e100
+        channel = build_dilation("amplifier", 1e100, dim=8)
+        stack = np.stack([number_state(0, 8).rho, number_state(5, 8).rho])
+        with pytest.raises(InadmissibleInputError, match=r"^output mass .* dim = 8 is 0\.000e\+00, not a positive"):
+            fock._kept(channel, stack)
+        assert fock._kept(channel, stack[:1])[2] == [pytest.approx(8e-200, rel=1e-12)]
 
     @pytest.mark.parametrize(
         "kind, k, noise",

@@ -172,6 +172,23 @@ def test_every_private_definition_is_used():
     assert unused == []
 
 
+def test_one_stack_refusal_is_defined_in_records_and_imported_by_every_user():
+    # the three numpy layers refuse a stack's first flagged entry one way, written once, in the
+    # numpy-free module that all of them import
+    trees = {module: ast.parse((SOURCES / f"{module}.py").read_text()) for module in MODULES}
+    defined = [
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_refuse"
+    ]
+    assert defined == ["records"]
+    users = {module for module, tree in trees.items() if "_refuse" in map(reference, ast.walk(tree))} - {"records"}
+    assert {"symplectic", "gaussian", "fock", "classical"} <= users
+    for module in users:
+        assert ("egain.records", "_refuse") in imports(module, lambda tree: tree.body), module
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_reads_the_environment(module):
     # a report depends only on its argv and its input files, so equal runs give equal bytes
