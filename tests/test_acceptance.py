@@ -3,6 +3,8 @@
 Each test prints a single verdict line (visible with ``pytest -s``) of the
 form ``[PASS] criterion N: <name> [elapsed / budget]`` and fails honestly if
 either the mathematical requirement or the runtime budget is violated.
+The bodies of criteria 8, 11 and 12 are in ``criteria.py``, where
+``test_mutants.py`` also runs them against deliberately wrong programs.
 """
 
 import math
@@ -11,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import criteria
 from conftest import random_covariance, random_regular_channel, random_spd
 from egain.channels import (
     gain_beta_sweep,
@@ -18,15 +21,8 @@ from egain.channels import (
     preset_channel,
     tensor_channels,
 )
-from egain.classical import (
-    block_recursion_exhaustive,
-    channel_row_entropy,
-    doubly_stochastic_check,
-    heavy_tail,
-    xor_family,
-)
+from egain.classical import block_recursion_exhaustive
 from egain.fock import (
-    _records,
     build_dilation,
     lower_bound_campaign,
     extremality_campaign,
@@ -216,26 +212,14 @@ def test_criterion_07_cross_oracle_entropy():
 
 def test_criterion_08_classical_counterexample():
     start = time.time()
-    dist = heavy_tail()
-    family = xor_family()
-    failures = []
-    if not all(doubly_stochastic_check(family, dist, k) for k in range(1, 15)):
-        failures.append("a truncation is not doubly stochastic")
-    entropies = [dist.truncated_entropy(1 << k) for k in range(1, 15)]
-    if not all(b > a for a, b in zip(entropies, entropies[1:])):
-        failures.append("entropy growth has a plateau")
-    for n in (1 << 8, 1 << 12):
-        reference = dist.truncated_entropy(n)
-        for i in (1, 5, 100):
-            if abs(channel_row_entropy(dist, family, i, n) - reference) > 1e-10:
-                failures.append(f"row entropy depends on i at prefix {n}")
+    ok, detail = criteria.classical_counterexample(criteria.CLASSICAL_EXPONENTS)
     _verdict(
         8,
         "classical channel is doubly stochastic with unbounded entropy",
-        not failures,
+        ok,
         time.time() - start,
         60.0,
-        "; ".join(failures) or f"H_2^14 = {entropies[-1]:.6f}, all verdicts true",
+        detail,
     )
 
 
@@ -276,32 +260,26 @@ def test_criterion_10_additivity():
 
 
 def test_criterion_11_finite_truncations_have_no_positive_gain():
-    # Alicki's finite-dimensional side: a channel on d levels has minimal gain <= 0, which the flat
-    # input I_d/d attains for these truncations. Each such gain lies below the bound 2 log k >= 0
-    # of the untruncated channel, so only the slack keeps the records from reading as violations.
-    # The flat inputs I_s/s, s = 1..dim, run as one stack; the slack is tightest on this ladder.
     start = time.time()
-    top_gain, least_ratio, breaches = -math.inf, math.inf, []
-    for kind, k, noise in (("amplifier", 1.5, 0.0), ("amplifier", 3.0, 0.0), ("classical_noise", 1.0, 0.3)):
-        for dim in (16, 60):
-            channel, bound = build_dilation(kind, k, dim=dim, noise=noise), 2.0 * math.log(k)
-            spectra = np.tril(np.ones((dim, dim))) / np.arange(1.0, dim + 1.0)[:, None]  # row s - 1: I_s/s
-            rho = np.zeros((dim, dim, dim), dtype=complex)
-            rho[:, np.arange(dim), np.arange(dim)] = spectra
-            records = _records(channel, [{"bound": bound}] * dim, rho, spectra)
-            top_gain = max(top_gain, records[-1]["gain"])
-            for s, record in enumerate(records, 1):
-                shortfall = bound - record["gain"]
-                if not record["holds"] or shortfall > 0.0 and record["reliable"]:
-                    breaches.append(f"{kind} k = {k} at dim {dim}, s = {s}")
-                if shortfall > 0.0:
-                    least_ratio = min(least_ratio, record["slack"] / shortfall)
+    ok, detail = criteria.finite_truncations_have_no_positive_gain(criteria.TRUNCATION_CASES)
     _verdict(
         11,
         "finite truncations have non-positive gain, and the oracle never calls that a violation",
-        top_gain <= 1e-12 and not breaches,
+        ok,
         time.time() - start,
         10.0,
-        f"gain at s = dim at most {top_gain:.1e}, least slack/shortfall {least_ratio:.2f}, "
-        f"{len(breaches)} breaches" + (f", the first {breaches[0]}" if breaches else ""),
+        detail,
+    )
+
+
+def test_criterion_12_fock_route_brackets_the_infimum_from_above():
+    start = time.time()
+    ok, detail = criteria.fock_route_brackets_from_above(criteria.THERMAL_CASES)
+    _verdict(
+        12,
+        "thermal inputs bring the Fock gain within delta of 2 log k",
+        ok,
+        time.time() - start,
+        30.0,
+        detail,
     )

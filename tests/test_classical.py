@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +85,44 @@ class TestNormalizer:
         direct = float(classical._raw_weight(np.arange(1, cutoff + 1, dtype=np.float64)).sum())
         midpoint = 0.5 * (1.0 / math.log(cutoff + 2.0) + 1.0 / math.log(cutoff))
         assert value == pytest.approx(direct + midpoint, abs=1e-14)
+
+    def test_tail_rule_is_numpys_gauss_legendre_rule_to_the_bit(self, monkeypatch):
+        # _partial_sum mirrors the stored positive half into all 64 nodes and weights, which
+        # must be leggauss(64)'s own bits; a spy on the module's numpy records the two mirrors
+        mirrored = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def concatenate(self, arrays):
+                mirrored.append(np.concatenate(arrays))
+                return mirrored[-1]
+
+        monkeypatch.setattr(classical, "np", Numpy())
+        classical._partial_sum(10**6)
+        nodes, weights = mirrored
+        expected_nodes, expected_weights = np.polynomial.legendre.leggauss(64)
+        assert nodes.tobytes() == expected_nodes.tobytes()
+        assert weights.tobytes() == expected_weights.tobytes()
+
+    def test_building_the_heavy_tail_imports_no_numpy_polynomial(self):
+        # the stored rule leaves numpy.polynomial, which numpy does not import itself, unloaded;
+        # Z keeps the bits it had when leggauss solved for the nodes
+        script = (
+            "import sys\n"
+            "import egain\n"
+            "print(egain.heavy_tail().normalizer, 'numpy.polynomial' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(classical.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout == "3.3877355319400357 False\n"
 
     def test_distribution_sums_to_one_in_the_limit(self):
         dist = heavy_tail()

@@ -1181,7 +1181,8 @@ MODULES_RUN = {
 def test_fresh_process_runs_only_the_modules_its_subcommands_use(argv, tmp_path):
     # every lazy module is in sys.modules from `import egain` on, where a tracer looks every
     # module up, but its code runs on the first read of one of its attributes; until then the
-    # module's type is LazyLoader's _LazyModule, and after it the plain module type
+    # module's type is LazyLoader's _LazyModule, and after it the plain module type; and no
+    # subcommand loads numpy.polynomial, which the stored quadrature rule of `classical` avoids
     matrix, channel = tmp_path / "alpha.json", tmp_path / "channel.json"
     write_json(str(matrix), [[1.5, 0.0], [0.0, 1.5]])
     write_json(str(channel), {"K": [[0.5, 0.0], [0.0, 0.5]], "mu": [[0.5, 0.0], [0.0, 0.5]]})
@@ -1193,9 +1194,10 @@ def test_fresh_process_runs_only_the_modules_its_subcommands_use(argv, tmp_path)
         f"print(egain.cli.main({args!r}))\n"
         "kinds = {importlib.util._LazyModule: 'idle', types.ModuleType: 'ran'}\n"
         "print(sorted(n for n in names if kinds[type(sys.modules[f'egain.{n}'])] == 'ran'))\n"
+        "print('numpy.polynomial' in sys.modules)\n"
     )
     result = _fresh_process(script)
-    assert result.stdout.splitlines() == ["0", str(sorted(MODULES_RUN[argv]))]
+    assert result.stdout.splitlines() == ["0", str(sorted(MODULES_RUN[argv])), "False"]
     assert result.stderr == ""
 
 
