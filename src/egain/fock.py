@@ -375,34 +375,29 @@ def random_low_support_state(
     """Random mixture of one to five pure states, validated on the lowest levels."""
     dim = _whole("dim", dim, 1)
     support = min(_whole("support", support, 1), dim)  # small cutoffs get full-support states
-    return _random_states(rng, 1, dim, support)[1][0]
+    blocks, spectra = _random_states(rng, 1, dim, support)
+    return FockDensityMatrix(dim, np.pad(blocks[0], (0, dim - support)), spectra[0])
 
 
-def _random_states(
-    rng: np.random.Generator, count: int, dim: int, support: int
-) -> tuple[np.ndarray, list[FockDensityMatrix]]:
-    """``count`` successive ``random_low_support_state`` draws on ``support`` <= ``dim`` levels,
-    as a (count, d, d) stack and its states.
+def _random_states(rng: np.random.Generator, count: int, dim: int, support: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` successive ``random_low_support_state`` draws on ``support`` <= ``dim`` levels:
+    the (count, s, s) blocks they occupy, validated, and their spectra padded to d levels.
 
     Each trial draws its component count, its weights, then the real and imaginary parts of
     each component, as one draw alone does, into (count, 5) weights and (count, 5, 2, s)
-    parts. Slot c of every trial that has one is added in one call, and the (count, s, s)
-    block validated at once, its spectra padded to d levels as one array.
+    parts; a trial's empty slots stay zero. All slots are normalized and weighted in one pass,
+    and ``sum`` adds each trial's slots in slot order, as a loop over its components would.
     """
-    sizes = np.zeros(count, dtype=int)
     weights, parts = np.zeros((count, 5)), np.zeros((count, 5, 2, support))
     for t in range(count):
-        n = sizes[t] = rng.integers(1, 6)
+        n = rng.integers(1, 6)
         weights[t, :n] = rng.dirichlet(np.ones(n))
         parts[t, :n] = rng.normal(size=(n, 2, support))  # real, imaginary
-    rho = np.zeros((count, dim, dim), dtype=complex)
-    blocks = rho[:, :support, :support]
-    for c in range(sizes.max()):
-        live = sizes > c if c else slice(None)  # every trial has a first component
-        psi = parts[live, c, 0] + 1j * parts[live, c, 1]  # normalized by np.linalg.norm's sums, a dot per row
-        psi /= np.sqrt(psi.real[:, None] @ psi.real[..., None] + psi.imag[:, None] @ psi.imag[..., None])[:, 0]
-        blocks[live] += weights[live, c, None, None] * (psi[:, :, None] * psi.conj()[:, None, :])
-    return rho, [FockDensityMatrix(dim, m, w) for m, w in zip(rho, _validated(blocks, dim))]
+    psi = parts[:, :, 0] + 1j * parts[:, :, 1]  # normalized by np.linalg.norm's sums, a dot per row
+    norm = np.sqrt(psi.real[..., None, :] @ psi.real[..., None] + psi.imag[..., None, :] @ psi.imag[..., None])[..., 0]
+    psi = np.divide(psi, norm, out=np.zeros_like(psi), where=norm > 0.0)  # an empty slot has no norm
+    blocks = (weights[..., None, None] * (psi[..., :, None] * psi.conj()[..., None, :])).sum(axis=1)
+    return blocks, _validated(blocks, dim)
 
 
 def _g(x: float) -> float:
@@ -439,7 +434,14 @@ def slack_from_deficit(deficit: float, energy: float, dim: int) -> float:
       each spectrum is exact for a matrix within ||Delta||_2 <= 16 d u of the exact one (a
       density matrix has ||rho||_2 <= 1; eigvalsh is backward stable, and this also covers the
       Kraus sums' rounding), so their trace distance is T <= (d/2) ||Delta||_2.
+
+    A deficit >= 1, which the floats' d u can give, bounds by g(E) alone, an infinite E by inf.
+    Refused by name: a nan or negative deficit or energy, and a dim not a whole number >= 2.
     """
+    for name, value in (("deficit", deficit), ("energy", energy)):
+        if not value >= 0.0:  # nan too
+            raise InadmissibleInputError(f"{name} must be a number >= 0, got {value!r}")
+    dim = _whole("dim", dim, 2)
     eps = math.sqrt(deficit + dim * _ROUNDOFF)
     truncation = min(2.0 * eps * _g(energy / eps) + _h(eps), _g(energy)) if eps < 1.0 else _g(energy)
     T = 8.0 * dim * dim * _ROUNDOFF
@@ -453,7 +455,7 @@ def _output_energy(channel: DilationChannel, nbar: float) -> float:
 
 
 _SUPPORT_CAP, _SLACK_TARGET = 10, 2e-3  # the most levels a campaign draws on, and the bound they must meet
-# Bytes of states in one campaign stack, at least one: 18 at d = 60, 1 at d = 1000.
+# Bytes of a campaign chunk's d-level output stack, at least one state: 18 at d = 60, 1 at d = 1000.
 _STACK_BYTES = 1 << 20
 
 
@@ -482,16 +484,18 @@ def _records(channel: DilationChannel, references, rho: np.ndarray, spectra: np.
 
 
 def _campaign(channel: DilationChannel, trials: int, rng, extremality: bool) -> dict:
-    """Draw random low-support states in trial order and tally their records, a chunk at a time."""
+    """Draw random low-support states in trial order and tally their records, a chunk at a time.
+
+    A chunk's inputs are the (B, s, s) blocks they are drawn on, which the Kraus sums and the
+    records read as they are; ``_STACK_BYTES`` bounds the chunk's (B, d, d) output stacks.
+    """
     trials = _whole("trials", trials, 1)
     support, slack_bound = channel._support  # the levels the states are drawn on
     chunk = max(1, _STACK_BYTES // (16 * channel.dim**2))
     records = []
     for start in range(0, trials, chunk):
-        rho, states = _random_states(rng, min(chunk, trials - start), channel.dim, support)
-        drawn = rho[:, :support, :support]  # the Kraus sums scan only the levels the states were drawn on
-        references = _references(channel, states, extremality)
-        records += _records(channel, references, drawn, np.stack([state.spectrum for state in states]))
+        rho, spectra = _random_states(rng, min(chunk, trials - start), channel.dim, support)
+        records += _records(channel, _references(channel, rho, extremality), rho, spectra)
     return {
         "kind": channel.kind,
         "k": channel.k,
@@ -505,16 +509,20 @@ def _campaign(channel: DilationChannel, trials: int, rng, extremality: bool) -> 
     }
 
 
-def _references(channel: DilationChannel, states, extremality: bool) -> list[dict]:
-    """Per state: the bound log k^2, or, with ``extremality``, its references, Gaussian gain first.
+def _references(channel: DilationChannel, rho: np.ndarray, extremality: bool) -> list[dict]:
+    """Per state of a (B, s, s) stack: log k^2, or, with ``extremality``, its references, Gaussian gain first.
 
     verify_extremality's hypotheses are checked on each state; both nondegeneracy tests and the
     gains are read off the input and output spectra of one (B, 2, 2) covariance stack, four
-    eigensolves whatever B. The first state that fails raises.
+    eigensolves whatever B. The first state that fails raises. ``covariance_of`` reads each state
+    embedded in d x d, as it reads a state alone: its diagonal sums take all d terms.
     """
     if not extremality:
-        return [{"bound": 2.0 * math.log(channel.k)}] * len(states)  # k**2 underflows to 0 below k = 1e-162
+        return [{"bound": 2.0 * math.log(channel.k)}] * len(rho)  # k**2 underflows to 0 below k = 1e-162
     gch = channel.gaussian_channel()
+    pad = channel.dim - rho.shape[-1]
+    padded = np.pad(rho, ((0, 0), (0, pad), (0, pad)))
+    states = [FockDensityMatrix(channel.dim, m, None) for m in padded]  # covariance_of reads no spectrum
     alpha = np.stack([covariance_of(state)[1] for state in states])  # exactly symmetric, as _apply requires
     nu_in = symplectic.symplectic_eigenvalues(alpha, gch.space)
     nu_out = channels._apply(gch, alpha)[1]
@@ -574,5 +582,5 @@ def _verified(channel: DilationChannel, state: FockDensityMatrix, extremality: b
     """One state's record, from its reference and the campaigns' ``_records``."""
     if state.dim != channel.dim:
         raise InadmissibleInputError("state and channel dimensions differ")
-    references = _references(channel, [state], extremality)
-    return _records(channel, references, state.rho[None], state.spectrum[None])[0]
+    rho = state.rho[None]
+    return _records(channel, _references(channel, rho, extremality), rho, state.spectrum[None])[0]

@@ -700,6 +700,24 @@ class TestTruncationPolicy:
         assert g <= slack_from_deficit(deficit, 1.5, 8) <= g + 1e-9
         assert slack_from_deficit(deficit, math.inf, 8) == math.inf
 
+    @pytest.mark.parametrize(
+        "deficit, energy, dim, named",
+        [
+            (math.nan, 1.5, DIM, "deficit"),
+            (-1e-3, 1.5, DIM, "deficit"),
+            (0.0, math.nan, DIM, "energy"),
+            (0.0, -1.0, DIM, "energy"),
+            (0.0, 1.5, 1, "dim"),
+            (0.0, 1.5, 8.5, "dim"),
+        ],
+        ids=["nan-deficit", "negative-deficit", "nan-energy", "negative-energy", "dim-1", "fractional-dim"],
+    )
+    def test_slack_refuses_what_it_cannot_bound_by_name(self, deficit, energy, dim, named):
+        # unrefused, a nan deficit gave the finite slack 1.386, energy -1 the slack -2.0, and
+        # dim 1 a bare math domain error
+        with pytest.raises(InadmissibleInputError, match=f"^{named} must"):
+            slack_from_deficit(deficit, energy, dim)
+
     def test_deficit_is_the_mass_the_channel_moves_past_the_cutoff(self):
         # the thermal input's own tail is no part of a verdict about the state the oracle holds
         state = thermal_state(2.0, 20)  # its dropped tail, 0.6^20 = 3.66e-5, is in no record
@@ -909,8 +927,10 @@ class TestProp3:
         draw, kernel, stacks = fock._random_states, fock._kraus_sums, []
 
         def draw_failing(*args):
-            rho, states = draw(*args)
-            return rho, [failing.get(trial, state) for trial, state in enumerate(states)]
+            rho, spectra = draw(*args)
+            for trial, state in failing.items():
+                rho[trial], spectra[trial] = state.rho[: rho.shape[-1], : rho.shape[-1]], state.spectrum
+            return rho, spectra
 
         def spy(channel, rho):
             stacks.append(len(rho))
@@ -930,11 +950,11 @@ class TestProp3:
         # whatever the chunk's size
         channel = request.getfixturevalue(name)
         channel.gaussian_channel()  # solved once, before the count
-        chunk = fock._random_states(np.random.default_rng(7), 18, DIM, 10)[1]
-        for states in ([thermal_state(1.0, DIM)], chunk):
+        chunk = fock._random_states(np.random.default_rng(7), 18, DIM, 10)[0]
+        for rho in (thermal_state(1.0, DIM).rho[None], chunk):
             count_eigensolves.clear()
-            references = fock._references(channel, states, extremality=True)
-            assert len(references) == len(states)
+            references = fock._references(channel, rho, extremality=True)
+            assert len(references) == len(rho)
             assert count_eigensolves == ["cholesky", "eigvalsh"] * 2
 
 
@@ -1163,25 +1183,26 @@ class TestStackedCampaigns:
     def test_chunk_draw_equals_successive_single_draws(self, dim, support, count):
         # one component slot (support 1) and one live trial are the edges of the one-pass draw
         chunked, alone = np.random.default_rng(5), np.random.default_rng(5)
-        rho, states = fock._random_states(chunked, count, dim, min(support, dim))
-        assert rho.shape == (count, dim, dim) and len(states) == count
-        for m, state in zip(rho, states):
+        s = min(support, dim)
+        blocks, spectra = fock._random_states(chunked, count, dim, s)
+        assert blocks.shape == (count, s, s) and spectra.shape == (count, dim)
+        for block, spectrum in zip(blocks, spectra):
             single = random_low_support_state(alone, dim=dim, support=support)
-            assert np.array_equal(m, single.rho)
-            assert np.array_equal(state.rho, single.rho)
-            assert np.array_equal(state.spectrum, single.spectrum)
+            assert block.tobytes() == single.rho[:s, :s].tobytes()
+            rest = single.rho.copy()
+            rest[:s, :s] = 0.0
+            assert not rest.any()
+            assert spectrum.tobytes() == single.spectrum.tobytes()
         # both generators are left in the same state
-        after_chunk = random_low_support_state(chunked, dim=dim, support=support)
-        after_singles = random_low_support_state(alone, dim=dim, support=support)
-        assert np.array_equal(after_chunk.rho, after_singles.rho)
+        assert chunked.bit_generator.state == alone.bit_generator.state
 
     def test_campaign_layer_reads_the_renormalized_outputs(self, attenuator, amplifier, classical_noise):
-        # a campaign divides only the spectra of what _kept returns;
+        # a campaign divides only the spectra of what _kept returns from the drawn s x s blocks;
         # apply_channel divides the whole stack by _normalized: both must read the same bits
         for channel in (attenuator, amplifier, classical_noise):
             support = channel._support[0]
-            rho = fock._random_states(np.random.default_rng(3), 18, DIM, support)[0]
-            out, levels, _ = fock._kept(channel, rho)
+            blocks = fock._random_states(np.random.default_rng(3), 18, DIM, support)[0]
+            out, levels, _ = fock._kept(channel, blocks)
             w, tr = fock._spectra(out, levels, DIM)
             assert np.array_equal(w / tr[:, None], fock._normalized(out, levels, DIM))
 
@@ -1217,10 +1238,13 @@ class TestStackedCampaigns:
         draw, kernel, drawn, stacks = fock._random_states, fock._kraus_sums, [], []
 
         def draw_vacuum_25th(*args):
-            rho, states = draw(*args)
-            trials = range(len(drawn), len(drawn) + len(states))
-            drawn.extend(states)
-            return rho, [number_state(0, DIM) if i == 24 else state for i, state in zip(trials, states)]
+            rho, spectra = draw(*args)
+            i = 24 - len(drawn)  # the 25th trial's place in this chunk
+            if 0 <= i < len(rho):
+                vacuum = number_state(0, DIM)
+                rho[i], spectra[i] = vacuum.rho[: rho.shape[-1], : rho.shape[-1]], vacuum.spectrum
+            drawn.extend(rho)
+            return rho, spectra
 
         def spy(channel, rho):
             stacks.append(len(rho))
@@ -1232,6 +1256,23 @@ class TestStackedCampaigns:
             extremality_campaign(classical_noise, self.TRIALS, np.random.default_rng(7))
         assert stacks == [18]
         assert len(drawn) == 36
+
+    def test_one_trial_campaign_at_dim_400_traces_one_output_stack(self):
+        # the inputs are drawn as their s x s blocks, so the traced peak is the d-level output
+        # stack a Kraus sum writes, 16 d^2 bytes, and not that plus a d-level input stack as well
+        dim = 400
+        dilations = [build_dilation("attenuator", 0.7, dim=dim), build_dilation("amplifier", 1.5, dim=dim)]
+        dilations.append(build_dilation("classical_noise", 1.0, dim=dim, noise=0.3))
+        for channel in dilations:
+            channel._support  # its number states' Kraus sums, on first use, are not the campaign's
+            rng = np.random.default_rng(0)  # a first generator imports modules
+            tracemalloc.start()
+            try:
+                lower_bound_campaign(channel, 1, rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * 16 * dim**2, (channel.kind, peak / (16 * dim**2))
 
     def test_gaussian_counterpart_is_solved_once(self, monkeypatch):
         solve, calls = channels.preset_channel, []
@@ -1284,8 +1325,8 @@ class TestStackedCampaigns:
 
         def draw_vacua(rng, count, dim, support):
             counts.append(count)
-            states = [number_state(0, dim)] * count
-            return np.stack([state.rho for state in states]), states
+            vacuum = number_state(0, dim)
+            return np.stack([vacuum.rho[:support, :support]] * count), np.stack([vacuum.spectrum] * count)
 
         monkeypatch.setattr(fock, "_random_states", draw_vacua)
         monkeypatch.setattr(fock, "_kraus_sums", spy)
